@@ -1,7 +1,7 @@
 """Extension: vectorized simulator hot path vs legacy per-access loop.
 
-The batched cache kernels (docs/PERFORMANCE.md, "Simulator hot path")
-claim three things, measured here on the same hardware and committed to
+The simulator hot path (docs/PERFORMANCE.md, "Simulator hot path")
+claims four things, measured here on the same hardware and committed to
 ``BENCH_sim.json`` at the repo root:
 
 - a full audited cache-channel session runs markedly faster with the
@@ -15,7 +15,14 @@ claim three things, measured here on the same hardware and committed to
   legacy path shares the rewritten bloom/tracker internals);
 - the batched bloom-filter primitives (``add_batch`` /
   ``contains_batch``) dominate their scalar loops by an order of
-  magnitude or more.
+  magnitude or more;
+- a 240-quantum memory-bus session audits thousands of quanta per
+  second: the bus answers each spy sample from symbolic burst rows, so
+  a late sample costs what an early one does (re-sorting the whole lock
+  history on every sample ran this session over 20x slower).
+
+Session rates divide the quanta a session actually ran
+(``ChannelRun.quanta``) by its seconds.
 
 ``REPRO_BENCH_QUICK=1`` shrinks trial counts for CI smoke runs (the
 speedup assertions still apply; the committed JSON is only rewritten by
@@ -43,6 +50,14 @@ QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 N_QUANTA = 8 if QUICK else 16
 N_TRIALS = 2 if QUICK else 5
 KERNEL_SAMPLES = 50_000 if QUICK else 200_000
+#: The bus session runs one bit per quantum. At this length a lock
+#: history re-sorted on every sample runs it over 20x slower, a gap no
+#: runner's speed can hide.
+MEMBUS_QUANTA = 240
+MEMBUS_ONES = 0.4
+#: A bus session takes tens of milliseconds, so even quick runs afford
+#: enough trials for a steady median.
+MEMBUS_TRIALS = 5
 
 _OUT_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -61,7 +76,7 @@ def _event_checksum(machine):
 
 
 def _run_session(vectorized):
-    """One audited cache-channel session; returns (seconds, checksum)."""
+    """One audited cache-channel session; returns (seconds, quanta, checksum)."""
     message = Message.random(12, rng=np.random.default_rng(7))
     t0 = perf_counter()
     result = run_channel_session(
@@ -73,7 +88,8 @@ def _run_session(vectorized):
         noise=True,
         cache_vectorized=vectorized,
     )
-    return perf_counter() - t0, _event_checksum(result.machine)
+    seconds = perf_counter() - t0
+    return seconds, result.quanta, _event_checksum(result.machine)
 
 
 def _median_session_seconds():
@@ -84,14 +100,47 @@ def _median_session_seconds():
     for round_idx in range(N_TRIALS):
         order = (True, False) if round_idx % 2 == 0 else (False, True)
         for vectorized in order:
-            sec, checksum = _run_session(vectorized)
+            sec, quanta, checksum = _run_session(vectorized)
             key = "vectorized" if vectorized else "legacy"
             timings[key].append(sec)
             checksums[key] = checksum
     return (
         {k: statistics.median(v) for k, v in timings.items()},
+        quanta,
         checksums["vectorized"] == checksums["legacy"],
     )
+
+
+def _membus_session_results():
+    """Median rate of a noise-free bus covert session, 40% one bits."""
+    bits = np.zeros(MEMBUS_QUANTA, dtype=int)
+    ones = round(MEMBUS_ONES * MEMBUS_QUANTA)
+    bits[np.random.default_rng(13).choice(bits.size, ones, replace=False)] = 1
+    message = Message.from_bits(bits)
+
+    def run():
+        t0 = perf_counter()
+        result = run_channel_session(
+            "membus",
+            message,
+            bandwidth_bps=10.0,
+            seed=19,
+            max_quanta=MEMBUS_QUANTA,
+            noise=False,
+        )
+        return perf_counter() - t0, result.quanta
+
+    run()  # warmup
+    seconds, quanta = [], 0
+    for _ in range(MEMBUS_TRIALS):
+        sec, quanta = run()
+        seconds.append(sec)
+    median = statistics.median(seconds)
+    return {
+        "quanta": quanta,
+        "seconds": median,
+        "quanta_per_second": quanta / median,
+    }
 
 
 def _time_kernel(fn, *args):
@@ -192,18 +241,20 @@ def _access_series_results():
 
 
 def measure_sim_throughput():
-    medians, events_identical = _median_session_seconds()
+    medians, quanta, events_identical = _median_session_seconds()
     return {
         "n_quanta": N_QUANTA,
         "n_trials": N_TRIALS,
         "session": {
+            "quanta": quanta,
             "vectorized_seconds": medians["vectorized"],
             "legacy_seconds": medians["legacy"],
-            "vectorized_quanta_per_second": N_QUANTA / medians["vectorized"],
-            "legacy_quanta_per_second": N_QUANTA / medians["legacy"],
+            "vectorized_quanta_per_second": quanta / medians["vectorized"],
+            "legacy_quanta_per_second": quanta / medians["legacy"],
             "speedup": medians["legacy"] / medians["vectorized"],
             "events_identical": events_identical,
         },
+        "membus_session": _membus_session_results(),
         "kernels": {
             "access_series_hot_set": _access_series_results(),
             "bloom": _bloom_results(),
@@ -218,12 +269,15 @@ def test_sim_throughput(benchmark):
             json.dump(results, handle, indent=2, sort_keys=True)
             handle.write("\n")
     ses = results["session"]
+    bus = results["membus_session"]
     hot = results["kernels"]["access_series_hot_set"]
     lines = [
         f"session   vectorized {ses['vectorized_quanta_per_second']:7.1f} "
         f"q/s, legacy {ses['legacy_quanta_per_second']:7.1f} q/s "
         f"({ses['speedup']:.2f}x, events identical: "
         f"{ses['events_identical']})",
+        f"membus session {bus['quanta_per_second']:7.1f} q/s "
+        f"({bus['quanta']} quanta, no noise)",
         f"access_series hot-set kernel {hot['speedup']:6.1f}x faster than "
         f"legacy loop ({hot['samples']} accesses)",
     ]

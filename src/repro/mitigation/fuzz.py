@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.mitigation.override import MethodOverride
 from repro.sim.machine import Machine
 
 
@@ -36,10 +37,12 @@ class ClockFuzzer:
         self.fuzz_cycles = fuzz_cycles
         self.correlated = correlated
         self._rng = np.random.default_rng(machine.seed ^ 0xF022)
-        self._original_bus_sample = machine.bus.sample
-        self._original_cache_series = machine.l2.access_series
-        machine.bus.sample = self._fuzzed_bus_sample  # type: ignore
-        machine.l2.access_series = self._fuzzed_cache_series  # type: ignore
+        self._bus_sample = MethodOverride(
+            machine.bus, "sample", self._fuzzed_bus_sample
+        )
+        self._cache_series = MethodOverride(
+            machine.l2, "access_series", self._fuzzed_cache_series
+        )
 
     def _fuzz(self, latencies: np.ndarray) -> np.ndarray:
         if self.correlated:
@@ -51,20 +54,18 @@ class ClockFuzzer:
         return latencies + noise
 
     def _fuzzed_bus_sample(self, ctx, start, count, period):
-        end, latencies = self._original_bus_sample(ctx, start, count, period)
+        end, latencies = self._bus_sample.original(ctx, start, count, period)
         return end, self._fuzz(latencies)
 
     def _fuzzed_cache_series(self, ctx, accesses, gap, start):
-        end, latencies = self._original_cache_series(
+        end, latencies = self._cache_series.original(
             ctx, accesses, gap, start
         )
         return end, self._fuzz(latencies)
 
     def remove(self) -> None:
-        self.machine.bus.sample = self._original_bus_sample  # type: ignore
-        self.machine.l2.access_series = (  # type: ignore
-            self._original_cache_series
-        )
+        self._cache_series.remove()
+        self._bus_sample.remove()
 
     def expected_ber_floor(self, latency_gap: float,
                            samples_per_bit: int) -> float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from repro.errors import ConfigError
+from repro.mitigation.override import MethodOverride
 from repro.sim.machine import Machine
 from repro.sim.resources.cache import SharedCache, block_key
 
@@ -35,8 +36,9 @@ class _WayPartition:
         self.group_of_ctx = dict(group_of_ctx)
         self.ways_of_group = dict(ways_of_group)
         self.cross_group_evictions_prevented = 0
-        self._original_access = cache.access
-        cache.access = self._partitioned_access  # type: ignore
+        self._override = MethodOverride(
+            cache, "access", self._partitioned_access
+        )
 
     def _group(self, ctx: int) -> int:
         if ctx not in self.group_of_ctx:
@@ -54,7 +56,7 @@ class _WayPartition:
         cache_set = cache._sets[set_index]
         group = self._group(ctx)
         if tag in cache_set:
-            return self._original_access(ctx, set_index, tag, time)
+            return self._override.original(ctx, set_index, tag, time)
         # Miss path: enforce the group's way budget manually.
         cache.misses += 1
         key = block_key(set_index, tag)
@@ -90,18 +92,11 @@ class _WayPartition:
     def remove(self) -> None:
         """Restore the unpartitioned access path.
 
-        Drops the instance-level override entirely when the original was
-        the plain class method, so the cache's batch kernels (disabled
-        while any ``access`` wrapper is installed) re-engage; a stacked
-        wrapper is reinstalled as-is.
+        Drops the instance-level override, so the cache's batch kernels
+        (disabled while any ``access`` wrapper is installed) re-engage; a
+        stacked wrapper is reinstalled as-is.
         """
-        cache = self.cache
-        try:
-            del cache.access
-        except AttributeError:
-            pass
-        if cache.access != self._original_access:
-            cache.access = self._original_access  # type: ignore
+        self._override.remove()
 
 
 def partition_cache_ways(

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import ConfigError
+from repro.mitigation.override import MethodOverride
 from repro.sim.machine import Machine
 from repro.sim.resources.bus import MemoryBus
 
@@ -28,22 +29,24 @@ class BusLockThrottle:
         self.min_period = min_period
         self.contexts = contexts  # None = throttle everyone
         self.locks_delayed = 0
-        self._original_lock_burst = bus.lock_burst
-        bus.lock_burst = self._throttled_lock_burst  # type: ignore
+        self._override = MethodOverride(
+            bus, "lock_burst", self._throttled_lock_burst
+        )
 
     def _throttled_lock_burst(
         self, ctx: int, start: int, count: int, period: int
     ) -> int:
+        lock_burst = self._override.original
         if self.contexts is not None and ctx not in self.contexts:
-            return self._original_lock_burst(ctx, start, count, period)
+            return lock_burst(ctx, start, count, period)
         if period < self.min_period:
             self.locks_delayed += count
             period = self.min_period
-        return self._original_lock_burst(ctx, start, count, period)
+        return lock_burst(ctx, start, count, period)
 
     def remove(self) -> None:
         """Lift the throttle."""
-        self.bus.lock_burst = self._original_lock_burst  # type: ignore
+        self._override.remove()
 
     @property
     def effective_max_lock_rate(self) -> float:

@@ -22,12 +22,19 @@ whole history at every quantum boundary, the tap keeps its full record,
 and any number of readers can coexist on one tap. ``clear()`` supports
 streaming consumers that drain destructively (readers detect it and fail
 loudly rather than silently skipping history).
+
+Periodic bursts (a bus-lock sender's ``count`` locks every ``period``
+cycles) stay symbolic as :class:`GridChunk` rows, in the tap's record and
+in the memory bus's own lock record alike. Events are built only when a
+reader consumes the chunk, and the bus answers contention queries from
+the rows in closed form, so a long session's record grows with its
+bursts, not with its events.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,6 +45,49 @@ def _concat_chunks(chunks: Sequence[np.ndarray], dtype) -> np.ndarray:
     if not chunks:
         return np.zeros(0, dtype=dtype)
     return np.concatenate([np.asarray(c, dtype=dtype) for c in chunks])
+
+
+#: What :meth:`GridChunk.latest_at` reports for a time no event precedes.
+NO_EVENT = np.iinfo(np.int64).min
+
+
+class GridChunk(NamedTuple):
+    """Periodic bursts kept symbolic: the one grid format.
+
+    Burst ``i`` holds ``count`` events at ``starts[i] + period * k`` for
+    ``k`` in ``range(count)``. :class:`EventTap` stores a run of
+    same-shape bursts as one chunk; :class:`~repro.sim.resources.bus.MemoryBus`
+    keeps one single-burst chunk per ``lock_burst`` as its lock record.
+    """
+
+    starts: np.ndarray
+    count: int
+    period: int
+
+    @property
+    def size(self) -> int:
+        """Number of events the chunk stands for."""
+        return self.starts.size * self.count
+
+    def times(self) -> np.ndarray:
+        """Every event, burst by burst (row-major, so record order)."""
+        offsets = self.period * np.arange(self.count, dtype=np.int64)
+        return (self.starts[:, None] + offsets).ravel()
+
+    def latest_at(self, times: np.ndarray) -> np.ndarray:
+        """Per time (a 1-D column), the latest event at or before it.
+
+        Closed form per burst, so no event is built; :data:`NO_EVENT`
+        where no event precedes the time.
+        """
+        starts = self.starts[:, None]
+        k = np.minimum((times - starts) // self.period, self.count - 1)
+        return np.where(k >= 0, starts + k * self.period, NO_EVENT).max(axis=0)
+
+
+def _chunk_times(chunk: Union[np.ndarray, GridChunk]) -> np.ndarray:
+    """A tap chunk's timestamp column, expanding a symbolic grid."""
+    return chunk.times() if isinstance(chunk, GridChunk) else chunk
 
 
 def _round_density_counts(counts: np.ndarray) -> np.ndarray:
@@ -105,20 +155,21 @@ class EventTap:
     """Collects sparse indicator events as (cycle, context) pairs.
 
     Storage is columnar: timestamp chunks are int64 arrays appended as
-    recorded; a chunk's context column is either an int16 array (mixed
-    contexts, from single-event staging) or a plain int scalar (one
-    context for the whole chunk — the batch-record case), expanded only
-    when a consumer actually needs per-event contexts.
+    recorded, or symbolic :class:`GridChunk` bursts; a chunk's context
+    column is either an int16 array (mixed contexts, from single-event
+    staging) or a plain int scalar (one context for the whole chunk — the
+    batch and grid cases). Grids and scalar contexts are expanded, in
+    record order, only when a consumer actually needs per-event columns.
     """
 
     def __init__(self, name: str):
         self.name = name
-        self._time_chunks: List[np.ndarray] = []
+        self._time_chunks: List[Union[np.ndarray, GridChunk]] = []
         self._ctx_chunks: List[Union[np.ndarray, int]] = []
         # Single-event appends land in plain-list staging buffers and
         # are consolidated into one chunk lazily. Periodic bursts stage
-        # symbolically as (starts, count, period, ctx) and materialize
-        # on flush. At most one of the two stages is non-empty at any
+        # as (starts, count, period, ctx) and flush into one symbolic
+        # GridChunk. At most one of the two stages is non-empty at any
         # time, so flush order never affects record order.
         self._stage_times: List[int] = []
         self._stage_ctxs: List[int] = []
@@ -148,12 +199,11 @@ class EventTap:
     def record_grid(self, start: int, count: int, period: int, ctx: int) -> None:
         """Record ``count`` events at ``start, start+period, ...`` (one ctx).
 
-        Bursts stay symbolic — one Python-list append per burst — until a
-        consumer reads; consecutive same-shape bursts then materialize
-        into a single chunk with one vectorized broadcast instead of one
-        numpy allocation per burst. The chunk's row-major layout equals
-        record order, so sorting and tie order match per-burst
-        ``record_batch`` calls exactly.
+        Bursts stay symbolic — one Python-list append per burst, then one
+        :class:`GridChunk` per run of consecutive same-shape bursts — and
+        are expanded only when a reader consumes them. The chunk's
+        row-major expansion equals record order, so sorting and tie order
+        match per-burst ``record_batch`` calls exactly.
         """
         if count <= 0 or period <= 0:
             raise SimulationError("event grid needs positive count and period")
@@ -180,9 +230,9 @@ class EventTap:
         if g is not None:
             starts, count, period, ctx = g
             self._stage_grid = None
-            base = np.asarray(starts, dtype=np.int64)[:, None]
-            offsets = period * np.arange(count, dtype=np.int64)
-            self._time_chunks.append((base + offsets).ravel())
+            self._time_chunks.append(
+                GridChunk(np.asarray(starts, dtype=np.int64), count, period)
+            )
             self._ctx_chunks.append(ctx)
 
     @property
@@ -203,7 +253,9 @@ class EventTap:
     def _sorted(self) -> Tuple[np.ndarray, np.ndarray]:
         if self._sorted_cache is None:
             self._flush_stage()
-            times = _concat_chunks(self._time_chunks, np.int64)
+            times = _concat_chunks(
+                [_chunk_times(c) for c in self._time_chunks], np.int64
+            )
             ctxs = _concat_chunks(self._ctx_arrays(), np.int16)
             order = np.argsort(times, kind="stable")
             self._sorted_cache = (times[order], ctxs[order])
@@ -287,7 +339,10 @@ class EventWindowReader:
         tap._flush_stage()
         chunks = tap._time_chunks
         if len(chunks) > self._chunk_idx:
-            merged = np.concatenate([self._pending] + chunks[self._chunk_idx:])
+            merged = np.concatenate(
+                [self._pending]
+                + [_chunk_times(c) for c in chunks[self._chunk_idx:]]
+            )
             self._chunk_idx = len(chunks)
             if merged.size > 1 and (merged[1:] < merged[:-1]).any():
                 merged.sort(kind="stable")

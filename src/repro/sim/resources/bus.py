@@ -9,17 +9,26 @@ serves timed accesses whose latency reflects the lock state.
 
 Locks are committed when the locking operation is issued, covering the
 whole burst (producers-first contract, see :mod:`repro.sim.engine`).
+
+The bus keeps its own lock record, independent of the tap (which
+destructive consumers may ``clear()``). Each ``lock_burst`` is one
+symbolic :class:`~repro.sim.events.GridChunk` row, ordered by start;
+single locks from ``noise_locks`` are one sorted array. A contention
+query asks only the rows that reach the queried times, each in closed
+form, and builds no lock — so a sample costs the same at the end of a
+long session as at its start.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.config import BusConfig
 from repro.errors import SimulationError
-from repro.sim.events import EventTap
+from repro.sim.events import NO_EVENT, EventTap, GridChunk
 
 
 class MemoryBus:
@@ -34,16 +43,19 @@ class MemoryBus:
         self.config = config
         self.lock_tap = lock_tap
         self._rng = rng
-        self._lock_start_chunks: List[np.ndarray] = []
-        #: Symbolically staged lock bursts: start times sharing one
-        #: (count, period) shape, materialized in a single broadcast by
-        #: :meth:`_flush_bursts` (mirrors ``EventTap.record_grid``).
-        self._burst_starts: List[int] = []
-        self._burst_shape: Optional[Tuple[int, int]] = None
-        self._sorted_starts: Optional[np.ndarray] = None
-        #: Cached ``period * arange(count)`` grids: senders issue the
-        #: same burst shape millions of times, so the offset grid is
-        #: computed once per (count, period) pair (bounded; see _grid).
+        #: One symbolic row per lock burst, ordered by start, with each
+        #: row's reach: the latest lock of it and of every row before it.
+        #: Reach never decreases, so both ends of a range query bisect.
+        self._bursts: List[GridChunk] = []
+        self._row_starts: List[int] = []
+        self._row_reach: List[int] = []
+        #: Single (noise) locks, sorted; ``_singles[:_n_singles]`` is
+        #: live, the rest is room to grow.
+        self._singles = np.zeros(0, dtype=np.int64)
+        self._n_singles = 0
+        #: Cached ``period * arange(count)`` grids: the spy samples with
+        #: the same shape every bit, so the offset grid is computed once
+        #: per (count, period) pair (bounded; see _grid).
         self._grid_cache: Dict[Tuple[int, int], np.ndarray] = {}
         self.total_locks = 0
         self.total_samples = 0
@@ -60,48 +72,34 @@ class MemoryBus:
 
     # ------------------------------------------------------------------ locks
 
-    def _commit_locks(self, times: np.ndarray, ctx: int) -> None:
-        """Commit a chunk of lock-issue times (callers pass int64 arrays).
-
-        The chunk is shared, never mutated, between the bus's own lock
-        list and the tap — zero-copy on the per-burst hot path.
-        """
-        if times.size == 0:
-            return
-        self._lock_start_chunks.append(times)
-        self._sorted_starts = None
-        self.lock_tap.record_batch(times, ctx)
-        self.total_locks += int(times.size)
-
-    def _flush_bursts(self) -> None:
-        if not self._burst_starts:
-            return
-        count, period = self._burst_shape
-        base = np.asarray(self._burst_starts, dtype=np.int64)[:, None]
-        self._lock_start_chunks.append(
-            (base + self._grid(count, period)).ravel()
-        )
-        self._burst_starts = []
-        self._burst_shape = None
-
     def lock_burst(self, ctx: int, start: int, count: int, period: int) -> int:
         """Issue ``count`` bus-locking atomic accesses every ``period`` cycles.
 
         Returns the completion time of the burst. Each access holds the bus
         locked for ``config.lock_duration`` cycles from its issue.
 
-        Bursts are the sender hot path: each call stages (start, count,
-        period) symbolically in both the bus's own lock list and the
-        indicator tap; materialization happens once per read, not once
-        per burst.
+        Bursts are the sender hot path: each call adds one symbolic row
+        to the bus's lock record and one to the indicator tap; no lock is
+        built here.
         """
         if count <= 0 or period <= 0:
             raise SimulationError("lock burst needs positive count and period")
-        if self._burst_shape != (count, period):
-            self._flush_bursts()
-            self._burst_shape = (count, period)
-        self._burst_starts.append(int(start))
-        self._sorted_starts = None
+        start = int(start)
+        row = GridChunk(np.array([start], dtype=np.int64), count, period)
+        at = bisect_right(self._row_starts, start)
+        reach = start + (count - 1) * period
+        if at:
+            reach = max(reach, self._row_reach[at - 1])
+        self._bursts.insert(at, row)
+        self._row_starts.insert(at, start)
+        self._row_reach.insert(at, reach)
+        # A burst inserted out of start order may extend the reach of
+        # the rows after it (the engine issues bursts in time order, so
+        # this loop normally has nothing to do).
+        for i in range(at + 1, len(self._row_reach)):
+            if self._row_reach[i] >= reach:
+                break
+            self._row_reach[i] = reach
         self.lock_tap.record_grid(start, count, period, ctx)
         self.total_locks += count
         return int(start + count * period)
@@ -121,33 +119,58 @@ class MemoryBus:
         n = int(self._rng.poisson(expected)) if expected > 0 else 0
         if n == 0:
             return
-        times = start + np.sort(self._rng.integers(0, duration, size=n))
-        self._commit_locks(times.astype(np.int64), ctx)
+        times = (
+            start + np.sort(self._rng.integers(0, duration, size=n))
+        ).astype(np.int64)
+        self._insert_singles(times)
+        self.lock_tap.record_batch(times, ctx)
+        self.total_locks += n
 
-    def _lock_starts(self) -> np.ndarray:
-        if self._sorted_starts is None:
-            self._flush_bursts()
-            if self._lock_start_chunks:
-                self._sorted_starts = np.sort(
-                    np.concatenate(self._lock_start_chunks)
-                )
-            else:
-                self._sorted_starts = np.zeros(0, dtype=np.int64)
-        return self._sorted_starts
+    def _insert_singles(self, times: np.ndarray) -> None:
+        """Merge sorted lock times into the sorted single-lock record.
+
+        New locks land near "now", so only the record's tail from the
+        first new time on is re-sorted; the buffer grows by doubling.
+        """
+        n, k = self._n_singles, times.size
+        if n + k > self._singles.size:
+            grown = np.empty(max(2 * self._singles.size, n + k), np.int64)
+            grown[:n] = self._singles[:n]
+            self._singles = grown
+        at = int(np.searchsorted(self._singles[:n], times[0], side="right"))
+        self._singles[at:n + k] = np.sort(
+            np.concatenate([self._singles[at:n], times])
+        )
+        self._n_singles = n + k
 
     def locked_at(self, times: np.ndarray) -> np.ndarray:
         """Boolean mask: is the bus lock-contended at each timestamp?
 
-        Lock windows have fixed width, so a time ``t`` is locked iff some
-        lock was issued in ``(t - lock_duration, t]``.
+        Lock windows have fixed width, so a time ``t`` is locked iff the
+        latest lock issued at or before ``t`` lies in ``(t - lock_duration,
+        t]``. That lock is the latest among each burst row's (closed form)
+        and the single locks' (one search). Rows that start after
+        ``max(times)`` or end before ``min(times) - lock_duration + 1``
+        cannot lock any queried time and are skipped, so the answer is
+        the full history's at a cost that does not grow with it.
         """
-        starts = self._lock_starts()
         ts = np.asarray(times, dtype=np.int64)
-        if starts.size == 0:
+        if ts.size == 0:
             return np.zeros(ts.shape, dtype=bool)
-        idx = np.searchsorted(starts, ts, side="right") - 1
-        prev_start = starts[np.maximum(idx, 0)]
-        return (idx >= 0) & (ts - prev_start < self.config.lock_duration)
+        flat = ts.ravel()
+        duration = self.config.lock_duration
+        latest = np.full(flat.shape, NO_EVENT, dtype=np.int64)
+        first = bisect_left(self._row_reach, int(flat.min()) - duration + 1)
+        last = bisect_right(self._row_starts, int(flat.max()))
+        for row in self._bursts[first:last]:
+            np.maximum(latest, row.latest_at(flat), out=latest)
+        if self._n_singles:
+            singles = self._singles[:self._n_singles]
+            idx = np.searchsorted(singles, flat, side="right") - 1
+            np.maximum(
+                latest, np.where(idx >= 0, singles[idx], NO_EVENT), out=latest
+            )
+        return (latest > flat - duration).reshape(ts.shape)
 
     # --------------------------------------------------------------- sampling
 

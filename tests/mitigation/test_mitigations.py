@@ -12,6 +12,8 @@ from repro.mitigation import (
     partition_cache_ways,
 )
 from repro.sim.machine import Machine
+from repro.sim.resources.bus import MemoryBus
+from repro.sim.resources.cache import SharedCache
 from repro.util.bitstream import Message
 
 
@@ -154,3 +156,55 @@ class TestClockFuzzing:
     def test_bad_amplitude(self):
         with pytest.raises(ConfigError):
             apply_clock_fuzzing(Machine(seed=1), fuzz_cycles=0)
+
+
+class TestRemoveRestoresClassLookup:
+    """remove() pops the instance override instead of assigning the saved
+    bound method back, so class-level patches reach the machine again."""
+
+    def _class_patch(self, monkeypatch, cls, name, calls):
+        original = getattr(cls, name)
+
+        def patched(self, *args):
+            calls.append(name)
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, name, patched)
+
+    def test_throttle(self, monkeypatch):
+        machine = Machine(seed=5)
+        apply_bus_lock_throttle(machine, min_period=100_000).remove()
+        assert "lock_burst" not in machine.bus.__dict__
+        calls = []
+        self._class_patch(monkeypatch, MemoryBus, "lock_burst", calls)
+        machine.bus.lock_burst(0, 0, 3, 5_000)
+        assert calls == ["lock_burst"]
+
+    def test_fuzzer(self, monkeypatch):
+        machine = Machine(seed=7)
+        apply_clock_fuzzing(machine, fuzz_cycles=3000).remove()
+        assert "sample" not in machine.bus.__dict__
+        assert "access_series" not in machine.l2.__dict__
+        calls = []
+        self._class_patch(monkeypatch, MemoryBus, "sample", calls)
+        self._class_patch(monkeypatch, SharedCache, "access_series", calls)
+        machine.bus.sample(1, 0, 4, 1_000)
+        machine.l2.access_series(1, ((0, 1),), 8, 0)
+        assert calls == ["sample", "access_series"]
+
+    def test_partition(self):
+        machine = Machine(seed=6)
+        partition_cache_ways(machine, suspect_contexts=(0, 2)).remove()
+        assert "access" not in machine.l2.__dict__
+
+    def test_stacked_throttles_unwind_in_reverse(self):
+        machine = Machine(seed=5)
+        outer = apply_bus_lock_throttle(machine, min_period=100_000)
+        inner = apply_bus_lock_throttle(machine, min_period=200_000)
+        inner.remove()
+        # The outer throttle's wrapper is back in place and still acts.
+        machine.bus.lock_burst(0, 0, 3, 5_000)
+        assert outer.locks_delayed == 3
+        assert inner.locks_delayed == 0
+        outer.remove()
+        assert "lock_burst" not in machine.bus.__dict__

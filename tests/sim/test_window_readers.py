@@ -8,8 +8,12 @@ failure modes: rewinding cursors, taps cleared mid-stream, and events
 recorded behind an already-read window.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.events import EventTap, LabeledEventTap, RateSegmentTap
@@ -97,6 +101,109 @@ class TestEventWindowReader:
         reader.read(0, 10)
         np.testing.assert_array_equal(tap.times(), [5, 15])
         assert tap.density_counts(10, 0, 20).tolist() == [1, 1]
+
+
+_QUANTUM = 1_000
+_ctx = st.integers(0, 3)
+# Offsets on a coarse lattice so timestamps from different contexts tie.
+_offset = st.integers(0, 19).map(lambda i: 50 * i)
+_tap_op = st.one_of(
+    st.tuples(
+        st.just("grid"), _offset, st.integers(1, 6),
+        st.sampled_from([1, 50, 250, 1_000, 1_700]), _ctx,
+    ),
+    st.tuples(
+        st.just("batch"),
+        st.lists(st.integers(0, 39).map(lambda i: 50 * i), max_size=5),
+        _ctx,
+    ),
+    st.tuples(st.just("single"), _offset, _ctx),
+)
+
+
+def _assert_same_columns(got, want):
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+        assert g.dtype == w.dtype
+
+
+@pytest.mark.parity
+class TestGridChunkEquivalence:
+    """``record_grid`` keeps bursts symbolic in the tap's record; every
+    read must equal ``record_batch`` of the same materialized bursts."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.lists(_tap_op, max_size=6), min_size=1, max_size=6),
+        st.one_of(st.none(), st.integers(0, 5)),
+    )
+    def test_grid_reads_match_materialized(self, quanta, clear_after):
+        grid, batch = EventTap("grid"), EventTap("batch")
+        readers = (grid.window_reader(), batch.window_reader())
+        for q, ops in enumerate(quanta):
+            base = q * _QUANTUM
+            for op in ops:
+                if op[0] == "grid":
+                    _, off, count, period, ctx = op
+                    grid.record_grid(base + off, count, period, ctx)
+                    batch.record_batch(
+                        base + off + period * np.arange(count), ctx
+                    )
+                elif op[0] == "batch":
+                    _, offs, ctx = op
+                    for tap in (grid, batch):
+                        tap.record_batch(base + np.array(offs, np.int64), ctx)
+                else:
+                    _, off, ctx = op
+                    for tap in (grid, batch):
+                        tap.record(base + off, ctx)
+            _assert_same_columns(
+                readers[0].read(base, base + _QUANTUM),
+                readers[1].read(base, base + _QUANTUM),
+            )
+            assert grid.count == batch.count
+            _assert_same_columns(
+                grid.times_and_contexts(), batch.times_and_contexts()
+            )
+            if q == clear_after:
+                grid.clear()
+                batch.clear()
+                assert grid.count == 0 and grid.times().size == 0
+                readers = (grid.window_reader(), batch.window_reader())
+        end = (len(quanta) + 2) * _QUANTUM
+        np.testing.assert_array_equal(grid.times(), batch.times())
+        np.testing.assert_array_equal(
+            grid.density_counts(300, 0, end), batch.density_counts(300, 0, end)
+        )
+        _assert_same_columns(
+            readers[0].read(len(quanta) * _QUANTUM, end),
+            readers[1].read(len(quanta) * _QUANTUM, end),
+        )
+
+    def test_tie_order_across_contexts(self):
+        grid, batch = EventTap("grid"), EventTap("batch")
+        grid.record_grid(0, 3, 100, ctx=2)
+        grid.record_grid(100, 2, 100, ctx=1)
+        batch.record_batch(np.array([0, 100, 200]), ctx=2)
+        batch.record_batch(np.array([100, 200]), ctx=1)
+        times, ctxs = grid.times_and_contexts()
+        assert times.tolist() == [0, 100, 100, 200, 200]
+        assert ctxs.tolist() == [2, 2, 1, 2, 1]
+        _assert_same_columns(
+            grid.times_and_contexts(), batch.times_and_contexts()
+        )
+
+    def test_record_stays_symbolic(self):
+        tap = EventTap("t")
+        tracemalloc.start()
+        try:
+            tap.record_grid(0, 10**7, 2, ctx=0)
+            tap.record(5, ctx=1)  # flushes the staged grid into the record
+            assert tap.count == 10**7 + 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the 10M events would take 80 MB
 
 
 class TestSegmentWindowReader:
