@@ -91,8 +91,6 @@ def run_channel_session(
     injectors=(),
     capture_evidence: bool = False,
     metrics=None,
-    columnar: bool = True,
-    cache_vectorized: bool = True,
     **channel_kwargs,
 ) -> ChannelRun:
     """Run one covert transmission under CC-Hunter audit.
@@ -104,15 +102,11 @@ def run_channel_session(
     the session runs — the streaming pipeline's online view.
     ``injectors`` (see :mod:`repro.faults`) perturb the observation
     stream before it reaches the analyzers — the robustness drills'
-    entry point into a live session. ``columnar`` selects the tap read
-    strategy (hot path vs legacy full-history reference) and exists so
-    the parity tests can run the same session both ways;
-    ``cache_vectorized`` does the same for the shared cache's batched
-    access kernels.
+    entry point into a live session.
     """
     if kind not in _CHANNELS:
         raise ReproError(f"unknown channel kind {kind!r}")
-    machine = Machine(seed=seed, metrics=metrics, cache_vectorized=cache_vectorized)
+    machine = Machine(seed=seed, metrics=metrics)
     hunter = CCHunter(
         machine,
         window_fraction=window_fraction,
@@ -121,7 +115,6 @@ def run_channel_session(
         injectors=injectors,
         capture_evidence=capture_evidence,
         metrics=metrics,
-        columnar=columnar,
     )
     config = ChannelConfig(message=message, bandwidth_bps=bandwidth_bps)
     channel = _CHANNELS[kind](machine, config, **channel_kwargs)

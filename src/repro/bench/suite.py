@@ -38,7 +38,7 @@ class MetricSpec(NamedTuple):
     """One gated metric inside a bench's result document."""
 
     #: Dotted keypath into the bench's metrics doc, e.g.
-    #: ``"quanta_per_second.off"`` or ``"session.speedup"``.
+    #: ``"quanta_per_second.off"`` or ``"kernels.bloom.add.speedup"``.
     key: str
     #: ``"higher"`` or ``"lower"`` is better (ignored for bools).
     direction: str = "higher"
@@ -115,20 +115,14 @@ SUITE: Tuple[BenchSpec, ...] = (
         entry="measure_columnar",
         baseline="BENCH_columnar.json",
         metrics=(
-            MetricSpec(
-                "session.columnar_quanta_per_second", "higher",
-                tolerance=0.75,
-            ),
             # Speedup ratios divide out machine speed, so they travel
             # better than raw throughput; still leave wide margins.
-            MetricSpec("session.speedup", "higher", tolerance=0.6),
             MetricSpec(
                 "kernels.autocorrelogram.speedup", "higher", tolerance=0.8,
             ),
             MetricSpec(
                 "kernels.density_histogram.speedup", "higher", tolerance=0.8,
             ),
-            MetricSpec("session.verdicts_identical", kind="bool"),
         ),
     ),
     BenchSpec(
@@ -138,8 +132,7 @@ SUITE: Tuple[BenchSpec, ...] = (
         baseline="BENCH_sim.json",
         metrics=(
             MetricSpec(
-                "session.vectorized_quanta_per_second", "higher",
-                tolerance=0.75,
+                "session.quanta_per_second", "higher", tolerance=0.75,
             ),
             # A 240-quantum bus session: re-sorting the whole lock
             # history on every spy sample ran it ~25x slower (~160 vs
@@ -149,11 +142,8 @@ SUITE: Tuple[BenchSpec, ...] = (
                 "membus_session.quanta_per_second", "higher",
                 tolerance=0.75,
             ),
-            # The session ratio is modest by design (its sweep phases
-            # are all-miss thrash and both paths share the rewritten
-            # bloom/tracker internals); gate it loosely and anchor the
-            # hard claim on the hot-set kernel below.
-            MetricSpec("session.speedup", "higher", tolerance=0.6),
+            # Batch kernel vs the per-access loop on a hit-heavy series,
+            # where per-access Python overhead is the whole cost.
             MetricSpec(
                 "kernels.access_series_hot_set.speedup", "higher",
                 tolerance=0.6,
@@ -169,7 +159,6 @@ SUITE: Tuple[BenchSpec, ...] = (
                 "kernels.bloom.contains.speedup", "higher", tolerance=0.8,
                 quick=False,
             ),
-            MetricSpec("session.events_identical", kind="bool"),
             MetricSpec(
                 "kernels.access_series_hot_set.counters_identical",
                 kind="bool",

@@ -68,7 +68,6 @@ class CCHunter:
         injectors: Iterable = (),
         capture_evidence: bool = False,
         evidence_capacity: Optional[int] = None,
-        columnar: bool = True,
     ):
         if not 0 < window_fraction <= 1.0:
             raise DetectionError(
@@ -87,13 +86,8 @@ class CCHunter:
         self.capture_evidence = capture_evidence
         self.evidence_capacity = evidence_capacity
         self.metrics = metrics if metrics is not None else get_default()
-        # ``columnar`` selects the tap read strategy (hot path vs legacy
-        # full-history reference; bit-identical — see the parity tests).
         self.source = MachineEventSource(
-            machine,
-            auditor=self.auditor,
-            metrics=self.metrics,
-            columnar=columnar,
+            machine, auditor=self.auditor, metrics=self.metrics
         )
         self.session = DetectionSession(
             sinks=sinks,

@@ -21,7 +21,7 @@ space grows.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -147,18 +147,9 @@ class BloomFilter:
 
     # -------------------------------------------------------------- batch
 
-    def probe_indices_batch(self, keys) -> np.ndarray:
-        """``(n_keys, n_hashes)`` bit positions for a whole key column."""
-        return hash_indices_batch(keys, self.n_bits, self.n_hashes)
-
-    def add_batch(self, keys, indices: Optional[np.ndarray] = None) -> None:
-        """Insert a whole key column (vectorized ``add``).
-
-        ``indices`` may carry a precomputed :meth:`probe_indices_batch`
-        result (the conflict tracker shares one hash pass across its
-        per-generation filters).
-        """
-        idx = self.probe_indices_batch(keys) if indices is None else indices
+    def add_batch(self, keys) -> None:
+        """Insert a whole key column (vectorized ``add``)."""
+        idx = hash_indices_batch(keys, self.n_bits, self.n_hashes)
         n_keys = idx.shape[0]
         if n_keys == 0:
             return
@@ -169,11 +160,9 @@ class BloomFilter:
         self._words[:] = arr.tolist()
         self.insertions += int(n_keys)
 
-    def contains_batch(
-        self, keys, indices: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def contains_batch(self, keys) -> np.ndarray:
         """Vectorized membership test; returns a boolean array."""
-        idx = self.probe_indices_batch(keys) if indices is None else indices
+        idx = hash_indices_batch(keys, self.n_bits, self.n_hashes)
         if idx.shape[0] == 0:
             return np.zeros(0, dtype=bool)
         arr = np.array(self._words, dtype=np.uint64)

@@ -17,28 +17,23 @@ column and bloom filter). A miss whose tag hits any live bloom filter was
 evicted within roughly the last ``capacity`` distinct block touches —
 a conflict miss.
 
-The generation tracker is on the simulator's per-access hot path, so it
-offers three access grades: the scalar protocol methods, vectorized
-batch kernels (``on_access_batch`` / ``check_recent_eviction_batch``)
-over whole key columns, and :meth:`GenerationConflictTracker.series_ops`
-— per-key closures with the tracker's containers pre-bound, which the
-shared cache's batched access kernel threads through its tight
-LRU/replacement loop.
+The generation tracker is on the simulator's per-access hot path. The
+shared cache's batch kernel inlines its ``on_access`` transition, defers
+every eviction check of a series to
+:meth:`GenerationConflictTracker.replay_check_batch`, which answers them
+in one vectorized pass, and applies the series' bloom inserts with
+``add_batch``. The scalar protocol methods are the reference it is
+proven bit-identical to.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Protocol, Set, Tuple
+from typing import Dict, List, Optional, Protocol, Set
 
 import numpy as np
 
 from repro.errors import HardwareError
-from repro.hardware.bloom import (
-    _MASK64,
-    BloomFilter,
-    hash_indices_batch,
-    probe_words,
-)
+from repro.hardware.bloom import BloomFilter, hash_indices_batch
 from repro.hardware.lru_stack import LRUStack
 
 
@@ -198,51 +193,6 @@ class GenerationConflictTracker:
 
     # -------------------------------------------------------------- batch
 
-    def on_access_batch(self, keys) -> None:
-        """Sequentially exact batch of :meth:`on_access` over a key column.
-
-        Generation advances fire mid-batch exactly where the scalar loop
-        would fire them; the win is one locals-bound loop instead of a
-        method call per key.
-        """
-        gen_bits = self._gen_bits
-        gb_get = gen_bits.get
-        members = self._members
-        threshold = self.threshold
-        cur = self._current
-        bit = 1 << cur
-        member_add = members[cur].add
-        count = self._accessed_in_current
-        for key in _key_iter(keys):
-            mask = gb_get(key, 0)
-            if mask & bit:
-                continue
-            gen_bits[key] = mask | bit
-            member_add(key)
-            count += 1
-            if count >= threshold:
-                self._accessed_in_current = count
-                self._advance_generation()
-                cur = self._current
-                bit = 1 << cur
-                member_add = members[cur].add
-                count = 0
-        self._accessed_in_current = count
-
-    def check_recent_eviction_batch(self, keys) -> np.ndarray:
-        """Vectorized :meth:`check_recent_eviction` over a key column.
-
-        Valid whenever no replacement or generation advance interleaves
-        the checks (the checks themselves never mutate tracker state):
-        one hash pass is shared across all generations' filters.
-        """
-        blooms = self._blooms
-        indices = blooms[0].probe_indices_batch(keys)
-        out = blooms[0].contains_batch(keys, indices=indices)
-        for bloom in blooms[1:]:
-            out |= bloom.contains_batch(keys, indices=indices)
-        return out
-
     def replay_check_batch(
         self,
         n: int,
@@ -335,73 +285,6 @@ class GenerationConflictTracker:
                 verdict[cmask] |= first.max(axis=1) < pos[cmask]
         return verdict
 
-    def series_ops(
-        self,
-    ) -> Tuple[Callable[[int], None], Callable[[int], None], Callable[[int], bool]]:
-        """Hot-path closures ``(on_access, on_replacement, check)``.
-
-        Behaviorally identical to the scalar protocol methods, with the
-        tracker's stable containers (generation-bit dict, membership
-        sets, packed bloom words) bound into the closures. The mutable
-        scalars (``_current``, ``_accessed_in_current``) are read and
-        written through the instance on every call, so closure calls and
-        direct method calls can interleave freely.
-        """
-        tracker = self
-        gen_bits = self._gen_bits
-        gb_get = gen_bits.get
-        members = self._members
-        blooms = self._blooms
-        words_lists = [bloom._words for bloom in blooms]
-        threshold = self.threshold
-        generations = self.generations
-        n_bits = blooms[0].n_bits
-        n_hashes = blooms[0].n_hashes
-        probe = probe_words
-
-        def on_access(key: int) -> None:
-            cur = tracker._current
-            bit = 1 << cur
-            mask = gb_get(key, 0)
-            if mask & bit:
-                return
-            gen_bits[key] = mask | bit
-            members[cur].add(key)
-            count = tracker._accessed_in_current + 1
-            if count >= threshold:
-                tracker._accessed_in_current = count
-                tracker._advance_generation()
-            else:
-                tracker._accessed_in_current = count
-
-        def on_replacement(key: int) -> None:
-            mask = gb_get(key, 0)
-            if mask == 0:
-                gen_bits.pop(key, None)
-                return
-            cur = tracker._current
-            for back in range(generations):
-                g = (cur - back) % generations
-                if mask & (1 << g):
-                    break
-            words = words_lists[g]
-            for w, m in probe(key & _MASK64, n_bits, n_hashes):
-                words[w] |= m
-            blooms[g].insertions += 1
-            del gen_bits[key]
-
-        def check(key: int) -> bool:
-            pairs = probe(key & _MASK64, n_bits, n_hashes)
-            for words in words_lists:
-                for w, m in pairs:
-                    if not words[w] & m:
-                        break
-                else:
-                    return True
-            return False
-
-        return on_access, on_replacement, check
-
     # -------------------------------------------------------------- state
 
     def clear(self) -> None:
@@ -418,9 +301,3 @@ class GenerationConflictTracker:
         """Generation bits plus 3-bit owner context, per the paper."""
         return self.generations + 3
 
-
-def _key_iter(keys):
-    """Plain-int iteration over a key column (ndarray or sequence)."""
-    if isinstance(keys, np.ndarray):
-        return keys.tolist()
-    return keys

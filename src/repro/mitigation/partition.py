@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.mitigation.override import MethodOverride
 from repro.sim.machine import Machine
 from repro.sim.resources.cache import SharedCache, block_key
@@ -53,6 +53,10 @@ class _WayPartition:
         hold up to its way allocation in the set.
         """
         cache = self.cache
+        if not 0 <= set_index < cache.config.n_sets:
+            raise SimulationError(
+                f"set index {set_index} outside 0..{cache.config.n_sets - 1}"
+            )
         cache_set = cache._sets[set_index]
         group = self._group(ctx)
         if tag in cache_set:
@@ -85,8 +89,7 @@ class _WayPartition:
             cache.miss_tap.record(time, ctx, victim_owner)
         latency = cache.config.miss_latency
         if cache.latency_jitter:
-            latency += int(cache._rng.integers(-cache.latency_jitter,
-                                               cache.latency_jitter + 1))
+            latency += int(cache._consume_jitter(1)[0])
         return latency, False
 
     def remove(self) -> None:

@@ -12,12 +12,12 @@ quantum hook on the :class:`~repro.sim.machine.Machine` and reads the
 taps at each boundary. ``repro.traces.ArchiveEventSource`` is the second
 implementation, replaying recorded archives through the same interface.
 
-By default the machine source is *columnar* (docs/PERFORMANCE.md): each
-tap read goes through an incremental window reader that consumes the
-tap's append-only numpy columns once, instead of re-sorting the tap's
-whole history at every quantum boundary. ``columnar=False`` keeps the
-legacy full-history reads — the two paths are proven bit-identical by
-the ``parity``-marked tests and the legacy path remains the reference.
+The machine source is *columnar* (docs/PERFORMANCE.md): each tap read
+goes through an incremental window reader that consumes the tap's
+append-only numpy columns once, instead of re-sorting the tap's whole
+history at every quantum boundary. The taps' full-history reads
+(``density_counts``, ``records_in``) stay the reference the
+``parity``-marked tests compare every observation against.
 """
 
 from __future__ import annotations
@@ -131,20 +131,6 @@ class EventSource(Protocol):
     def subscribe(self, consumer: ObservationConsumer) -> None: ...
 
 
-class _FullHistoryReader:
-    """Window-reader shim over a tap that only offers ``density_counts``.
-
-    Keeps :meth:`MachineEventSource.add_burst_channel` accepting any
-    density source, at the legacy full-history cost.
-    """
-
-    def __init__(self, tap):
-        self._tap = tap
-
-    def read_counts(self, dt: int, t0: int, t1: int) -> np.ndarray:
-        return self._tap.density_counts(dt, t0, t1)
-
-
 class MachineEventSource:
     """Live EventSource reading a simulated machine's taps each quantum.
 
@@ -155,13 +141,10 @@ class MachineEventSource:
     — the hardware path software actually reads — before being handed to
     consumers.
 
-    With ``columnar=True`` (the default) every channel is read through
-    an incremental tap window reader
+    Every channel is read through an incremental tap window reader
     (:meth:`~repro.sim.events.EventTap.window_reader`): per quantum this
     touches only the events of that quantum's window, carried zero-copy
-    as numpy columns into the observation. ``columnar=False`` re-reads
-    the taps' sorted full history each quantum (the original, reference
-    path; bit-identical results, proven by the parity tests).
+    as numpy columns into the observation.
     """
 
     def __init__(
@@ -169,11 +152,9 @@ class MachineEventSource:
         machine,
         auditor=None,
         metrics: Optional[MetricsRegistry] = None,
-        columnar: bool = True,
     ):
         self.machine = machine
         self.auditor = auditor
-        self.columnar = bool(columnar)
         self._burst_taps: Dict[str, Tuple[ChannelSpec, object]] = {}
         self._burst_readers: Dict[str, object] = {}
         self._conflict_spec: Optional[ChannelSpec] = None
@@ -209,19 +190,14 @@ class MachineEventSource:
         self._consumers.append(consumer)
 
     def add_burst_channel(self, name: str, tap, dt: int) -> ChannelSpec:
-        """Register a density tap (anything with ``density_counts``)."""
+        """Register a density tap (anything with ``window_reader``)."""
         if name in self._burst_taps:
             raise DetectionError(f"channel {name!r} is already registered")
         if dt <= 0:
             raise DetectionError(f"Δt must be positive, got {dt}")
         spec = ChannelSpec(name=name, kind=ChannelKind.BURST, dt=int(dt))
         self._burst_taps[name] = (spec, tap)
-        if self.columnar:
-            make_reader = getattr(tap, "window_reader", None)
-            self._burst_readers[name] = (
-                make_reader() if make_reader is not None
-                else _FullHistoryReader(tap)
-            )
+        self._burst_readers[name] = tap.window_reader()
         self._channel_counters[name] = self.metrics.counter(
             "cchunter_source_channel_events_total",
             "indicator events observed per channel",
@@ -234,8 +210,7 @@ class MachineEventSource:
         if self._conflict_spec is not None:
             raise DetectionError("conflict channel is already enabled")
         self._conflict_spec = ChannelSpec(name=name, kind=ChannelKind.CONFLICT)
-        if self.columnar:
-            self._conflict_reader = self.machine.cache_miss_tap.window_reader()
+        self._conflict_reader = self.machine.cache_miss_tap.window_reader()
         return self._conflict_spec
 
     def _emit(self, quantum: int, t0: int, t1: int) -> None:
@@ -244,31 +219,17 @@ class MachineEventSource:
         timed = self.metrics.enabled
         t_start = perf_counter() if timed else 0.0
         with trace_span("source.emit", quantum=quantum):
-            if self.columnar:
-                readers = self._burst_readers
-                counts = {
-                    name: require_int64(
-                        readers[name].read_counts(spec.dt, t0, t1),
-                        f"channel {name!r} window counts",
-                    )
-                    for name, (spec, _tap) in self._burst_taps.items()
-                }
-            else:
-                counts = {
-                    name: require_int64(
-                        tap.density_counts(spec.dt, t0, t1),
-                        f"channel {name!r} window counts",
-                    )
-                    for name, (spec, tap) in self._burst_taps.items()
-                }
+            readers = self._burst_readers
+            counts = {
+                name: require_int64(
+                    readers[name].read_counts(spec.dt, t0, t1),
+                    f"channel {name!r} window counts",
+                )
+                for name, (spec, _tap) in self._burst_taps.items()
+            }
             conflicts = None
             if self._conflict_spec is not None:
-                if self._conflict_reader is not None:
-                    times, reps, vics = self._conflict_reader.read(t0, t1)
-                else:
-                    times, reps, vics = self.machine.cache_miss_tap.records_in(
-                        t0, t1
-                    )
+                times, reps, vics = self._conflict_reader.read(t0, t1)
                 require_int64(times, "conflict record timestamps")
                 if self.auditor is not None:
                     self.auditor.vectors.record_batch(reps, vics)

@@ -58,7 +58,6 @@ class Machine:
         seed: int = 0,
         tracker: Optional[ConflictMissTracker] = None,
         metrics: Optional[MetricsRegistry] = None,
-        cache_vectorized: bool = True,
     ):
         self.config = config or MachineConfig()
         self.seed = seed
@@ -133,7 +132,6 @@ class Machine:
             self.tracker,
             self.cache_miss_tap,
             derive_rng(seed, "l2"),
-            vectorized=cache_vectorized,
         )
         self._processes: List[Process] = []
         self._quantum_hooks: List[QuantumHook] = []

@@ -13,17 +13,16 @@ accesses that reach L2 (covert-channel and noise working sets are sized to
 defeat the 32 KB L1s, as in the paper's attack implementations).
 
 Batched hot path: ``access_series`` and ``random_traffic`` are the
-simulator's dominant cost, so by default they run through a vectorized
-kernel — block keys, latency jitter, per-access times, and conflict-event
+simulator's dominant cost, so they run through a vectorized kernel —
+block keys, latency jitter, per-access times, and conflict-event
 recording are computed in numpy over the whole series, and only the
 state-dependent LRU/replacement/tracker walk remains a (tight,
-locals-bound) Python loop. The per-access :meth:`SharedCache.access`
-adapter and ``SharedCache(vectorized=False)`` keep the legacy per-event
-path, which the parity suite proves bit-identical (events, latencies,
-counters, RNG/jitter stepping). When ``access`` has been monkey-patched
-(e.g. way-partition mitigation wraps it), the batch entry points
-automatically fall back to the legacy loop so the wrapper stays in
-charge.
+locals-bound) Python loop. The per-access :meth:`SharedCache.access` is
+the reference the parity suite proves the kernel bit-identical to
+(events, latencies, counters, RNG/jitter stepping). It is also the only
+path while ``access`` is overridden on the instance (the way-partition
+mitigation wraps it): the batch entry points then fall back to one
+``access`` call per element so the wrapper stays in charge.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ class SharedCache:
         miss_tap: LabeledEventTap,
         rng: np.random.Generator,
         latency_jitter: int = 3,
-        vectorized: bool = True,
     ):
         if config.n_sets > _MAX_SET:
             raise SimulationError(
@@ -72,9 +70,6 @@ class SharedCache:
         self.miss_tap = miss_tap
         self._rng = rng
         self.latency_jitter = latency_jitter
-        #: Batch-kernel switch; ``False`` forces the legacy per-access loop
-        #: (the parity suite's reference path).
-        self.vectorized = vectorized
         # Per-access jitter comes from a pre-drawn pool (drawing one numpy
         # random per access dominates the hot path otherwise).
         if latency_jitter:
@@ -138,13 +133,13 @@ class SharedCache:
         return latency, was_hit
 
     def _use_batch_kernel(self) -> bool:
-        """Batch kernels apply unless disabled or ``access`` is wrapped.
+        """Batch kernels apply unless ``access`` is wrapped.
 
         Mitigations (way partitioning) install an instance-level
         ``access`` override; the batch kernel would silently bypass it,
-        so its presence forces the legacy per-access loop.
+        so its presence forces the per-access loop.
         """
-        return self.vectorized and "access" not in self.__dict__
+        return "access" not in self.__dict__
 
     def _run_keyed_accesses(self, ctx, sets_list, tags_list, keys_list):
         """The state-dependent core: per-set LRU plus conflict tracking.
@@ -344,13 +339,9 @@ class SharedCache:
         sets_ = self._sets
         assoc = self.config.associativity
         tracker = self.tracker
-        series_ops = getattr(tracker, "series_ops", None)
-        if series_ops is not None:
-            tr_access, tr_replace, tr_check = series_ops()
-        else:
-            tr_access = tracker.on_access
-            tr_replace = tracker.on_replacement
-            tr_check = tracker.check_recent_eviction
+        tr_access = tracker.on_access
+        tr_replace = tracker.on_replacement
+        tr_check = tracker.check_recent_eviction
         miss_pos: List[int] = []
         miss_append = miss_pos.append
         conf_pos: List[int] = []
@@ -384,7 +375,7 @@ class SharedCache:
         """The next ``n`` pool values, exactly as ``access`` would step them.
 
         ``access`` pre-increments, so the slice starts one past the
-        current index; the index afterwards equals ``n`` legacy steps.
+        current index; the index afterwards equals ``n`` ``access`` steps.
         """
         pool = self._jitter_pool_np
         size = pool.size
@@ -411,7 +402,7 @@ class SharedCache:
     ) -> Tuple[int, np.ndarray]:
         """Issue accesses back-to-back; returns ``(end_time, latencies)``."""
         if not self._use_batch_kernel():
-            return self._access_series_legacy(ctx, accesses, gap, start)
+            return self._access_series_per_access(ctx, accesses, gap, start)
         n = len(accesses)
         if n == 0:
             return int(start), np.empty(0, dtype=np.int64)
@@ -444,14 +435,14 @@ class SharedCache:
             self._record_conflicts(ends - steps, conf_pos, conf_vic, ctx)
         return int(ends[-1]), latencies
 
-    def _access_series_legacy(
+    def _access_series_per_access(
         self,
         ctx: int,
         accesses: Sequence[Tuple[int, int]],
         gap: int,
         start: int,
     ) -> Tuple[int, np.ndarray]:
-        """Reference path: one :meth:`access` call per element."""
+        """Reference and wrapped-``access`` path: one call per element."""
         if isinstance(accesses, np.ndarray):
             accesses = accesses.tolist()
         t = int(start)
@@ -500,7 +491,7 @@ class SharedCache:
         self.misses += n_miss
         if self.latency_jitter:
             # Latencies are discarded by noise traffic, but the pool index
-            # must step exactly as the legacy per-access loop steps it.
+            # must step exactly as the per-access loop steps it.
             self._jitter_idx = (
                 self._jitter_idx + count
             ) % self._jitter_pool_np.size

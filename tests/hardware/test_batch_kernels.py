@@ -1,12 +1,14 @@
 """Property tests: every batch kernel ≡ its scalar reference, exactly.
 
-The vectorized hot path (bloom batch probes, tracker batch transitions,
-the cache's deferred-check replay, the members-based generation advance)
-is only admissible because it is *bit-identical* to the scalar protocol
-— identical false-positive sets, not just rates. Hypothesis drives
-arbitrary key columns, filter geometries, and interleaved
-access/replacement/check sequences through both implementations and
-diffs complete final states.
+The vectorized hot path (bloom batch probes, the tracker's deferred-check
+replay, the members-based generation advance, the cache's batched
+``access_series``) is only admissible because it is *bit-identical* to
+the scalar protocol — identical false-positive sets, not just rates.
+Hypothesis drives arbitrary key columns, filter geometries, interleaved
+access/replacement/check sequences and access series through both
+implementations and diffs complete final states. The cache's reference
+is its per-access loop, forced by making ``_use_batch_kernel()`` return
+``False`` on that instance.
 """
 
 import numpy as np
@@ -78,13 +80,6 @@ class TestBloomBatchEquivalence:
             assert tuple(row) == probe_positions(key, 4096, 3)
 
 
-def _fresh_pair(capacity, generations=4):
-    return (
-        GenerationConflictTracker(capacity, generations=generations),
-        GenerationConflictTracker(capacity, generations=generations),
-    )
-
-
 def _tracker_state(tracker):
     return (
         tracker._current,
@@ -100,54 +95,6 @@ def _tracker_state(tracker):
 OPS = st.lists(
     st.tuples(st.integers(0, 2), st.integers(0, 40)), max_size=150
 )
-
-
-class TestTrackerBatchEquivalence:
-    @settings(max_examples=60, deadline=None)
-    @given(keys=st.lists(st.integers(0, 60), max_size=200),
-           capacity=st.integers(4, 64))
-    def test_on_access_batch_matches_scalar(self, keys, capacity):
-        scalar, batch = _fresh_pair(capacity)
-        for key in keys:
-            scalar.on_access(key)
-        batch.on_access_batch(keys)
-        assert _tracker_state(scalar) == _tracker_state(batch)
-
-    @settings(max_examples=60, deadline=None)
-    @given(ops=OPS, capacity=st.integers(4, 64))
-    def test_series_ops_match_scalar_methods(self, ops, capacity):
-        scalar, closures = _fresh_pair(capacity)
-        on_access, on_replacement, check = closures.series_ops()
-        checks_scalar, checks_closure = [], []
-        for op, key in ops:
-            if op == 0:
-                scalar.on_access(key)
-                on_access(key)
-            elif op == 1:
-                scalar.on_replacement(key)
-                on_replacement(key)
-            else:
-                checks_scalar.append(scalar.check_recent_eviction(key))
-                checks_closure.append(check(key))
-        assert checks_scalar == checks_closure
-        assert _tracker_state(scalar) == _tracker_state(closures)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        warm=st.lists(st.integers(0, 40), max_size=80),
-        probes=st.lists(st.integers(0, 60), max_size=80),
-        capacity=st.integers(4, 64),
-    )
-    def test_check_batch_matches_scalar(self, warm, probes, capacity):
-        tracker = GenerationConflictTracker(capacity)
-        for i, key in enumerate(warm):
-            tracker.on_access(key)
-            if i % 3 == 0:
-                tracker.on_replacement(key)
-        batch = tracker.check_recent_eviction_batch(probes)
-        assert batch.tolist() == [
-            tracker.check_recent_eviction(key) for key in probes
-        ]
 
 
 class TestReplayCheckBatch:
@@ -283,7 +230,7 @@ class TestAccessSeriesEquivalence:
     @settings(max_examples=50, deadline=None)
     @given(chunks=st.lists(SERIES, max_size=4), jitter=st.sampled_from((0, 3)))
     def test_vectorized_matches_legacy_including_jitter(self, chunks, jitter):
-        def build(vectorized):
+        def build(batch):
             config = CacheConfig(size_bytes=8 * 1024)  # 16 sets x 8 ways
             tracker = GenerationConflictTracker(
                 config.n_sets * config.associativity
@@ -295,8 +242,9 @@ class TestAccessSeriesEquivalence:
                 tap,
                 np.random.default_rng(77),
                 latency_jitter=jitter,
-                vectorized=vectorized,
             )
+            if not batch:
+                cache._use_batch_kernel = lambda: False
             return cache, tap
 
         vec, tap_vec = build(True)

@@ -125,6 +125,24 @@ class TestCachePartition:
         channel = run_cache_channel(machine)
         assert channel.bit_error_rate() <= 1 / 8  # cold-start bit only
 
+    def test_accesses_step_the_jitter_pool_not_the_rng(self):
+        """Partitioned misses draw jitter as ``access`` does: one pool
+        step each, leaving the stream noise traffic draws from alone."""
+        machine = Machine(seed=6)
+        cache = machine.l2
+        partition_cache_ways(machine, suspect_contexts=(0, 2))
+        rng_state = cache._rng.bit_generator.state
+        pool = cache._jitter_pool
+        start = cache._jitter_idx
+        blocks = [(s, 10_000 + s) for s in range(20)]
+        for step, (set_index, tag) in enumerate(blocks + blocks, start=1):
+            latency, hit = cache.access(0, set_index, tag, step)
+            assert hit == (step > len(blocks))
+            base = cache.config.hit_latency if hit else cache.config.miss_latency
+            assert latency == base + pool[(start + step) % len(pool)]
+        assert cache._jitter_idx == (start + 2 * len(blocks)) % len(pool)
+        assert cache._rng.bit_generator.state == rng_state
+
 
 class TestClockFuzzing:
     def test_fuzz_degrades_bus_decode(self):

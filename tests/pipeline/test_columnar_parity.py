@@ -1,171 +1,72 @@
-"""Exact-parity proof: columnar hot path vs legacy full-history reads.
+"""Exact-parity proof: tap window reads vs full-history reads.
 
-The columnar event path (``CCHunter(columnar=True)``, the default) must
-be *bit-identical* to the legacy path — same verdicts, same evidence
-bundles, same count-type metrics, same exported traces — on every
-channel family, live and via trace replay, with and without fault
-injectors. Each test runs the same seeded session both ways and diffs
-the observable outputs (docs/PERFORMANCE.md, "Columnar hot path").
+The machine source reads every tap through an incremental window reader
+(docs/PERFORMANCE.md, "Columnar hot path"). The taps' full-history
+reads stay the reference: ``density_counts`` for each burst channel and
+``records_in`` for the conflict channel. One seeded session per channel
+family records every observation the analyzers receive and checks it
+against the reference reads of that quantum's window. Analyzers are a
+pure function of their observations, so equal observations give equal
+verdicts, evidence and metrics; archive export and replay are covered by
+``tests/test_traces.py``.
 """
 
 import numpy as np
 import pytest
 
 from repro.analysis.figures import run_channel_session
-from repro.faults.injectors import BitFlipInjector, DropInjector
-from repro.obs.metrics import MetricsRegistry
-from repro.traces import analyze_traces, export_traces, load_traces
+from repro.faults.injectors import FaultInjector
 from repro.util.bitstream import Message
 
 pytestmark = pytest.mark.parity
 
-#: Monotone count-type metric families that must match exactly between
-#: the two read strategies (timing histograms legitimately differ).
-COUNT_METRICS = (
-    "cchunter_source_observations_total",
-    "cchunter_source_channel_events_total",
-    "cchunter_source_conflict_records_total",
-    "cchunter_session_quanta_total",
-    "cchunter_analyzer_windows_total",
-    "cchunter_analyzer_events_total",
-    "cchunter_analyzer_clamp_events_total",
-    "cchunter_analyzer_entry_saturation_total",
-    "cchunter_analyzer_train_events_total",
-    "cchunter_analyzer_gaps_total",
-    "cchunter_analyzer_flagged_faults_total",
-)
 
-KINDS = ("membus", "divider", "cache")
+class _Recorder(FaultInjector):
+    """Pass-through injector that keeps every observation it is handed."""
+
+    kind = "record"
+
+    def __init__(self):
+        super().__init__()
+        self.observations = []
+
+    def apply(self, obs, conflict_channel="cache"):
+        self.observations.append(obs)
+        return obs
 
 
-def _run(kind, columnar, injectors=(), capture_evidence=True):
-    metrics = MetricsRegistry()
+@pytest.mark.parametrize("kind", ("membus", "divider", "cache"))
+def test_observations_match_full_history_reads(kind):
+    recorder = _Recorder()
     run = run_channel_session(
         kind,
         Message.random(12, 7),
         bandwidth_bps=100.0,
         seed=11,
         max_quanta=16,
-        track_detection_latency=True,
-        injectors=injectors,
-        capture_evidence=capture_evidence,
-        metrics=metrics,
-        columnar=columnar,
+        injectors=(recorder,),
     )
-    return run, metrics
-
-
-def _count_metrics(metrics):
-    dump = metrics.to_dict()["metrics"]
-    return {
-        name: dump[name]["series"]
-        for name in COUNT_METRICS
-        if name in dump
-    }
-
-
-def _evidence_dicts(hunter):
-    return {
-        unit: bundle.to_dict()
-        for unit, bundle in hunter.session.evidence().items()
-    }
-
-
-class TestLiveParity:
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_verdicts_evidence_and_metrics_identical(self, kind):
-        run_col, m_col = _run(kind, columnar=True)
-        run_leg, m_leg = _run(kind, columnar=False)
-        assert (
-            run_col.hunter.report().to_dict()
-            == run_leg.hunter.report().to_dict()
-        )
-        assert _evidence_dicts(run_col.hunter) == _evidence_dicts(
-            run_leg.hunter
-        )
-        assert _count_metrics(m_col) == _count_metrics(m_leg)
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_per_quantum_histories_identical(self, kind):
-        run_col, _ = _run(kind, columnar=True)
-        run_leg, _ = _run(kind, columnar=False)
-        col = run_col.hunter.session.analyzers
-        leg = run_leg.hunter.session.analyzers
-        assert len(col) == len(leg)
-        for a, b in zip(col, leg):
-            assert a.unit == b.unit
-            hists_a = getattr(a, "histograms", None)
-            if hists_a is not None:
-                for ha, hb in zip(hists_a, b.histograms):
-                    np.testing.assert_array_equal(ha, hb)
-            analyses_a = getattr(a, "analyses", None)
-            if analyses_a is not None:
-                assert len(analyses_a) == len(b.analyses)
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_first_detection_identical(self, kind):
-        run_col, _ = _run(kind, columnar=True)
-        run_leg, _ = _run(kind, columnar=False)
-        s_col, s_leg = run_col.hunter.session, run_leg.hunter.session
-        for unit in s_col.units:
-            assert s_col.first_detection_quantum(
-                unit
-            ) == s_leg.first_detection_quantum(unit)
-
-
-class TestInjectorParity:
-    """Fault injectors perturb both paths identically (same seeds)."""
-
-    @pytest.mark.parametrize("kind", ("membus", "divider"))
-    def test_verdicts_identical_under_injection(self, kind):
-        def injectors():
-            return (
-                DropInjector(p=0.2, seed=5),
-                BitFlipInjector(p=0.05, seed=9),
-            )
-
-        run_col, m_col = _run(kind, columnar=True, injectors=injectors())
-        run_leg, m_leg = _run(kind, columnar=False, injectors=injectors())
-        assert (
-            run_col.hunter.report().to_dict()
-            == run_leg.hunter.report().to_dict()
-        )
-        assert _evidence_dicts(run_col.hunter) == _evidence_dicts(
-            run_leg.hunter
-        )
-        assert _count_metrics(m_col) == _count_metrics(m_leg)
-
-
-class TestReplayParity:
-    """Both read strategies leave identical taps → identical archives →
-    identical offline verdicts."""
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_exported_archives_identical(self, kind, tmp_path):
-        run_col, _ = _run(kind, columnar=True, capture_evidence=False)
-        run_leg, _ = _run(kind, columnar=False, capture_evidence=False)
-        p_col = tmp_path / "col.npz"
-        p_leg = tmp_path / "leg.npz"
-        export_traces(run_col.machine, p_col)
-        export_traces(run_leg.machine, p_leg)
-        a, b = load_traces(p_col), load_traces(p_leg)
-        np.testing.assert_array_equal(a.bus_lock_times, b.bus_lock_times)
-        np.testing.assert_array_equal(a.cache_times, b.cache_times)
-        for core in a.divider_wait_counts:
+    source = run.hunter.source
+    observations = recorder.observations
+    assert len(observations) == run.quanta
+    events = 0
+    for obs in observations:
+        assert sorted(obs.counts) == sorted(source._burst_taps)
+        for name, (spec, tap) in source._burst_taps.items():
             np.testing.assert_array_equal(
-                a.divider_wait_counts[core], b.divider_wait_counts[core]
+                obs.counts[name], tap.density_counts(spec.dt, obs.t0, obs.t1)
             )
-
-    def test_replay_verdicts_identical(self, tmp_path):
-        run_col, _ = _run("membus", columnar=True, capture_evidence=False)
-        run_leg, _ = _run("membus", columnar=False, capture_evidence=False)
-        p_col = tmp_path / "col.npz"
-        p_leg = tmp_path / "leg.npz"
-        export_traces(run_col.machine, p_col)
-        export_traces(run_leg.machine, p_leg)
-        rep_col = analyze_traces(load_traces(p_col))
-        rep_leg = analyze_traces(load_traces(p_leg))
-        assert rep_col.to_dict() == rep_leg.to_dict()
-        # Replay agrees with the live verdict for the audited unit too.
-        live = run_col.hunter.report().verdict_for("membus")
-        assert rep_col.verdict_for("membus").detected == live.detected
+            events += int(obs.counts[name].sum())
+        if kind != "cache":
+            assert obs.conflicts is None
+            continue
+        # The vector registers drain losslessly, so the labels the
+        # auditor hands on equal the tap's own records exactly.
+        reference = run.machine.cache_miss_tap.records_in(obs.t0, obs.t1)
+        observed = obs.conflicts
+        for got, want in zip(
+            (observed.times, observed.replacers, observed.victims), reference
+        ):
+            np.testing.assert_array_equal(got, want)
+        events += int(observed.times.size)
+    assert events > 0

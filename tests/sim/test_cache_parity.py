@@ -1,13 +1,15 @@
-"""Exact-parity proof: vectorized cache kernels vs legacy per-access loop.
+"""Exact-parity proof: cache batch kernels vs the per-access loop.
 
-The batched ``access_series``/``random_traffic`` kernels
-(``SharedCache(vectorized=True)``, the default) must be *bit-identical*
-to the legacy per-access path — same labeled event trains, same
-verdicts, same evidence bundles, same counters, same jitter-pool (RNG)
-stepping — on full audited sessions and on direct cache workloads, with
-and without fault injectors, for both tracker designs, and through the
-mitigation wrappers that monkey-patch the cache (docs/PERFORMANCE.md,
-"Simulator hot path").
+The batched ``access_series``/``random_traffic`` kernels must be
+*bit-identical* to one :meth:`SharedCache.access` call per element —
+same labeled event trains, same verdicts, same evidence bundles, same
+counters, same jitter-pool (RNG) stepping — on full audited sessions
+and on direct cache workloads, with and without fault injectors, for
+both tracker designs (docs/PERFORMANCE.md, "Simulator hot path"). The
+reference is the same code with ``_use_batch_kernel()`` forced to
+``False``: patched on the class for the sessions
+``run_channel_session`` builds, set on the instance for caches built
+here.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 
 from repro.analysis.figures import run_channel_session
 from repro.config import CacheConfig
+from repro.errors import SimulationError
 from repro.faults.injectors import BitFlipInjector, DropInjector
 from repro.hardware.conflict_tracker import (
     GenerationConflictTracker,
@@ -43,22 +46,44 @@ COUNT_METRICS = (
 #: sweep/probe series, 'membus' through the background noise traffic.
 KINDS = ("membus", "cache")
 
+#: A four-context way partition of an 8-way cache.
+PARTITION = ({0: 0, 1: 1, 2: 2, 3: 2}, {0: 2, 1: 2, 2: 4})
 
-def _run(kind, vectorized, injectors=(), capture_evidence=True):
+
+def _run(kind, batch, injectors=()):
     metrics = MetricsRegistry()
-    run = run_channel_session(
-        kind,
-        Message.random(12, 7),
-        bandwidth_bps=100.0,
-        seed=11,
-        max_quanta=12,
-        track_detection_latency=True,
-        injectors=injectors,
-        capture_evidence=capture_evidence,
-        metrics=metrics,
-        cache_vectorized=vectorized,
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        if not batch:
+            patch.setattr(SharedCache, "_use_batch_kernel", lambda self: False)
+        run = run_channel_session(
+            kind,
+            Message.random(12, 7),
+            bandwidth_bps=100.0,
+            seed=11,
+            max_quanta=12,
+            track_detection_latency=True,
+            injectors=injectors,
+            capture_evidence=True,
+            metrics=metrics,
+        )
     return run, metrics
+
+
+@pytest.fixture(scope="module")
+def clean_pair():
+    """Uninjected ``(batch, per-access)`` session pairs, one per kind.
+
+    Built once per module: the tests below only read them. Evidence
+    capture is on, which never touches the taps the archives come from.
+    """
+    pairs = {}
+
+    def get(kind):
+        if kind not in pairs:
+            pairs[kind] = (_run(kind, batch=True), _run(kind, batch=False))
+        return pairs[kind]
+
+    return get
 
 
 def _count_metrics(metrics):
@@ -84,44 +109,41 @@ def _cache_event_train(machine):
 
 class TestSessionParity:
     @pytest.mark.parametrize("kind", KINDS)
-    def test_verdicts_evidence_and_metrics_identical(self, kind):
-        run_vec, m_vec = _run(kind, vectorized=True)
-        run_leg, m_leg = _run(kind, vectorized=False)
+    def test_verdicts_evidence_and_metrics_identical(self, kind, clean_pair):
+        (run_batch, m_batch), (run_ref, m_ref) = clean_pair(kind)
         assert (
-            run_vec.hunter.report().to_dict()
-            == run_leg.hunter.report().to_dict()
+            run_batch.hunter.report().to_dict()
+            == run_ref.hunter.report().to_dict()
         )
-        assert _evidence_dicts(run_vec.hunter) == _evidence_dicts(
-            run_leg.hunter
+        assert _evidence_dicts(run_batch.hunter) == _evidence_dicts(
+            run_ref.hunter
         )
-        assert _count_metrics(m_vec) == _count_metrics(m_leg)
+        assert _count_metrics(m_batch) == _count_metrics(m_ref)
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_labeled_event_trains_identical(self, kind):
-        run_vec, _ = _run(kind, vectorized=True)
-        run_leg, _ = _run(kind, vectorized=False)
-        assert _cache_event_train(run_vec.machine) == _cache_event_train(
-            run_leg.machine
+    def test_labeled_event_trains_identical(self, kind, clean_pair):
+        (run_batch, _), (run_ref, _) = clean_pair(kind)
+        assert _cache_event_train(run_batch.machine) == _cache_event_train(
+            run_ref.machine
         )
-        vec_l2, leg_l2 = run_vec.machine.l2, run_leg.machine.l2
-        assert (vec_l2.hits, vec_l2.misses, vec_l2.conflict_misses) == (
-            leg_l2.hits,
-            leg_l2.misses,
-            leg_l2.conflict_misses,
+        batch_l2, ref_l2 = run_batch.machine.l2, run_ref.machine.l2
+        assert (batch_l2.hits, batch_l2.misses, batch_l2.conflict_misses) == (
+            ref_l2.hits,
+            ref_l2.misses,
+            ref_l2.conflict_misses,
         )
-        assert vec_l2._jitter_idx == leg_l2._jitter_idx
+        assert batch_l2._jitter_idx == ref_l2._jitter_idx
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_tracker_state_identical(self, kind):
-        run_vec, _ = _run(kind, vectorized=True)
-        run_leg, _ = _run(kind, vectorized=False)
-        vec_tr = run_vec.machine.l2.tracker
-        leg_tr = run_leg.machine.l2.tracker
-        assert vec_tr._current == leg_tr._current
-        assert vec_tr._gen_bits == leg_tr._gen_bits
-        assert vec_tr._accessed_in_current == leg_tr._accessed_in_current
-        for vec_bloom, leg_bloom in zip(vec_tr._blooms, leg_tr._blooms):
-            assert vec_bloom._words == leg_bloom._words
+    def test_tracker_state_identical(self, kind, clean_pair):
+        (run_batch, _), (run_ref, _) = clean_pair(kind)
+        batch_tr = run_batch.machine.l2.tracker
+        ref_tr = run_ref.machine.l2.tracker
+        assert batch_tr._current == ref_tr._current
+        assert batch_tr._gen_bits == ref_tr._gen_bits
+        assert batch_tr._accessed_in_current == ref_tr._accessed_in_current
+        for batch_bloom, ref_bloom in zip(batch_tr._blooms, ref_tr._blooms):
+            assert batch_bloom._words == ref_bloom._words
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_verdicts_identical_under_injection(self, kind):
@@ -131,40 +153,35 @@ class TestSessionParity:
                 BitFlipInjector(p=0.05, seed=9),
             )
 
-        run_vec, m_vec = _run(kind, vectorized=True, injectors=injectors())
-        run_leg, m_leg = _run(kind, vectorized=False, injectors=injectors())
+        run_batch, m_batch = _run(kind, batch=True, injectors=injectors())
+        run_ref, m_ref = _run(kind, batch=False, injectors=injectors())
         assert (
-            run_vec.hunter.report().to_dict()
-            == run_leg.hunter.report().to_dict()
+            run_batch.hunter.report().to_dict()
+            == run_ref.hunter.report().to_dict()
         )
-        assert _evidence_dicts(run_vec.hunter) == _evidence_dicts(
-            run_leg.hunter
+        assert _evidence_dicts(run_batch.hunter) == _evidence_dicts(
+            run_ref.hunter
         )
-        assert _count_metrics(m_vec) == _count_metrics(m_leg)
+        assert _count_metrics(m_batch) == _count_metrics(m_ref)
 
-    def test_exported_archives_identical(self, tmp_path):
-        run_vec, _ = _run("cache", vectorized=True, capture_evidence=False)
-        run_leg, _ = _run("cache", vectorized=False, capture_evidence=False)
-        p_vec = tmp_path / "vec.npz"
-        p_leg = tmp_path / "leg.npz"
-        export_traces(run_vec.machine, p_vec)
-        export_traces(run_leg.machine, p_leg)
-        a, b = load_traces(p_vec), load_traces(p_leg)
+    def test_exported_archives_identical(self, tmp_path, clean_pair):
+        (run_batch, _), (run_ref, _) = clean_pair("cache")
+        p_batch = tmp_path / "batch.npz"
+        p_ref = tmp_path / "ref.npz"
+        export_traces(run_batch.machine, p_batch)
+        export_traces(run_ref.machine, p_ref)
+        a, b = load_traces(p_batch), load_traces(p_ref)
         np.testing.assert_array_equal(a.cache_times, b.cache_times)
         np.testing.assert_array_equal(a.bus_lock_times, b.bus_lock_times)
 
 
-def _make_cache(vectorized, tracker_factory, seed=23):
+def _make_cache(batch, tracker_factory, seed=23):
     config = CacheConfig(size_bytes=64 * 1024)  # 128 sets x 8 ways
     tracker = tracker_factory(config.n_sets * config.associativity)
     tap = LabeledEventTap("parity")
-    cache = SharedCache(
-        config,
-        tracker,
-        tap,
-        np.random.default_rng(seed),
-        vectorized=vectorized,
-    )
+    cache = SharedCache(config, tracker, tap, np.random.default_rng(seed))
+    if not batch:
+        cache._use_batch_kernel = lambda: False
     return cache, tap
 
 
@@ -230,63 +247,46 @@ class TestDirectCacheParity:
         ids=("generation", "ideal-lru"),
     )
     def test_mixed_workload_identical(self, tracker_factory):
-        cache_vec, tap_vec = _make_cache(True, tracker_factory)
-        cache_leg, tap_leg = _make_cache(False, tracker_factory)
-        out_vec, end_vec = _mixed_workload(cache_vec)
-        out_leg, end_leg = _mixed_workload(cache_leg)
-        assert out_vec == out_leg
-        assert end_vec == end_leg
-        assert _state_fingerprint(cache_vec, tap_vec) == _state_fingerprint(
-            cache_leg, tap_leg
+        cache_batch, tap_batch = _make_cache(True, tracker_factory)
+        cache_ref, tap_ref = _make_cache(False, tracker_factory)
+        out_batch, end_batch = _mixed_workload(cache_batch)
+        out_ref, end_ref = _mixed_workload(cache_ref)
+        assert out_batch == out_ref
+        assert end_batch == end_ref
+        assert _state_fingerprint(cache_batch, tap_batch) == (
+            _state_fingerprint(cache_ref, tap_ref)
         )
 
     def test_empty_and_single_series(self):
-        cache_vec, _ = _make_cache(True, GenerationConflictTracker)
-        cache_leg, _ = _make_cache(False, GenerationConflictTracker)
-        for cache in (cache_vec, cache_leg):
+        cache_batch, _ = _make_cache(True, GenerationConflictTracker)
+        cache_ref, _ = _make_cache(False, GenerationConflictTracker)
+        for cache in (cache_batch, cache_ref):
             end, lat = cache.access_series(0, (), 8, 100)
             assert end == 100 and lat.size == 0
-        end_vec, lat_vec = cache_vec.access_series(0, ((3, 7),), 5, 100)
-        end_leg, lat_leg = cache_leg.access_series(0, ((3, 7),), 5, 100)
-        assert end_vec == end_leg
-        assert lat_vec.tolist() == lat_leg.tolist()
+        end_batch, lat_batch = cache_batch.access_series(0, ((3, 7),), 5, 100)
+        end_ref, lat_ref = cache_ref.access_series(0, ((3, 7),), 5, 100)
+        assert end_batch == end_ref
+        assert lat_batch.tolist() == lat_ref.tolist()
 
     def test_bad_set_index_raises_both_paths(self):
-        from repro.errors import SimulationError
-
-        for vectorized in (True, False):
-            cache, _ = _make_cache(vectorized, GenerationConflictTracker)
-            with pytest.raises(SimulationError):
-                cache.access_series(0, ((100_000, 1),), 8, 0)
+        partitioned, _ = _make_cache(True, GenerationConflictTracker)
+        _WayPartition(partitioned, *PARTITION)
+        caches = [
+            _make_cache(batch, GenerationConflictTracker)[0]
+            for batch in (True, False)
+        ] + [partitioned]
+        for cache in caches:
+            for set_index in (-1, 100_000):
+                with pytest.raises(SimulationError):
+                    cache.access_series(0, ((set_index, 7),), 8, 0)
+            assert cache.occupancy == 0
 
 
 class TestMitigationFallback:
     def test_partition_wrapper_disables_batch_kernel(self):
         cache, _ = _make_cache(True, GenerationConflictTracker)
         assert cache._use_batch_kernel()
-        partition = _WayPartition(
-            cache, {0: 0, 1: 1, 2: 2, 3: 2}, {0: 2, 1: 2, 2: 4}
-        )
+        partition = _WayPartition(cache, *PARTITION)
         assert not cache._use_batch_kernel()
         partition.remove()
         assert cache._use_batch_kernel()
-
-    def test_partitioned_series_identical_both_paths(self):
-        results = []
-        for vectorized in (True, False):
-            cache, tap = _make_cache(vectorized, GenerationConflictTracker)
-            _WayPartition(
-                cache, {0: 0, 1: 1, 2: 2, 3: 2}, {0: 2, 1: 2, 2: 4}
-            )
-            t = 0
-            lats = []
-            for ctx in (0, 1, 0, 1):
-                pattern = tuple(
-                    (s, 10 + ctx) for s in range(8) for _ in range(3)
-                )
-                t, lat = cache.access_series(ctx, pattern, 8, t)
-                lats.append(lat.tolist())
-            results.append(
-                (lats, t, cache.hits, cache.misses, tap.records()[0].tolist())
-            )
-        assert results[0] == results[1]
