@@ -49,7 +49,6 @@ from repro.core import (
     CCHunter,
     DetectionReport,
     EventTrain,
-    LabeledEventTrain,
     UnitVerdict,
     analyze_autocorrelogram,
     analyze_histogram,
@@ -71,7 +70,6 @@ from repro.mitigation import (
     apply_clock_fuzzing,
     partition_cache_ways,
 )
-from repro.osmodel import AuditAPI, CCHunterDaemon, User
 from repro.sim import Machine
 from repro.util import Message, bit_error_rate
 from repro.workloads import WORKLOADS, background_noise_processes
@@ -94,7 +92,6 @@ __all__ = [
     "DetectionReport",
     "UnitVerdict",
     "EventTrain",
-    "LabeledEventTrain",
     "autocorrelogram",
     "analyze_autocorrelogram",
     "analyze_histogram",
@@ -117,10 +114,6 @@ __all__ = [
     "apply_bus_lock_throttle",
     "apply_clock_fuzzing",
     "partition_cache_ways",
-    # OS support
-    "AuditAPI",
-    "User",
-    "CCHunterDaemon",
     # workloads
     "WORKLOADS",
     "background_noise_processes",

@@ -14,11 +14,7 @@ work).
 
 from repro.channels.base import ChannelConfig, CovertChannel
 from repro.channels.cache import CacheCovertChannel
-from repro.channels.decoder import (
-    decode_by_threshold,
-    decode_ratio,
-    mean_by_bit_window,
-)
+from repro.channels.decoder import decode_by_threshold, decode_ratio
 from repro.channels.divider import DividerCovertChannel, MultiplierCovertChannel
 from repro.channels.membus import MemoryBusCovertChannel
 
@@ -31,5 +27,4 @@ __all__ = [
     "CacheCovertChannel",
     "decode_by_threshold",
     "decode_ratio",
-    "mean_by_bit_window",
 ]

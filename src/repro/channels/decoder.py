@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-import numpy as np
-
 from repro.errors import ChannelError
 
 
@@ -42,21 +40,3 @@ def decode_ratio(
             raise ChannelError(f"non-positive G0 mean latency: {g0}")
         bits.append(1 if g1 / g0 > 1.0 else 0)
     return bits
-
-
-def mean_by_bit_window(samples: np.ndarray, samples_per_bit: int
-                       ) -> np.ndarray:
-    """Mean of each consecutive ``samples_per_bit`` group of samples.
-
-    Trailing samples that do not fill a window are dropped.
-    """
-    if samples_per_bit <= 0:
-        raise ChannelError("samples_per_bit must be positive")
-    arr = np.asarray(samples, dtype=np.float64)
-    n_windows = arr.size // samples_per_bit
-    if n_windows == 0:
-        raise ChannelError(
-            f"{arr.size} samples cannot fill a window of {samples_per_bit}"
-        )
-    trimmed = arr[: n_windows * samples_per_bit]
-    return trimmed.reshape(n_windows, samples_per_bit).mean(axis=1)

@@ -21,7 +21,6 @@ from repro.core.autocorr import (
 )
 from repro.core.burst import (
     BurstAnalysis,
-    StreamingBurstEstimator,
     analyze_histogram,
     find_threshold_bin,
 )
@@ -38,7 +37,7 @@ from repro.core.density import (
     build_density_histogram,
     choose_delta_t,
 )
-from repro.core.event_train import EventTrain, LabeledEventTrain
+from repro.core.event_train import EventTrain
 from repro.core.oscillation import OscillationAnalysis, analyze_autocorrelogram
 from repro.core.report import DetectionReport, UnitVerdict
 
@@ -58,13 +57,11 @@ def __getattr__(name: str):
 
 __all__ = [
     "EventTrain",
-    "LabeledEventTrain",
     "DensityHistogram",
     "StreamingDensityHistogram",
     "build_density_histogram",
     "choose_delta_t",
     "BurstAnalysis",
-    "StreamingBurstEstimator",
     "AlphaCalibration",
     "DeltaTRegime",
     "assess_delta_t",

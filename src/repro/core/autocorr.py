@@ -203,13 +203,3 @@ class RunningAutocorrelogram:
             + (n - p) * mean * mean
         )
         return num / denom
-
-
-def dominant_lag(acf: np.ndarray, min_lag: int = 1) -> int:
-    """Lag (>= min_lag) with the highest autocorrelation coefficient."""
-    arr = np.asarray(acf, dtype=np.float64)
-    if arr.size <= min_lag:
-        raise DetectionError(
-            f"correlogram of length {arr.size} has no lags >= {min_lag}"
-        )
-    return int(min_lag + np.argmax(arr[min_lag:]))

@@ -16,7 +16,7 @@ covert channels measure ≥ 0.9 even at 0.1 bps; benign programs stay below
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -94,74 +94,6 @@ class BurstAnalysis:
     #: Burst structure is *significant*: has_bursts and the likelihood ratio
     #: clears the detection threshold (0.5).
     significant: bool
-
-    @property
-    def burst_sample_count(self) -> int:
-        if self.threshold_bin is None:
-            return 0
-        return int(self.hist[self.threshold_bin:].sum())
-
-
-class StreamingBurstEstimator:
-    """Running aggregate of per-window density histograms.
-
-    Folding one histogram in is O(n_bins); :meth:`analysis` re-derives
-    steps 3-4 from the aggregate alone, also O(n_bins) — bounded work per
-    quantum, with a result identical to running :func:`analyze_histogram`
-    on the sum of every histogram seen so far.
-    """
-
-    def __init__(
-        self,
-        n_bins: int = 128,
-        lr_threshold: float = LIKELIHOOD_RATIO_THRESHOLD,
-    ):
-        self.lr_threshold = lr_threshold
-        self._agg = np.zeros(n_bins, dtype=np.int64)
-        self.windows = 0
-        self._cached: Optional[BurstAnalysis] = None
-
-    @property
-    def aggregate(self) -> np.ndarray:
-        return self._agg.copy()
-
-    def update(self, hist: np.ndarray) -> "StreamingBurstEstimator":
-        arr = np.asarray(hist, dtype=np.int64)
-        if arr.shape != self._agg.shape:
-            raise DetectionError(
-                f"histogram shape {arr.shape} does not match {self._agg.shape}"
-            )
-        self._agg += arr
-        self.windows += 1
-        self._cached = None
-        return self
-
-    def update_batch(
-        self, hists: "Sequence[np.ndarray]"
-    ) -> "StreamingBurstEstimator":
-        """Fold a sequence of histograms in one summed pass.
-
-        Integer addition is exact and order-free, so the aggregate is
-        identical to calling :meth:`update` once per histogram.
-        """
-        stack = [np.asarray(h, dtype=np.int64) for h in hists]
-        if not stack:
-            return self
-        for arr in stack:
-            if arr.shape != self._agg.shape:
-                raise DetectionError(
-                    f"histogram shape {arr.shape} does not match "
-                    f"{self._agg.shape}"
-                )
-        self._agg += np.sum(stack, axis=0)
-        self.windows += len(stack)
-        self._cached = None
-        return self
-
-    def analysis(self) -> BurstAnalysis:
-        if self._cached is None:
-            self._cached = analyze_histogram(self._agg, self.lr_threshold)
-        return self._cached
 
 
 def analyze_histogram(

@@ -8,7 +8,9 @@ memory bus and 500 cycles for the integer divider; those are this module's
 defaults, with the α rule available for other resources.
 
 Step 2 counts events per Δt window and histograms the counts into the
-CC-auditor's 128-entry buffer format.
+CC-auditor's 128-entry buffer format. :class:`StreamingDensityHistogram`
+does step 2 incrementally from per-window counts: it takes no raw
+timestamps and carries no partial window between chunks.
 """
 
 from __future__ import annotations
@@ -81,25 +83,6 @@ class DensityHistogram:
         """Events implied by the histogram (clamped bins undercount)."""
         return int((self.hist * np.arange(self.hist.size)).sum())
 
-    def nonzero_bins(self) -> np.ndarray:
-        """Density values that occurred at least once."""
-        return np.nonzero(self.hist)[0]
-
-    def merged_with(self, other: "DensityHistogram") -> "DensityHistogram":
-        """Combine two histograms of the same Δt (adjacent windows)."""
-        if other.dt != self.dt:
-            raise DetectionError(
-                f"cannot merge histograms with Δt {self.dt} and {other.dt}"
-            )
-        if other.hist.size != self.hist.size:
-            raise DetectionError("cannot merge histograms with different bins")
-        return DensityHistogram(
-            hist=self.hist + other.hist,
-            dt=self.dt,
-            window_start=min(self.window_start, other.window_start),
-            window_end=max(self.window_end, other.window_end),
-        )
-
 
 def build_density_histogram(
     source: DensitySource,
@@ -120,12 +103,12 @@ class StreamingDensityHistogram:
     """Incremental density-histogram accumulation with bounded memory.
 
     The streaming counterpart of :func:`build_density_histogram` and of
-    the CC-auditor's :class:`~repro.hardware.auditor.MonitorSlot`: event
-    counts (or raw timestamps) arrive in arbitrary chunks and are folded
-    straight into a fixed-size histogram. State is the histogram plus a
-    single partial-window accumulator, so memory is O(n_bins) regardless
-    of stream length, and the result is numerically identical to
-    histogramming the whole window sequence at once.
+    the CC-auditor's :class:`~repro.hardware.auditor.MonitorSlot`: per-Δt
+    event counts of whole windows arrive in arbitrary chunks and are
+    folded straight into a fixed-size histogram. State is the histogram
+    alone, so memory is O(n_bins) regardless of stream length, and the
+    result is numerically identical to histogramming the whole window
+    sequence at once.
 
     ``count_clamp`` / ``entry_max`` model the auditor's saturating
     accumulator and 16-bit histogram entries; ``None`` disables them.
@@ -137,7 +120,6 @@ class StreamingDensityHistogram:
         self,
         dt: int,
         n_bins: int = 128,
-        origin: int = 0,
         count_clamp: Optional[int] = None,
         entry_max: Optional[int] = None,
     ):
@@ -150,9 +132,6 @@ class StreamingDensityHistogram:
         self.count_clamp = count_clamp
         self.entry_max = entry_max
         self._hist = np.zeros(self.n_bins, dtype=np.int64)
-        self._pending = 0
-        self._cursor = int(origin)
-        self._window_start = int(origin)
         self.windows_recorded = 0
         self.events_seen = 0
         #: Windows whose raw count exceeded ``count_clamp`` (cumulative,
@@ -188,17 +167,9 @@ class StreamingDensityHistogram:
             return
         if arr.min() < 0:
             raise DetectionError("window counts cannot be negative")
-        if self._pending:
-            raise DetectionError(
-                "cannot ingest whole-window counts while a timestamp window "
-                "is open; call flush() first"
-            )
         self.events_seen += int(arr.sum())
         self._fold(arr)
-        self._cursor += arr.size * self.dt
-        self._window_start = self._cursor
 
-    push_counts = ingest_window_counts
     #: Batch kernel alias, matching the other streaming estimators.
     push_batch = ingest_window_counts
 
@@ -206,45 +177,8 @@ class StreamingDensityHistogram:
         """Per-window adapter over :meth:`push_batch` (one window's count)."""
         self.ingest_window_counts(np.array([count]))
 
-    def push_times(self, times: np.ndarray, up_to: int) -> None:
-        """Consume event timestamps covering ``[cursor, up_to)``.
-
-        ``times`` is any (sorted or not) chunk of event times in that
-        range; windows whose end falls at or before ``up_to`` are closed
-        into the histogram, and the trailing partial window is carried as
-        a single pending count for the next chunk.
-        """
-        up_to = int(up_to)
-        if up_to < self._cursor:
-            raise DetectionError(
-                f"stream cursor already at {self._cursor}, cannot rewind to {up_to}"
-            )
-        t = ensure_int64(times, "event timestamps").ravel()
-        if t.size and (t.min() < self._window_start or t.max() >= up_to):
-            raise DetectionError(
-                f"timestamps outside the open range [{self._window_start}, {up_to})"
-            )
-        n_complete = (up_to - self._window_start) // self.dt
-        counts = np.bincount(
-            (t - self._window_start) // self.dt, minlength=n_complete + 1
-        )
-        counts[0] += self._pending
-        self.events_seen += int(t.size)
-        if n_complete:
-            self._fold(counts[:n_complete])
-        self._pending = int(counts[n_complete:].sum())
-        self._window_start += n_complete * self.dt
-        self._cursor = up_to
-
-    def flush(self) -> None:
-        """Close the open partial window, if one has started accruing."""
-        if self._cursor > self._window_start:
-            self._fold(np.array([self._pending], dtype=np.int64))
-            self._pending = 0
-            self._window_start = self._cursor
-
     def histogram(self) -> np.ndarray:
-        """A copy of the current histogram (closed windows only)."""
+        """A copy of the current histogram."""
         return self._hist.copy()
 
     def read_and_reset(self) -> np.ndarray:

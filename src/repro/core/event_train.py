@@ -2,15 +2,16 @@
 
 An *event train* is a uni-dimensional time series marking when indicator
 events occurred (Figure 4 of the paper). :class:`EventTrain` holds
-explicit cycle timestamps; :class:`LabeledEventTrain` additionally carries
-the (replacer, victim) context pair of each cache conflict miss, mapped to
-the small-integer identifiers the oscillation detector autocorrelates
-(" 'S→T' is assigned 0 and 'T→S' is assigned 1 ").
+explicit cycle timestamps. A cache conflict-miss train also carries the
+(replacer, victim) context pair of each event; :func:`dominant_pair_series`
+maps the dominant pair's two directions onto the 0/1 identifiers the
+oscillation detector autocorrelates (" 'S→T' is assigned 0 and 'T→S' is
+assigned 1 ").
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -35,16 +36,6 @@ class EventTrain:
             return 0
         return int(self.times[-1] - self.times[0])
 
-    def mean_rate(self, t0: Optional[int] = None, t1: Optional[int] = None) -> float:
-        """Average events per cycle over ``[t0, t1)`` (default: full span)."""
-        if self.count == 0:
-            return 0.0
-        lo = int(self.times[0]) if t0 is None else t0
-        hi = int(self.times[-1]) + 1 if t1 is None else t1
-        if hi <= lo:
-            raise DetectionError(f"empty rate window [{lo}, {hi})")
-        return self.slice(lo, hi).count / (hi - lo)
-
     def slice(self, t0: int, t1: int) -> "EventTrain":
         """Events within the half-open window ``[t0, t1)``."""
         lo = np.searchsorted(self.times, t0, side="left")
@@ -64,20 +55,8 @@ class EventTrain:
         idx = (sliced.times - t0) // dt
         return np.bincount(idx, minlength=n_windows).astype(np.int64)
 
-    def inter_event_intervals(self) -> np.ndarray:
-        """Gaps between consecutive events (cycles)."""
-        if self.count < 2:
-            return np.zeros(0, dtype=np.int64)
-        return np.diff(self.times)
-
     def __repr__(self) -> str:
         return f"EventTrain(n={self.count}, span={self.span})"
-
-
-#: Canonical identifier map for a (spy, trojan) pair, per the paper's
-#: example: the spy-replaces-trojan direction is 0, trojan-replaces-spy is 1.
-def canonical_pair_ids(spy_ctx: int, trojan_ctx: int) -> Dict[Tuple[int, int], int]:
-    return {(spy_ctx, trojan_ctx): 0, (trojan_ctx, spy_ctx): 1}
 
 
 def dominant_pair_series(
@@ -117,93 +96,3 @@ def dominant_pair_series(
     indices = np.nonzero(member)[0]
     labels = (reps[indices] == ctx_a).astype(np.int64)
     return labels, indices, (ctx_a, ctx_b)
-
-
-def compact_pair_identifiers(
-    replacers: np.ndarray, victims: np.ndarray, context_id_bits: int = 3
-) -> np.ndarray:
-    """Small-integer identifier per ordered (replacer, victim) pair.
-
-    Pairs are numbered 0, 1, 2, ... in order of first appearance — the
-    CC-auditor's "every ordered pair of contexts has a unique identifier",
-    with the covert pair's two directions (which dominate a covert train)
-    landing on the smallest values. Keeping identifiers small matters for
-    the autocorrelation: rare noise pairs must not receive large numeric
-    labels whose squared deviations would swamp the train's variance.
-    """
-    reps = np.asarray(replacers, dtype=np.int64)
-    vics = np.asarray(victims, dtype=np.int64)
-    if reps.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    packed = (reps << context_id_bits) | vics
-    unique, inverse = np.unique(packed, return_inverse=True)
-    first_pos = np.full(unique.size, packed.size, dtype=np.int64)
-    np.minimum.at(first_pos, inverse, np.arange(packed.size))
-    order = np.argsort(first_pos, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return rank[inverse]
-
-
-class LabeledEventTrain:
-    """Conflict-miss train with per-event (replacer, victim) identifiers."""
-
-    def __init__(
-        self,
-        times: np.ndarray,
-        replacers: np.ndarray,
-        victims: np.ndarray,
-        pair_ids: Optional[Dict[Tuple[int, int], int]] = None,
-    ):
-        t = np.asarray(times, dtype=np.int64)
-        r = np.asarray(replacers, dtype=np.int16)
-        v = np.asarray(victims, dtype=np.int16)
-        if not (t.size == r.size == v.size):
-            raise DetectionError("labeled train arrays must have equal length")
-        order = np.argsort(t, kind="stable")
-        self.times = t[order]
-        self.replacers = r[order]
-        self.victims = v[order]
-        self._pair_ids = dict(pair_ids) if pair_ids else None
-
-    @property
-    def count(self) -> int:
-        return int(self.times.size)
-
-    def pair_identifiers(self) -> np.ndarray:
-        """Per-event small-integer identifier of the (replacer, victim) pair.
-
-        Pairs in the explicit ``pair_ids`` map get their assigned ids; any
-        other ordered pair gets a unique id after the explicit range, in
-        order of first appearance (every ordered context pair has a unique
-        identifier, as in the CC-auditor).
-        """
-        mapping: Dict[Tuple[int, int], int] = (
-            dict(self._pair_ids) if self._pair_ids else {}
-        )
-        next_id = max(mapping.values()) + 1 if mapping else 0
-        ids = np.empty(self.count, dtype=np.int64)
-        for i in range(self.count):
-            pair = (int(self.replacers[i]), int(self.victims[i]))
-            if pair not in mapping:
-                mapping[pair] = next_id
-                next_id += 1
-            ids[i] = mapping[pair]
-        return ids
-
-    def slice(self, t0: int, t1: int) -> "LabeledEventTrain":
-        lo = np.searchsorted(self.times, t0, side="left")
-        hi = np.searchsorted(self.times, t1, side="left")
-        return LabeledEventTrain(
-            self.times[lo:hi],
-            self.replacers[lo:hi],
-            self.victims[lo:hi],
-            self._pair_ids,
-        )
-
-    def unlabeled(self) -> EventTrain:
-        """Drop labels, keeping only the timestamps."""
-        return EventTrain(self.times)
-
-    def __repr__(self) -> str:
-        return f"LabeledEventTrain(n={self.count})"

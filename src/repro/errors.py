@@ -54,10 +54,6 @@ class HardwareError(ReproError):
     """A modeled hardware structure was used outside its contract."""
 
 
-class AuthorizationError(ReproError):
-    """An unprivileged user attempted a privileged audit operation."""
-
-
 class TraceCorruptionError(DetectionError):
     """A trace archive is corrupt, truncated, or fails checksum checks."""
 

@@ -21,7 +21,7 @@ stream consumed per quantum does not depend on dict insertion order.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 

@@ -29,6 +29,13 @@ import numpy as np
 from repro.config import AuditorConfig
 from repro.errors import HardwareError
 
+#: Windows clamped per pass in :meth:`MonitorSlot.ingest_window_counts`.
+#: A divider quantum is 500k windows; clamping it whole takes a 4 MB
+#: temporary per quantum, and whether the C heap keeps such a
+#: temporary's pages between quanta depends on the heap's layout, which
+#: varies from one process to the next.
+_CLAMP_CHUNK = 1 << 16
+
 
 @dataclass
 class MonitorSlot:
@@ -70,9 +77,16 @@ class MonitorSlot:
         over = arr > self.config.accumulator_max
         if over.any():
             self.clamp_events += int(over.sum())
-        clamped = np.minimum(arr, self.config.accumulator_max)
-        bins = np.minimum(clamped, self.config.histogram_bins - 1)
-        increments = np.bincount(bins, minlength=self.config.histogram_bins)
+        # Clamping to the accumulator, then to the last bin, is one clamp.
+        limit = min(
+            self.config.accumulator_max, self.config.histogram_bins - 1
+        )
+        increments = np.zeros(self.config.histogram_bins, dtype=np.int64)
+        for lo in range(0, arr.size, _CLAMP_CHUNK):
+            bins = np.minimum(arr[lo : lo + _CLAMP_CHUNK], limit)
+            increments += np.bincount(
+                bins, minlength=self.config.histogram_bins
+            )
         raw = self.histogram + increments
         saturated = raw > self.config.histogram_entry_max
         if saturated.any():

@@ -67,23 +67,6 @@ class ClockFuzzer:
         self._cache_series.remove()
         self._bus_sample.remove()
 
-    def expected_ber_floor(self, latency_gap: float,
-                           samples_per_bit: int) -> float:
-        """Rough decode-error floor the fuzz imposes on a threshold decoder.
-
-        The spy averages ``samples_per_bit`` readings whose fuzz has
-        standard deviation ``fuzz/sqrt(12)``; a Gaussian tail estimate at
-        half the latency gap gives the per-bit error probability.
-        """
-        sigma = self.fuzz_cycles / np.sqrt(12.0) / np.sqrt(samples_per_bit)
-        if sigma == 0:
-            return 0.0
-        z = (latency_gap / 2.0) / sigma
-        # Complementary normal CDF via erfc.
-        from math import erfc, sqrt
-
-        return 0.5 * erfc(z / sqrt(2.0))
-
 
 def apply_clock_fuzzing(machine: Machine, fuzz_cycles: int = 800) -> ClockFuzzer:
     """Install clock fuzzing sized to swamp the channels' latency gaps.

@@ -22,12 +22,7 @@ from repro.errors import (
     WireError,
 )
 from repro.serve.client import ServeClient, TenantResult, stream_tenant
-from repro.serve.service import (
-    DetectionService,
-    ServeConfig,
-    TenantStats,
-    run_service,
-)
+from repro.serve.service import DetectionService, ServeConfig, TenantStats
 from repro.serve.traffic import (
     benign_observations,
     covert_observations,
@@ -76,7 +71,6 @@ __all__ = [
     "encode_frame",
     "make_observations",
     "read_frame",
-    "run_service",
     "send_frame",
     "stream_tenant",
 ]

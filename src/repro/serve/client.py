@@ -18,7 +18,7 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 from repro.core.report import DetectionReport
 from repro.errors import ServeError, ServeUnavailableError
@@ -40,7 +40,6 @@ from repro.serve.wire import (
     VerdictFrame,
     Welcome,
     _HEADER,
-    encode_frame,
     read_frame,
     send_frame,
 )

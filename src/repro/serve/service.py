@@ -55,8 +55,9 @@ import dataclasses
 import time
 import zlib
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
+from repro.core.report import DetectionReport
 from repro.errors import FrameDecodeError, ServeError, WireError
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry, get_default
@@ -211,6 +212,7 @@ class _Tenant:
         "queued", "shard", "next_seq", "client_credits", "uncredited",
         "received", "shed", "lost", "overload_tick", "last_active",
         "evictions", "arrivals", "trace_id", "coalesced", "last_verdict",
+        "last_report",
     )
 
     def __init__(self, name: str, specs: Tuple[ChannelSpec, ...], shard: int):
@@ -248,6 +250,9 @@ class _Tenant:
         self.coalesced = 0
         #: Small summary of the newest queued verdict (telemetry only).
         self.last_verdict: Optional[Dict[str, object]] = None
+        #: Report behind the newest verdict frame; stats and the admin
+        #: routes answer from it instead of re-evaluating the session.
+        self.last_report: Optional[DetectionReport] = None
 
 
 class DetectionService:
@@ -450,9 +455,7 @@ class DetectionService:
         tenant = self._tenants.get(name)
         if tenant is None:
             raise ServeError(f"unknown tenant {name!r}")
-        report = tenant.final_report
-        if report is None and tenant.session is not None:
-            report = tenant.session.current_verdicts()
+        report = tenant.final_report or tenant.last_report
         return TenantStats(
             tenant=name,
             connected=tenant.connected,
@@ -610,6 +613,7 @@ class DetectionService:
                 tenant.specs, metrics=self.metrics
             )
             tenant.final_report = None
+            tenant.last_report = None
             if tenant.evictions:
                 # A rebuilt session lost its history; make that visible.
                 tenant.pending_tags.append("evicted:*")
@@ -754,6 +758,7 @@ class DetectionService:
                 trace_id=tenant.trace_id,
             ):
                 report = session.current_verdicts()
+            tenant.last_report = report
             if tenant.outbox.put_verdict(
                 VerdictFrame(
                     quantum=obs.quantum,
@@ -1085,20 +1090,3 @@ class DetectionService:
             pass
         except Exception:
             _log.exception("writer loop crashed")
-
-
-async def run_service(
-    config: Optional[ServeConfig] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    ready: Optional[asyncio.Event] = None,
-) -> Dict[str, TenantStats]:
-    """Start a service and serve until cancelled; returns final stats."""
-    service = DetectionService(config=config, metrics=metrics)
-    await service.start()
-    if ready is not None:
-        ready.set()
-    try:
-        await service.serve_forever()
-    finally:
-        stats = await service.stop()
-    return stats

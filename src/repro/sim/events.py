@@ -91,13 +91,18 @@ def _chunk_times(chunk: Union[np.ndarray, GridChunk]) -> np.ndarray:
 
 
 def _round_density_counts(counts: np.ndarray) -> np.ndarray:
-    """Round spread float counts half-up with an epsilon.
+    """Round spread float counts half-up with an epsilon, in place.
 
     The epsilon keeps float residue from the segment cumsum from
     flipping an x.5 boundary either way. Shared by the full-history and
-    windowed density paths so both round identically.
+    windowed density paths so both round identically. ``counts`` is the
+    caller's working column: it is overwritten, and only the returned
+    int64 column is new.
     """
-    return np.floor(counts + 0.5 + 1e-6).astype(np.int64)
+    counts += 0.5
+    counts += 1e-6
+    np.floor(counts, out=counts)
+    return counts.astype(np.int64)
 
 
 def spread_segment_counts(
@@ -148,7 +153,7 @@ def spread_segment_counts(
         has_mid = lm > fm + 1
         np.add.at(diff, fm[has_mid] + 1, rm[has_mid] * dt)
         np.add.at(diff, lm[has_mid], -rm[has_mid] * dt)
-        counts += np.cumsum(diff[:-1])
+        counts += np.cumsum(diff[:-1], out=diff[:-1])
 
 
 class EventTap:
@@ -285,7 +290,8 @@ class EventTap:
         if times.size == 0:
             return np.zeros(n_windows, dtype=np.int64)
         idx = (times - t0) // dt
-        return np.bincount(idx, minlength=n_windows).astype(np.int64)
+        counts = np.bincount(idx, minlength=n_windows)
+        return counts.astype(np.int64, copy=False)
 
     def window_reader(self) -> "EventWindowReader":
         """An incremental windowed reader over this tap (hot path)."""
@@ -389,7 +395,8 @@ class EventWindowReader:
         if times.size == 0:
             return np.zeros(n_windows, dtype=np.int64)
         idx = (times - t0) // dt
-        return np.bincount(idx, minlength=n_windows).astype(np.int64)
+        counts = np.bincount(idx, minlength=n_windows)
+        return counts.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -405,10 +412,6 @@ class RateSegment:
             raise SimulationError("rate segment end precedes start")
         if self.rate < 0:
             raise SimulationError("event rate cannot be negative")
-
-    @property
-    def expected_events(self) -> float:
-        return self.rate * (self.end - self.start)
 
 
 class RateSegmentTap:
@@ -559,6 +562,12 @@ class SegmentWindowReader:
     and per-window counts come from :func:`spread_segment_counts`, so the
     streaming and full-history paths agree bit for bit, float
     accumulation order included.
+
+    The float column the counts are spread and rounded in belongs to the
+    reader and is reused every quantum. At the divider's Δt it holds 500k
+    windows (4 MB); allocated per quantum next to the other temporaries,
+    it would leave the C heap's layout to decide whether a quantum faults
+    ~15 MB of fresh pages in, and that layout varies between processes.
     """
 
     def __init__(self, tap: RateSegmentTap):
@@ -570,6 +579,7 @@ class SegmentWindowReader:
         self._cursor: Optional[int] = None
         self._epoch = tap._clear_epoch
         self._sparse = tap._sparse.window_reader()
+        self._counts = np.zeros(0, dtype=np.float64)
 
     def _merge_new(self) -> None:
         tap = self._tap
@@ -614,7 +624,10 @@ class SegmentWindowReader:
             )
         self._merge_new()
         n_windows = -(-(t1 - t0) // dt)
-        counts = self._sparse.read_counts(dt, t0, t1).astype(np.float64)
+        if self._counts.size != n_windows:
+            self._counts = np.empty(n_windows, dtype=np.float64)
+        counts = self._counts
+        np.copyto(counts, self._sparse.read_counts(dt, t0, t1))
         starts, ends, rates = self._p_starts, self._p_ends, self._p_rates
         if starts.size:
             sel = (starts < t1) & (ends > t0)

@@ -133,7 +133,6 @@ class Machine:
             self.cache_miss_tap,
             derive_rng(seed, "l2"),
         )
-        self._processes: List[Process] = []
         self._quantum_hooks: List[QuantumHook] = []
         self.quanta_completed = 0
         # Exact-type operation dispatch: one dict probe instead of a
@@ -168,7 +167,6 @@ class Machine:
         """
         self.scheduler.place(process, ctx=ctx, core=core)
         process.machine = self
-        self._processes.append(process)
         t0 = self.engine.now if start_time is None else int(start_time)
         process.start_time = t0
         self.engine.schedule(t0, self._continuation(process), process.priority)
@@ -353,10 +351,6 @@ class Machine:
     @property
     def now(self) -> int:
         return self.engine.now
-
-    @property
-    def processes(self) -> Tuple[Process, ...]:
-        return tuple(self._processes)
 
     def functional_units(self, kind: str) -> List[DividerUnit]:
         """The per-core units of a kind ('divider' or 'multiplier')."""

@@ -1,8 +1,7 @@
-"""Shared-hardware resource models (bus, divider, cache, DRAM)."""
+"""Shared-hardware resource models (bus, divider, cache)."""
 
 from repro.sim.resources.bus import MemoryBus
 from repro.sim.resources.cache import SharedCache
 from repro.sim.resources.divider import DividerUnit
-from repro.sim.resources.memory import MainMemory
 
-__all__ = ["MemoryBus", "SharedCache", "DividerUnit", "MainMemory"]
+__all__ = ["MemoryBus", "SharedCache", "DividerUnit"]

@@ -1,15 +1,14 @@
-"""OS-level scheduling model: context allocation, quanta, migration.
+"""OS-level scheduling model: hardware context allocation.
 
-The detector's observation windows are OS time quanta (0.1 s), and the
-paper notes that the OS can track trojan/spy migration across cores so
-labeled conflict events stay attributable. This scheduler hands out
-hardware contexts (SMT threads), optionally pinned to a core, and records
-migrations so analyses can unify a process's context ids over time.
+The detector's observation windows are OS time quanta (0.1 s). This
+scheduler hands out hardware contexts (SMT threads), optionally pinned to
+a core. A placed process keeps its context until it finishes, so labeled
+conflict events stay attributable to it; the paper's migration tracking
+(Section V-A) is not modelled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.config import MachineConfig
@@ -18,18 +17,8 @@ from repro.obs.metrics import MetricsRegistry, get_default
 from repro.sim.process import Process
 
 
-@dataclass(frozen=True)
-class MigrationRecord:
-    """A process moved between hardware contexts at a context switch."""
-
-    time: int
-    process_name: str
-    old_ctx: int
-    new_ctx: int
-
-
 class Scheduler:
-    """Allocates hardware contexts and tracks placement over time."""
+    """Allocates hardware contexts and tracks which process holds each."""
 
     def __init__(
         self,
@@ -40,15 +29,10 @@ class Scheduler:
         self._owner: Dict[int, Optional[Process]] = {
             ctx: None for ctx in range(config.n_contexts)
         }
-        self.migrations: List[MigrationRecord] = []
         m = metrics if metrics is not None else get_default()
         self._m_placements = m.counter(
             "cchunter_sched_placements_total",
             "processes placed on hardware contexts",
-        )
-        self._m_migrations = m.counter(
-            "cchunter_sched_migrations_total",
-            "live-process migrations between contexts",
         )
         self._m_busy = m.gauge(
             "cchunter_sched_contexts_busy",
@@ -115,30 +99,3 @@ class Scheduler:
         if process.ctx is not None and self._owner.get(process.ctx) is process:
             self._owner[process.ctx] = None
             self._m_busy.dec()
-
-    def migrate(self, process: Process, new_ctx: int, time: int) -> None:
-        """Move a live process to another context, recording the migration.
-
-        Covert pairs occasionally migrate at context switches; the recorded
-        history is what lets software unify their identifiers (Section V-A).
-        """
-        if process.ctx is None:
-            raise SchedulingError(f"{process.name!r} is not placed")
-        if self._owner.get(new_ctx) is not None:
-            raise SchedulingError(f"context {new_ctx} is occupied")
-        old_ctx = process.ctx
-        self._owner[old_ctx] = None
-        self._owner[new_ctx] = process
-        process.ctx = new_ctx
-        self.migrations.append(
-            MigrationRecord(time, process.name, old_ctx, new_ctx)
-        )
-        self._m_migrations.inc()
-
-    def context_history(self, process_name: str, initial_ctx: int) -> List[int]:
-        """All context ids a process has occupied, in order."""
-        history = [initial_ctx]
-        for rec in self.migrations:
-            if rec.process_name == process_name:
-                history.append(rec.new_ctx)
-        return history

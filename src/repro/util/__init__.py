@@ -1,13 +1,6 @@
-"""Shared utilities: RNG plumbing, bit messages, intervals, statistics."""
+"""Shared utilities: RNG plumbing, bit messages, statistics."""
 
 from repro.util.bitstream import Message, bit_error_rate, bits_from_int, int_from_bits
-from repro.util.intervals import (
-    Interval,
-    clip_intervals,
-    merge_intervals,
-    overlap_length,
-    total_length,
-)
 from repro.util.rng import derive_rng, make_rng
 from repro.util.stats import (
     histogram_mean,
@@ -15,18 +8,13 @@ from repro.util.stats import (
     poisson_pmf,
     sample_counts_to_histogram,
 )
-from repro.util.strings import discretize_histogram, levels_to_string
+from repro.util.strings import discretize_histogram
 
 __all__ = [
     "Message",
     "bit_error_rate",
     "bits_from_int",
     "int_from_bits",
-    "Interval",
-    "clip_intervals",
-    "merge_intervals",
-    "overlap_length",
-    "total_length",
     "derive_rng",
     "make_rng",
     "histogram_mean",
@@ -34,5 +22,4 @@ __all__ = [
     "poisson_pmf",
     "sample_counts_to_histogram",
     "discretize_histogram",
-    "levels_to_string",
 ]

@@ -77,19 +77,9 @@ class Message:
         return iter(self.bits)
 
     @property
-    def value(self) -> int:
-        """The message interpreted as a big-endian unsigned integer."""
-        return int_from_bits(self.bits)
-
-    @property
     def ones(self) -> int:
         """Number of 1 bits (bus/divider channels contend only on 1s)."""
         return sum(self.bits)
-
-    @classmethod
-    def from_int(cls, value: int, width: int) -> "Message":
-        """Build a message from an integer, e.g. ``Message.from_int(0xDEAD, 16)``."""
-        return cls(bits_from_int(value, width))
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "Message":
@@ -106,21 +96,3 @@ class Message:
     def random_credit_card(cls, rng: RngLike = None) -> "Message":
         """The paper's canonical payload: a random 64-bit credit card number."""
         return cls.random(64, rng)
-
-    def alternating_runs(self) -> Tuple[Tuple[int, int], ...]:
-        """Run-length encoding as ((bit, run_length), ...) — useful in tests.
-
-        >>> Message.from_bits([1, 1, 0, 1]).alternating_runs()
-        ((1, 2), (0, 1), (1, 1))
-        """
-        runs = []
-        current = self.bits[0]
-        length = 0
-        for bit in self.bits:
-            if bit == current:
-                length += 1
-            else:
-                runs.append((current, length))
-                current, length = bit, 1
-        runs.append((current, length))
-        return tuple(runs)

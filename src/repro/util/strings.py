@@ -15,9 +15,6 @@ import numpy as np
 
 from repro.errors import DetectionError
 
-#: Printable alphabet for rendering discretized histograms as text strings.
-ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
-
 
 def discretize_histogram(
     hist: Sequence[float], levels: int = 4
@@ -49,31 +46,3 @@ def discretize_histogram(
     scaled = 1 + np.floor(logs / top * (levels - 1 - 1e-12)).astype(np.int64)
     symbols[nonzero] = np.minimum(scaled, levels - 1)
     return symbols
-
-
-def levels_to_string(symbols: Sequence[int]) -> str:
-    """Render a symbol vector as a compact printable string.
-
-    >>> levels_to_string([0, 1, 3, 2])
-    '0132'
-    """
-    chars = []
-    for s in symbols:
-        idx = int(s)
-        if idx < 0 or idx >= len(ALPHABET):
-            raise DetectionError(f"symbol {idx} outside printable alphabet")
-        chars.append(ALPHABET[idx])
-    return "".join(chars)
-
-
-def symbol_distance(a: Sequence[int], b: Sequence[int]) -> float:
-    """Mean absolute symbol difference between two discretized histograms."""
-    va = np.asarray(a, dtype=np.float64)
-    vb = np.asarray(b, dtype=np.float64)
-    if va.shape != vb.shape:
-        raise DetectionError(
-            f"cannot compare symbol vectors of shapes {va.shape} and {vb.shape}"
-        )
-    if va.size == 0:
-        return 0.0
-    return float(np.abs(va - vb).mean())

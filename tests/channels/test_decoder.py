@@ -1,13 +1,8 @@
 """Tests for spy-side decoding helpers."""
 
-import numpy as np
 import pytest
 
-from repro.channels.decoder import (
-    decode_by_threshold,
-    decode_ratio,
-    mean_by_bit_window,
-)
+from repro.channels.decoder import decode_by_threshold, decode_ratio
 from repro.errors import ChannelError
 
 
@@ -36,22 +31,3 @@ class TestRatioDecode:
     def test_bad_denominator(self):
         with pytest.raises(ChannelError):
             decode_ratio([1.0], [0.0])
-
-
-class TestMeanByWindow:
-    def test_basic(self):
-        samples = np.array([1, 3, 10, 20, 5, 5])
-        means = mean_by_bit_window(samples, 2)
-        assert means.tolist() == [2.0, 15.0, 5.0]
-
-    def test_trailing_partial_dropped(self):
-        means = mean_by_bit_window(np.array([2, 2, 9]), 2)
-        assert means.tolist() == [2.0]
-
-    def test_too_few_samples(self):
-        with pytest.raises(ChannelError):
-            mean_by_bit_window(np.array([1]), 5)
-
-    def test_bad_window(self):
-        with pytest.raises(ChannelError):
-            mean_by_bit_window(np.array([1, 2]), 0)

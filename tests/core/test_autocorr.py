@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.autocorr import autocorrelation, autocorrelogram, dominant_lag
+from repro.core.autocorr import autocorrelation, autocorrelogram
 from repro.errors import DetectionError
 
 
@@ -87,18 +87,3 @@ class TestAutocorrelogram:
         acf = autocorrelogram(x, 100)
         assert acf[0] == pytest.approx(1.0)
         assert np.abs(acf).max() <= 1.0 + 1e-9
-
-
-class TestDominantLag:
-    def test_finds_peak(self):
-        x = np.array(([1] * 16 + [0] * 16) * 10, dtype=float)
-        acf = autocorrelogram(x, 100)
-        assert dominant_lag(acf) == 32
-
-    def test_respects_min_lag(self):
-        acf = np.array([1.0, 0.9, 0.1, 0.8])
-        assert dominant_lag(acf, min_lag=2) == 3
-
-    def test_too_short_rejected(self):
-        with pytest.raises(DetectionError):
-            dominant_lag(np.array([1.0]), min_lag=1)

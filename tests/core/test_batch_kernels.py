@@ -3,8 +3,8 @@
 The columnar hot path leans on vectorized ``push_batch`` kernels; the
 per-event ``push`` entry points remain as thin adapters. These tests pin
 both to an O(n·lags) reference estimator (autocorrelation) and to
-repeated single-record paths (density, burst aggregate, auditor vector
-registers), so the fast and slow paths cannot drift apart.
+repeated single-record paths (density, auditor vector registers), so the
+fast and slow paths cannot drift apart.
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.config import AuditorConfig
 from repro.core.autocorr import RunningAutocorrelogram
-from repro.core.burst import StreamingBurstEstimator
 from repro.core.density import StreamingDensityHistogram
 from repro.core.event_train import EventTrain
 from repro.errors import DetectionError
@@ -120,36 +119,11 @@ class TestStreamingDensityBatch:
         est = StreamingDensityHistogram(dt=10, n_bins=16)
         with pytest.raises(DetectionError, match="integers"):
             est.push_batch(np.array([1.5, 2.0]))
-        with pytest.raises(DetectionError, match="integers"):
-            est.push_times(np.array([3.7]), up_to=10)
 
     def test_narrow_integer_dtypes_widened(self):
         est = StreamingDensityHistogram(dt=10, n_bins=16)
         est.push_batch(np.array([1, 2], dtype=np.int32))
         assert est.events_seen == 3
-
-
-class TestStreamingBurstBatch:
-    def test_update_batch_equals_repeated_update(self):
-        rng = np.random.default_rng(2)
-        hists = [rng.integers(0, 50, size=16) for _ in range(7)]
-        one = StreamingBurstEstimator(n_bins=16)
-        many = StreamingBurstEstimator(n_bins=16)
-        for h in hists:
-            one.update(h)
-        many.update_batch(hists)
-        np.testing.assert_array_equal(one.aggregate, many.aggregate)
-        assert one.windows == many.windows
-        a, b = one.analysis(), many.analysis()
-        np.testing.assert_array_equal(a.hist, b.hist)
-        assert a.threshold_bin == b.threshold_bin
-        assert a.likelihood_ratio == b.likelihood_ratio
-        assert a.significant == b.significant
-
-    def test_update_batch_shape_mismatch(self):
-        est = StreamingBurstEstimator(n_bins=16)
-        with pytest.raises(DetectionError):
-            est.update_batch([np.zeros(8, dtype=np.int64)])
 
 
 class TestVectorRegisterBatch:
@@ -217,25 +191,3 @@ class TestEventTrainEdges:
         train = EventTrain(np.array([5], dtype=np.int64))
         assert train.slice(3, 3).count == 0
         assert train.slice(6, 4).count == 0
-        assert EventTrain(np.zeros(0, dtype=np.int64)).mean_rate() == 0.0
-
-    def test_mean_rate_default_span_includes_last_event(self):
-        train = EventTrain(np.array([0, 9], dtype=np.int64))
-        assert train.mean_rate() == pytest.approx(2 / 10)
-
-    def test_mean_rate_empty_window_raises(self):
-        train = EventTrain(np.array([5], dtype=np.int64))
-        with pytest.raises(DetectionError):
-            train.mean_rate(7, 7)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(st.integers(0, 500), min_size=1, max_size=60),
-        st.integers(0, 500),
-        st.integers(1, 500),
-    )
-    def test_mean_rate_consistent_with_slice(self, times, t0, width):
-        t1 = t0 + width
-        train = EventTrain(np.array(sorted(times), dtype=np.int64))
-        rate = train.mean_rate(t0, t1)
-        assert rate == pytest.approx(train.slice(t0, t1).count / (t1 - t0))

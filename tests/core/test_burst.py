@@ -110,11 +110,6 @@ class TestAnalyzeHistogram:
         assert loose.likelihood_ratio == strict.likelihood_ratio
         assert loose.significant != strict.significant or not loose.has_bursts
 
-    def test_burst_sample_count(self):
-        hist = hist_with({0: 100, 20: 30, 25: 10})
-        analysis = analyze_histogram(hist)
-        assert analysis.burst_sample_count == 40
-
     def test_too_few_bins_rejected(self):
         with pytest.raises(DetectionError):
             analyze_histogram(np.array([1, 2]))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.density import (
-    DensityHistogram,
     build_density_histogram,
     choose_delta_t,
     default_delta_t,
@@ -60,32 +59,3 @@ class TestBuildHistogram:
         train = EventTrain(np.arange(50))
         dh = build_density_histogram(train, dt=10, t0=0, t1=50, n_bins=128)
         assert dh.total_events_lower_bound == 50
-
-    def test_nonzero_bins(self):
-        train = EventTrain(np.array([0, 1, 2, 50]))
-        dh = build_density_histogram(train, dt=10, t0=0, t1=60)
-        assert dh.nonzero_bins().tolist() == [0, 1, 3]
-
-
-class TestMerge:
-    def test_merged_with(self):
-        a = DensityHistogram(np.array([1, 2, 0]), dt=10, window_start=0,
-                             window_end=100)
-        b = DensityHistogram(np.array([3, 0, 1]), dt=10, window_start=100,
-                             window_end=200)
-        merged = a.merged_with(b)
-        assert merged.hist.tolist() == [4, 2, 1]
-        assert merged.window_start == 0
-        assert merged.window_end == 200
-
-    def test_mismatched_dt_rejected(self):
-        a = DensityHistogram(np.zeros(3), dt=10, window_start=0, window_end=1)
-        b = DensityHistogram(np.zeros(3), dt=20, window_start=0, window_end=1)
-        with pytest.raises(DetectionError):
-            a.merged_with(b)
-
-    def test_mismatched_bins_rejected(self):
-        a = DensityHistogram(np.zeros(3), dt=10, window_start=0, window_end=1)
-        b = DensityHistogram(np.zeros(4), dt=10, window_start=0, window_end=1)
-        with pytest.raises(DetectionError):
-            a.merged_with(b)

@@ -1,18 +1,8 @@
-"""Tests for event trains and pair-identifier extraction."""
+"""Tests for event trains and dominant-pair extraction."""
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.event_train import (
-    EventTrain,
-    LabeledEventTrain,
-    canonical_pair_ids,
-    compact_pair_identifiers,
-    dominant_pair_series,
-)
-from repro.errors import DetectionError
+from repro.core.event_train import EventTrain, dominant_pair_series
 
 
 class TestEventTrain:
@@ -32,88 +22,9 @@ class TestEventTrain:
         train = EventTrain(np.arange(0, 100, 10))
         assert train.slice(25, 55).times.tolist() == [30, 40, 50]
 
-    def test_mean_rate(self):
-        train = EventTrain(np.arange(0, 1000, 10))
-        assert train.mean_rate(0, 1000) == pytest.approx(0.1)
-
-    def test_mean_rate_empty_window_raises(self):
-        with pytest.raises(DetectionError):
-            EventTrain(np.array([1])).mean_rate(5, 5)
-
     def test_density_counts(self):
         train = EventTrain(np.array([1, 2, 15, 16, 17]))
         assert train.density_counts(10, 0, 20).tolist() == [2, 3]
-
-    def test_inter_event_intervals(self):
-        train = EventTrain(np.array([0, 5, 20]))
-        assert train.inter_event_intervals().tolist() == [5, 15]
-
-
-class TestLabeledEventTrain:
-    def test_alignment_checked(self):
-        with pytest.raises(DetectionError):
-            LabeledEventTrain(
-                np.array([1, 2]), np.array([0]), np.array([1])
-            )
-
-    def test_sorted_by_time(self):
-        train = LabeledEventTrain(
-            np.array([20, 10]), np.array([1, 2]), np.array([2, 1])
-        )
-        assert train.replacers.tolist() == [2, 1]
-
-    def test_pair_identifiers_first_appearance(self):
-        train = LabeledEventTrain(
-            np.array([0, 1, 2, 3]),
-            np.array([2, 0, 2, 5]),
-            np.array([0, 2, 0, 1]),
-        )
-        # (2,0) appears first -> 0, (0,2) -> 1, (5,1) -> 2.
-        assert train.pair_identifiers().tolist() == [0, 1, 0, 2]
-
-    def test_explicit_pair_ids(self):
-        ids = canonical_pair_ids(spy_ctx=2, trojan_ctx=0)
-        train = LabeledEventTrain(
-            np.array([0, 1]), np.array([0, 2]), np.array([2, 0]), ids
-        )
-        assert train.pair_identifiers().tolist() == [1, 0]
-
-    def test_unlabeled(self):
-        train = LabeledEventTrain(
-            np.array([5, 1]), np.array([0, 1]), np.array([1, 0])
-        )
-        assert train.unlabeled().times.tolist() == [1, 5]
-
-    def test_slice_preserves_labels(self):
-        train = LabeledEventTrain(
-            np.array([0, 10, 20]), np.array([0, 1, 2]), np.array([1, 2, 0])
-        )
-        sliced = train.slice(5, 15)
-        assert sliced.replacers.tolist() == [1]
-
-
-class TestCompactPairIdentifiers:
-    def test_first_appearance_numbering(self):
-        reps = np.array([2, 0, 2, 3])
-        vics = np.array([0, 2, 0, 1])
-        assert compact_pair_identifiers(reps, vics).tolist() == [0, 1, 0, 2]
-
-    def test_empty(self):
-        empty = np.zeros(0)
-        assert compact_pair_identifiers(empty, empty).size == 0
-
-    @settings(max_examples=25)
-    @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
-                    min_size=1, max_size=100))
-    def test_bijective_per_pair(self, pairs):
-        reps = np.array([p[0] for p in pairs])
-        vics = np.array([p[1] for p in pairs])
-        ids = compact_pair_identifiers(reps, vics)
-        mapping = {}
-        for pair, idx in zip(pairs, ids):
-            assert mapping.setdefault(pair, idx) == idx
-        # Identifiers are dense: 0..k-1.
-        assert sorted(set(ids.tolist())) == list(range(len(mapping)))
 
 
 class TestDominantPairSeries:

@@ -5,14 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.autocorr import RunningAutocorrelogram, autocorrelogram
-from repro.core.burst import StreamingBurstEstimator, analyze_histogram
 from repro.core.clustering import analyze_recurrence
 from repro.core.density import StreamingDensityHistogram, build_density_histogram
-from repro.core.event_train import (
-    EventTrain,
-    compact_pair_identifiers,
-    dominant_pair_series,
-)
+from repro.core.event_train import EventTrain, dominant_pair_series
 from repro.core.oscillation import analyze_autocorrelogram
 from repro.util.stats import sample_counts_to_histogram
 
@@ -57,22 +52,6 @@ class TestPairSeriesInvariants:
             for i, label in zip(idx, labels):
                 assert {int(reps[i]), int(vics[i])} == {a, b}
                 assert (int(reps[i]) == a) == bool(label)
-
-    @settings(max_examples=40)
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 7), st.integers(0, 7)),
-            min_size=1,
-            max_size=200,
-        )
-    )
-    def test_compact_ids_affine_safe(self, pairs):
-        """Compact identifiers are bounded by the number of distinct pairs
-        (never the raw packed values)."""
-        reps = np.array([p[0] for p in pairs], dtype=np.int64)
-        vics = np.array([p[1] for p in pairs], dtype=np.int64)
-        ids = compact_pair_identifiers(reps, vics)
-        assert ids.max() < len(set(pairs))
 
 
 class TestAnalysisRobustness:
@@ -146,30 +125,6 @@ class TestStreamingEqualsBatch:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        st.lists(st.integers(0, 100_000), max_size=300),
-        st.integers(16, 5_000),
-        st.integers(0, 10_000),
-    )
-    def test_streaming_density_from_times_bit_exact(self, times, dt, seed):
-        rng = np.random.default_rng(seed)
-        horizon = 100_001
-        train = EventTrain(np.array(times, dtype=np.int64))
-        batch = sample_counts_to_histogram(
-            train.density_counts(dt, 0, horizon), 128
-        )
-        streaming = StreamingDensityHistogram(dt=dt)
-        sorted_times = np.sort(np.array(times, dtype=np.int64))
-        cuts = np.sort(rng.integers(0, horizon, size=3)).tolist() + [horizon]
-        prev = 0
-        for cut in cuts:
-            chunk = sorted_times[(sorted_times >= prev) & (sorted_times < cut)]
-            streaming.push_times(chunk, cut)
-            prev = cut
-        streaming.flush()
-        assert np.array_equal(streaming.histogram(), batch)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
         st.lists(st.integers(0, 200), min_size=1, max_size=400),
         st.integers(0, 10_000),
     )
@@ -199,21 +154,6 @@ class TestStreamingEqualsBatch:
         slot.ingest_window_counts(counts)
         streaming.ingest_window_counts(counts)
         assert np.array_equal(slot.read_and_reset(), streaming.read_and_reset())
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(1, 30))
-    def test_streaming_burst_estimator_matches_batch(self, seed, n_hists):
-        rng = np.random.default_rng(seed)
-        hists = rng.integers(0, 40, size=(n_hists, 128)).astype(np.int64)
-        estimator = StreamingBurstEstimator()
-        for hist in hists:
-            estimator.update(hist)
-        streamed = estimator.analysis()
-        batch = analyze_histogram(hists.sum(axis=0))
-        assert streamed.threshold_bin == batch.threshold_bin
-        assert streamed.likelihood_ratio == batch.likelihood_ratio
-        assert streamed.significant == batch.significant
-        assert np.array_equal(streamed.hist, batch.hist)
 
 
 class TestDeterminism:

@@ -9,6 +9,7 @@ into one trace, and scraping never perturbs verdicts.
 """
 
 import asyncio
+import dataclasses
 import json
 
 import pytest
@@ -30,7 +31,7 @@ from repro.obs.tracing import (
     merge_remote_trace,
     new_trace_id,
 )
-from repro.pipeline import build_session_from_specs
+from repro.pipeline import DetectionSession, build_session_from_specs
 from repro.report.top import render_fleet
 from repro.serve import (
     DetectionService,
@@ -246,6 +247,88 @@ class TestCoalescing:
             'cchunter_serve_verdicts_coalesced_total{tenant="burst"}'
             in exposition
         )
+
+
+class TestScrapeAnswersFromLastVerdict:
+    def test_routes_never_reevaluate_sessions(self, monkeypatch):
+        """With two tenants mid-stream, ``/healthz``, ``/tenants`` and
+        ``/tenants/<id>`` answer from each tenant's last verdict frame:
+        scraping them runs no verdict evaluation on the event loop."""
+        calls = []
+        evaluate = DetectionSession.current_verdicts
+
+        def counting(session, *args, **kwargs):
+            calls.append(session)
+            return evaluate(session, *args, **kwargs)
+
+        benign = list(benign_observations(24, seed=5))
+        benign[0] = dataclasses.replace(benign[0], faults=("drop:membus",))
+        streams = {
+            "cov": list(covert_observations(24, seed=1)),
+            "ben": benign,
+        }
+
+        def signal_last_frame(event):
+            def on_verdict(frame):
+                if frame.quantum == 23:
+                    event.set()
+
+            return on_verdict
+
+        async def scenario():
+            service = DetectionService(
+                admin_config(), metrics=MetricsRegistry()
+            )
+            host, port = await service.start()
+            clients = {}
+            arrived = {name: asyncio.Event() for name in streams}
+            try:
+                for name, observations in streams.items():
+                    clients[name] = ServeClient(
+                        host, port,
+                        on_verdict=signal_last_frame(arrived[name]),
+                    )
+                    await clients[name].connect(name, CHANNELS)
+                    for obs in observations:
+                        await clients[name].send(obs)
+                await asyncio.wait_for(
+                    asyncio.gather(*(e.wait() for e in arrived.values())),
+                    timeout=30,
+                )
+                frames = {n: c.verdicts[-1] for n, c in clients.items()}
+                with monkeypatch.context() as patch:
+                    patch.setattr(
+                        DetectionSession, "current_verdicts", counting
+                    )
+                    scraped = {
+                        path: await fetch(host, service.admin_port, path)
+                        for path in (
+                            "/healthz", "/tenants", "/tenants/cov",
+                            "/tenants/ben",
+                        )
+                    }
+                for client in clients.values():
+                    await client.finish()
+            finally:
+                for client in clients.values():
+                    await client.aclose()
+                await service.stop()
+            return frames, scraped
+
+        frames, scraped = run(scenario())
+        assert calls == []
+        expected = {
+            name: (frame.health, any(v.detected for v in frame.verdicts))
+            for name, frame in frames.items()
+        }
+        assert expected == {"cov": ("ok", True), "ben": ("degraded", False)}
+        docs = [json.loads(scraped[f"/tenants/{n}"][1]) for n in frames]
+        docs += json.loads(scraped["/tenants"][1])["tenants"]
+        assert len(docs) == 4
+        for doc in docs:
+            got = (doc["health"], doc["any_detected"])
+            assert got == expected[doc["tenant"]]
+        assert json.loads(scraped["/healthz"][1])["health"] == "degraded"
 
 
 @pytest.mark.resilience

@@ -1,4 +1,4 @@
-"""Tests for OS-level context allocation and migration tracking."""
+"""Tests for OS-level context allocation."""
 
 import pytest
 
@@ -74,31 +74,3 @@ class TestTopologyQueries:
     def test_bad_context(self, sched):
         with pytest.raises(SchedulingError):
             sched.core_of(8)
-
-
-class TestMigration:
-    def test_migrate_updates_placement(self, sched):
-        p = proc("trojan")
-        sched.place(p, ctx=0)
-        sched.migrate(p, new_ctx=4, time=1000)
-        assert p.ctx == 4
-        assert sched.occupant(0) is None
-        assert sched.occupant(4) is p
-
-    def test_migration_recorded(self, sched):
-        p = proc("trojan")
-        sched.place(p, ctx=0)
-        sched.migrate(p, 4, time=1000)
-        sched.migrate(p, 6, time=2000)
-        assert sched.context_history("trojan", 0) == [0, 4, 6]
-
-    def test_migrate_to_occupied_rejected(self, sched):
-        a, b = proc("a"), proc("b")
-        sched.place(a, ctx=0)
-        sched.place(b, ctx=1)
-        with pytest.raises(SchedulingError):
-            sched.migrate(a, 1, time=0)
-
-    def test_migrate_unplaced_rejected(self, sched):
-        with pytest.raises(SchedulingError):
-            sched.migrate(proc(), 1, time=0)

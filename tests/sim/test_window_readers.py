@@ -221,10 +221,15 @@ class TestSegmentWindowReader:
             legacy.record_segment(start, end, rate)
         tap.record_batch(np.array([100, 9_000], dtype=np.int64))
         legacy.record_batch(np.array([100, 9_000], dtype=np.int64))
+        reads = []
         for q in range(3):
             t0, t1 = q * 5_000, (q + 1) * 5_000
             got = reader.read_counts(500, t0, t1)
             want = legacy.density_counts(500, t0, t1)
+            np.testing.assert_array_equal(got, want)
+            reads.append((got, want))
+        # The reader reuses its float column; no returned column shares it.
+        for got, want in reads:
             np.testing.assert_array_equal(got, want)
 
     def test_clear_mid_stream_raises(self):

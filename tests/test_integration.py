@@ -8,17 +8,14 @@ at test-friendly scale.
 import pytest
 
 from repro import (
-    AuditAPI,
     AuditUnit,
     CacheCovertChannel,
     CCHunter,
-    CCHunterDaemon,
     ChannelConfig,
     DividerCovertChannel,
     Machine,
     MemoryBusCovertChannel,
     Message,
-    User,
     background_noise_processes,
 )
 from repro.workloads import workload_process
@@ -115,27 +112,6 @@ class TestBenignWorkloads:
 
 
 class TestFullStack:
-    def test_daemon_and_api_pipeline(self):
-        """Administrator programs the auditor through the OS API; the
-        daemon accounts per-quantum analyses and reports."""
-        machine = Machine(seed=41)
-        hunter = CCHunter(machine)
-        api = AuditAPI(hunter)
-        api.request_audit(User("root", is_admin=True), AuditUnit.MEMORY_BUS)
-        daemon = CCHunterDaemon(machine, hunter)
-        daemon.place_monitor(audited_cores={0})
-
-        message = Message.random(30, 41)
-        channel = MemoryBusCovertChannel(
-            machine, ChannelConfig(message=message, bandwidth_bps=100.0)
-        )
-        channel.deploy(trojan_ctx=0, spy_ctx=2)
-        machine.run_quanta(channel.quanta_needed())
-
-        assert daemon.stats.quanta_observed == channel.quanta_needed()
-        assert daemon.report().any_detected
-        assert daemon.overhead_fraction() < 0.05
-
     def test_simultaneous_bus_and_divider_audit(self):
         """One auditor watches two units; only the attacked one alarms."""
         machine = Machine(seed=51)

@@ -68,11 +68,6 @@ class TestBitErrorRate:
 
 
 class TestMessage:
-    def test_value_roundtrip(self):
-        msg = Message.from_int(0xDEAD, 16)
-        assert msg.value == 0xDEAD
-        assert len(msg) == 16
-
     def test_rejects_empty(self):
         with pytest.raises(ChannelError):
             Message(())
@@ -95,18 +90,3 @@ class TestMessage:
 
     def test_iteration(self):
         assert list(Message.from_bits([1, 0])) == [1, 0]
-
-    def test_alternating_runs(self):
-        msg = Message.from_bits([1, 1, 0, 1])
-        assert msg.alternating_runs() == ((1, 2), (0, 1), (1, 1))
-
-    def test_alternating_runs_single_run(self):
-        assert Message.from_bits([0, 0, 0]).alternating_runs() == ((0, 3),)
-
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=64))
-    def test_runs_reconstruct_message(self, bits):
-        msg = Message.from_bits(bits)
-        rebuilt = []
-        for bit, length in msg.alternating_runs():
-            rebuilt.extend([bit] * length)
-        assert tuple(rebuilt) == msg.bits

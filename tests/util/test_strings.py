@@ -5,11 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import DetectionError
-from repro.util.strings import (
-    discretize_histogram,
-    levels_to_string,
-    symbol_distance,
-)
+from repro.util.strings import discretize_histogram
 
 
 class TestDiscretize:
@@ -56,24 +52,3 @@ class TestDiscretize:
         # Zero bins always map to symbol 0; non-zero bins never do.
         for value, symbol in zip(hist, symbols):
             assert (symbol == 0) == (value == 0)
-
-
-class TestStringRendering:
-    def test_levels_to_string(self):
-        assert levels_to_string([0, 1, 3, 2]) == "0132"
-
-    def test_rejects_out_of_alphabet(self):
-        with pytest.raises(DetectionError):
-            levels_to_string([99])
-
-
-class TestSymbolDistance:
-    def test_identical_is_zero(self):
-        assert symbol_distance([1, 2, 3], [1, 2, 3]) == 0.0
-
-    def test_known_distance(self):
-        assert symbol_distance([0, 0], [2, 4]) == pytest.approx(3.0)
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(DetectionError):
-            symbol_distance([1], [1, 2])
