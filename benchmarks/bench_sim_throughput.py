@@ -31,6 +31,7 @@ a full run).
 import json
 import os
 import statistics
+from functools import partial
 from time import perf_counter
 
 import numpy as np
@@ -168,19 +169,29 @@ def _bloom_results():
     return out
 
 
-def _fresh_cache(batch):
+def _fresh_cache():
     config = CacheConfig()
     n_sets = config.size_bytes // (config.line_bytes * config.associativity)
     tracker = GenerationConflictTracker(
         capacity=n_sets * config.associativity
     )
-    cache = SharedCache(
+    return SharedCache(
         config, tracker, LabeledEventTap("bench"), np.random.default_rng(5)
     )
-    if not batch:
-        # The per-access reference loop, forced on this instance only.
-        cache._use_batch_kernel = lambda: False
-    return cache
+
+
+def _access_series_per_access(cache, ctx, accesses, gap, start):
+    """The per-access reference: one :meth:`SharedCache.access` call per
+    element, as the parity tests' reference (tests/sim/cache_reference.py)
+    runs it."""
+    accesses = accesses.tolist()
+    t = int(start)
+    latencies = np.empty(len(accesses), dtype=np.int64)
+    for i, (set_index, tag) in enumerate(accesses):
+        latency, _hit = cache.access(ctx, set_index, tag, t)
+        latencies[i] = latency
+        t += latency + gap
+    return t, latencies
 
 
 def _access_series_results():
@@ -193,10 +204,14 @@ def _access_series_results():
     pattern = np.stack([sets, tags], axis=1).astype(np.int64)
 
     def run(batch):
-        cache = _fresh_cache(batch)
-        cache.access_series(0, pattern, 8, 0)  # warm fills
+        cache = _fresh_cache()
+        series = (
+            cache.access_series if batch
+            else partial(_access_series_per_access, cache)
+        )
+        series(0, pattern, 8, 0)  # warm fills
         t0 = perf_counter()
-        cache.access_series(0, pattern, 8, 10**9)
+        series(0, pattern, 8, 10**9)
         seconds = perf_counter() - t0
         return seconds, (cache.hits, cache.misses, cache.conflict_misses)
 

@@ -12,6 +12,11 @@ detect-then-respond loop can be exercised:
   (eliminates cross-context conflict misses, the cache channel's medium);
 - :mod:`fuzz` — fuzz the spy's clock by inflating timing jitter
   (degrades every channel's decode reliability at a performance cost).
+
+Each mitigation's constructor sets a hook its resource declares (the
+bus's ``throttle`` and ``fuzzer``, the cache's ``partition`` and
+``fuzzer``), its ``remove()`` clears it, and a second one of the same
+kind raises :class:`~repro.errors.ConfigError`. No method is patched.
 """
 
 from repro.mitigation.fuzz import ClockFuzzer, apply_clock_fuzzing

@@ -6,6 +6,10 @@ recommends detection first, fuzzing second). We model it as amplified
 measurement jitter on the resources the spy times: bus sample latencies
 and cache access latencies gain a uniform fuzz term, drowning the
 latency gap the spy decodes from.
+
+The fuzzer is the ``fuzzer`` hook of the bus and the shared cache:
+``MemoryBus.sample`` and ``SharedCache.access_series`` pass their
+latency column through :meth:`ClockFuzzer.fuzz`.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.mitigation.override import MethodOverride
 from repro.sim.machine import Machine
 
 
@@ -33,18 +36,16 @@ class ClockFuzzer:
                  correlated: bool = False):
         if fuzz_cycles <= 0:
             raise ConfigError("fuzz amplitude must be positive")
+        if machine.bus.fuzzer is not None or machine.l2.fuzzer is not None:
+            raise ConfigError("the machine already has a clock fuzzer")
         self.machine = machine
         self.fuzz_cycles = fuzz_cycles
         self.correlated = correlated
         self._rng = np.random.default_rng(machine.seed ^ 0xF022)
-        self._bus_sample = MethodOverride(
-            machine.bus, "sample", self._fuzzed_bus_sample
-        )
-        self._cache_series = MethodOverride(
-            machine.l2, "access_series", self._fuzzed_cache_series
-        )
+        machine.bus.fuzzer = machine.l2.fuzzer = self
 
-    def _fuzz(self, latencies: np.ndarray) -> np.ndarray:
+    def fuzz(self, latencies: np.ndarray) -> np.ndarray:
+        """One timing call's latencies as the fuzzed clock reports them."""
         if self.correlated:
             noise = int(self._rng.integers(0, self.fuzz_cycles + 1))
         else:
@@ -53,19 +54,11 @@ class ClockFuzzer:
             )
         return latencies + noise
 
-    def _fuzzed_bus_sample(self, ctx, start, count, period):
-        end, latencies = self._bus_sample.original(ctx, start, count, period)
-        return end, self._fuzz(latencies)
-
-    def _fuzzed_cache_series(self, ctx, accesses, gap, start):
-        end, latencies = self._cache_series.original(
-            ctx, accesses, gap, start
-        )
-        return end, self._fuzz(latencies)
-
     def remove(self) -> None:
-        self._cache_series.remove()
-        self._bus_sample.remove()
+        """Restore the unfuzzed clock."""
+        for resource in (self.machine.bus, self.machine.l2):
+            if resource.fuzzer is self:
+                resource.fuzzer = None
 
 
 def apply_clock_fuzzing(machine: Machine, fuzz_cycles: int = 800) -> ClockFuzzer:

@@ -6,23 +6,24 @@ blocks. Applied after CC-Hunter identifies a suspect pair, partitioning
 eliminates cross-group conflict misses — the cache channel's only
 signal — at the cost of reduced effective capacity per group.
 
-The implementation wraps the shared cache's ``access`` so each lookup
-operates on the subset of ways owned by the accessor's group: a fill may
-only evict a block whose owner is in the same group.
+The partition installs itself as the shared cache's ``partition`` hook:
+on every miss, in the batch kernels and the per-access reference alike,
+the cache asks :meth:`_WayPartition.victim` which block the fill may
+evict. The model keeps no way positions (each set is an LRU-ordered
+map), so the partition picks a victim rather than masking ways.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import ConfigError, SimulationError
-from repro.mitigation.override import MethodOverride
+from repro.errors import ConfigError
 from repro.sim.machine import Machine
-from repro.sim.resources.cache import SharedCache, block_key
+from repro.sim.resources.cache import SharedCache
 
 
 class _WayPartition:
-    """Way-partitioned view over a SharedCache."""
+    """A SharedCache's victim rule under a per-group way budget."""
 
     def __init__(self, cache: SharedCache, group_of_ctx: Dict[int, int],
                  ways_of_group: Dict[int, int]):
@@ -32,74 +33,49 @@ class _WayPartition:
                 f"group ways sum to {total_ways}, cache has "
                 f"{cache.config.associativity}"
             )
+        if cache.partition is not None:
+            raise ConfigError("the cache is already way-partitioned")
         self.cache = cache
         self.group_of_ctx = dict(group_of_ctx)
         self.ways_of_group = dict(ways_of_group)
         self.cross_group_evictions_prevented = 0
-        self._override = MethodOverride(
-            cache, "access", self._partitioned_access
-        )
+        cache.partition = self
 
     def _group(self, ctx: int) -> int:
         if ctx not in self.group_of_ctx:
             raise ConfigError(f"context {ctx} has no partition group")
         return self.group_of_ctx[ctx]
 
-    def _partitioned_access(self, ctx, set_index, tag, time):
-        """Access restricted to the accessor group's ways.
+    def victim(
+        self, ctx: int, blocks: Mapping[int, int]
+    ) -> Tuple[Optional[int], Optional[int]]:
+        """The block a fill by ``ctx`` evicts, as ``(tag, owner)``.
 
-        Hits behave normally (data is where it is); on a miss the victim
-        is the LRU block *owned by the same group*, and the group may only
-        hold up to its way allocation in the set.
+        ``blocks`` maps the set's resident tags to their owner contexts,
+        LRU first. Once the filler's group holds its way allocation in
+        the set, the victim is the LRU block among the group's blocks. If
+        the group is under budget but the set is full, another group is
+        over its allocation (blocks filled before partitioning): the
+        globally LRU block goes, counted here, and its owner is withheld
+        (``None``) so the eviction is never attributed as a conflict.
+        ``(None, None)``: nothing needs evicting.
         """
-        cache = self.cache
-        if not 0 <= set_index < cache.config.n_sets:
-            raise SimulationError(
-                f"set index {set_index} outside 0..{cache.config.n_sets - 1}"
-            )
-        cache_set = cache._sets[set_index]
         group = self._group(ctx)
-        if tag in cache_set:
-            return self._override.original(ctx, set_index, tag, time)
-        # Miss path: enforce the group's way budget manually.
-        cache.misses += 1
-        key = block_key(set_index, tag)
-        is_conflict = cache.tracker.check_recent_eviction(key)
+        group_of = self.group_of_ctx.get
         group_tags = [
-            t for t, owner in cache_set.items()
-            if self.group_of_ctx.get(owner, -1) == group
+            t for t, owner in blocks.items() if group_of(owner, -1) == group
         ]
-        victim_owner = None
         if len(group_tags) >= self.ways_of_group[group]:
-            victim_tag = group_tags[0]  # LRU among the group's blocks
-            victim_owner = cache_set.pop(victim_tag)
-            cache.tracker.on_replacement(block_key(set_index, victim_tag))
-        elif len(cache_set) >= cache.config.associativity:
-            # Set full but group under budget: another group is over its
-            # allocation (legacy blocks from before partitioning); evict
-            # the globally-LRU block without attributing a conflict pair.
-            victim_tag, _owner = cache_set.popitem(last=False)
-            cache.tracker.on_replacement(block_key(set_index, victim_tag))
+            return group_tags[0], blocks[group_tags[0]]
+        if len(blocks) >= self.cache.config.associativity:
             self.cross_group_evictions_prevented += 1
-            victim_owner = None
-        cache_set[tag] = ctx
-        cache.tracker.on_access(key)
-        if is_conflict and victim_owner is not None:
-            cache.conflict_misses += 1
-            cache.miss_tap.record(time, ctx, victim_owner)
-        latency = cache.config.miss_latency
-        if cache.latency_jitter:
-            latency += int(cache._consume_jitter(1)[0])
-        return latency, False
+            return next(iter(blocks)), None
+        return None, None
 
     def remove(self) -> None:
-        """Restore the unpartitioned access path.
-
-        Drops the instance-level override, so the cache's batch kernels
-        (disabled while any ``access`` wrapper is installed) re-engage; a
-        stacked wrapper is reinstalled as-is.
-        """
-        self._override.remove()
+        """Restore the unpartitioned victim rule."""
+        if self.cache.partition is self:
+            self.cache.partition = None
 
 
 def partition_cache_ways(
@@ -117,6 +93,9 @@ def partition_cache_ways(
     suspects = list(dict.fromkeys(suspect_contexts))
     if not suspects:
         raise ConfigError("need at least one suspect context")
+    unknown = set(suspects) - set(range(machine.config.n_contexts))
+    if unknown:
+        raise ConfigError(f"the machine has no contexts {sorted(unknown)}")
     assoc = machine.config.l2.associativity
     ways = suspect_ways if suspect_ways is not None else max(1, assoc // 4)
     remaining = assoc - ways * len(suspects)

@@ -6,6 +6,9 @@ this under split-lock detection). The throttle enforces a minimum
 spacing between a context's bus locks by stretching bursts, which slashes
 the covert channel's usable bandwidth without touching well-behaved
 programs (benign lock rates are far below the cap).
+
+The throttle installs itself as the bus's ``throttle`` hook, which
+:meth:`MemoryBus.lock_burst` asks for each burst's spacing.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import ConfigError
-from repro.mitigation.override import MethodOverride
 from repro.sim.machine import Machine
 from repro.sim.resources.bus import MemoryBus
 
@@ -25,28 +27,27 @@ class BusLockThrottle:
                  contexts: Optional[set] = None):
         if min_period <= 0:
             raise ConfigError("throttle period must be positive")
+        if bus.throttle is not None:
+            raise ConfigError("the bus already has a lock throttle")
         self.bus = bus
         self.min_period = min_period
         self.contexts = contexts  # None = throttle everyone
         self.locks_delayed = 0
-        self._override = MethodOverride(
-            bus, "lock_burst", self._throttled_lock_burst
-        )
+        bus.throttle = self
 
-    def _throttled_lock_burst(
-        self, ctx: int, start: int, count: int, period: int
-    ) -> int:
-        lock_burst = self._override.original
+    def spacing(self, ctx: int, count: int, period: int) -> int:
+        """The period a burst of ``count`` locks by ``ctx`` may use."""
         if self.contexts is not None and ctx not in self.contexts:
-            return lock_burst(ctx, start, count, period)
+            return period
         if period < self.min_period:
             self.locks_delayed += count
-            period = self.min_period
-        return lock_burst(ctx, start, count, period)
+            return self.min_period
+        return period
 
     def remove(self) -> None:
         """Lift the throttle."""
-        self._override.remove()
+        if self.bus.throttle is self:
+            self.bus.throttle = None
 
     @property
     def effective_max_lock_rate(self) -> float:
@@ -66,4 +67,7 @@ def apply_bus_lock_throttle(
     indistinguishable from benign noise, and roughly 20x below what the
     channel needs per Figure 6a.
     """
+    unknown = set(contexts or ()) - set(range(machine.config.n_contexts))
+    if unknown:
+        raise ConfigError(f"the machine has no contexts {sorted(unknown)}")
     return BusLockThrottle(machine.bus, min_period, contexts)

@@ -59,6 +59,10 @@ class MemoryBus:
         self._grid_cache: Dict[Tuple[int, int], np.ndarray] = {}
         self.total_locks = 0
         self.total_samples = 0
+        #: Mitigation hooks (repro.mitigation), ``None`` unless installed:
+        #: ``throttle`` spaces lock bursts, ``fuzzer`` fuzzes samples.
+        self.throttle = None
+        self.fuzzer = None
 
     def _grid(self, count: int, period: int) -> np.ndarray:
         """The (never-mutated) offset grid ``period * arange(count)``."""
@@ -80,8 +84,10 @@ class MemoryBus:
 
         Bursts are the sender hot path: each call adds one symbolic row
         to the bus's lock record and one to the indicator tap; no lock is
-        built here.
+        built here. An installed throttle may stretch ``period`` first.
         """
+        if self.throttle is not None:
+            period = self.throttle.spacing(ctx, count, period)
         if count <= 0 or period <= 0:
             raise SimulationError("lock burst needs positive count and period")
         start = int(start)
@@ -182,7 +188,8 @@ class MemoryBus:
         Returns ``(end_time, latencies)``. Latency is the base bus+DRAM
         latency, plus the lock penalty while the bus is contended, plus
         bounded uniform jitter. The spy process averages these latencies to
-        decode bits; ordinary programs see them as normal variance.
+        decode bits; ordinary programs see them as normal variance. An
+        installed clock fuzzer transforms the latencies, not the end time.
         """
         if count <= 0 or period <= 0:
             raise SimulationError("bus sampling needs positive count and period")
@@ -196,4 +203,6 @@ class MemoryBus:
                 size=count,
             )
         self.total_samples += count
+        if self.fuzzer is not None:
+            latencies = self.fuzzer.fuzz(latencies)
         return int(start + count * period), latencies

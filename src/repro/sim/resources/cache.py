@@ -17,12 +17,14 @@ simulator's dominant cost, so they run through a vectorized kernel —
 block keys, latency jitter, per-access times, and conflict-event
 recording are computed in numpy over the whole series, and only the
 state-dependent LRU/replacement/tracker walk remains a (tight,
-locals-bound) Python loop. The per-access :meth:`SharedCache.access` is
-the reference the parity suite proves the kernel bit-identical to
-(events, latencies, counters, RNG/jitter stepping). It is also the only
-path while ``access`` is overridden on the instance (the way-partition
-mitigation wraps it): the batch entry points then fall back to one
-``access`` call per element so the wrapper stays in charge.
+locals-bound) Python loop. That is the one production path, mitigated
+or not. The per-access :meth:`SharedCache.access` is the reference the
+parity suite proves the kernels bit-identical to (events, latencies,
+counters, RNG/jitter stepping); nothing in the simulator calls it.
+
+Mitigations (:mod:`repro.mitigation`) act through two declared hooks
+that both paths honour: ``partition`` picks the victim of a miss, and
+``fuzzer`` transforms the latency column ``access_series`` returns.
 """
 
 from __future__ import annotations
@@ -88,6 +90,9 @@ class SharedCache:
         self.hits = 0
         self.misses = 0
         self.conflict_misses = 0
+        #: Mitigation hooks (repro.mitigation), ``None`` unless installed.
+        self.partition = None
+        self.fuzzer = None
 
     # ---------------------------------------------------------------- access
 
@@ -116,10 +121,7 @@ class SharedCache:
         else:
             self.misses += 1
             is_conflict = self.tracker.check_recent_eviction(key)
-            victim_owner: Optional[int] = None
-            if len(cache_set) >= self.config.associativity:
-                victim_tag, victim_owner = cache_set.popitem(last=False)
-                self.tracker.on_replacement(block_key(set_index, victim_tag))
+            victim_owner = self._make_room(cache_set, set_index, ctx)
             cache_set[tag] = ctx
             self.tracker.on_access(key)
             if is_conflict and victim_owner is not None:
@@ -132,14 +134,24 @@ class SharedCache:
             latency += pool[self._jitter_idx]
         return latency, was_hit
 
-    def _use_batch_kernel(self) -> bool:
-        """Batch kernels apply unless ``access`` is wrapped.
+    def _make_room(self, cache_set, set_index: int, ctx: int) -> Optional[int]:
+        """Evict what a fill by ``ctx`` displaces; returns the victim's owner.
 
-        Mitigations (way partitioning) install an instance-level
-        ``access`` override; the batch kernel would silently bypass it,
-        so its presence forces the per-access loop.
+        A full set loses its LRU block. An installed partition picks the
+        victim instead, or none; an eviction it makes across groups
+        returns ``None`` too, so no conflict is attributed to it.
         """
-        return "access" not in self.__dict__
+        if self.partition is None:
+            if len(cache_set) < self.config.associativity:
+                return None
+            victim_tag, victim_owner = cache_set.popitem(last=False)
+        else:
+            victim_tag, victim_owner = self.partition.victim(ctx, cache_set)
+            if victim_tag is None:
+                return None
+            del cache_set[victim_tag]
+        self.tracker.on_replacement(block_key(set_index, victim_tag))
+        return victim_owner
 
     def _run_keyed_accesses(self, ctx, sets_list, tags_list, keys_list):
         """The state-dependent core: per-set LRU plus conflict tracking.
@@ -150,9 +162,13 @@ class SharedCache:
         conflict_victims)`` where positions index into the series. The
         stock generation tracker gets a fused loop with its state
         transitions inlined and its bloom traffic deferred into batch
-        kernels; any other tracker goes through per-key calls.
+        kernels; any other tracker, or an installed partition, goes
+        through per-key calls.
         """
-        if type(self.tracker) is GenerationConflictTracker:
+        if (
+            type(self.tracker) is GenerationConflictTracker
+            and self.partition is None
+        ):
             return self._run_keyed_accesses_fused(
                 ctx, sets_list, tags_list, keys_list
             )
@@ -337,16 +353,14 @@ class SharedCache:
 
     def _run_keyed_accesses_generic(self, ctx, sets_list, tags_list, keys_list):
         sets_ = self._sets
-        assoc = self.config.associativity
         tracker = self.tracker
         tr_access = tracker.on_access
-        tr_replace = tracker.on_replacement
         tr_check = tracker.check_recent_eviction
+        make_room = self._make_room
         miss_pos: List[int] = []
         miss_append = miss_pos.append
         conf_pos: List[int] = []
         conf_vic: List[int] = []
-        shift = _TAG_SHIFT
         for i, s, tag, key in zip(
             range(len(sets_list)), sets_list, tags_list, keys_list
         ):
@@ -358,17 +372,12 @@ class SharedCache:
             else:
                 miss_append(i)
                 is_conflict = tr_check(key)
-                if len(cache_set) >= assoc:
-                    victim_tag, victim_owner = cache_set.popitem(False)
-                    tr_replace((victim_tag << shift) | s)
-                    cache_set[tag] = ctx
-                    tr_access(key)
-                    if is_conflict:
-                        conf_pos.append(i)
-                        conf_vic.append(victim_owner)
-                else:
-                    cache_set[tag] = ctx
-                    tr_access(key)
+                victim_owner = make_room(cache_set, s, ctx)
+                cache_set[tag] = ctx
+                tr_access(key)
+                if is_conflict and victim_owner is not None:
+                    conf_pos.append(i)
+                    conf_vic.append(victim_owner)
         return miss_pos, conf_pos, conf_vic
 
     def _consume_jitter(self, n: int) -> np.ndarray:
@@ -400,12 +409,17 @@ class SharedCache:
         gap: int,
         start: int,
     ) -> Tuple[int, np.ndarray]:
-        """Issue accesses back-to-back; returns ``(end_time, latencies)``."""
-        if not self._use_batch_kernel():
-            return self._access_series_per_access(ctx, accesses, gap, start)
+        """Issue accesses back-to-back; returns ``(end_time, latencies)``.
+
+        An installed clock fuzzer transforms the returned latencies, the
+        empty column included, but not the end time.
+        """
         n = len(accesses)
         if n == 0:
-            return int(start), np.empty(0, dtype=np.int64)
+            latencies = np.empty(0, dtype=np.int64)
+            if self.fuzzer is not None:
+                latencies = self.fuzzer.fuzz(latencies)
+            return int(start), latencies
         pairs = np.asarray(accesses, dtype=np.int64)
         sets_arr = pairs[:, 0]
         tags_arr = pairs[:, 1]
@@ -433,25 +447,9 @@ class SharedCache:
         ends = start + np.cumsum(steps)
         if len(conf_pos):
             self._record_conflicts(ends - steps, conf_pos, conf_vic, ctx)
+        if self.fuzzer is not None:
+            latencies = self.fuzzer.fuzz(latencies)
         return int(ends[-1]), latencies
-
-    def _access_series_per_access(
-        self,
-        ctx: int,
-        accesses: Sequence[Tuple[int, int]],
-        gap: int,
-        start: int,
-    ) -> Tuple[int, np.ndarray]:
-        """Reference and wrapped-``access`` path: one call per element."""
-        if isinstance(accesses, np.ndarray):
-            accesses = accesses.tolist()
-        t = int(start)
-        latencies = np.empty(len(accesses), dtype=np.int64)
-        for i, (set_index, tag) in enumerate(accesses):
-            latency, _hit = self.access(ctx, set_index, tag, t)
-            latencies[i] = latency
-            t += latency + gap
-        return t, latencies
 
     def random_traffic(
         self,
@@ -478,10 +476,6 @@ class SharedCache:
         sets = self._rng.integers(set_lo, hi, size=count)
         # Tag namespace disjoint per context so noise cannot alias covert tags.
         tags = self._rng.integers(0, tag_space, size=count) + (ctx + 1) * 1_000_000
-        if not self._use_batch_kernel():
-            for t, s, tag in zip(times, sets, tags):
-                self.access(ctx, int(s), int(tag), int(t))
-            return start + duration
         keys = (tags << _TAG_SHIFT) | sets
         miss_pos, conf_pos, conf_vic = self._run_keyed_accesses(
             ctx, sets.tolist(), tags.tolist(), keys.tolist()

@@ -7,11 +7,15 @@ the scalar protocol — identical false-positive sets, not just rates.
 Hypothesis drives arbitrary key columns, filter geometries, interleaved
 access/replacement/check sequences and access series through both
 implementations and diffs complete final states. The cache's reference
-is its per-access loop, forced by making ``_use_batch_kernel()`` return
-``False`` on that instance.
+is :mod:`tests.sim.cache_reference`, one :meth:`SharedCache.access` call
+per element, called directly; way-partitioned caches are compared the
+same way.
 """
 
+from functools import partial
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,9 +25,18 @@ from repro.hardware.bloom import (
     hash_indices_batch,
     probe_positions,
 )
-from repro.hardware.conflict_tracker import GenerationConflictTracker
+from repro.hardware.conflict_tracker import (
+    GenerationConflictTracker,
+    IdealLRUConflictTracker,
+)
+from repro.mitigation.partition import _WayPartition
 from repro.sim.events import LabeledEventTap
 from repro.sim.resources.cache import SharedCache
+from tests.sim.cache_reference import (
+    access_series_per_access,
+    counted_access_calls,
+    random_traffic_per_access,
+)
 
 KEYS = st.lists(st.integers(0, 2**50), max_size=120)
 GEOMETRY = st.tuples(
@@ -225,42 +238,134 @@ SERIES = st.lists(
     st.tuples(st.integers(0, 15), st.integers(0, 11)), max_size=120
 )
 
+#: Four contexts in three way groups of a 16-set, 8-way cache.
+PARTITION = ({0: 0, 1: 1, 2: 2, 3: 2}, {0: 2, 1: 2, 2: 4})
+
+#: Mixed operations for partitioned runs: a series, or noise traffic of
+#: ``count`` accesses over 16 tags, both by one of the four contexts.
+OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("series"), st.integers(0, 3), SERIES),
+        st.tuples(st.just("traffic"), st.integers(0, 3), st.integers(0, 80)),
+    ),
+    max_size=6,
+)
+
+
+def _small_cache(tracker_factory=GenerationConflictTracker, jitter=3):
+    config = CacheConfig(size_bytes=8 * 1024)  # 16 sets x 8 ways
+    tracker = tracker_factory(config.n_sets * config.associativity)
+    tap = LabeledEventTap("prop")
+    cache = SharedCache(
+        config, tracker, tap, np.random.default_rng(77), latency_jitter=jitter
+    )
+    return cache, tap
+
+
+def _any_tracker_state(tracker):
+    if isinstance(tracker, GenerationConflictTracker):
+        return _tracker_state(tracker)
+    return list(tracker._stack._stack)
+
+
+def _cache_state(cache, tap):
+    return (
+        (cache.hits, cache.misses, cache.conflict_misses),
+        cache._jitter_idx,
+        [a.tolist() for a in tap.records()],
+        [list(s.items()) for s in cache._sets],
+        _any_tracker_state(cache.tracker),
+    )
+
+
+def _run_ops(cache, ops, per_access):
+    """Apply ``ops``; returns every latency column and end time."""
+    if per_access:
+        series = partial(access_series_per_access, cache)
+        traffic = partial(random_traffic_per_access, cache)
+    else:
+        series, traffic = cache.access_series, cache.random_traffic
+    outputs = []
+    t = 0
+    for op, ctx, arg in ops:
+        if op == "series":
+            t, lat = series(ctx, tuple(arg), 8, t)
+            outputs.append((lat.tolist(), t))
+        else:
+            t = traffic(ctx, t, 10_000, arg, tag_space=16)
+            outputs.append(t)
+    return outputs
+
+
+def _compare_per_access(ops, tracker_factory=GenerationConflictTracker,
+                        jitter=3, partitioned=False):
+    """Run ``ops`` batched and per access on twin caches; assert identical
+    outputs and states, and that only the reference calls ``access``.
+    Returns the twins' ``cross_group_evictions_prevented`` when
+    ``partitioned``: the partition is installed over :func:`_warm_fills`.
+    """
+    twins = []
+    for per_access in (False, True):
+        cache, tap = _small_cache(tracker_factory, jitter)
+        partition = None
+        if partitioned:
+            _warm_fills(cache)
+            partition = _WayPartition(cache, *PARTITION)
+        before = cache.hits + cache.misses
+        with counted_access_calls() as calls:
+            outputs = _run_ops(cache, ops, per_access)
+        expected_calls = cache.hits + cache.misses - before if per_access else 0
+        assert calls[0] == expected_calls
+        twins.append((outputs, _cache_state(cache, tap), partition))
+    (out_batch, state_batch, p_batch), (out_ref, state_ref, p_ref) = twins
+    assert out_batch == out_ref
+    assert state_batch == state_ref
+    if partitioned:
+        prevented = p_batch.cross_group_evictions_prevented
+        assert prevented == p_ref.cross_group_evictions_prevented
+        return prevented
+    return None
+
+
+def _warm_fills(cache):
+    """Unpartitioned fills: context 3 fills every way of sets 0..7 and
+    context 1 half the ways of sets 8..15, so once partitioned, groups 0
+    and 1 find sets full of another group's blocks."""
+    cache.access_series(
+        3, [(s, 500 + w) for s in range(8) for w in range(8)], 8, 0
+    )
+    cache.access_series(
+        1, [(s, 600 + w) for s in range(8, 16) for w in range(4)], 8, 0
+    )
+
 
 class TestAccessSeriesEquivalence:
     @settings(max_examples=50, deadline=None)
     @given(chunks=st.lists(SERIES, max_size=4), jitter=st.sampled_from((0, 3)))
     def test_vectorized_matches_legacy_including_jitter(self, chunks, jitter):
-        def build(batch):
-            config = CacheConfig(size_bytes=8 * 1024)  # 16 sets x 8 ways
-            tracker = GenerationConflictTracker(
-                config.n_sets * config.associativity
-            )
-            tap = LabeledEventTap("prop")
-            cache = SharedCache(
-                config,
-                tracker,
-                tap,
-                np.random.default_rng(77),
-                latency_jitter=jitter,
-            )
-            if not batch:
-                cache._use_batch_kernel = lambda: False
-            return cache, tap
+        ops = [("series", 0, chunk) for chunk in chunks]
+        _compare_per_access(ops, jitter=jitter)
 
-        vec, tap_vec = build(True)
-        leg, tap_leg = build(False)
-        t_vec = t_leg = 0
-        for chunk in chunks:
-            t_vec, lat_vec = vec.access_series(0, tuple(chunk), 8, t_vec)
-            t_leg, lat_leg = leg.access_series(0, tuple(chunk), 8, t_leg)
-            assert lat_vec.tolist() == lat_leg.tolist()
-            assert t_vec == t_leg
-        assert vec._jitter_idx == leg._jitter_idx
-        assert (vec.hits, vec.misses, vec.conflict_misses) == (
-            leg.hits,
-            leg.misses,
-            leg.conflict_misses,
-        )
-        for a, b in zip(tap_vec.records(), tap_leg.records()):
-            assert a.tolist() == b.tolist()
-        assert _tracker_state(vec.tracker) == _tracker_state(leg.tracker)
+    @pytest.mark.parity
+    @pytest.mark.parametrize(
+        "tracker_factory",
+        (GenerationConflictTracker, IdealLRUConflictTracker),
+        ids=("generation", "ideal-lru"),
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(ops=OPS)
+    def test_partitioned_matches_per_access(self, tracker_factory, ops):
+        """Partitioned ``access_series`` and ``random_traffic`` ≡ one
+        partitioned ``access`` call per element, installed over
+        unpartitioned warm-up fills so the over-budget eviction runs."""
+        _compare_per_access(ops, tracker_factory, partitioned=True)
+
+    @pytest.mark.parity
+    def test_partitioned_over_budget_evictions(self):
+        """Deterministic case: squeezed groups evict across groups."""
+        ops = [
+            ("series", 0, [(s, 700 + k) for s in range(16) for k in range(3)]),
+            ("traffic", 2, 200),
+            ("series", 1, [(s, 800 + k) for s in range(16) for k in range(3)]),
+        ]
+        assert _compare_per_access(ops, partitioned=True) > 0

@@ -7,13 +7,12 @@ from repro.channels.cache import CacheCovertChannel
 from repro.channels.membus import MemoryBusCovertChannel
 from repro.errors import ConfigError
 from repro.mitigation import (
+    ClockFuzzer,
     apply_bus_lock_throttle,
     apply_clock_fuzzing,
     partition_cache_ways,
 )
 from repro.sim.machine import Machine
-from repro.sim.resources.bus import MemoryBus
-from repro.sim.resources.cache import SharedCache
 from repro.util.bitstream import Message
 
 
@@ -77,6 +76,13 @@ class TestBusLockThrottle:
         with pytest.raises(ConfigError):
             apply_bus_lock_throttle(Machine(seed=1), min_period=0)
 
+    def test_unknown_contexts_rejected(self):
+        """Throttling contexts the machine lacks would throttle nobody."""
+        machine = Machine(seed=1)
+        with pytest.raises(ConfigError, match=r"\[-3, 42\]"):
+            apply_bus_lock_throttle(machine, contexts={-3, 42})
+        assert machine.bus.throttle is None
+
     def test_benign_rates_untouched(self):
         """Benign noise locks are far sparser than the cap; the throttle
         must not delay them."""
@@ -111,6 +117,14 @@ class TestCachePartition:
             partition_cache_ways(Machine(seed=1), (0,), suspect_ways=8)
         with pytest.raises(ConfigError):
             partition_cache_ways(Machine(seed=1), ())
+
+    def test_unknown_suspects_rejected(self):
+        """A way group for a context the machine lacks would only squeeze
+        the real contexts into fewer ways."""
+        machine = Machine(seed=1)
+        with pytest.raises(ConfigError, match=r"\[99\]"):
+            partition_cache_ways(machine, (0, 99))
+        assert machine.l2.partition is None
 
     def test_suspects_in_separate_groups(self):
         machine = Machine(seed=1)
@@ -168,54 +182,61 @@ class TestClockFuzzing:
         with pytest.raises(ConfigError):
             apply_clock_fuzzing(Machine(seed=1), fuzz_cycles=0)
 
-
-class TestRemoveRestoresClassLookup:
-    """remove() pops the instance override instead of assigning the saved
-    bound method back, so class-level patches reach the machine again."""
-
-    def _class_patch(self, monkeypatch, cls, name, calls):
-        original = getattr(cls, name)
-
-        def patched(self, *args):
-            calls.append(name)
-            return original(self, *args)
-
-        monkeypatch.setattr(cls, name, patched)
-
-    def test_throttle(self, monkeypatch):
-        machine = Machine(seed=5)
-        apply_bus_lock_throttle(machine, min_period=100_000).remove()
-        assert "lock_burst" not in machine.bus.__dict__
-        calls = []
-        self._class_patch(monkeypatch, MemoryBus, "lock_burst", calls)
-        machine.bus.lock_burst(0, 0, 3, 5_000)
-        assert calls == ["lock_burst"]
-
-    def test_fuzzer(self, monkeypatch):
+    def test_empty_series_still_draws_a_correlated_offset(self):
+        """One offset per timing call, an empty cache series included."""
         machine = Machine(seed=7)
-        apply_clock_fuzzing(machine, fuzz_cycles=3000).remove()
-        assert "sample" not in machine.bus.__dict__
-        assert "access_series" not in machine.l2.__dict__
-        calls = []
-        self._class_patch(monkeypatch, MemoryBus, "sample", calls)
-        self._class_patch(monkeypatch, SharedCache, "access_series", calls)
-        machine.bus.sample(1, 0, 4, 1_000)
-        machine.l2.access_series(1, ((0, 1),), 8, 0)
-        assert calls == ["sample", "access_series"]
+        fuzzer = ClockFuzzer(machine, fuzz_cycles=3000, correlated=True)
+        state = fuzzer._rng.bit_generator.state
+        end, latencies = machine.l2.access_series(1, (), 8, 40)
+        assert (end, latencies.size) == (40, 0)
+        assert fuzzer._rng.bit_generator.state != state
 
-    def test_partition(self):
-        machine = Machine(seed=6)
-        partition_cache_ways(machine, suspect_contexts=(0, 2)).remove()
-        assert "access" not in machine.l2.__dict__
 
-    def test_stacked_throttles_unwind_in_reverse(self):
-        machine = Machine(seed=5)
-        outer = apply_bus_lock_throttle(machine, min_period=100_000)
-        inner = apply_bus_lock_throttle(machine, min_period=200_000)
-        inner.remove()
-        # The outer throttle's wrapper is back in place and still acts.
-        machine.bus.lock_burst(0, 0, 3, 5_000)
-        assert outer.locks_delayed == 3
-        assert inner.locks_delayed == 0
-        outer.remove()
-        assert "lock_burst" not in machine.bus.__dict__
+#: One installer per mitigation kind, by the hook it sets.
+INSTALLERS = {
+    "throttle": lambda machine: apply_bus_lock_throttle(machine),
+    "fuzzer": lambda machine: apply_clock_fuzzing(machine),
+    "partition": lambda machine: partition_cache_ways(machine, (0, 2)),
+}
+
+
+class TestDeclaredHooks:
+    """Mitigations set the hooks their resources declare, one of a kind
+    at a time, and patch no resource method."""
+
+    @pytest.mark.parametrize("kind", sorted(INSTALLERS))
+    def test_second_of_a_kind_raises(self, kind):
+        machine = Machine(seed=1)
+        INSTALLERS[kind](machine)
+        with pytest.raises(ConfigError, match="already"):
+            INSTALLERS[kind](machine)
+
+    @pytest.mark.parametrize("kind", sorted(INSTALLERS))
+    def test_remove_lets_a_new_one_install(self, kind):
+        machine = Machine(seed=1)
+        first = INSTALLERS[kind](machine)
+        first.remove()
+        second = INSTALLERS[kind](machine)
+        first.remove()  # a stale remove() leaves the new one installed
+        hooked = [r for r in (machine.bus, machine.l2) if hasattr(r, kind)]
+        assert hooked
+        assert all(getattr(r, kind) is second for r in hooked)
+
+    def test_no_instance_attribute_shadows_a_method(self):
+        machine = Machine(seed=1)
+
+        def shadowed():
+            return {
+                name
+                for resource in (machine.bus, machine.l2)
+                for name in vars(resource)
+                if callable(getattr(type(resource), name, None))
+            }
+
+        mitigations = [install(machine) for install in INSTALLERS.values()]
+        assert shadowed() == set()
+        for mitigation in mitigations:
+            mitigation.remove()
+        assert shadowed() == set()
+        assert machine.bus.throttle is machine.bus.fuzzer is None
+        assert machine.l2.partition is machine.l2.fuzzer is None

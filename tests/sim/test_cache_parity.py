@@ -6,16 +6,21 @@ same labeled event trains, same verdicts, same evidence bundles, same
 counters, same jitter-pool (RNG) stepping — on full audited sessions
 and on direct cache workloads, with and without fault injectors, for
 both tracker designs (docs/PERFORMANCE.md, "Simulator hot path"). The
-reference is the same code with ``_use_batch_kernel()`` forced to
-``False``: patched on the class for the sessions
-``run_channel_session`` builds, set on the instance for caches built
-here.
+reference is :mod:`tests.sim.cache_reference`: patched onto the class
+for the sessions ``run_channel_session`` builds, called directly for
+caches built here. Each reference run counts its ``access`` calls, so a
+reference that quietly batches fails.
 """
+
+from contextlib import nullcontext
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.analysis.figures import run_channel_session
+from repro.channels.base import ChannelConfig
+from repro.channels.cache import CacheCovertChannel
 from repro.config import CacheConfig
 from repro.errors import SimulationError
 from repro.faults.injectors import BitFlipInjector, DropInjector
@@ -23,12 +28,21 @@ from repro.hardware.conflict_tracker import (
     GenerationConflictTracker,
     IdealLRUConflictTracker,
 )
+from repro.mitigation import partition_cache_ways
 from repro.mitigation.partition import _WayPartition
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.events import LabeledEventTap
+from repro.sim.machine import Machine
 from repro.sim.resources.cache import SharedCache
 from repro.traces import export_traces, load_traces
 from repro.util.bitstream import Message
+from repro.workloads.noise import background_noise_processes
+from tests.sim.cache_reference import (
+    access_series_per_access,
+    counted_access_calls,
+    per_access_reference,
+    random_traffic_per_access,
+)
 
 pytestmark = pytest.mark.parity
 
@@ -51,10 +65,10 @@ PARTITION = ({0: 0, 1: 1, 2: 2, 3: 2}, {0: 2, 1: 2, 2: 4})
 
 
 def _run(kind, batch, injectors=()):
+    """One audited session: ``(run, metrics, SharedCache.access calls)``."""
     metrics = MetricsRegistry()
-    with pytest.MonkeyPatch.context() as patch:
-        if not batch:
-            patch.setattr(SharedCache, "_use_batch_kernel", lambda self: False)
+    reference = nullcontext() if batch else per_access_reference()
+    with counted_access_calls() as calls, reference:
         run = run_channel_session(
             kind,
             Message.random(12, 7),
@@ -66,7 +80,7 @@ def _run(kind, batch, injectors=()):
             capture_evidence=True,
             metrics=metrics,
         )
-    return run, metrics
+    return run, metrics, calls[0]
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +124,7 @@ def _cache_event_train(machine):
 class TestSessionParity:
     @pytest.mark.parametrize("kind", KINDS)
     def test_verdicts_evidence_and_metrics_identical(self, kind, clean_pair):
-        (run_batch, m_batch), (run_ref, m_ref) = clean_pair(kind)
+        (run_batch, m_batch, _), (run_ref, m_ref, _) = clean_pair(kind)
         assert (
             run_batch.hunter.report().to_dict()
             == run_ref.hunter.report().to_dict()
@@ -122,7 +136,7 @@ class TestSessionParity:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_labeled_event_trains_identical(self, kind, clean_pair):
-        (run_batch, _), (run_ref, _) = clean_pair(kind)
+        (run_batch, _, _), (run_ref, _, _) = clean_pair(kind)
         assert _cache_event_train(run_batch.machine) == _cache_event_train(
             run_ref.machine
         )
@@ -136,7 +150,7 @@ class TestSessionParity:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_tracker_state_identical(self, kind, clean_pair):
-        (run_batch, _), (run_ref, _) = clean_pair(kind)
+        (run_batch, _, _), (run_ref, _, _) = clean_pair(kind)
         batch_tr = run_batch.machine.l2.tracker
         ref_tr = run_ref.machine.l2.tracker
         assert batch_tr._current == ref_tr._current
@@ -146,6 +160,15 @@ class TestSessionParity:
             assert batch_bloom._words == ref_bloom._words
 
     @pytest.mark.parametrize("kind", KINDS)
+    def test_only_the_reference_calls_access(self, kind, clean_pair):
+        """The reference makes one ``access`` call per cache access (each
+        one counts a hit or a miss); the batch kernels make none."""
+        (_, _, batch_calls), (run_ref, _, ref_calls) = clean_pair(kind)
+        ref_l2 = run_ref.machine.l2
+        assert ref_calls == ref_l2.hits + ref_l2.misses > 0
+        assert batch_calls == 0
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_verdicts_identical_under_injection(self, kind):
         def injectors():
             return (
@@ -153,8 +176,8 @@ class TestSessionParity:
                 BitFlipInjector(p=0.05, seed=9),
             )
 
-        run_batch, m_batch = _run(kind, batch=True, injectors=injectors())
-        run_ref, m_ref = _run(kind, batch=False, injectors=injectors())
+        run_batch, m_batch, _ = _run(kind, batch=True, injectors=injectors())
+        run_ref, m_ref, _ = _run(kind, batch=False, injectors=injectors())
         assert (
             run_batch.hunter.report().to_dict()
             == run_ref.hunter.report().to_dict()
@@ -165,7 +188,7 @@ class TestSessionParity:
         assert _count_metrics(m_batch) == _count_metrics(m_ref)
 
     def test_exported_archives_identical(self, tmp_path, clean_pair):
-        (run_batch, _), (run_ref, _) = clean_pair("cache")
+        (run_batch, _, _), (run_ref, _, _) = clean_pair("cache")
         p_batch = tmp_path / "batch.npz"
         p_ref = tmp_path / "ref.npz"
         export_traces(run_batch.machine, p_batch)
@@ -175,35 +198,39 @@ class TestSessionParity:
         np.testing.assert_array_equal(a.bus_lock_times, b.bus_lock_times)
 
 
-def _make_cache(batch, tracker_factory, seed=23):
+def _make_cache(tracker_factory, seed=23):
     config = CacheConfig(size_bytes=64 * 1024)  # 128 sets x 8 ways
     tracker = tracker_factory(config.n_sets * config.associativity)
     tap = LabeledEventTap("parity")
     cache = SharedCache(config, tracker, tap, np.random.default_rng(seed))
-    if not batch:
-        cache._use_batch_kernel = lambda: False
     return cache, tap
 
 
-def _mixed_workload(cache):
+def _mixed_workload(cache, per_access):
     """Interleaved singles, tuple series, ndarray series, random traffic.
 
     Covers both fused loop bodies (hit-heavy series after warmup,
     miss-heavy thrash series) and the RNG draw order of
-    ``random_traffic``. Returns the observable outputs.
+    ``random_traffic``; ``per_access`` runs the series and the traffic
+    through the reference instead. Returns the observable outputs.
     """
+    if per_access:
+        series = partial(access_series_per_access, cache)
+        traffic = partial(random_traffic_per_access, cache)
+    else:
+        series, traffic = cache.access_series, cache.random_traffic
     rng = np.random.default_rng(41)
     outputs = []
     t = 0
     # Warmup fills + a hit-heavy hot set (exercises the hit-sampled body).
     hot = [(int(s), int(g)) for s in range(16) for g in range(8)]
     for _ in range(3):
-        t, lat = cache.access_series(0, tuple(hot), 8, t)
+        t, lat = series(0, tuple(hot), 8, t)
         outputs.append(lat.tolist())
     # Miss-heavy thrash: 9 tags cycling through 8 ways (miss-sampled body).
     thrash = [(int(s), int(100 + (i + s) % 9)) for i in range(40)
               for s in range(8)]
-    t, lat = cache.access_series(1, np.asarray(thrash, dtype=np.int64), 8, t)
+    t, lat = series(1, np.asarray(thrash, dtype=np.int64), 8, t)
     outputs.append(lat.tolist())
     # Per-access adapter interleaved with series work.
     for i in range(50):
@@ -212,10 +239,9 @@ def _mixed_workload(cache):
         outputs.append((latency, hit))
         t += latency
     # Random noise traffic (three RNG draws + jitter stepping).
-    t = cache.random_traffic(3, t, 50_000, 400, set_lo=0, set_hi=64,
-                             tag_space=16)
+    t = traffic(3, t, 50_000, 400, set_lo=0, set_hi=64, tag_space=16)
     # One more hit-heavy pass so post-traffic state differences surface.
-    t, lat = cache.access_series(0, tuple(hot), 8, t)
+    t, lat = series(0, tuple(hot), 8, t)
     outputs.append(lat.tolist())
     return outputs, t
 
@@ -247,46 +273,71 @@ class TestDirectCacheParity:
         ids=("generation", "ideal-lru"),
     )
     def test_mixed_workload_identical(self, tracker_factory):
-        cache_batch, tap_batch = _make_cache(True, tracker_factory)
-        cache_ref, tap_ref = _make_cache(False, tracker_factory)
-        out_batch, end_batch = _mixed_workload(cache_batch)
-        out_ref, end_ref = _mixed_workload(cache_ref)
+        cache_batch, tap_batch = _make_cache(tracker_factory)
+        cache_ref, tap_ref = _make_cache(tracker_factory)
+        with counted_access_calls() as batch_calls:
+            out_batch, end_batch = _mixed_workload(cache_batch, False)
+        with counted_access_calls() as ref_calls:
+            out_ref, end_ref = _mixed_workload(cache_ref, True)
         assert out_batch == out_ref
         assert end_batch == end_ref
         assert _state_fingerprint(cache_batch, tap_batch) == (
             _state_fingerprint(cache_ref, tap_ref)
         )
+        # Only the workload's 50 interleaved singles reach ``access`` on
+        # the batch side; the reference calls it for every access.
+        assert batch_calls[0] == 50
+        assert ref_calls[0] == cache_ref.hits + cache_ref.misses
 
     def test_empty_and_single_series(self):
-        cache_batch, _ = _make_cache(True, GenerationConflictTracker)
-        cache_ref, _ = _make_cache(False, GenerationConflictTracker)
-        for cache in (cache_batch, cache_ref):
-            end, lat = cache.access_series(0, (), 8, 100)
+        cache_batch, _ = _make_cache(GenerationConflictTracker)
+        cache_ref, _ = _make_cache(GenerationConflictTracker)
+        for end, lat in (
+            cache_batch.access_series(0, (), 8, 100),
+            access_series_per_access(cache_ref, 0, (), 8, 100),
+        ):
             assert end == 100 and lat.size == 0
         end_batch, lat_batch = cache_batch.access_series(0, ((3, 7),), 5, 100)
-        end_ref, lat_ref = cache_ref.access_series(0, ((3, 7),), 5, 100)
+        end_ref, lat_ref = access_series_per_access(
+            cache_ref, 0, ((3, 7),), 5, 100
+        )
         assert end_batch == end_ref
         assert lat_batch.tolist() == lat_ref.tolist()
 
     def test_bad_set_index_raises_both_paths(self):
-        partitioned, _ = _make_cache(True, GenerationConflictTracker)
+        batch, _ = _make_cache(GenerationConflictTracker)
+        reference, _ = _make_cache(GenerationConflictTracker)
+        partitioned, _ = _make_cache(GenerationConflictTracker)
         _WayPartition(partitioned, *PARTITION)
-        caches = [
-            _make_cache(batch, GenerationConflictTracker)[0]
-            for batch in (True, False)
-        ] + [partitioned]
-        for cache in caches:
+        runs = (
+            (batch, batch.access_series),
+            (reference, partial(access_series_per_access, reference)),
+            (partitioned, partitioned.access_series),
+        )
+        for cache, series in runs:
             for set_index in (-1, 100_000):
                 with pytest.raises(SimulationError):
-                    cache.access_series(0, ((set_index, 7),), 8, 0)
+                    series(0, ((set_index, 7),), 8, 0)
             assert cache.occupancy == 0
 
 
-class TestMitigationFallback:
-    def test_partition_wrapper_disables_batch_kernel(self):
-        cache, _ = _make_cache(True, GenerationConflictTracker)
-        assert cache._use_batch_kernel()
-        partition = _WayPartition(cache, *PARTITION)
-        assert not cache._use_batch_kernel()
-        partition.remove()
-        assert cache._use_batch_kernel()
+class TestMitigatedSessionsBatch:
+    def test_partitioned_session_makes_no_access_call(self):
+        """A partitioned cache channel session, noise included, runs
+        entirely through the batch kernels."""
+        machine = Machine(seed=6)
+        channel = CacheCovertChannel(
+            machine,
+            ChannelConfig(message=Message.random(8, 3), bandwidth_bps=500.0),
+            n_sets_total=32,
+        )
+        channel.deploy(trojan_ctx=0, spy_ctx=2)
+        quanta = channel.quanta_needed()
+        background_noise_processes(
+            machine, n_quanta=quanta, avoid_contexts=(0, 2), seed=6
+        )
+        partition_cache_ways(machine, suspect_contexts=(0, 2))
+        with counted_access_calls() as calls:
+            machine.run_quanta(quanta)
+        assert machine.l2.hits + machine.l2.misses > 0
+        assert calls[0] == 0
