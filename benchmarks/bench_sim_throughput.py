@@ -18,7 +18,11 @@ claims four things, measured here on the same hardware and committed to
 - a 240-quantum memory-bus session audits thousands of quanta per
   second: the bus answers each spy sample from symbolic burst rows, so
   a late sample costs what an early one does (re-sorting the whole lock
-  history on every sample ran this session over 20x slower).
+  history on every sample ran this session over 20x slower);
+- a 600-quantum memory-bus session with a verdict every quantum holds
+  its rate past the 512-window recurrence horizon: a verdict clusters
+  the horizon's distinct patterns, not its windows (re-clustering all
+  512 windows on every verdict ran this session at about 0.25x).
 
 Session rates divide the quanta a session actually ran
 (``ChannelRun.quanta``) by its median seconds.
@@ -58,6 +62,9 @@ MEMBUS_ONES = 0.4
 #: A bus session takes tens of milliseconds, so even quick runs afford
 #: enough trials for a steady median.
 MEMBUS_TRIALS = 5
+#: The eager bus session evaluates a verdict after every quantum and
+#: runs past the 512-window recurrence horizon.
+MEMBUS_EAGER_QUANTA = 600
 
 _OUT_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -99,10 +106,14 @@ def _cache_session_results():
     return _median_rate(run, N_TRIALS)
 
 
-def _membus_session_results():
-    """Median rate of a noise-free bus covert session, 40% one bits."""
-    bits = np.zeros(MEMBUS_QUANTA, dtype=int)
-    ones = round(MEMBUS_ONES * MEMBUS_QUANTA)
+def _membus_session_results(n_quanta=MEMBUS_QUANTA, eager=False):
+    """Median rate of a noise-free bus covert session, 40% one bits.
+
+    ``eager`` evaluates a verdict after every quantum, as time-to-detection
+    tracking does; otherwise the session is judged once, at the end.
+    """
+    bits = np.zeros(n_quanta, dtype=int)
+    ones = round(MEMBUS_ONES * n_quanta)
     bits[np.random.default_rng(13).choice(bits.size, ones, replace=False)] = 1
     message = Message.from_bits(bits)
 
@@ -113,8 +124,9 @@ def _membus_session_results():
             message,
             bandwidth_bps=10.0,
             seed=19,
-            max_quanta=MEMBUS_QUANTA,
+            max_quanta=n_quanta,
             noise=False,
+            track_detection_latency=eager,
         )
         return perf_counter() - t0, result.quanta
 
@@ -237,6 +249,9 @@ def measure_sim_throughput():
         "n_trials": N_TRIALS,
         "session": _cache_session_results(),
         "membus_session": _membus_session_results(),
+        "membus_eager_session": _membus_session_results(
+            MEMBUS_EAGER_QUANTA, eager=True
+        ),
         "kernels": {
             "access_series_hot_set": _access_series_results(),
             "bloom": _bloom_results(),
@@ -252,12 +267,15 @@ def test_sim_throughput(benchmark):
             handle.write("\n")
     ses = results["session"]
     bus = results["membus_session"]
+    eager = results["membus_eager_session"]
     hot = results["kernels"]["access_series_hot_set"]
     lines = [
         f"cache session  {ses['quanta_per_second']:7.1f} q/s "
         f"({ses['quanta']} quanta, noise)",
         f"membus session {bus['quanta_per_second']:7.1f} q/s "
         f"({bus['quanta']} quanta, no noise)",
+        f"membus session {eager['quanta_per_second']:7.1f} q/s "
+        f"({eager['quanta']} quanta, no noise, verdict every quantum)",
         f"access_series hot-set kernel {hot['speedup']:6.1f}x faster than "
         f"per-access loop ({hot['samples']} accesses)",
     ]

@@ -15,8 +15,9 @@ windows do not dilute the histograms of an active channel.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,44 +43,78 @@ def kmeans(
     if X.ndim != 2 or X.shape[0] == 0:
         raise DetectionError("kmeans needs a non-empty 2-D point matrix")
     n = X.shape[0]
+    labels, centroids = _kmeans_rows(
+        X, np.ones(n, dtype=np.int64), np.arange(n), k, make_rng(rng),
+        max_iters,
+    )
+    distances = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    inertia = float(distances[np.arange(n), labels].sum())
+    return labels, centroids, inertia
+
+
+def _kmeans_rows(
+    rows: np.ndarray,
+    counts: np.ndarray,
+    inverse: np.ndarray,
+    k: int,
+    gen: np.random.Generator,
+    max_iters: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """k-means over distinct rows, each standing for ``counts[r]`` points.
+
+    ``inverse`` maps each of the n points, in order, to its row; every
+    row has at least one point. Returns per-row labels and the
+    centroids. The result is the one :func:`kmeans` gives on the n
+    expanded points whenever each centroid's weighted sum is exact,
+    which holds for integer rows: distances are per-row values, and the
+    steps that index points (the k-means++ draws and the empty-cluster
+    re-seed) gather per-row values to the n points in order, so the RNG
+    sees the same inputs.
+    """
+    n = inverse.size
     if not 1 <= k <= n:
         raise DetectionError(f"k must be in 1..{n}, got {k}")
-    gen = make_rng(rng)
 
     # --- k-means++ seeding
-    centroids = np.empty((k, X.shape[1]), dtype=np.float64)
-    first = int(gen.integers(0, n))
-    centroids[0] = X[first]
-    closest_sq = ((X - centroids[0]) ** 2).sum(axis=1)
+    centroids = np.empty((k, rows.shape[1]), dtype=np.float64)
+    centroids[0] = rows[inverse[int(gen.integers(0, n))]]
+    closest_sq = ((rows - centroids[0]) ** 2).sum(axis=1)
     for j in range(1, k):
-        total = closest_sq.sum()
+        point_sq = closest_sq[inverse]
+        total = point_sq.sum()
         if total == 0:
-            centroids[j] = X[int(gen.integers(0, n))]
+            centroids[j] = rows[inverse[int(gen.integers(0, n))]]
             continue
-        probs = closest_sq / total
-        idx = int(gen.choice(n, p=probs))
-        centroids[j] = X[idx]
-        closest_sq = np.minimum(closest_sq, ((X - centroids[j]) ** 2).sum(axis=1))
+        idx = int(gen.choice(n, p=point_sq / total))
+        centroids[j] = rows[inverse[idx]]
+        closest_sq = np.minimum(
+            closest_sq, ((rows - centroids[j]) ** 2).sum(axis=1)
+        )
 
-    labels = np.zeros(n, dtype=np.int64)
+    weighted = counts[:, None] * rows
+    labels = np.zeros(rows.shape[0], dtype=np.int64)
     for _ in range(max_iters):
-        distances = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        distances = ((rows[:, None, :] - centroids[None, :, :]) ** 2).sum(
+            axis=2
+        )
         new_labels = distances.argmin(axis=1)
         for j in range(k):
-            members = X[new_labels == j]
-            if members.shape[0] == 0:
+            members = new_labels == j
+            if not members.any():
                 # Re-seed an empty cluster on the farthest point.
-                farthest = int(distances.min(axis=1).argmax())
-                centroids[j] = X[farthest]
+                farthest = int(distances.min(axis=1)[inverse].argmax())
+                centroids[j] = rows[inverse[farthest]]
             else:
-                centroids[j] = members.mean(axis=0)
+                centroids[j] = (
+                    weighted[members].sum(axis=0) / counts[members].sum()
+                )
+        # Every row has a point, so the point labels are unchanged
+        # exactly when the row labels are.
         if np.array_equal(new_labels, labels):
             labels = new_labels
             break
         labels = new_labels
-    distances = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    inertia = float(distances[np.arange(n), labels].sum())
-    return labels, centroids, inertia
+    return labels, centroids
 
 
 @dataclass(frozen=True)
@@ -105,6 +140,198 @@ class RecurrenceAnalysis:
         return self.burst_window_indices.size / self.n_windows
 
 
+class PatternHorizon:
+    """The last ``max_windows`` window histograms, grouped by pattern.
+
+    Each pushed histogram is discretized once. Windows that discretize
+    to the same symbol string share one pattern entry holding the
+    string, its window count and the int64 sum of its windows'
+    histograms; entries are updated as windows enter and leave the
+    horizon, and an entry is freed when its last window leaves. A
+    running int64 total covers every retained window.
+
+    :meth:`analyze` therefore clusters the distinct patterns, weighted
+    by count, instead of every window, and sums pattern aggregates
+    instead of window histograms. Symbols are integers 0-3, so every
+    weighted centroid sum is an integer of at most 3 x ``max_windows``,
+    exact in float64, and the result is bit-identical to clustering the
+    windows one by one (docs/ALGORITHMS.md, section 5).
+
+    A window whose histogram equals the last one pushed for its pattern
+    shares that array, so a steady channel's horizon holds a few arrays
+    rather than ``max_windows``.
+    """
+
+    def __init__(self, max_windows: int = CLUSTERING_WINDOW_QUANTA):
+        if max_windows < 1:
+            raise DetectionError(
+                f"horizon needs at least one window, got {max_windows}"
+            )
+        self.max_windows = max_windows
+        #: Retained window histograms, oldest first (read-only: equal
+        #: histograms of one pattern share an array).
+        self.histograms: Deque[np.ndarray] = deque()
+        #: Pattern slot and quantum of each retained window.
+        self._slots: Deque[int] = deque()
+        self._quanta: Deque[int] = deque()
+        self._pushed = 0
+        #: Pattern state per slot; a slot is live while its count is > 0.
+        self._slot_of: Dict[bytes, int] = {}
+        self._keys: List[bytes] = []
+        self._latest: List[Optional[np.ndarray]] = []
+        self._free: List[int] = []
+        self._counts = np.zeros(0, dtype=np.int64)
+        self._rows = np.zeros((0, 0), dtype=np.float64)
+        self._aggregates = np.zeros((0, 0), dtype=np.int64)
+        #: Sum of every retained window's histogram.
+        self.total = np.zeros(0, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.histograms)
+
+    @property
+    def n_patterns(self) -> int:
+        """Distinct discretized patterns among the retained windows."""
+        return len(self._slot_of)
+
+    def windows(self) -> Iterator[Tuple[np.ndarray, int]]:
+        """``(histogram, quantum)`` of each retained window, oldest first."""
+        return zip(self.histograms, self._quanta)
+
+    def push(
+        self, hist: np.ndarray, quantum: Optional[int] = None
+    ) -> np.ndarray:
+        """Add one window, evicting the oldest one at the horizon.
+
+        ``quantum`` labels the window for :meth:`windows`; it defaults to
+        the number of windows pushed before this one. Returns the array
+        the horizon retains for the window.
+        """
+        hist = np.asarray(hist, dtype=np.int64)
+        if self._pushed and hist.size != self.total.size:
+            raise DetectionError("all window histograms must share bin count")
+        row = discretize_histogram(hist)
+        key = row.tobytes()
+        if not self._pushed:
+            self._start(hist.size)
+        elif len(self.histograms) == self.max_windows:
+            self._evict()
+        slot = self._slot_of.get(key)
+        if slot is None:
+            slot = self._new_slot(key)
+            self._rows[slot] = row
+        elif np.array_equal(hist, self._latest[slot]):
+            hist = self._latest[slot]
+        self._latest[slot] = hist
+        self._counts[slot] += 1
+        self._aggregates[slot] += hist
+        self.total += hist
+        self.histograms.append(hist)
+        self._slots.append(slot)
+        self._quanta.append(self._pushed if quantum is None else int(quantum))
+        self._pushed += 1
+        return hist
+
+    def _start(self, width: int) -> None:
+        self._rows = np.zeros((1, width), dtype=np.float64)
+        self._aggregates = np.zeros((1, width), dtype=np.int64)
+        self._counts = np.zeros(1, dtype=np.int64)
+        self.total = np.zeros(width, dtype=np.int64)
+
+    def _new_slot(self, key: bytes) -> int:
+        if self._free:
+            slot = self._free.pop()
+            self._keys[slot] = key
+        else:
+            slot = len(self._keys)
+            self._keys.append(key)
+            self._latest.append(None)
+            if slot == self._counts.size:  # full: double the capacity
+                self._counts, self._rows, self._aggregates = (
+                    np.concatenate((a, np.zeros_like(a)))
+                    for a in (self._counts, self._rows, self._aggregates)
+                )
+        self._slot_of[key] = slot
+        return slot
+
+    def _evict(self) -> None:
+        hist = self.histograms.popleft()
+        slot = self._slots.popleft()
+        self._quanta.popleft()
+        self.total -= hist
+        self._aggregates[slot] -= hist
+        self._counts[slot] -= 1
+        if self._counts[slot] == 0:
+            del self._slot_of[self._keys[slot]]
+            self._latest[slot] = None
+            self._free.append(slot)
+
+    def analyze(
+        self,
+        k: Optional[int] = None,
+        lr_threshold: float = LIKELIHOOD_RATIO_THRESHOLD,
+        min_burst_windows: int = 2,
+        rng: RngLike = 0,
+    ) -> RecurrenceAnalysis:
+        """Cluster the retained windows and decide whether bursts recur.
+
+        See :func:`analyze_recurrence` for the rule.
+        """
+        n = len(self.histograms)
+        if n == 0:
+            raise DetectionError("need at least one window histogram")
+        live = np.flatnonzero(self._counts)
+        remap = np.empty(self._counts.size, dtype=np.intp)
+        remap[live] = np.arange(live.size)
+        inverse = remap[np.fromiter(self._slots, dtype=np.intp, count=n)]
+        k_eff = k if k is not None else max(1, min(4, live.size))
+        if k_eff == 1:
+            # One cluster: k-means labels every point 0 regardless of
+            # seeding (argmin over a single column), so skip it outright —
+            # the centroid is never used. Same labels, bit for bit.
+            row_labels = np.zeros(live.size, dtype=np.int64)
+        else:
+            row_labels, _centroids = _kmeans_rows(
+                self._rows[live], self._counts[live], inverse, k_eff,
+                make_rng(rng), max_iters=64,
+            )
+
+        aggregates = self._aggregates[live]
+        burst_rows = np.zeros(live.size, dtype=bool)
+        burst_clusters: List[int] = []
+        analyses: List[BurstAnalysis] = []
+        for j in range(k_eff):
+            members = row_labels == j
+            if not members.any():
+                continue
+            analysis = analyze_histogram(
+                aggregates[members].sum(axis=0), lr_threshold=lr_threshold
+            )
+            if analysis.significant:
+                burst_clusters.append(j)
+                analyses.append(analysis)
+                burst_rows |= members
+
+        burst_windows = np.flatnonzero(burst_rows[inverse])
+        recurrent = bool(
+            burst_windows.size >= min_burst_windows
+            and (
+                burst_windows.size > 1
+                and (burst_windows[-1] - burst_windows[0])
+                >= burst_windows.size
+                or burst_windows.size >= max(2, n // 2)
+            )
+        )
+        return RecurrenceAnalysis(
+            n_windows=n,
+            cluster_labels=row_labels[inverse],
+            burst_clusters=tuple(burst_clusters),
+            burst_analyses=tuple(analyses),
+            burst_window_indices=burst_windows,
+            recurrent=recurrent,
+        )
+
+
 def analyze_recurrence(
     histograms: Sequence[np.ndarray],
     k: Optional[int] = None,
@@ -112,7 +339,6 @@ def analyze_recurrence(
     min_burst_windows: int = 2,
     rng: RngLike = 0,
     max_windows: int = CLUSTERING_WINDOW_QUANTA,
-    features: Optional[Sequence[np.ndarray]] = None,
 ) -> RecurrenceAnalysis:
     """Cluster per-window histograms and decide whether bursts recur.
 
@@ -122,75 +348,17 @@ def analyze_recurrence(
     clusters number at least ``min_burst_windows`` and are not all
     contiguous (a single isolated burst episode does not recur).
 
-    ``features`` optionally supplies the per-window discretized
-    histograms (``discretize_histogram(h)`` for each window, parallel to
-    ``histograms``): streaming callers evaluating verdicts every quantum
-    discretize each window once at push time instead of re-discretizing
-    the whole horizon per evaluation. The result is identical either way.
+    Streaming callers keep a :class:`PatternHorizon` instead, so that a
+    verdict does not re-discretize the whole horizon.
     """
     if not histograms:
         raise DetectionError("need at least one window histogram")
-    hists = [np.asarray(h, dtype=np.int64) for h in histograms[-max_windows:]]
-    width = hists[0].size
-    for h in hists:
-        if h.size != width:
-            raise DetectionError("all window histograms must share bin count")
-    n = len(hists)
-
-    if features is None:
-        feats = [discretize_histogram(h) for h in hists]
-    else:
-        if len(features) != len(histograms):
-            raise DetectionError(
-                "features must parallel histograms (one per window)"
-            )
-        feats = [
-            np.asarray(f, dtype=np.int64) for f in features[-max_windows:]
-        ]
-    # Distinct-row count over integer symbol strings: byte equality is
-    # exactly value equality for int64 rows, and hashing is much cheaper
-    # than np.unique's lexicographic row sort.
-    n_distinct = len({f.tobytes() for f in feats})
-    k_eff = k if k is not None else max(1, min(4, n_distinct))
-    if k_eff == 1:
-        # One cluster: k-means labels every point 0 regardless of
-        # seeding (argmin over a single column), so skip it outright —
-        # the centroid is never used. Same labels, bit for bit.
-        labels = np.zeros(n, dtype=np.int64)
-    else:
-        feature_matrix = np.stack(feats).astype(np.float64)
-        labels, _centroids, _inertia = kmeans(feature_matrix, k_eff, rng=rng)
-
-    burst_clusters: List[int] = []
-    analyses: List[BurstAnalysis] = []
-    for j in range(k_eff):
-        member_idx = np.nonzero(labels == j)[0]
-        if member_idx.size == 0:
-            continue
-        aggregate = np.sum([hists[i] for i in member_idx], axis=0)
-        analysis = analyze_histogram(aggregate, lr_threshold=lr_threshold)
-        if analysis.significant:
-            burst_clusters.append(j)
-            analyses.append(analysis)
-
-    burst_windows = (
-        np.nonzero(np.isin(labels, burst_clusters))[0]
-        if burst_clusters
-        else np.zeros(0, dtype=np.int64)
-    )
-    recurrent = bool(
-        burst_windows.size >= min_burst_windows
-        and (
-            burst_windows.size > 1
-            and (burst_windows[-1] - burst_windows[0]) >= burst_windows.size
-            or burst_windows.size >= max(2, n // 2)
-        )
-    )
-    return RecurrenceAnalysis(
-        n_windows=n,
-        cluster_labels=labels,
-        burst_clusters=tuple(burst_clusters),
-        burst_analyses=tuple(analyses),
-        burst_window_indices=burst_windows,
-        recurrent=recurrent,
+    horizon = PatternHorizon(max_windows)
+    for hist in histograms[-max_windows:]:
+        horizon.push(hist)
+    return horizon.analyze(
+        k=k,
+        lr_threshold=lr_threshold,
+        min_burst_windows=min_burst_windows,
+        rng=rng,
     )

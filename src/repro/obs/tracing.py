@@ -20,8 +20,8 @@ about a duration.
 
 Span taxonomy (see docs/OBSERVABILITY.md): dotted lowercase names,
 ``component.operation`` — ``sim.quantum``, ``source.emit``,
-``analyzer.push``, ``session.verdicts``, ``session.sinks``,
-``replay.run``. Attributes are small scalars (unit names, quantum
+``analyzer.push``, ``session.verdicts``, ``analyzer.verdict``,
+``session.sinks``, ``replay.run``. Attributes are small scalars (unit names, quantum
 indices), never bulk data.
 """
 

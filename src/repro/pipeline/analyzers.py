@@ -6,8 +6,10 @@ pushes for one named unit and keeps only bounded incremental state:
 - :class:`BurstAnalyzer` folds per-Δt counts through a saturating
   histogram accumulator (the modeled :class:`MonitorSlot` when driven by
   CC-auditor hardware, a :class:`StreamingDensityHistogram` otherwise)
-  and keeps the last ``CLUSTERING_WINDOW_QUANTA`` per-quantum histograms
-  — exactly the horizon recurrence clustering looks at.
+  into a :class:`~repro.core.clustering.PatternHorizon` of the last
+  ``CLUSTERING_WINDOW_QUANTA`` per-quantum histograms — exactly the
+  horizon recurrence clustering looks at, grouped by discretized pattern
+  so a verdict costs O(distinct patterns).
 - :class:`OscillationAnalyzer` folds each observation window's dominant
   pair train into per-pair running sums and a
   :class:`RunningAutocorrelogram`, so closing a window costs O(max_lag)
@@ -37,7 +39,7 @@ import numpy as np
 from repro.config import CLUSTERING_WINDOW_QUANTA, LIKELIHOOD_RATIO_THRESHOLD
 from repro.core.autocorr import RunningAutocorrelogram
 from repro.core.burst import BurstAnalysis, analyze_histogram
-from repro.core.clustering import analyze_recurrence
+from repro.core.clustering import PatternHorizon
 from repro.core.density import StreamingDensityHistogram
 from repro.core.oscillation import (
     DEFAULT_MIN_PEAK_HEIGHT,
@@ -51,7 +53,6 @@ from repro.obs.metrics import MetricsRegistry, get_default
 from repro.obs.tracing import trace_span
 from repro.pipeline.health import Health
 from repro.pipeline.source import QuantumObservation
-from repro.util.strings import discretize_histogram
 
 
 class Analyzer(Protocol):
@@ -147,7 +148,7 @@ class BurstAnalyzer(_HealthMixin):
     :class:`~repro.hardware.auditor.MonitorSlot` for hardware-faithful
     live sessions, or a :class:`StreamingDensityHistogram` for replay and
     raw feeds. Per-quantum work is O(n_windows + bins); history is the
-    bounded histogram deque recurrence clustering consumes.
+    bounded pattern horizon recurrence clustering consumes.
     """
 
     method = "burst"
@@ -172,11 +173,7 @@ class BurstAnalyzer(_HealthMixin):
             if accumulator is not None
             else StreamingDensityHistogram(dt=dt, n_bins=n_bins)
         )
-        self.histograms: Deque[np.ndarray] = deque(maxlen=max_windows)
-        #: Discretized feature string per histogram (parallel deque):
-        #: computed once at push time, handed to recurrence clustering so
-        #: eager per-quantum verdicts never re-discretize the horizon.
-        self._features: Deque[np.ndarray] = deque(maxlen=max_windows)
+        self._horizon = PatternHorizon(max_windows)
         self.analyses: Deque[BurstAnalysis] = deque(maxlen=max_windows)
         self.quanta_seen = 0
         m = metrics if metrics is not None else get_default()
@@ -226,9 +223,7 @@ class BurstAnalyzer(_HealthMixin):
             self.quanta_seen += 1
             return
         self._acc.ingest_window_counts(counts)
-        hist = self._acc.read_and_reset()
-        self.histograms.append(hist)
-        self._features.append(discretize_histogram(hist))
+        hist = self._horizon.push(self._acc.read_and_reset(), obs.quantum)
         analysis = analyze_histogram(hist, lr_threshold=self.lr_threshold)
         self.analyses.append(analysis)
         if self.evidence is not None:
@@ -277,7 +272,7 @@ class BurstAnalyzer(_HealthMixin):
     def verdict(
         self, min_oscillating_windows: Optional[int] = None
     ) -> UnitVerdict:
-        if not self.histograms:
+        if not self._horizon:
             return UnitVerdict(
                 unit=self.unit,
                 method="burst",
@@ -287,11 +282,7 @@ class BurstAnalyzer(_HealthMixin):
                 else self._health_notes(),
                 health=self._health.value,
             )
-        recurrence = analyze_recurrence(
-            list(self.histograms),
-            lr_threshold=self.lr_threshold,
-            features=list(self._features),
-        )
+        recurrence = self._horizon.analyze(lr_threshold=self.lr_threshold)
         best_lr = max(
             (a.likelihood_ratio for a in recurrence.burst_analyses),
             default=0.0,
@@ -305,7 +296,7 @@ class BurstAnalyzer(_HealthMixin):
                 self.evidence.set_cluster(
                     self.quanta_seen - 1,
                     recurrence,
-                    np.sum(np.stack(list(self.histograms)), axis=0),
+                    self._horizon.total,
                 )
         return UnitVerdict(
             unit=self.unit,
@@ -319,19 +310,26 @@ class BurstAnalyzer(_HealthMixin):
             health=self._health.value,
         )
 
+    @property
+    def histograms(self) -> Deque[np.ndarray]:
+        """The retained per-quantum histograms, oldest first.
+
+        Read-only: equal histograms of one pattern share an array.
+        """
+        return self._horizon.histograms
+
     def first_detection_quantum(self) -> Optional[int]:
-        """Earliest retained quantum whose histogram prefix detects."""
-        hists: List[np.ndarray] = list(self.histograms)
-        feats: List[np.ndarray] = list(self._features)
-        offset = self.quanta_seen - len(hists)
-        for upto in range(1, len(hists) + 1):
-            recurrence = analyze_recurrence(
-                hists[:upto],
-                lr_threshold=self.lr_threshold,
-                features=feats[:upto],
-            )
+        """Earliest retained quantum whose histogram prefix detects.
+
+        Replays the retained windows into a fresh horizon, analyzing
+        after each push; the answer is the detecting window's quantum.
+        """
+        replay = PatternHorizon(self._horizon.max_windows)
+        for hist, quantum in self._horizon.windows():
+            replay.push(hist, quantum)
+            recurrence = replay.analyze(lr_threshold=self.lr_threshold)
             if recurrence.recurrent and recurrence.burst_clusters:
-                return offset + upto - 1
+                return quantum
         return None
 
 

@@ -301,9 +301,10 @@ class DetectionSession:
         analyzer = self._analyzers[unit]
         state = self._unit_states[unit]
         try:
-            verdict = analyzer.verdict(
-                min_oscillating_windows=min_oscillating_windows
-            )
+            with trace_span("analyzer.verdict", unit=unit):
+                verdict = analyzer.verdict(
+                    min_oscillating_windows=min_oscillating_windows
+                )
         except Exception as exc:
             self._record_analyzer_error(unit, exc)
             return UnitVerdict(

@@ -1,0 +1,168 @@
+"""Pre-horizon references for recurrence clustering.
+
+Until the per-pattern horizon, ``kmeans`` ran over every point and
+``analyze_recurrence`` re-discretized, re-stacked and re-clustered the
+whole window list on every call. The two functions below are those
+implementations, unchanged. The parity tests compare
+:func:`repro.core.clustering.kmeans` and
+:class:`repro.core.clustering.PatternHorizon` with them bit for bit.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.config import CLUSTERING_WINDOW_QUANTA, LIKELIHOOD_RATIO_THRESHOLD
+from repro.core.burst import BurstAnalysis, analyze_histogram
+from repro.core.clustering import RecurrenceAnalysis
+from repro.errors import DetectionError
+from repro.util.rng import RngLike, make_rng
+from repro.util.strings import discretize_histogram
+
+
+def kmeans(
+    points: np.ndarray,
+    k: int,
+    rng: RngLike = 0,
+    max_iters: int = 64,
+) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Plain k-means with k-means++ seeding.
+
+    Returns ``(labels, centroids, inertia)``. Deterministic for a fixed
+    seed. Empty clusters are re-seeded on the farthest point.
+    """
+    X = np.asarray(points, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise DetectionError("kmeans needs a non-empty 2-D point matrix")
+    n = X.shape[0]
+    if not 1 <= k <= n:
+        raise DetectionError(f"k must be in 1..{n}, got {k}")
+    gen = make_rng(rng)
+
+    # --- k-means++ seeding
+    centroids = np.empty((k, X.shape[1]), dtype=np.float64)
+    first = int(gen.integers(0, n))
+    centroids[0] = X[first]
+    closest_sq = ((X - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = closest_sq.sum()
+        if total == 0:
+            centroids[j] = X[int(gen.integers(0, n))]
+            continue
+        probs = closest_sq / total
+        idx = int(gen.choice(n, p=probs))
+        centroids[j] = X[idx]
+        closest_sq = np.minimum(closest_sq, ((X - centroids[j]) ** 2).sum(axis=1))
+
+    labels = np.zeros(n, dtype=np.int64)
+    for _ in range(max_iters):
+        distances = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_labels = distances.argmin(axis=1)
+        for j in range(k):
+            members = X[new_labels == j]
+            if members.shape[0] == 0:
+                # Re-seed an empty cluster on the farthest point.
+                farthest = int(distances.min(axis=1).argmax())
+                centroids[j] = X[farthest]
+            else:
+                centroids[j] = members.mean(axis=0)
+        if np.array_equal(new_labels, labels):
+            labels = new_labels
+            break
+        labels = new_labels
+    distances = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    inertia = float(distances[np.arange(n), labels].sum())
+    return labels, centroids, inertia
+
+
+def analyze_recurrence(
+    histograms: Sequence[np.ndarray],
+    k: Optional[int] = None,
+    lr_threshold: float = LIKELIHOOD_RATIO_THRESHOLD,
+    min_burst_windows: int = 2,
+    rng: RngLike = 0,
+    max_windows: int = CLUSTERING_WINDOW_QUANTA,
+    features: Optional[Sequence[np.ndarray]] = None,
+) -> RecurrenceAnalysis:
+    """Cluster per-window histograms and decide whether bursts recur.
+
+    ``histograms`` is one event-density histogram per observation window
+    (most recent windows are kept if more than ``max_windows`` are given).
+    A channel is recurrent when the windows that land in burst-significant
+    clusters number at least ``min_burst_windows`` and are not all
+    contiguous (a single isolated burst episode does not recur).
+
+    ``features`` optionally supplies the per-window discretized
+    histograms (``discretize_histogram(h)`` for each window, parallel to
+    ``histograms``): streaming callers evaluating verdicts every quantum
+    discretize each window once at push time instead of re-discretizing
+    the whole horizon per evaluation. The result is identical either way.
+    """
+    if not histograms:
+        raise DetectionError("need at least one window histogram")
+    hists = [np.asarray(h, dtype=np.int64) for h in histograms[-max_windows:]]
+    width = hists[0].size
+    for h in hists:
+        if h.size != width:
+            raise DetectionError("all window histograms must share bin count")
+    n = len(hists)
+
+    if features is None:
+        feats = [discretize_histogram(h) for h in hists]
+    else:
+        if len(features) != len(histograms):
+            raise DetectionError(
+                "features must parallel histograms (one per window)"
+            )
+        feats = [
+            np.asarray(f, dtype=np.int64) for f in features[-max_windows:]
+        ]
+    # Distinct-row count over integer symbol strings: byte equality is
+    # exactly value equality for int64 rows, and hashing is much cheaper
+    # than np.unique's lexicographic row sort.
+    n_distinct = len({f.tobytes() for f in feats})
+    k_eff = k if k is not None else max(1, min(4, n_distinct))
+    if k_eff == 1:
+        # One cluster: k-means labels every point 0 regardless of
+        # seeding (argmin over a single column), so skip it outright —
+        # the centroid is never used. Same labels, bit for bit.
+        labels = np.zeros(n, dtype=np.int64)
+    else:
+        feature_matrix = np.stack(feats).astype(np.float64)
+        labels, _centroids, _inertia = kmeans(feature_matrix, k_eff, rng=rng)
+
+    burst_clusters: List[int] = []
+    analyses: List[BurstAnalysis] = []
+    for j in range(k_eff):
+        member_idx = np.nonzero(labels == j)[0]
+        if member_idx.size == 0:
+            continue
+        aggregate = np.sum([hists[i] for i in member_idx], axis=0)
+        analysis = analyze_histogram(aggregate, lr_threshold=lr_threshold)
+        if analysis.significant:
+            burst_clusters.append(j)
+            analyses.append(analysis)
+
+    burst_windows = (
+        np.nonzero(np.isin(labels, burst_clusters))[0]
+        if burst_clusters
+        else np.zeros(0, dtype=np.int64)
+    )
+    recurrent = bool(
+        burst_windows.size >= min_burst_windows
+        and (
+            burst_windows.size > 1
+            and (burst_windows[-1] - burst_windows[0]) >= burst_windows.size
+            or burst_windows.size >= max(2, n // 2)
+        )
+    )
+    return RecurrenceAnalysis(
+        n_windows=n,
+        cluster_labels=labels,
+        burst_clusters=tuple(burst_clusters),
+        burst_analyses=tuple(analyses),
+        burst_window_indices=burst_windows,
+        recurrent=recurrent,
+    )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.clustering import analyze_recurrence, kmeans
+from repro.core.clustering import PatternHorizon, analyze_recurrence, kmeans
 from repro.errors import DetectionError
 
 
@@ -133,3 +133,52 @@ class TestRecurrence:
         hists = [covert_hist(i) for i in range(6)]
         result = analyze_recurrence(hists, k=2)
         assert len(set(result.cluster_labels.tolist())) <= 2
+
+
+class TestPatternHorizon:
+    def test_patterns_follow_windows_in_and_out(self):
+        a, b = covert_hist(0), quiet_hist(0)
+        horizon = PatternHorizon(max_windows=2)
+        for hist in (a, a, b):
+            horizon.push(hist)
+        assert len(horizon) == 2
+        assert horizon.n_patterns == 2
+        horizon.push(b)
+        assert horizon.n_patterns == 1  # a's last window left
+        assert horizon.total.tolist() == (2 * b).tolist()
+        horizon.push(a)  # a returns into the freed slot
+        assert horizon.n_patterns == 2
+        assert horizon.total.tolist() == (a + b).tolist()
+
+    def test_equal_histograms_share_one_array(self):
+        horizon = PatternHorizon(max_windows=4)
+        first = horizon.push(covert_hist(0))
+        assert horizon.push(covert_hist(0)) is first
+        other = covert_hist(0)
+        other[0] += 1  # same pattern, different counts
+        assert horizon.push(other) is not first
+        assert [h.tolist() for h in horizon.histograms] == [
+            covert_hist(0).tolist(), covert_hist(0).tolist(), other.tolist()
+        ]
+
+    def test_windows_carry_their_quanta(self):
+        horizon = PatternHorizon(max_windows=2)
+        horizon.push(quiet_hist(0))
+        horizon.push(quiet_hist(1), quantum=7)
+        horizon.push(quiet_hist(2), quantum=9)
+        assert [q for _h, q in horizon.windows()] == [7, 9]
+        default = PatternHorizon()
+        for i in range(3):
+            default.push(quiet_hist(i))
+        assert [q for _h, q in default.windows()] == [0, 1, 2]
+
+    def test_bad_input_rejected(self):
+        with pytest.raises(DetectionError):
+            PatternHorizon(max_windows=0)
+        horizon = PatternHorizon()
+        with pytest.raises(DetectionError):
+            horizon.analyze()
+        horizon.push(np.zeros(128))
+        with pytest.raises(DetectionError):
+            horizon.push(np.zeros(64))
+        assert len(horizon) == 1

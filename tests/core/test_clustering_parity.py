@@ -1,0 +1,220 @@
+"""Exact-parity proof: row-weighted k-means and the pattern horizon.
+
+:func:`repro.core.clustering.kmeans` now runs through a core that
+clusters distinct rows weighted by count, and
+:class:`repro.core.clustering.PatternHorizon` keeps per-pattern state
+instead of re-clustering every window. Both must be *bit-identical* to
+the implementations they replaced, which :mod:`tests.core.
+clustering_reference` keeps verbatim: same labels, centroids and
+inertia from ``kmeans``; same labels, burst clusters, burst analyses,
+burst windows and recurrence from the horizon, on streams long enough
+that patterns leave the horizon, come back and reuse freed slots.
+"""
+
+import dataclasses
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.clustering import (
+    PatternHorizon,
+    _kmeans_rows,
+    analyze_recurrence,
+    kmeans,
+)
+from repro.errors import DetectionError
+from tests.core import clustering_reference as ref
+
+pytestmark = pytest.mark.parity
+
+#: Per-bin values the stream templates draw from: empty bins, a few
+#: sparse counts and large modes, so some clusters carry bursts.
+BIN_VALUES = (0, 0, 0, 1, 2, 7, 30, 400)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        a.tobytes() == b.tobytes()
+    )
+
+
+def _assert_kmeans_equal(points, k, seed):
+    try:
+        expected = ref.kmeans(points, k, rng=seed)
+    except DetectionError as exc:
+        with pytest.raises(DetectionError, match=re.escape(str(exc))):
+            kmeans(points, k, rng=seed)
+        return
+    labels, centroids, inertia = kmeans(points, k, rng=seed)
+    assert _same_bits(labels, expected[0])
+    assert _same_bits(centroids, expected[1])
+    assert _same_bits(np.float64(inertia), np.float64(expected[2]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_kmeans_matches_reference_on_float_points(n, d, k, seed):
+    points = np.random.default_rng(seed).normal(size=(n, d))
+    _assert_kmeans_equal(points, k, seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 60),
+    st.integers(1, 8),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+)
+def test_kmeans_matches_reference_on_integer_points_with_duplicates(
+    distinct, n, d, k, seed
+):
+    gen = np.random.default_rng(seed)
+    rows = gen.integers(0, 4, size=(distinct, d))
+    points = rows[gen.integers(0, distinct, size=n)].astype(np.float64)
+    _assert_kmeans_equal(points, k, seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.integers(0, 30),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_row_core_matches_kmeans_on_expanded_points(d, m, extra, k, seed):
+    """Distinct rows in an order unrelated to the points': every step
+    that picks a point (k-means++ draws, empty-cluster re-seed) must pick
+    the one the reference picks."""
+    gen = np.random.default_rng(seed)
+    rows = np.unique(gen.integers(0, 4, size=(m, d)), axis=0)
+    m = rows.shape[0]
+    inverse = gen.permutation(
+        np.concatenate((np.arange(m), gen.integers(0, m, size=extra)))
+    )
+    points = rows[inverse].astype(np.float64)
+    try:
+        labels, centroids, _inertia = ref.kmeans(points, k, rng=seed)
+    except DetectionError as exc:
+        with pytest.raises(DetectionError, match=re.escape(str(exc))):
+            _kmeans_rows(
+                rows.astype(np.float64), np.bincount(inverse), inverse, k,
+                np.random.default_rng(seed), 64,
+            )
+        return
+    row_labels, row_centroids = _kmeans_rows(
+        rows.astype(np.float64), np.bincount(inverse), inverse, k,
+        np.random.default_rng(seed), 64,
+    )
+    assert _same_bits(row_labels[inverse], labels)
+    assert _same_bits(row_centroids, centroids)
+
+
+def _assert_analysis_equal(got, expected):
+    assert got.n_windows == expected.n_windows
+    assert _same_bits(got.cluster_labels, expected.cluster_labels)
+    assert got.burst_clusters == expected.burst_clusters
+    assert _same_bits(
+        got.burst_window_indices, expected.burst_window_indices
+    )
+    assert got.recurrent == expected.recurrent
+    assert len(got.burst_analyses) == len(expected.burst_analyses)
+    for a, b in zip(got.burst_analyses, expected.burst_analyses):
+        for field in dataclasses.fields(a):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            if isinstance(y, np.ndarray):
+                assert _same_bits(x, y), field.name
+            else:
+                assert type(x) is type(y) and x == y, field.name
+
+
+def _stream(gen, n_windows, n_templates, bins, noise):
+    """Windows drawn from a few templates; ``noise`` perturbs one bin."""
+    templates = gen.choice(BIN_VALUES, size=(n_templates, bins))
+    windows = []
+    for _ in range(n_windows):
+        hist = templates[gen.integers(0, n_templates)].copy()
+        if gen.random() < noise:
+            hist[gen.integers(0, bins)] += int(gen.integers(1, 50))
+        windows.append(hist.astype(np.int64))
+    return windows
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 16),
+    st.integers(1, 60),
+    st.integers(1, 5),
+    st.sampled_from((3, 8, 16)),
+    st.sampled_from((0.0, 0.2, 0.6)),
+    st.one_of(st.none(), st.integers(1, 5)),
+    st.integers(0, 2**32 - 1),
+)
+def test_horizon_matches_reference_after_every_push(
+    max_windows, n_windows, n_templates, bins, noise, k, seed
+):
+    gen = np.random.default_rng(seed)
+    windows = _stream(gen, n_windows, n_templates, bins, noise)
+    horizon = PatternHorizon(max_windows)
+    for i, hist in enumerate(windows):
+        horizon.push(hist)
+        retained = windows[max(0, i + 1 - max_windows):i + 1]
+        assert len(horizon) == len(retained)
+        assert _same_bits(horizon.total, np.sum(retained, axis=0))
+        try:
+            expected = ref.analyze_recurrence(
+                retained, k=k, rng=seed, max_windows=max_windows
+            )
+        except DetectionError as exc:
+            with pytest.raises(DetectionError, match=re.escape(str(exc))):
+                horizon.analyze(k=k, rng=seed)
+            continue
+        _assert_analysis_equal(horizon.analyze(k=k, rng=seed), expected)
+
+
+@pytest.mark.parametrize("k", [None, 2, 3, 5])
+def test_all_identical_windows(k):
+    """One pattern: k-means++ meets a zero total, and every extra cluster
+    is empty and re-seeded."""
+    hist = np.zeros(16, dtype=np.int64)
+    hist[0], hist[9] = 500, 40
+    windows = [hist.copy() for _ in range(24)]
+    horizon = PatternHorizon(16)
+    for window in windows:
+        horizon.push(window)
+    assert horizon.n_patterns == 1
+    _assert_analysis_equal(
+        horizon.analyze(k=k),
+        ref.analyze_recurrence(windows, k=k, max_windows=16),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 4),
+    st.one_of(st.none(), st.integers(1, 5)),
+    st.integers(0, 2**32 - 1),
+)
+def test_analyze_recurrence_matches_reference(n_windows, n_templates, k, seed):
+    gen = np.random.default_rng(seed)
+    windows = _stream(gen, n_windows, n_templates, 16, 0.3)
+    try:
+        expected = ref.analyze_recurrence(windows, k=k, rng=seed, max_windows=8)
+    except DetectionError as exc:
+        with pytest.raises(DetectionError, match=re.escape(str(exc))):
+            analyze_recurrence(windows, k=k, rng=seed, max_windows=8)
+        return
+    _assert_analysis_equal(
+        analyze_recurrence(windows, k=k, rng=seed, max_windows=8), expected
+    )

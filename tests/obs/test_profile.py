@@ -247,3 +247,23 @@ class TestGlobalHook:
             with trace_span("sim.quantum", quantum=0):
                 raise ValueError("boom")
         assert prof.stats()[("sim.quantum",)].calls == 1
+
+    def test_profiled_session_splits_verdicts_by_unit(self):
+        from repro.analysis.figures import run_channel_session
+        from repro.util.bitstream import Message
+
+        prof = enable_profiling()
+        run_channel_session(
+            "membus", Message.from_bits([1, 0] * 4), bandwidth_bps=100.0,
+            seed=3, noise=False, track_detection_latency=True,
+        )
+        disable_profiling()
+        verdicts = (
+            "sim.quantum", "source.emit", "session.verdicts",
+            "analyzer.verdict[membus]",
+        )
+        assert verdicts in prof.stats()
+        assert prof.stats()[verdicts].calls == prof.stats()[
+            verdicts[:3]
+        ].calls
+        assert "analyzer.verdict[membus]" in render_collapsed(prof.to_dict())

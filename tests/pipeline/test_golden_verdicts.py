@@ -1,0 +1,216 @@
+"""Golden fixture: per-quantum burst verdict trajectories.
+
+``perf/golden.json`` pins the final verdict of each benchmark session
+only. The trajectories here pin every intermediate verdict the burst
+analyzer produces, which is what time-to-detection and the served
+verdict frames are made of:
+
+- an eager 600-quantum membus session (past the 512-window recurrence
+  horizon): per quantum ``detected``, ``recurrent``,
+  ``burst_window_fraction`` and ``max_likelihood_ratio``, plus the
+  first-detection quantum;
+- the serve covert and benign streams folded through
+  :func:`build_session_from_specs`, 1,200 observations each, with a
+  verdict every 8 as the service evaluates them, and the recurrence
+  cluster snapshot of each of those verdicts (labels, burst clusters,
+  burst windows, aggregate histogram) from a session capturing evidence;
+- the serialized evidence bundle of an eager membus session with
+  ``capture_evidence=True``, plus its cluster snapshot after every
+  quantum.
+
+A long trajectory is stored as the SHA-256 of its canonical JSON, its
+length, its first and last few entries and one digest per chunk, so a
+failure shows where the trajectories diverge.
+
+To re-record after an intended change of behaviour::
+
+    PYTHONPATH=src python tests/pipeline/test_golden_verdicts.py --write
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.analysis.figures import run_channel_session
+from repro.channels.base import ChannelConfig
+from repro.channels.membus import MemoryBusCovertChannel
+from repro.core.detector import AuditUnit, CCHunter
+from repro.pipeline.session import build_session_from_specs
+from repro.pipeline.sinks import CollectingSink
+from repro.serve.service import ServeConfig
+from repro.serve.traffic import (
+    CHANNELS,
+    benign_observations,
+    covert_observations,
+)
+from repro.sim.machine import Machine
+from repro.util.bitstream import Message
+
+GOLDEN = Path(__file__).with_name("golden_verdicts.json")
+
+#: Quanta of the eager membus sessions: one bit per quantum at 10 bps.
+MEMBUS_QUANTA = 600
+#: Observations per served stream.
+SERVE_OBSERVATIONS = 1200
+#: Entries kept verbatim at each end of a stored trajectory.
+EDGE = 4
+#: Entries per chunk digest.
+CHUNK = 50
+
+
+def _canonical(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(_canonical(value).encode()).hexdigest()
+
+
+def _digest(entries):
+    """A trajectory as its hash, length, edges and per-chunk hashes."""
+    entries = json.loads(json.dumps(entries))
+    return {
+        "n": len(entries),
+        "sha256": _sha256(entries),
+        "head": entries[:EDGE],
+        "tail": entries[-EDGE:],
+        "chunks": [
+            _sha256(entries[i:i + CHUNK])
+            for i in range(0, len(entries), CHUNK)
+        ],
+    }
+
+
+def _burst_entry(quantum, verdict):
+    return [
+        int(quantum),
+        bool(verdict.detected),
+        bool(verdict.recurrent),
+        float(verdict.burst_window_fraction),
+        float(verdict.max_likelihood_ratio),
+    ]
+
+
+def _message(seed):
+    """600 bits, 40% of them 1s, as the membus-long benchmark sends."""
+    bits = np.zeros(MEMBUS_QUANTA, dtype=int)
+    rng = np.random.default_rng(seed)
+    bits[rng.choice(MEMBUS_QUANTA, MEMBUS_QUANTA * 2 // 5, replace=False)] = 1
+    return Message.from_bits(bits)
+
+
+def membus_trajectory(seed=7):
+    sink = CollectingSink()
+    run = run_channel_session(
+        "membus", _message(seed), bandwidth_bps=10.0, seed=seed,
+        noise=False, sinks=[sink], track_detection_latency=True,
+    )
+    assert run.quanta == MEMBUS_QUANTA
+    return {
+        "first_detection": run.hunter.first_detection_quantum(
+            AuditUnit.MEMORY_BUS
+        ),
+        "trajectory": _digest([
+            _burst_entry(q, report.verdict_for("membus"))
+            for q, report in sink.reports
+        ]),
+    }
+
+
+def serve_trajectory(profile, seed=1):
+    stream = {"covert": covert_observations, "benign": benign_observations}
+    served = build_session_from_specs(CHANNELS)
+    captured = build_session_from_specs(CHANNELS, capture_evidence=True)
+    bundle = captured.evidence()["membus"]
+    every = ServeConfig().verdict_every
+    entries, clusters = [], []
+    for received, obs in enumerate(
+        stream[profile](SERVE_OBSERVATIONS, seed=seed), start=1
+    ):
+        served.push_quantum(obs)
+        captured.push_quantum(obs)
+        if received % every == 0:
+            verdict = served.current_verdicts().verdict_for("membus")
+            entries.append(_burst_entry(obs.quantum, verdict))
+            captured.current_verdicts()  # sets the cluster snapshot
+            clusters.append(_sha256(bundle.cluster_snapshot))
+    return {"trajectory": _digest(entries), "clusters": _digest(clusters)}
+
+
+class _SnapshotSink:
+    """Digests the evidence cluster snapshot after every quantum."""
+
+    def __init__(self):
+        self.bundle = None
+        self.digests = []
+
+    def on_quantum(self, quantum, report):
+        self.digests.append(_sha256(self.bundle.cluster_snapshot))
+
+    def on_close(self, report):
+        pass
+
+
+def membus_evidence(seed=11):
+    """An eager evidence-capturing membus session, as
+    :func:`run_channel_session` builds it without noise."""
+    machine = Machine(seed=seed)
+    sink = _SnapshotSink()
+    hunter = CCHunter(machine, sinks=[sink], capture_evidence=True)
+    hunter.audit(AuditUnit.MEMORY_BUS)
+    sink.bundle = hunter.session.evidence()["membus"]
+    channel = MemoryBusCovertChannel(
+        machine, ChannelConfig(message=_message(seed), bandwidth_bps=10.0)
+    )
+    channel.deploy()
+    assert channel.quanta_needed() == MEMBUS_QUANTA
+    machine.run_quanta(MEMBUS_QUANTA)
+    bundle = sink.bundle.to_dict()
+    snapshot = dict(bundle["cluster_snapshot"])
+    snapshot["labels"] = _digest(snapshot["labels"])
+    snapshot["burst_window_indices"] = _digest(
+        snapshot["burst_window_indices"]
+    )
+    return {
+        "bundle_sha256": _sha256(bundle),
+        "cluster_snapshot": snapshot,
+        "snapshots": _digest(sink.digests),
+    }
+
+
+RECORDS = {
+    "membus-eager": membus_trajectory,
+    "serve-covert": lambda: serve_trajectory("covert"),
+    "serve-benign": lambda: serve_trajectory("benign"),
+    "membus-evidence": membus_evidence,
+}
+
+
+def _as_json(record):
+    return json.loads(json.dumps(record))
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_fixture_covers_every_record(golden):
+    assert sorted(golden) == sorted(RECORDS)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_matches_golden(name, golden):
+    assert _as_json(RECORDS[name]()) == golden[name]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(f"usage: {sys.argv[0]} --write")
+    records = {name: _as_json(RECORDS[name]()) for name in sorted(RECORDS)}
+    GOLDEN.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(records)} records to {GOLDEN}")

@@ -188,6 +188,29 @@ class TestDetectionLatencyTracking:
         assert lazy_q is not None
         assert eager_q == lazy_q
 
+    def test_lazy_first_detection_counts_gaps_after_detection(self):
+        """A gap counts a quantum but adds no window; the lazy replay must
+        still name the quantum the detecting window came from."""
+        import dataclasses
+
+        from repro.pipeline.session import build_session_from_specs
+        from repro.serve.traffic import CHANNELS, covert_observations
+
+        observations = [
+            dataclasses.replace(obs, counts={}) if obs.quantum == 30 else obs
+            for obs in covert_observations(40, seed=3)
+        ]
+        lazy = build_session_from_specs(CHANNELS)
+        eager = build_session_from_specs(
+            CHANNELS, track_detection_latency=True
+        )
+        for obs in observations:
+            lazy.push_quantum(obs)
+            eager.push_quantum(obs)
+        assert lazy.analyzer_for("membus").gaps == 1
+        assert eager.first_detection_quantum("membus") == 1
+        assert lazy.first_detection_quantum("membus") == 1
+
     def test_eager_session_without_detection_returns_none(self):
         """Regression: an eager session that never detected must answer
         None directly — its tracking map is authoritative — instead of
