@@ -134,6 +134,14 @@ SUITE: Tuple[BenchSpec, ...] = (
             MetricSpec(
                 "session.quanta_per_second", "higher", tolerance=0.75,
             ),
+            # A 32-quantum noisy cache session at 256 sets, steady state:
+            # classifying each series' conflicts with its own bloom-check
+            # replay ran it at ~0.4x the rate (~13 vs ~31 quanta/s on the
+            # machine that wrote the baseline), below this bound of 0.5x.
+            MetricSpec(
+                "cache_steady_session.quanta_per_second", "higher",
+                tolerance=0.5,
+            ),
             # A 240-quantum bus session: re-sorting the whole lock
             # history on every spy sample ran it ~25x slower (~160 vs
             # ~4000 quanta/s on the machine that wrote the baseline),

@@ -17,6 +17,7 @@ length is ``min(bit_period, max_active_cycles)``.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -66,7 +67,7 @@ class CovertChannel:
     default_active_cap = 100_000_000
 
     def __init__(self, machine: Machine, config: ChannelConfig):
-        self.machine = machine
+        self._machine_ref = weakref.ref(machine)
         self.config = config
         self.bit_period = machine.clock.cycles_per_bit(config.bandwidth_bps)
         cap = config.max_active_cycles or self.default_active_cap
@@ -76,6 +77,12 @@ class CovertChannel:
         self.spy: Optional[Process] = None
 
     # ------------------------------------------------------------- protocol
+
+    @property
+    def machine(self) -> Machine:
+        """The machine the channel runs on, held weakly: the machine's
+        engine holds the channel's process bodies."""
+        return self._machine_ref()
 
     @property
     def message(self) -> Message:

@@ -172,6 +172,17 @@ class BloomFilter:
 
     # -------------------------------------------------------------- state
 
+    def assign_bits(self, bits: np.ndarray, insertions: int) -> None:
+        """Replace the bit array with ``bits``, one boolean per bit.
+
+        The word list is rewritten in place, as :meth:`clear` does.
+        """
+        padded = np.zeros(self._n_words * 64, dtype=bool)
+        padded[: self.n_bits] = bits
+        words = np.packbits(padded, bitorder="little").view("<u8")
+        self._words[:] = words.tolist()
+        self.insertions = insertions
+
     def clear(self) -> None:
         """Flash-clear all bits (one-cycle operation in hardware).
 
@@ -186,11 +197,10 @@ class BloomFilter:
 
     @property
     def _bits(self) -> np.ndarray:
-        """Unpacked boolean view of the bit array (inspection/tests)."""
-        arr = np.array(self._words, dtype=np.uint64)
-        shifts = np.arange(64, dtype=np.uint64)
-        bits = ((arr[:, None] >> shifts[None, :]) & _U1).astype(bool)
-        return bits.ravel()[: self.n_bits]
+        """Unpacked boolean copy of the bit array, bit ``i`` at index ``i``."""
+        packed = np.array(self._words, dtype="<u8").view(np.uint8)
+        bits = np.unpackbits(packed, bitorder="little")[: self.n_bits]
+        return bits.astype(bool)
 
     @property
     def fill_ratio(self) -> float:

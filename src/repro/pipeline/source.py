@@ -23,6 +23,7 @@ history at every quantum boundary. The taps' full-history reads
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional, Protocol, Tuple
@@ -153,7 +154,7 @@ class MachineEventSource:
         auditor=None,
         metrics: Optional[MetricsRegistry] = None,
     ):
-        self.machine = machine
+        self._machine_ref = weakref.ref(machine)
         self.auditor = auditor
         self._burst_taps: Dict[str, Tuple[ChannelSpec, object]] = {}
         self._burst_readers: Dict[str, object] = {}
@@ -175,6 +176,11 @@ class MachineEventSource:
         )
         self._channel_counters: Dict[str, object] = {}
         machine.on_quantum_end(self._emit)
+
+    @property
+    def machine(self):
+        """The audited machine, held weakly: its hook holds this source."""
+        return self._machine_ref()
 
     @property
     def quantum_cycles(self) -> int:

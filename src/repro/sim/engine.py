@@ -37,6 +37,10 @@ class Priority(IntEnum):
     QUANTUM_BOUNDARY = 1000
 
 
+def _settled() -> None:
+    """Nothing deferred: the settle of an engine no machine registered."""
+
+
 class Engine:
     """A forward-only discrete-event executor over integer cycle time."""
 
@@ -45,6 +49,12 @@ class Engine:
         self._queue: List[Tuple[int, int, int, Callable[[], None]]] = []
         self._seq = 0
         self._events_executed = 0
+        #: Called before :meth:`run_until` and :meth:`run` return. A
+        #: resource that defers work past the events causing it (the
+        #: shared cache's conflict classification) is registered here by
+        #: its machine, so its state is complete whenever control leaves
+        #: the engine.
+        self.settle: Callable[[], None] = _settled
 
     def schedule(
         self,
@@ -107,8 +117,10 @@ class Engine:
             callback()
         if self.now < t_end:
             self.now = t_end
+        self.settle()
 
     def run(self) -> None:
         """Run until the queue is empty."""
         while self.step():
             pass
+        self.settle()

@@ -8,6 +8,7 @@ the quantum loop that drives per-OS-quantum detection hooks.
 
 from __future__ import annotations
 
+import weakref
 from time import perf_counter
 from typing import Callable, List, Optional, Tuple
 
@@ -133,23 +134,9 @@ class Machine:
             self.cache_miss_tap,
             derive_rng(seed, "l2"),
         )
+        self.engine.settle = self.l2.settle
         self._quantum_hooks: List[QuantumHook] = []
         self.quanta_completed = 0
-        # Exact-type operation dispatch: one dict probe instead of a
-        # cascade of isinstance checks on the per-event hot path
-        # (subclasses of the op types fall back to the isinstance scan).
-        self._op_handlers = {
-            Compute: self._op_compute,
-            WaitUntil: self._op_wait_until,
-            BusLockBurst: self._op_bus_lock_burst,
-            BusSample: self._op_bus_sample,
-            DividerSaturate: self._op_divider_saturate,
-            DividerLoop: self._op_divider_loop,
-            CacheAccessSeries: self._op_cache_access_series,
-            RandomBusLocks: self._op_random_bus_locks,
-            RandomDividerUse: self._op_random_divider_use,
-            RandomCacheTraffic: self._op_random_cache_traffic,
-        }
 
     # ---------------------------------------------------------------- spawn
 
@@ -179,12 +166,11 @@ class Machine:
         value rides in a one-cell box — so advancing a process costs a
         plain call, with no per-event closure allocation (this is the
         per-event hot path: every simulated operation passes through
-        here once).
+        here once). It holds the machine weakly, so the engine's queue
+        keeps no finished machine alive.
         """
         gen = process.run()
-        engine = self.engine
-        execute = self._execute
-        schedule = engine.schedule
+        machine_ref = weakref.ref(self)
         priority = process.priority
         send = getattr(gen, "send", None)
         if send is None:
@@ -198,19 +184,21 @@ class Machine:
         box = [None]
 
         def resume() -> None:
+            machine = machine_ref()
+            engine = machine.engine
             try:
                 op = send(box[0])
             except StopIteration:
                 process.finished = True
                 process.finish_time = engine.now
-                self.scheduler.release(process)
+                machine.scheduler.release(process)
                 return
-            end, box[0] = execute(process, op)
+            end, box[0] = machine._execute(process, op)
             if end < engine.now:
                 raise SimulationError(
                     f"operation {op!r} of {process.name!r} ended in the past"
                 )
-            schedule(end, resume, priority)
+            engine.schedule(end, resume, priority)
 
         return resume
 
@@ -222,15 +210,15 @@ class Machine:
         ctx = process.ctx
         if ctx is None:
             raise SimulationError(f"{process.name!r} has no hardware context")
-        handler = self._op_handlers.get(type(op))
+        handler = _OP_HANDLERS.get(type(op))
         if handler is None:
-            for op_type, candidate in self._op_handlers.items():
+            for op_type, candidate in _OP_HANDLERS.items():
                 if isinstance(op, op_type):
                     handler = candidate
                     break
             else:
                 raise SimulationError(f"unknown operation type: {op!r}")
-        return handler(process, op, now, ctx)
+        return handler(self, process, op, now, ctx)
 
     def _op_compute(self, process, op, now, ctx):
         return now + op.cycles, None
@@ -371,3 +359,21 @@ class Machine:
         if not 0 <= core < self.config.n_cores:
             raise SimulationError(f"core {core} outside machine")
         return self.multiplier_wait_taps[core]
+
+
+#: Exact-type operation dispatch: one dict probe instead of a cascade of
+#: isinstance checks on the per-event hot path (subclasses of the op
+#: types fall back to the isinstance scan). Handlers take the machine
+#: first; a table of bound methods would keep every machine in a cycle.
+_OP_HANDLERS = {
+    Compute: Machine._op_compute,
+    WaitUntil: Machine._op_wait_until,
+    BusLockBurst: Machine._op_bus_lock_burst,
+    BusSample: Machine._op_bus_sample,
+    DividerSaturate: Machine._op_divider_saturate,
+    DividerLoop: Machine._op_divider_loop,
+    CacheAccessSeries: Machine._op_cache_access_series,
+    RandomBusLocks: Machine._op_random_bus_locks,
+    RandomDividerUse: Machine._op_random_divider_use,
+    RandomCacheTraffic: Machine._op_random_cache_traffic,
+}

@@ -15,6 +15,7 @@ DESIGN.md).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Generator, Optional, Tuple
 
@@ -244,10 +245,20 @@ class Process:
         self.priority = int(priority)
         self._body = body
         self.ctx: Optional[int] = None
-        self.machine = None  # set by Machine.spawn
+        self._machine_ref = None  # set by Machine.spawn
         self.finished = False
         self.start_time: Optional[int] = None
         self.finish_time: Optional[int] = None
+
+    @property
+    def machine(self):
+        """The machine the process was spawned on, held weakly."""
+        ref = self._machine_ref
+        return None if ref is None else ref()
+
+    @machine.setter
+    def machine(self, machine) -> None:
+        self._machine_ref = None if machine is None else weakref.ref(machine)
 
     def run(self) -> Generator[object, object, None]:
         """The process body; yields operations, receives their results."""

@@ -13,14 +13,17 @@ accesses that reach L2 (covert-channel and noise working sets are sized to
 defeat the 32 KB L1s, as in the paper's attack implementations).
 
 Batched hot path: ``access_series`` and ``random_traffic`` are the
-simulator's dominant cost, so they run through a vectorized kernel —
-block keys, latency jitter, per-access times, and conflict-event
-recording are computed in numpy over the whole series, and only the
-state-dependent LRU/replacement/tracker walk remains a (tight,
-locals-bound) Python loop. That is the one production path, mitigated
-or not. The per-access :meth:`SharedCache.access` is the reference the
-parity suite proves the kernels bit-identical to (events, latencies,
-counters, RNG/jitter stepping); nothing in the simulator calls it.
+simulator's dominant cost. Block keys, latency jitter and per-access
+times are computed in numpy over the whole series, and only the LRU walk
+remains a Python loop; it returns the misses at once, because latencies
+feed back into the processes. Conflict classification is deferred: the
+walk logs each series' block keys and evictions, and
+:meth:`SharedCache.settle` hands the log to the tracker's ``settle`` in
+one call, which answers every logged conflict check as of its position.
+The per-access :meth:`SharedCache.access` calls the tracker per access;
+it is the reference the parity suite proves the walk and settle
+bit-identical to (events, latencies, counters, RNG/jitter stepping), and
+nothing in the simulator calls it.
 
 Mitigations (:mod:`repro.mitigation`) act through two declared hooks
 that both paths honour: ``partition`` picks the victim of a miss, and
@@ -36,15 +39,19 @@ import numpy as np
 
 from repro.config import CacheConfig
 from repro.errors import SimulationError
-from repro.hardware.conflict_tracker import (
-    ConflictMissTracker,
-    GenerationConflictTracker,
-)
+from repro.hardware.conflict_tracker import ConflictMissTracker
+from repro.obs.tracing import trace_span
 from repro.sim.events import LabeledEventTap
 
 #: Block keys pack (set index, tag) into one integer for dict/bloom speed.
 _TAG_SHIFT = 20
 _MAX_SET = 1 << _TAG_SHIFT
+
+#: Logged accesses at which a series call settles the log itself, which
+#: bounds the log's memory between the engine's settles.
+SETTLE_ACCESSES = 8192
+
+_EMPTY = np.zeros(0, dtype=np.int64)
 
 
 def block_key(set_index: int, tag: int) -> int:
@@ -53,7 +60,15 @@ def block_key(set_index: int, tag: int) -> int:
 
 
 class SharedCache:
-    """Set-associative, true-LRU shared cache with labeled conflict events."""
+    """Set-associative, true-LRU shared cache with labeled conflict events.
+
+    Series calls classify conflict misses lazily: ``conflict_misses``,
+    the tap and the tracker are current only after :meth:`settle`. A
+    :class:`~repro.sim.machine.Machine` settles before its engine
+    returns; code that drives a bare cache calls ``settle()`` before
+    reading the tap, the counters or the tracker. ``hits``, ``misses``
+    and the returned latencies are current at once.
+    """
 
     def __init__(
         self,
@@ -93,6 +108,7 @@ class SharedCache:
         #: Mitigation hooks (repro.mitigation), ``None`` unless installed.
         self.partition = None
         self.fuzzer = None
+        self._reset_log()
 
     # ---------------------------------------------------------------- access
 
@@ -103,8 +119,10 @@ class SharedCache:
         *before* insertion; if it was recently prematurely evicted and the
         fill replaces a victim, a conflict-miss event labeled
         ``(replacer=ctx, victim=victim owner)`` is recorded, mirroring what
-        the CC-auditor's vector registers capture.
+        the CC-auditor's vector registers capture. Logged series are
+        settled first, so the tracker sees every access in order.
         """
+        self.settle()
         if not 0 <= set_index < self.config.n_sets:
             raise SimulationError(
                 f"set index {set_index} outside 0..{self.config.n_sets - 1}"
@@ -153,232 +171,105 @@ class SharedCache:
         self.tracker.on_replacement(block_key(set_index, victim_tag))
         return victim_owner
 
-    def _run_keyed_accesses(self, ctx, sets_list, tags_list, keys_list):
-        """The state-dependent core: per-set LRU plus conflict tracking.
+    def _walk(self, ctx, sets_list, tags_list):
+        """The LRU walk of one series: the only per-access loop.
 
-        Pure-function work (keys, jitter, latencies, timestamps) is done
-        vectorized by the callers; this loop touches only the mutable
-        state. Returns ``(miss_positions, conflict_positions,
-        conflict_victims)`` where positions index into the series. The
-        stock generation tracker gets a fused loop with its state
-        transitions inlined and its bloom traffic deferred into batch
-        kernels; any other tracker, or an installed partition, goes
-        through per-key calls.
-        """
-        if (
-            type(self.tracker) is GenerationConflictTracker
-            and self.partition is None
-        ):
-            return self._run_keyed_accesses_fused(
-                ctx, sets_list, tags_list, keys_list
-            )
-        return self._run_keyed_accesses_generic(
-            ctx, sets_list, tags_list, keys_list
-        )
-
-    def _run_keyed_accesses_fused(self, ctx, sets_list, tags_list, keys_list):
-        """Generation-tracker specialization of :meth:`_run_keyed_accesses`.
-
-        Two ideas on top of the generic loop. First, the tracker's
-        ``on_access`` transition (generation bits, membership, advance
-        trigger) is inlined against its containers, eliminating a call
-        per key. Second, all bloom traffic leaves the loop: eviction
-        checks are read-only and inserts only set bits, so the loop
-        merely *logs* which key was checked / inserted / flash-cleared
-        at which position, and afterwards
-        :meth:`GenerationConflictTracker.replay_check_batch` resolves
-        every check as-of-its-position in one vectorized pass and
-        ``add_batch`` applies the inserts that survive the series'
-        clears. The observable outcome per access is exactly the scalar
-        :meth:`access` order: hit → LRU touch, access-bit; miss →
-        eviction check, replacement insert, fill, access-bit.
+        Touches only the sets and the ``partition`` hook; the tracker's
+        work is logged for :meth:`settle`. Returns ``(miss positions,
+        eviction positions, victim tags, victim owners)``, an owner of -1
+        marking an eviction the partition withholds from attribution.
         """
         sets_ = self._sets
         assoc = self.config.associativity
-        tracker = self.tracker
-        gen_bits = tracker._gen_bits
-        gb_get = gen_bits.get
-        members = tracker._members
-        blooms = tracker._blooms
-        threshold = tracker.threshold
-        generations = tracker.generations
-        advance = tracker._advance_generation
-        # Bloom words at series start, for the deferred check replay
-        # (a handful of packed words per generation).
-        snapshot = [list(bloom._words) for bloom in blooms]
-        ins_pos: List[List[int]] = [[] for _ in range(generations)]
-        ins_keys: List[List[int]] = [[] for _ in range(generations)]
-        clears: List[Tuple[int, int]] = []
-        cand_pos: List[int] = []
-        cand_keys: List[int] = []
-        cand_vic: List[int] = []
+        partition = self.partition
         miss_pos: List[int] = []
+        ev_pos: List[int] = []
+        ev_tags: List[int] = []
+        ev_owners: List[int] = []
         miss_append = miss_pos.append
-        cur = tracker._current
-        bit = 1 << cur
-        member_add = members[cur].add
-        count = tracker._accessed_in_current
-        shift = _TAG_SHIFT
-        n = len(sets_list)
-        # Two loop bodies with identical semantics: the hit-heavy one
-        # folds the membership test into ``move_to_end`` (two dict ops
-        # per hit, an exception per miss), the miss-heavy one tests
-        # membership up front (exceptions cost ~0.2us each, which an
-        # all-miss sweep would pay on every access). A residency sample
-        # of the series' first accesses — deterministic, it reads only
-        # cache state — picks the body; a mispredict is slower, never
-        # wrong. The bodies must stay textually in sync apart from that
-        # hit test (the parity suite exercises both).
-        sample = min(16, n)
-        resident = 0
-        for j in range(sample):
-            if tags_list[j] in sets_[sets_list[j]]:
-                resident += 1
-        if resident * 4 >= sample * 3:
-            for i, s, tag, key in zip(
-                range(n), sets_list, tags_list, keys_list
-            ):
-                cache_set = sets_[s]
-                try:
-                    cache_set.move_to_end(tag)
-                    cache_set[tag] = ctx
-                except KeyError:
-                    miss_append(i)
-                    if len(cache_set) >= assoc:
-                        victim_tag, victim_owner = cache_set.popitem(False)
-                        vkey = (victim_tag << shift) | s
-                        # on_replacement: log the victim against its
-                        # latest generation (skip if its bits aged out).
-                        vmask = gb_get(vkey, 0)
-                        if vmask:
-                            for back in range(generations):
-                                g = (cur - back) % generations
-                                if vmask & (1 << g):
-                                    break
-                            ins_pos[g].append(i)
-                            ins_keys[g].append(vkey)
-                            del gen_bits[vkey]
-                        cache_set[tag] = ctx
-                        cand_pos.append(i)
-                        cand_keys.append(key)
-                        cand_vic.append(victim_owner)
-                    else:
-                        cache_set[tag] = ctx
-                # on_access: set the current generation's bit.
-                mask = gb_get(key, 0)
-                if mask & bit:
-                    continue
-                gen_bits[key] = mask | bit
-                member_add(key)
-                count += 1
-                if count >= threshold:
-                    tracker._accessed_in_current = count
-                    clears.append((i, (cur + 1) % generations))
-                    advance()
-                    cur = tracker._current
-                    bit = 1 << cur
-                    member_add = members[cur].add
-                    count = 0
-        else:
-            for i, s, tag, key in zip(
-                range(n), sets_list, tags_list, keys_list
-            ):
-                cache_set = sets_[s]
-                if tag in cache_set:
-                    cache_set.move_to_end(tag)
-                    cache_set[tag] = ctx
-                else:
-                    miss_append(i)
-                    if len(cache_set) >= assoc:
-                        victim_tag, victim_owner = cache_set.popitem(False)
-                        vkey = (victim_tag << shift) | s
-                        # on_replacement: log the victim against its
-                        # latest generation (skip if its bits aged out).
-                        vmask = gb_get(vkey, 0)
-                        if vmask:
-                            for back in range(generations):
-                                g = (cur - back) % generations
-                                if vmask & (1 << g):
-                                    break
-                            ins_pos[g].append(i)
-                            ins_keys[g].append(vkey)
-                            del gen_bits[vkey]
-                        cache_set[tag] = ctx
-                        cand_pos.append(i)
-                        cand_keys.append(key)
-                        cand_vic.append(victim_owner)
-                    else:
-                        cache_set[tag] = ctx
-                # on_access: set the current generation's bit.
-                mask = gb_get(key, 0)
-                if mask & bit:
-                    continue
-                gen_bits[key] = mask | bit
-                member_add(key)
-                count += 1
-                if count >= threshold:
-                    tracker._accessed_in_current = count
-                    clears.append((i, (cur + 1) % generations))
-                    advance()
-                    cur = tracker._current
-                    bit = 1 << cur
-                    member_add = members[cur].add
-                    count = 0
-        tracker._accessed_in_current = count
-        verdict = tracker.replay_check_batch(
-            len(sets_list), cand_pos, cand_keys, ins_pos, ins_keys,
-            clears, snapshot,
-        )
-        conf_pos = np.asarray(cand_pos, dtype=np.int64)[verdict]
-        conf_vic = np.asarray(cand_vic, dtype=np.int64)[verdict]
-        # Apply the logged inserts: anything inserted at or before a
-        # generation's last flash-clear was wiped and never reaches the
-        # post-series filter state.
-        for g in range(generations):
-            g_ins_pos = ins_pos[g]
-            if not g_ins_pos:
-                continue
-            last_clear = -1
-            for c, gg in clears:
-                if gg == g:
-                    last_clear = c
-            keys_keep = ins_keys[g]
-            if last_clear >= 0:
-                keys_keep = [
-                    k for j, k in zip(g_ins_pos, keys_keep) if j > last_clear
-                ]
-            if keys_keep:
-                blooms[g].add_batch(keys_keep)
-        return miss_pos, conf_pos, conf_vic
-
-    def _run_keyed_accesses_generic(self, ctx, sets_list, tags_list, keys_list):
-        sets_ = self._sets
-        tracker = self.tracker
-        tr_access = tracker.on_access
-        tr_check = tracker.check_recent_eviction
-        make_room = self._make_room
-        miss_pos: List[int] = []
-        miss_append = miss_pos.append
-        conf_pos: List[int] = []
-        conf_vic: List[int] = []
-        for i, s, tag, key in zip(
-            range(len(sets_list)), sets_list, tags_list, keys_list
-        ):
+        for i, s, tag in zip(range(len(sets_list)), sets_list, tags_list):
             cache_set = sets_[s]
-            if tag in cache_set:
+            owner = cache_set.get(tag)
+            if owner is not None:
                 cache_set.move_to_end(tag)
-                cache_set[tag] = ctx
-                tr_access(key)
+                if owner != ctx:
+                    cache_set[tag] = ctx
+                continue
+            miss_append(i)
+            if partition is None:
+                if len(cache_set) >= assoc:
+                    victim_tag, victim_owner = cache_set.popitem(False)
+                    ev_pos.append(i)
+                    ev_tags.append(victim_tag)
+                    ev_owners.append(victim_owner)
             else:
-                miss_append(i)
-                is_conflict = tr_check(key)
-                victim_owner = make_room(cache_set, s, ctx)
-                cache_set[tag] = ctx
-                tr_access(key)
-                if is_conflict and victim_owner is not None:
-                    conf_pos.append(i)
-                    conf_vic.append(victim_owner)
-        return miss_pos, conf_pos, conf_vic
+                victim_tag, victim_owner = partition.victim(ctx, cache_set)
+                if victim_tag is not None:
+                    del cache_set[victim_tag]
+                    ev_pos.append(i)
+                    ev_tags.append(victim_tag)
+                    ev_owners.append(-1 if victim_owner is None else victim_owner)
+            cache_set[tag] = ctx
+        return miss_pos, ev_pos, ev_tags, ev_owners
+
+    def _log(self, ctx, sets, tags, times, ev_pos, ev_tags, ev_owners) -> None:
+        """Append one walked series to the settle log.
+
+        ``sets``, ``tags`` and ``times`` are the series' columns; the log
+        keeps its block keys, and per eviction the victim's block key,
+        its owner and the time a conflict there would be recorded at.
+        """
+        base = self._logged
+        keys = (tags << _TAG_SHIFT) | sets
+        self._log_keys.append(keys)
+        if ev_pos:
+            pos = np.asarray(ev_pos, dtype=np.int64)
+            self._log_ev_pos.append(pos + base)
+            self._log_ev_keys.append(
+                (np.asarray(ev_tags, dtype=np.int64) << _TAG_SHIFT) | sets[pos]
+            )
+            self._log_owners.append(np.asarray(ev_owners, dtype=np.int64))
+            self._log_times.append(times[pos])
+            self._log_ctxs.append(np.full(pos.size, ctx, dtype=np.int64))
+        self._logged = base + keys.size
+        if self._logged >= SETTLE_ACCESSES:
+            self.settle()
+
+    def settle(self) -> None:
+        """Classify the logged accesses' conflict misses.
+
+        The tracker settles the whole log in one call; the conflicts it
+        confirms reach the tap in one ``record_batch``, in log order, and
+        are counted in ``conflict_misses``.
+        """
+        if not self._logged:
+            return
+        with trace_span("cache.settle"):
+            keys = np.concatenate(self._log_keys)
+            if self._log_ev_pos:
+                ev_pos = np.concatenate(self._log_ev_pos)
+                ev_keys = np.concatenate(self._log_ev_keys)
+                owners = np.concatenate(self._log_owners)
+                times = np.concatenate(self._log_times)
+                ctxs = np.concatenate(self._log_ctxs)
+            else:
+                ev_pos = ev_keys = owners = times = ctxs = _EMPTY
+            self._reset_log()
+            cand = np.flatnonzero(owners >= 0)
+            verdict = self.tracker.settle(keys, ev_pos, ev_keys, ev_pos[cand])
+            hit = cand[verdict]
+            if hit.size:
+                self.conflict_misses += int(hit.size)
+                self.miss_tap.record_batch(times[hit], ctxs[hit], owners[hit])
+
+    def _reset_log(self) -> None:
+        self._log_keys: List[np.ndarray] = []
+        self._log_ev_pos: List[np.ndarray] = []
+        self._log_ev_keys: List[np.ndarray] = []
+        self._log_owners: List[np.ndarray] = []
+        self._log_times: List[np.ndarray] = []
+        self._log_ctxs: List[np.ndarray] = []
+        self._logged = 0
 
     def _consume_jitter(self, n: int) -> np.ndarray:
         """The next ``n`` pool values, exactly as ``access`` would step them.
@@ -392,15 +283,6 @@ class SharedCache:
         positions = (idx + 1 + np.arange(n, dtype=np.int64)) % size
         self._jitter_idx = (idx + n) % size
         return pool[positions]
-
-    def _record_conflicts(self, times, conf_pos, conf_vic, ctx) -> None:
-        """One columnar tap append for a whole series of conflict events."""
-        self.conflict_misses += len(conf_pos)
-        self.miss_tap.record_batch(
-            times[conf_pos],
-            np.full(len(conf_pos), ctx, dtype=np.int16),
-            np.asarray(conf_vic, dtype=np.int16),
-        )
 
     def access_series(
         self,
@@ -429,9 +311,8 @@ class SharedCache:
             raise SimulationError(
                 f"set index {bad} outside 0..{self.config.n_sets - 1}"
             )
-        keys_arr = (tags_arr << _TAG_SHIFT) | sets_arr
-        miss_pos, conf_pos, conf_vic = self._run_keyed_accesses(
-            ctx, sets_arr.tolist(), tags_arr.tolist(), keys_arr.tolist()
+        miss_pos, ev_pos, ev_tags, ev_owners = self._walk(
+            ctx, sets_arr.tolist(), tags_arr.tolist()
         )
         n_miss = len(miss_pos)
         self.hits += n - n_miss
@@ -445,8 +326,9 @@ class SharedCache:
             latencies += self._consume_jitter(n)
         steps = latencies + gap
         ends = start + np.cumsum(steps)
-        if len(conf_pos):
-            self._record_conflicts(ends - steps, conf_pos, conf_vic, ctx)
+        self._log(
+            ctx, sets_arr, tags_arr, ends - steps, ev_pos, ev_tags, ev_owners
+        )
         if self.fuzzer is not None:
             latencies = self.fuzzer.fuzz(latencies)
         return int(ends[-1]), latencies
@@ -476,9 +358,8 @@ class SharedCache:
         sets = self._rng.integers(set_lo, hi, size=count)
         # Tag namespace disjoint per context so noise cannot alias covert tags.
         tags = self._rng.integers(0, tag_space, size=count) + (ctx + 1) * 1_000_000
-        keys = (tags << _TAG_SHIFT) | sets
-        miss_pos, conf_pos, conf_vic = self._run_keyed_accesses(
-            ctx, sets.tolist(), tags.tolist(), keys.tolist()
+        miss_pos, ev_pos, ev_tags, ev_owners = self._walk(
+            ctx, sets.tolist(), tags.tolist()
         )
         n_miss = len(miss_pos)
         self.hits += count - n_miss
@@ -489,10 +370,7 @@ class SharedCache:
             self._jitter_idx = (
                 self._jitter_idx + count
             ) % self._jitter_pool_np.size
-        if len(conf_pos):
-            self._record_conflicts(
-                np.asarray(times, dtype=np.int64), conf_pos, conf_vic, ctx
-            )
+        self._log(ctx, sets, tags, times, ev_pos, ev_tags, ev_owners)
         return start + duration
 
     # ------------------------------------------------------------- inspection
@@ -511,7 +389,11 @@ class SharedCache:
         return sum(len(s) for s in self._sets)
 
     def flush(self) -> None:
-        """Empty the cache (tracker state is left to the caller)."""
+        """Empty the cache (tracker state is left to the caller).
+
+        Logged series are settled first, so their conflicts reach the tap.
+        """
+        self.settle()
         for s in self._sets:
             s.clear()
         self.hits = 0

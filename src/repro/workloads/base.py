@@ -140,6 +140,9 @@ def workload_process(
     rng = derive_rng(seed, "workload", profile.name, instance)
     quantum = machine.quantum_cycles
     chunk = quantum // profile.chunks_per_quantum
+    # The body captures numbers, not the machine: the machine's engine
+    # holds the body, and a captured machine would form a cycle.
+    n_sets = machine.config.l2.n_sets
 
     def body(proc: Process):
         for q in range(n_quanta):
@@ -169,9 +172,7 @@ def workload_process(
                         intensity=profile.divider_intensity,
                     )
                 if profile.cache_accesses_per_quantum > 0:
-                    span = profile.cache_set_span or (
-                        0, machine.config.l2.n_sets
-                    )
+                    span = profile.cache_set_span or (0, n_sets)
                     yield RandomCacheTraffic(
                         duration=chunk,
                         count=max(
@@ -194,7 +195,8 @@ def workload_process(
                     if rng.random() < episodes / profile.chunks_per_quantum:
                         yield CacheAccessSeries(
                             accesses=_loop_pattern_accesses(
-                                pattern, machine, proc.ctx or 0, instance, rng
+                                pattern, proc.machine, proc.ctx or 0,
+                                instance, rng,
                             )
                         )
 

@@ -1,15 +1,15 @@
 """Property tests: every batch kernel ≡ its scalar reference, exactly.
 
-The vectorized hot path (bloom batch probes, the tracker's deferred-check
-replay, the members-based generation advance, the cache's batched
-``access_series``) is only admissible because it is *bit-identical* to
-the scalar protocol — identical false-positive sets, not just rates.
-Hypothesis drives arbitrary key columns, filter geometries, interleaved
-access/replacement/check sequences and access series through both
-implementations and diffs complete final states. The cache's reference
-is :mod:`tests.sim.cache_reference`, one :meth:`SharedCache.access` call
-per element, called directly; way-partitioned caches are compared the
-same way.
+The vectorized hot path (bloom batch probes, the cache's walk and the
+tracker's settle behind ``access_series`` and ``random_traffic``) is
+only admissible because it is *bit-identical* to the scalar protocol —
+identical false-positive sets, not just rates. Hypothesis drives
+arbitrary key columns, filter geometries and access series through both
+implementations and diffs complete final states, settled. The cache's
+reference is :mod:`tests.sim.cache_reference`, one
+:meth:`SharedCache.access` call per element, called directly;
+way-partitioned caches are compared the same way. The settle's parity
+with the pre-settle tracker is :mod:`tests.hardware.test_settle_parity`.
 """
 
 from functools import partial
@@ -32,6 +32,7 @@ from repro.hardware.conflict_tracker import (
 from repro.mitigation.partition import _WayPartition
 from repro.sim.events import LabeledEventTap
 from repro.sim.resources.cache import SharedCache
+from tests.hardware.test_settle_parity import cache_observables
 from tests.sim.cache_reference import (
     access_series_per_access,
     counted_access_calls,
@@ -93,146 +94,6 @@ class TestBloomBatchEquivalence:
             assert tuple(row) == probe_positions(key, 4096, 3)
 
 
-def _tracker_state(tracker):
-    return (
-        tracker._current,
-        tracker._accessed_in_current,
-        tracker.generation_advances,
-        dict(tracker._gen_bits),
-        [set(m) for m in tracker._members],
-        [list(b._words) for b in tracker._blooms],
-    )
-
-
-#: Interleaved op streams: (op, key) with op 0=access 1=replace 2=check.
-OPS = st.lists(
-    st.tuples(st.integers(0, 2), st.integers(0, 40)), max_size=150
-)
-
-
-class TestReplayCheckBatch:
-    """The deferred-check replay ≡ interleaved scalar check/insert/clear."""
-
-    @settings(max_examples=80, deadline=None)
-    @given(ops=OPS, capacity=st.integers(4, 48))
-    def test_replay_matches_interleaved_scalar(self, ops, capacity):
-        # Reference: scalar ops in series order against one tracker.
-        reference = GenerationConflictTracker(capacity)
-        # Replayed: identical advance schedule, but checks answered
-        # post-hoc from logs — mirroring the cache's fused kernel.
-        replayed = GenerationConflictTracker(capacity)
-        generations = replayed.generations
-        snapshot = [list(b._words) for b in replayed._blooms]
-        ins_pos = [[] for _ in range(generations)]
-        ins_keys = [[] for _ in range(generations)]
-        clears = []
-        cand_pos, cand_keys = [], []
-        scalar_answers = []
-        for i, (op, key) in enumerate(ops):
-            if op == 0:
-                before = reference.generation_advances
-                reference.on_access(key)
-                replayed.on_access(key)
-                if reference.generation_advances != before:
-                    clears.append((i, reference._current))
-            elif op == 1:
-                latest = reference.latest_generation_of(key)
-                reference.on_replacement(key)
-                if latest is not None:
-                    ins_pos[latest].append(i)
-                    ins_keys[latest].append(key)
-                    # Keep the replayed tracker's generation bits in step
-                    # without touching its blooms (the kernel defers them).
-                    del replayed._gen_bits[key]
-                else:
-                    replayed._gen_bits.pop(key, None)
-            else:
-                scalar_answers.append(reference.check_recent_eviction(key))
-                cand_pos.append(i)
-                cand_keys.append(key)
-        verdict = replayed.replay_check_batch(
-            len(ops), cand_pos, cand_keys, ins_pos, ins_keys, clears,
-            snapshot,
-        )
-        assert verdict.tolist() == scalar_answers
-
-    @settings(max_examples=40, deadline=None)
-    @given(ops=OPS)
-    def test_replay_from_warm_snapshot(self, ops):
-        # A non-empty snapshot: pre-populate the blooms, then replay.
-        reference = GenerationConflictTracker(32)
-        for key in range(0, 20, 2):
-            reference.on_access(key)
-            reference.on_replacement(key)
-        snapshot = [list(b._words) for b in reference._blooms]
-        generations = reference.generations
-        ins_pos = [[] for _ in range(generations)]
-        ins_keys = [[] for _ in range(generations)]
-        clears = []
-        cand_pos, cand_keys, scalar_answers = [], [], []
-        for i, (op, key) in enumerate(ops):
-            if op == 0:
-                before = reference.generation_advances
-                reference.on_access(key)
-                if reference.generation_advances != before:
-                    clears.append((i, reference._current))
-            elif op == 1:
-                latest = reference.latest_generation_of(key)
-                reference.on_replacement(key)
-                if latest is not None:
-                    ins_pos[latest].append(i)
-                    ins_keys[latest].append(key)
-            else:
-                scalar_answers.append(reference.check_recent_eviction(key))
-                cand_pos.append(i)
-                cand_keys.append(key)
-        verdict = reference.replay_check_batch(
-            len(ops), cand_pos, cand_keys, ins_pos, ins_keys, clears,
-            snapshot,
-        )
-        assert verdict.tolist() == scalar_answers
-
-
-class TestAdvanceGenerationMembers:
-    @settings(max_examples=60, deadline=None)
-    @given(ops=OPS, capacity=st.integers(4, 64))
-    def test_members_advance_matches_full_walk_reference(self, ops, capacity):
-        """The O(generation) advance ≡ walking every resident block."""
-        fast = GenerationConflictTracker(capacity)
-
-        class FullWalk(GenerationConflictTracker):
-            def _advance_generation(self):
-                new_gen = (self._current + 1) % self.generations
-                cleared_bit = ~(1 << new_gen)
-                for key in list(self._gen_bits):
-                    remaining = self._gen_bits[key] & cleared_bit
-                    if remaining:
-                        self._gen_bits[key] = remaining
-                    else:
-                        del self._gen_bits[key]
-                self._members[new_gen] = set()
-                self._blooms[new_gen].clear()
-                self._current = new_gen
-                self._accessed_in_current = 0
-                self.generation_advances += 1
-
-        reference = FullWalk(capacity)
-        for op, key in ops:
-            for tracker in (fast, reference):
-                if op == 0:
-                    tracker.on_access(key)
-                elif op == 1:
-                    tracker.on_replacement(key)
-                else:
-                    tracker.check_recent_eviction(key)
-        assert fast._current == reference._current
-        assert fast._gen_bits == reference._gen_bits
-        assert fast._accessed_in_current == reference._accessed_in_current
-        assert [b._words for b in fast._blooms] == [
-            b._words for b in reference._blooms
-        ]
-
-
 #: Access rows (set, tag) over a tiny cache so evictions are frequent.
 SERIES = st.lists(
     st.tuples(st.integers(0, 15), st.integers(0, 11)), max_size=120
@@ -256,26 +117,14 @@ def _small_cache(tracker_factory=GenerationConflictTracker, jitter=3):
     config = CacheConfig(size_bytes=8 * 1024)  # 16 sets x 8 ways
     tracker = tracker_factory(config.n_sets * config.associativity)
     tap = LabeledEventTap("prop")
-    cache = SharedCache(
+    return SharedCache(
         config, tracker, tap, np.random.default_rng(77), latency_jitter=jitter
     )
-    return cache, tap
 
 
-def _any_tracker_state(tracker):
-    if isinstance(tracker, GenerationConflictTracker):
-        return _tracker_state(tracker)
-    return list(tracker._stack._stack)
-
-
-def _cache_state(cache, tap):
-    return (
-        (cache.hits, cache.misses, cache.conflict_misses),
-        cache._jitter_idx,
-        [a.tolist() for a in tap.records()],
-        [list(s.items()) for s in cache._sets],
-        _any_tracker_state(cache.tracker),
-    )
+def _cache_state(cache):
+    cache.settle()
+    return cache_observables(cache)
 
 
 def _run_ops(cache, ops, per_access):
@@ -306,7 +155,7 @@ def _compare_per_access(ops, tracker_factory=GenerationConflictTracker,
     """
     twins = []
     for per_access in (False, True):
-        cache, tap = _small_cache(tracker_factory, jitter)
+        cache = _small_cache(tracker_factory, jitter)
         partition = None
         if partitioned:
             _warm_fills(cache)
@@ -316,7 +165,7 @@ def _compare_per_access(ops, tracker_factory=GenerationConflictTracker,
             outputs = _run_ops(cache, ops, per_access)
         expected_calls = cache.hits + cache.misses - before if per_access else 0
         assert calls[0] == expected_calls
-        twins.append((outputs, _cache_state(cache, tap), partition))
+        twins.append((outputs, _cache_state(cache), partition))
     (out_batch, state_batch, p_batch), (out_ref, state_ref, p_ref) = twins
     assert out_batch == out_ref
     assert state_batch == state_ref

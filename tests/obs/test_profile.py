@@ -267,3 +267,21 @@ class TestGlobalHook:
             verdicts[:3]
         ].calls
         assert "analyzer.verdict[membus]" in render_collapsed(prof.to_dict())
+
+    def test_profiled_cache_session_shows_settle_inside_quantum(self):
+        """The cache's conflict classification is a stage of the
+        simulated quantum; a membus session without noise has no cache
+        traffic, so only a noisy cache session shows it."""
+        from repro.analysis.figures import run_channel_session
+        from repro.util.bitstream import Message
+
+        prof = enable_profiling()
+        run = run_channel_session(
+            "cache", Message.from_bits([1, 0] * 2), bandwidth_bps=10.0,
+            seed=3, noise=True, n_sets_total=64,
+        )
+        disable_profiling()
+        settle = prof.stats()[("sim.quantum", "cache.settle")]
+        assert settle.calls >= run.quanta
+        assert settle.wall > 0
+        assert "sim.quantum;cache.settle" in render_collapsed(prof.to_dict())

@@ -6,7 +6,7 @@ from repro.config import CacheConfig
 from repro.errors import SimulationError
 from repro.hardware.conflict_tracker import IdealLRUConflictTracker
 from repro.sim.events import LabeledEventTap
-from repro.sim.resources.cache import SharedCache, block_key
+from repro.sim.resources.cache import SETTLE_ACCESSES, SharedCache, block_key
 from repro.util.rng import make_rng
 
 
@@ -147,6 +147,66 @@ class TestRandomTraffic:
         end = cache.random_traffic(0, 0, 1000, 0)
         assert end == 1000
         assert cache.misses == 0
+
+
+class TestSettle:
+    """Series calls classify conflicts when the log is settled."""
+
+    PINGPONG = [(0, 1), (0, 2), (0, 3), (0, 1), (0, 2)]
+
+    def test_series_conflicts_wait_for_settle(self):
+        cache = make_cache(n_sets=8, assoc=2)
+        cache.access_series(0, self.PINGPONG, gap=8, start=0)
+        assert (cache.hits, cache.misses) == (0, 5)
+        assert cache.conflict_misses == 0 and cache.miss_tap.count == 0
+        cache.settle()
+        assert cache.conflict_misses == cache.miss_tap.count == 2
+        cache.settle()  # an empty log settles to nothing
+        assert cache.miss_tap.count == 2
+
+    def test_flush_keeps_conflicts_logged_before_it(self):
+        cache = make_cache(n_sets=8, assoc=2)
+        cache.access_series(0, self.PINGPONG, gap=8, start=0)
+        cache.flush()
+        assert (cache.hits, cache.misses, cache.conflict_misses) == (0, 0, 0)
+        assert cache.miss_tap.count == 2
+        assert cache.occupancy == 0
+
+    def test_scalar_access_settles_first(self):
+        cache = make_cache(n_sets=8, assoc=2)
+        cache.access_series(0, self.PINGPONG[:3], gap=8, start=0)
+        cache.access(1, 0, 1, 100)  # re-fetches tag 1, evicted in the log
+        assert cache.conflict_misses == 1
+        assert cache.miss_tap.records()[1].tolist() == [1]
+
+    def test_long_series_settles_itself(self):
+        cache = make_cache(n_sets=8, assoc=2)
+        accesses = [(i % 4, i % 12) for i in range(SETTLE_ACCESSES)]
+        cache.access_series(0, accesses, gap=0, start=0)
+        assert cache.conflict_misses > 0
+        assert cache.conflict_misses == cache.miss_tap.count
+
+    def test_machine_settles_before_run_quanta_returns(self):
+        """After ``run_quanta`` the tap holds every conflict, with no
+        explicit ``settle()``."""
+        from repro.channels.base import ChannelConfig
+        from repro.channels.cache import CacheCovertChannel
+        from repro.sim.machine import Machine
+        from repro.util.bitstream import Message
+
+        machine = Machine(seed=4)
+        channel = CacheCovertChannel(
+            machine,
+            ChannelConfig(message=Message.random(4, 4), bandwidth_bps=100.0),
+            n_sets_total=32,
+        )
+        channel.deploy(trojan_ctx=0, spy_ctx=2)
+        machine.run_quanta(1)
+        l2 = machine.l2
+        recorded = l2.miss_tap.count
+        assert recorded == l2.conflict_misses > 0
+        l2.settle()
+        assert l2.miss_tap.count == recorded
 
 
 def test_block_key_unique():

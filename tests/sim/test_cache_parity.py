@@ -37,6 +37,7 @@ from repro.sim.resources.cache import SharedCache
 from repro.traces import export_traces, load_traces
 from repro.util.bitstream import Message
 from repro.workloads.noise import background_noise_processes
+from tests.hardware.test_settle_parity import tracker_observables
 from tests.sim.cache_reference import (
     access_series_per_access,
     counted_access_calls,
@@ -153,11 +154,11 @@ class TestSessionParity:
         (run_batch, _, _), (run_ref, _, _) = clean_pair(kind)
         batch_tr = run_batch.machine.l2.tracker
         ref_tr = run_ref.machine.l2.tracker
-        assert batch_tr._current == ref_tr._current
-        assert batch_tr._gen_bits == ref_tr._gen_bits
-        assert batch_tr._accessed_in_current == ref_tr._accessed_in_current
-        for batch_bloom, ref_bloom in zip(batch_tr._blooms, ref_tr._blooms):
-            assert batch_bloom._words == ref_bloom._words
+        assert batch_tr.generation_advances > 0
+        assert batch_tr._last_touch == ref_tr._last_touch
+        assert tracker_observables(run_batch.machine.l2) == (
+            tracker_observables(run_ref.machine.l2)
+        )
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_only_the_reference_calls_access(self, kind, clean_pair):
@@ -209,8 +210,8 @@ def _make_cache(tracker_factory, seed=23):
 def _mixed_workload(cache, per_access):
     """Interleaved singles, tuple series, ndarray series, random traffic.
 
-    Covers both fused loop bodies (hit-heavy series after warmup,
-    miss-heavy thrash series) and the RNG draw order of
+    Covers hit-heavy series after warmup, a miss-heavy thrash series,
+    scalar accesses that settle a pending log, and the RNG draw order of
     ``random_traffic``; ``per_access`` runs the series and the traffic
     through the reference instead. Returns the observable outputs.
     """
@@ -222,12 +223,12 @@ def _mixed_workload(cache, per_access):
     rng = np.random.default_rng(41)
     outputs = []
     t = 0
-    # Warmup fills + a hit-heavy hot set (exercises the hit-sampled body).
+    # Warmup fills + a hit-heavy hot set.
     hot = [(int(s), int(g)) for s in range(16) for g in range(8)]
     for _ in range(3):
         t, lat = series(0, tuple(hot), 8, t)
         outputs.append(lat.tolist())
-    # Miss-heavy thrash: 9 tags cycling through 8 ways (miss-sampled body).
+    # Miss-heavy thrash: 9 tags cycling through 8 ways.
     thrash = [(int(s), int(100 + (i + s) % 9)) for i in range(40)
               for s in range(8)]
     t, lat = series(1, np.asarray(thrash, dtype=np.int64), 8, t)
@@ -247,6 +248,7 @@ def _mixed_workload(cache, per_access):
 
 
 def _state_fingerprint(cache, tap):
+    cache.settle()
     times, replacers, victims = tap.records()
     fp = {
         "counters": (cache.hits, cache.misses, cache.conflict_misses),
@@ -255,14 +257,9 @@ def _state_fingerprint(cache, tap):
         "train": (times.tolist(), replacers.tolist(), victims.tolist()),
         "sets": [dict(s) for s in cache._sets],
     }
-    tracker = cache.tracker
-    if isinstance(tracker, GenerationConflictTracker):
-        fp["tracker"] = (
-            tracker._current,
-            tracker._accessed_in_current,
-            dict(tracker._gen_bits),
-            [list(b._words) for b in tracker._blooms],
-        )
+    fp["tracker"] = tracker_observables(cache)
+    if isinstance(cache.tracker, GenerationConflictTracker):
+        fp["epochs"] = dict(cache.tracker._last_touch)
     return fp
 
 

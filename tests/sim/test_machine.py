@@ -194,3 +194,46 @@ class TestTopology:
             return machine.bus_lock_tap.times()
 
         assert run_once().tolist() == run_once().tolist()
+
+
+class TestFinishedSessionsFreed:
+    def test_dropped_sessions_freed_by_reference_counting(self, monkeypatch):
+        """With the cyclic collector off, a finished session's machine,
+        detector and detection session die as soon as they are dropped:
+        nothing that outlives the run holds them in a reference cycle."""
+        import gc
+        import weakref
+
+        from repro.analysis import figures
+        from repro.core.detector import CCHunter
+        from repro.pipeline.session import DetectionSession
+        from repro.util.bitstream import Message
+
+        created = []
+        for cls in (Machine, CCHunter, DetectionSession):
+            def init(self, *args, _init=cls.__init__, **kwargs):
+                created.append(weakref.ref(self))
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", init)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run = figures.run_channel_session(
+                "cache", Message.random(4, 1), seed=1, noise=True,
+                n_sets_total=256,
+            )
+            run.hunter.session.close()
+            del run
+            run = figures.run_channel_session(
+                "membus", Message.random(4, 1), seed=1, noise=True
+            )
+            del run
+            pair = figures.default_benign_pairs()[0]
+            figures.fig14_false_alarms(pairs=[pair], n_quanta=2)
+            alive = [type(ref()).__name__ for ref in created if ref() is not None]
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(created) == 11  # the pair audits with two detectors
+        assert alive == []
