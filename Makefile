@@ -17,15 +17,21 @@ test:
 lint:
 	ruff check src tests benchmarks examples
 
+# Benches run numpy's BLAS on one thread: OpenBLAS's worker threads
+# can stall the autocorrelogram kernel's many small dot products for
+# hundreds of ms. The setting must be in the environment before numpy
+# loads, so it lives here rather than in repro.bench.
+ONE_BLAS_THREAD = OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
+
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	$(ONE_BLAS_THREAD) $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Regression gate: rerun the registered benches and compare against the
 # committed BENCH_*.json baselines (exit 8 on regression). Quick mode
 # mirrors the CI smoke run; `make bench-check QUICK=` forces full runs.
 QUICK ?= --quick
 bench-check:
-	PYTHONPATH=src $(PYTHON) -m repro bench check $(QUICK)
+	$(ONE_BLAS_THREAD) PYTHONPATH=src $(PYTHON) -m repro bench check $(QUICK)
 
 # Per-stage latency attribution for one detection run
 # (docs/PERFORMANCE.md, "Profiling and flamegraphs").

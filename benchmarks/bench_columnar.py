@@ -3,7 +3,9 @@
 The structure-of-arrays refactor (docs/PERFORMANCE.md, "Columnar hot
 path") hands each analyzer a whole window of counts or labels at once,
 and the vectorized ``push_batch`` estimator kernels must beat their
-per-event ``push`` adapters by an order of magnitude or more. This bench
+per-event ``push`` adapters by an order of magnitude or more. The density
+row times the CC-auditor's ``MonitorSlot.ingest_window_counts`` called
+once per window against one call for the whole column. This bench
 measures that claim and commits the numbers to ``BENCH_columnar.json``
 at the repo root. Whole-session throughput on the same audited bus
 session is gated by ``bench_obs_overhead`` (``quanta_per_second.off``).
@@ -21,8 +23,9 @@ import numpy as np
 
 from conftest import record
 
+from repro.config import AuditorConfig
 from repro.core.autocorr import RunningAutocorrelogram
-from repro.core.density import StreamingDensityHistogram
+from repro.hardware.auditor import MonitorSlot
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 KERNEL_SAMPLES = 50_000 if QUICK else 200_000
@@ -59,15 +62,15 @@ def _kernel_results():
         return est
 
     def density_push(values):
-        est = StreamingDensityHistogram(dt=1000, n_bins=128)
-        for v in values:
-            est.push(int(v))
-        return est
+        slot = MonitorSlot("membus", 1000, AuditorConfig())
+        for i in range(values.size):
+            slot.ingest_window_counts(values[i : i + 1])
+        return slot
 
     def density_batch(values):
-        est = StreamingDensityHistogram(dt=1000, n_bins=128)
-        est.push_batch(values)
-        return est
+        slot = MonitorSlot("membus", 1000, AuditorConfig())
+        slot.ingest_window_counts(values)
+        return slot
 
     out = {}
     for name, push, batch, data in (

@@ -32,6 +32,7 @@ from repro import (
     MemoryBusCovertChannel,
     Message,
 )
+from repro.config import LIKELIHOOD_RATIO_THRESHOLD
 from repro.obs.evidence import load_evidence, write_evidence
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import (
@@ -88,7 +89,7 @@ def main() -> None:
             "command": "examples/forensic_report.py",
             "channel": "membus",
             "seed": 11,
-            "lr_threshold": hunter.lr_threshold,
+            "lr_threshold": LIKELIHOOD_RATIO_THRESHOLD,
             "report": report.to_dict(),
         }
         meta["report"]["verdicts"] = [

@@ -699,8 +699,7 @@ def _fig12_trial(
             seed=seed + index,
             n_sets_total=cache_sets,
         )
-        analyses = run.hunter.cache_analyses()
-        return ("peak", max((a.max_peak for a in analyses), default=0.0))
+        return ("peak", run.hunter.report().verdict_for("cache").max_peak)
     run = run_channel_session(kind, message, bandwidth_bps, seed=seed + index)
     unit = _AUDITS[kind]
     core = 0 if kind == "divider" else None

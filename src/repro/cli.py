@@ -71,6 +71,7 @@ from repro.analysis.ascii_plot import (
 )
 from repro.analysis.capacity import assess_channel
 from repro.analysis.tables import table1_text
+from repro.config import LIKELIHOOD_RATIO_THRESHOLD
 from repro.obs import (
     configure_logging,
     disable_tracing,
@@ -269,7 +270,7 @@ def _cmd_detect(args) -> int:
                 "seed": int(args.seed),
                 "quanta": int(run.quanta),
                 "bit_error_rate": float(ber),
-                "lr_threshold": float(run.hunter.lr_threshold),
+                "lr_threshold": LIKELIHOOD_RATIO_THRESHOLD,
                 "report": _meta_report(report),
             },
             sampler=sampler,

@@ -33,7 +33,6 @@ from repro.core.calibration import (
 from repro.core.clustering import RecurrenceAnalysis, analyze_recurrence, kmeans
 from repro.core.density import (
     DensityHistogram,
-    StreamingDensityHistogram,
     build_density_histogram,
     choose_delta_t,
 )
@@ -58,7 +57,6 @@ def __getattr__(name: str):
 __all__ = [
     "EventTrain",
     "DensityHistogram",
-    "StreamingDensityHistogram",
     "build_density_histogram",
     "choose_delta_t",
     "BurstAnalysis",

@@ -8,21 +8,20 @@ memory bus and 500 cycles for the integer divider; those are this module's
 defaults, with the α rule available for other resources.
 
 Step 2 counts events per Δt window and histograms the counts into the
-CC-auditor's 128-entry buffer format. :class:`StreamingDensityHistogram`
-does step 2 incrementally from per-window counts: it takes no raw
-timestamps and carries no partial window between chunks.
+CC-auditor's 128-entry buffer format. The streaming form of step 2 is
+the auditor's own :class:`~repro.hardware.auditor.MonitorSlot`, which
+folds per-window counts into its saturating histogram buffer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import Protocol
 
 import numpy as np
 
 from repro.config import DIVIDER_DELTA_T_CYCLES, MEMBUS_DELTA_T_CYCLES
 from repro.errors import DetectionError
-from repro.util.dtypes import ensure_int64
 from repro.util.stats import sample_counts_to_histogram
 
 
@@ -97,95 +96,6 @@ def build_density_histogram(
     counts = source.density_counts(dt, t0, t1)
     hist = sample_counts_to_histogram(counts, n_bins)
     return DensityHistogram(hist=hist, dt=dt, window_start=t0, window_end=t1)
-
-
-class StreamingDensityHistogram:
-    """Incremental density-histogram accumulation with bounded memory.
-
-    The streaming counterpart of :func:`build_density_histogram` and of
-    the CC-auditor's :class:`~repro.hardware.auditor.MonitorSlot`: per-Δt
-    event counts of whole windows arrive in arbitrary chunks and are
-    folded straight into a fixed-size histogram. State is the histogram
-    alone, so memory is O(n_bins) regardless of stream length, and the
-    result is numerically identical to histogramming the whole window
-    sequence at once.
-
-    ``count_clamp`` / ``entry_max`` model the auditor's saturating
-    accumulator and 16-bit histogram entries; ``None`` disables them.
-    The ``ingest_window_counts`` / ``read_and_reset`` method pair matches
-    ``MonitorSlot``, so either can back a pipeline burst analyzer.
-    """
-
-    def __init__(
-        self,
-        dt: int,
-        n_bins: int = 128,
-        count_clamp: Optional[int] = None,
-        entry_max: Optional[int] = None,
-    ):
-        if dt <= 0:
-            raise DetectionError(f"Δt must be positive, got {dt}")
-        if n_bins < 1:
-            raise DetectionError(f"need at least 1 bin, got {n_bins}")
-        self.dt = int(dt)
-        self.n_bins = int(n_bins)
-        self.count_clamp = count_clamp
-        self.entry_max = entry_max
-        self._hist = np.zeros(self.n_bins, dtype=np.int64)
-        self.windows_recorded = 0
-        self.events_seen = 0
-        #: Windows whose raw count exceeded ``count_clamp`` (cumulative,
-        #: never reset — the auditor-fidelity signal operators watch).
-        self.clamp_events = 0
-        #: Histogram entries that hit ``entry_max`` saturation (cumulative).
-        self.entry_saturations = 0
-
-    def _fold(self, counts: np.ndarray) -> None:
-        if self.count_clamp is not None:
-            over = counts > self.count_clamp
-            if over.any():
-                self.clamp_events += int(over.sum())
-                counts = np.minimum(counts, self.count_clamp)
-        bins = np.minimum(counts, self.n_bins - 1)
-        self._hist += np.bincount(bins, minlength=self.n_bins)
-        if self.entry_max is not None:
-            over_entries = self._hist > self.entry_max
-            if over_entries.any():
-                self.entry_saturations += int(over_entries.sum())
-                np.minimum(self._hist, self.entry_max, out=self._hist)
-        self.windows_recorded += int(counts.size)
-
-    def ingest_window_counts(self, counts: np.ndarray) -> None:
-        """Fold per-Δt-window event counts (whole windows) into the histogram.
-
-        This is the vectorized batch kernel of the estimator (one
-        ``bincount`` folds any number of windows); float columns are
-        rejected loudly rather than silently truncated.
-        """
-        arr = ensure_int64(counts, "window counts").ravel()
-        if arr.size == 0:
-            return
-        if arr.min() < 0:
-            raise DetectionError("window counts cannot be negative")
-        self.events_seen += int(arr.sum())
-        self._fold(arr)
-
-    #: Batch kernel alias, matching the other streaming estimators.
-    push_batch = ingest_window_counts
-
-    def push(self, count: int) -> None:
-        """Per-window adapter over :meth:`push_batch` (one window's count)."""
-        self.ingest_window_counts(np.array([count]))
-
-    def histogram(self) -> np.ndarray:
-        """A copy of the current histogram."""
-        return self._hist.copy()
-
-    def read_and_reset(self) -> np.ndarray:
-        """Atomically read the histogram and clear it (quantum boundary)."""
-        hist = self._hist.copy()
-        self._hist[:] = 0
-        return hist
 
 
 def default_delta_t(unit: str) -> int:

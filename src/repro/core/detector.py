@@ -16,7 +16,9 @@ taps each OS quantum — density counts flow through the modeled
 CC-auditor's monitor slots (saturating accumulators + histogram
 buffers), conflict-miss records through its alternating vector
 registers — and a :class:`~repro.pipeline.session.DetectionSession`
-folds each observation into per-unit incremental analyzers. Verdicts
+folds each observation into per-unit incremental analyzers, built by
+the same factory (:func:`~repro.pipeline.session.analyzer_for`) that
+trace replay and the detection service use. Verdicts
 are therefore available *during* the run (``current_verdicts()``,
 verdict sinks), not just from the terminal ``report()`` call; the
 session can also be driven directly via ``push_quantum()`` by non-sim
@@ -28,7 +30,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, List, Optional, Tuple
 
-from repro.config import LIKELIHOOD_RATIO_THRESHOLD
 from repro.core.density import default_delta_t
 from repro.core.oscillation import OscillationAnalysis
 from repro.core.report import DetectionReport
@@ -36,7 +37,7 @@ from repro.errors import DetectionError
 from repro.hardware.auditor import CCAuditor
 from repro.obs.metrics import MetricsRegistry, get_default
 from repro.pipeline.analyzers import BurstAnalyzer, OscillationAnalyzer
-from repro.pipeline.session import DetectionSession
+from repro.pipeline.session import DetectionSession, analyzer_for
 from repro.pipeline.sinks import VerdictSink
 from repro.pipeline.source import MachineEventSource, QuantumObservation
 
@@ -57,17 +58,12 @@ class CCHunter:
         self,
         machine,
         auditor: Optional[CCAuditor] = None,
-        lr_threshold: float = LIKELIHOOD_RATIO_THRESHOLD,
         window_fraction: float = 1.0,
-        max_lag: int = 1000,
-        min_train_events: int = 64,
-        min_peak_height: float = 0.45,
         sinks: Iterable[VerdictSink] = (),
         track_detection_latency: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         injectors: Iterable = (),
         capture_evidence: bool = False,
-        evidence_capacity: Optional[int] = None,
     ):
         if not 0 < window_fraction <= 1.0:
             raise DetectionError(
@@ -75,16 +71,11 @@ class CCHunter:
             )
         self.machine = machine
         self.auditor = auditor or CCAuditor()
-        self.lr_threshold = lr_threshold
         self.window_fraction = window_fraction
-        self.max_lag = max_lag
-        self.min_train_events = min_train_events
-        self.min_peak_height = min_peak_height
         #: When set, every audited unit keeps a bounded forensic
         #: EvidenceBundle (docs/FORENSICS.md); verdicts are identical
         #: with capture on or off.
         self.capture_evidence = capture_evidence
-        self.evidence_capacity = evidence_capacity
         self.metrics = metrics if metrics is not None else get_default()
         self.source = MachineEventSource(
             machine, auditor=self.auditor, metrics=self.metrics
@@ -130,33 +121,23 @@ class CCHunter:
         divider is per-core, so ``core`` is required for it.
         """
         slot_index = self.auditor.free_slot_index()
+        slot = None
         if unit is AuditUnit.CACHE:
             if any(u is AuditUnit.CACHE for u, _c, _n in self._audits):
                 raise DetectionError("cache is already being audited")
-            self.auditor.program(
-                slot_index, unit.value, self.machine.quantum_cycles
-            )
-            self.source.enable_conflict_channel(unit.value)
-            self.session.add_analyzer(
-                OscillationAnalyzer(
-                    unit=unit.value,
-                    window_fraction=self.window_fraction,
-                    max_lag=self.max_lag,
-                    min_train_events=self.min_train_events,
-                    min_peak_height=self.min_peak_height,
-                    context_id_bits=self.auditor.config.context_id_bits,
-                    metrics=self.metrics,
-                    capture_evidence=self.capture_evidence,
-                    evidence_capacity=self.evidence_capacity,
-                )
-            )
-            self._audits.append((unit, None, unit.value))
-            return
-        if unit is AuditUnit.MEMORY_BUS:
+            core = None
             name = unit.value
-            tap = self.machine.bus_lock_tap
+            self.auditor.program(
+                slot_index, name, self.machine.quantum_cycles
+            )
+            spec = self.source.enable_conflict_channel(name)
+        elif unit is AuditUnit.MEMORY_BUS:
+            name = unit.value
             chosen_dt = dt or default_delta_t("membus")
-            self.auditor.program(slot_index, name, chosen_dt)
+            slot = self.auditor.program(slot_index, name, chosen_dt)
+            spec = self.source.add_burst_channel(
+                name, self.machine.bus_lock_tap, chosen_dt
+            )
         elif unit in (AuditUnit.DIVIDER, AuditUnit.MULTIPLIER):
             if core is None:
                 raise DetectionError(f"{unit.value} audit needs a core index")
@@ -167,22 +148,22 @@ class CCHunter:
                 else self.machine.divider_wait_tap_for(core)
             )
             chosen_dt = dt or default_delta_t(unit.value)
-            self.auditor.program(slot_index, f"{unit.value}{core}", chosen_dt)
+            slot = self.auditor.program(
+                slot_index, f"{unit.value}{core}", chosen_dt
+            )
+            spec = self.source.add_burst_channel(name, tap, chosen_dt)
         else:  # pragma: no cover - exhaustive enum
             raise DetectionError(f"unknown audit unit {unit!r}")
-        self.source.add_burst_channel(name, tap, chosen_dt)
-        # The programmed slot *is* the analyzer's accumulator: counts pass
-        # through the hardware's saturating histogram buffer.
+        # A burst channel's programmed slot *is* its analyzer's
+        # accumulator: counts pass through the hardware's saturating
+        # histogram buffer.
         self.session.add_analyzer(
-            BurstAnalyzer(
-                unit=name,
-                dt=chosen_dt,
-                accumulator=self.auditor.slot(slot_index),
-                lr_threshold=self.lr_threshold,
-                n_bins=self.auditor.config.histogram_bins,
+            analyzer_for(
+                spec,
+                accumulator=slot,
+                window_fraction=self.window_fraction,
                 metrics=self.metrics,
                 capture_evidence=self.capture_evidence,
-                evidence_capacity=self.evidence_capacity,
             )
         )
         self._audits.append((unit, core, name))
@@ -193,17 +174,15 @@ class CCHunter:
         """Feed an observation directly (for non-machine sources)."""
         self.session.push_quantum(obs)
 
-    def current_verdicts(
-        self, min_oscillating_windows: Optional[int] = None
-    ) -> DetectionReport:
+    def current_verdicts(self) -> DetectionReport:
         """Verdicts as of the quanta observed so far."""
-        return self.session.current_verdicts(min_oscillating_windows)
+        return self.session.current_verdicts()
 
     # --------------------------------------------------------------- verdicts
 
-    def report(self, min_oscillating_windows: int = 1) -> DetectionReport:
+    def report(self) -> DetectionReport:
         """Run the cross-window analyses and return the final verdicts."""
-        return self.session.current_verdicts(min_oscillating_windows)
+        return self.session.current_verdicts()
 
     def evidence(self):
         """Per-unit forensic bundles (empty unless ``capture_evidence``).
@@ -245,7 +224,11 @@ class CCHunter:
         return list(analyzer.histograms)
 
     def cache_analyses(self) -> List[OscillationAnalysis]:
-        """Per-window oscillation analyses for the cache monitor."""
+        """The cache monitor's most recent per-window oscillation analyses.
+
+        At most :data:`~repro.pipeline.analyzers.RECENT_ANALYSES`
+        windows, oldest first; the verdict covers every window.
+        """
         analyzer = self.session.analyzer_for(AuditUnit.CACHE.value)
         assert isinstance(analyzer, OscillationAnalyzer)
         return list(analyzer.analyses)

@@ -324,10 +324,10 @@ class BitFlipInjector(FaultInjector):
 class SaturateInjector(FaultInjector):
     """Force Δt windows to the 16-bit entry maximum with probability ``p``.
 
-    Drives the saturating histogram accumulators (MonitorSlot /
-    StreamingDensityHistogram) into their clamp path — the adversarial
-    "pin the accumulator" scenario — without touching genuine counts in
-    the unaffected windows.
+    Drives the saturating histogram accumulator (every burst analyzer's
+    MonitorSlot) into its clamp path — the adversarial "pin the
+    accumulator" scenario — without touching genuine counts in the
+    unaffected windows.
     """
 
     kind = "saturate"

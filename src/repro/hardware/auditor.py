@@ -16,7 +16,9 @@ the background while the other fills.
 The model is behaviourally faithful to the fixed-width hardware: density
 indices clamp at the last histogram bin, the accumulator and histogram
 entries saturate, and vector-register drains happen whole-register at a
-time.
+time. A slot folds whole Δt windows, one count each, so the countdown and
+the accumulator appear only as the clamp each window's count passes
+through.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 
 from repro.config import AuditorConfig
 from repro.errors import HardwareError
+from repro.util.dtypes import ensure_int64
 
 #: Windows clamped per pass in :meth:`MonitorSlot.ingest_window_counts`.
 #: A divider quantum is 500k windows; clamping it whole takes a 4 MB
@@ -39,14 +42,18 @@ _CLAMP_CHUNK = 1 << 16
 
 @dataclass
 class MonitorSlot:
-    """One of the auditor's (up to two) unit monitors."""
+    """One of the auditor's (up to two) unit monitors.
+
+    Its histogram buffer is the package's only saturating density
+    accumulator: every burst analyzer folds its per-Δt counts through a
+    slot, whether the slot is programmed on a live auditor or stands
+    alone for trace replay and served tenants.
+    """
 
     unit_name: str
     dt: int
     config: AuditorConfig
     histogram: np.ndarray = field(init=False)
-    accumulator: int = field(init=False, default=0)
-    countdown: int = field(init=False)
     windows_recorded: int = field(init=False, default=0)
     events_seen: int = field(init=False, default=0)
     #: Windows whose raw count saturated the 16-bit accumulator
@@ -59,47 +66,41 @@ class MonitorSlot:
         if self.dt <= 0:
             raise HardwareError(f"Δt must be positive, got {self.dt}")
         self.histogram = np.zeros(self.config.histogram_bins, dtype=np.int64)
-        self.countdown = self.dt
 
     def ingest_window_counts(self, counts: Sequence[int]) -> None:
         """Record one event count per elapsed Δt window.
 
         Equivalent to the hardware's event-signal path: the accumulator
         counts events, and at each countdown expiry its (saturated) value
-        bumps the matching histogram entry.
+        bumps the matching histogram entry. Lists and narrow integer
+        columns are widened; float columns raise instead of truncating.
         """
-        arr = np.asarray(counts, dtype=np.int64)
+        arr = ensure_int64(counts, "window counts").ravel()
         if arr.size == 0:
             return
         if arr.min() < 0:
             raise HardwareError("event counts cannot be negative")
+        cfg = self.config
         self.events_seen += int(arr.sum())
-        over = arr > self.config.accumulator_max
+        over = arr > cfg.accumulator_max
         if over.any():
             self.clamp_events += int(over.sum())
         # Clamping to the accumulator, then to the last bin, is one clamp.
-        limit = min(
-            self.config.accumulator_max, self.config.histogram_bins - 1
-        )
-        increments = np.zeros(self.config.histogram_bins, dtype=np.int64)
+        limit = min(cfg.accumulator_max, cfg.histogram_bins - 1)
+        hist = self.histogram
         for lo in range(0, arr.size, _CLAMP_CHUNK):
             bins = np.minimum(arr[lo : lo + _CLAMP_CHUNK], limit)
-            increments += np.bincount(
-                bins, minlength=self.config.histogram_bins
-            )
-        raw = self.histogram + increments
-        saturated = raw > self.config.histogram_entry_max
+            hist += np.bincount(bins, minlength=cfg.histogram_bins)
+        saturated = hist > cfg.histogram_entry_max
         if saturated.any():
             self.entry_saturations += int(saturated.sum())
-        self.histogram = np.minimum(raw, self.config.histogram_entry_max)
+            np.minimum(hist, cfg.histogram_entry_max, out=hist)
         self.windows_recorded += int(arr.size)
 
     def read_and_reset(self) -> np.ndarray:
         """Daemon read at the OS-quantum boundary: copy out, clear buffer."""
         snapshot = self.histogram.copy()
         self.histogram[:] = 0
-        self.accumulator = 0
-        self.countdown = self.dt
         self.windows_recorded = 0
         return snapshot
 

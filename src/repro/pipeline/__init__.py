@@ -8,9 +8,9 @@ same shape:
 - an :class:`EventSource` produces one :class:`QuantumObservation` per
   quantum (the simulator's taps are one source, replayed trace archives
   another — see :class:`repro.traces.ArchiveEventSource`);
-- per-unit :class:`Analyzer` stages fold each observation into bounded
-  incremental state (streaming density histograms, running-sums
-  autocorrelograms);
+- per-unit :class:`Analyzer` stages, all built by :func:`analyzer_for`,
+  fold each observation into bounded incremental state (the auditor's
+  density histogram buffers, running-sums autocorrelograms);
 - a :class:`DetectionSession` fans observations out to its analyzers and
   can render :class:`~repro.core.report.DetectionReport` verdicts at any
   quantum, not just at the end of a run;
@@ -36,7 +36,7 @@ from repro.pipeline.codec import (
 from repro.pipeline.health import Health, worst
 from repro.pipeline.session import (
     DetectionSession,
-    build_session,
+    analyzer_for,
     build_session_from_specs,
 )
 from repro.pipeline.sinks import (
@@ -64,7 +64,7 @@ __all__ = [
     "Health",
     "worst",
     "DetectionSession",
-    "build_session",
+    "analyzer_for",
     "build_session_from_specs",
     "CodecError",
     "observation_to_dict",

@@ -3,17 +3,19 @@
 Each analyzer consumes :class:`~repro.pipeline.source.QuantumObservation`
 pushes for one named unit and keeps only bounded incremental state:
 
-- :class:`BurstAnalyzer` folds per-Δt counts through a saturating
-  histogram accumulator (the modeled :class:`MonitorSlot` when driven by
-  CC-auditor hardware, a :class:`StreamingDensityHistogram` otherwise)
-  into a :class:`~repro.core.clustering.PatternHorizon` of the last
+- :class:`BurstAnalyzer` folds per-Δt counts through the CC-auditor's
+  saturating histogram buffer (a
+  :class:`~repro.hardware.auditor.MonitorSlot`) into a
+  :class:`~repro.core.clustering.PatternHorizon` of the last
   ``CLUSTERING_WINDOW_QUANTA`` per-quantum histograms — exactly the
   horizon recurrence clustering looks at, grouped by discretized pattern
   so a verdict costs O(distinct patterns).
 - :class:`OscillationAnalyzer` folds each observation window's dominant
   pair train into per-pair running sums and a
   :class:`RunningAutocorrelogram`, so closing a window costs O(max_lag)
-  instead of re-autocorrelating the window's whole event train.
+  instead of re-autocorrelating the window's whole event train. Its
+  verdict reads running tallies of the analyzed windows; only the last
+  ``RECENT_ANALYSES`` window analyses are kept for inspection.
 
 ``verdict()`` may be called after any quantum; analyzers never replay
 history to answer it.
@@ -31,16 +33,20 @@ quarantines analyzers that raise anyway (docs/ROBUSTNESS.md).
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
-from typing import Deque, Dict, List, Optional, Protocol, Tuple
+from typing import Deque, Dict, Optional, Protocol, Tuple
 
 import numpy as np
 
-from repro.config import CLUSTERING_WINDOW_QUANTA, LIKELIHOOD_RATIO_THRESHOLD
+from repro.config import (
+    CLUSTERING_WINDOW_QUANTA,
+    LIKELIHOOD_RATIO_THRESHOLD,
+    AuditorConfig,
+)
 from repro.core.autocorr import RunningAutocorrelogram
 from repro.core.burst import BurstAnalysis, analyze_histogram
 from repro.core.clustering import PatternHorizon
-from repro.core.density import StreamingDensityHistogram
 from repro.core.oscillation import (
     DEFAULT_MIN_PEAK_HEIGHT,
     OscillationAnalysis,
@@ -48,6 +54,7 @@ from repro.core.oscillation import (
 )
 from repro.core.report import UnitVerdict
 from repro.errors import DetectionError
+from repro.hardware.auditor import MonitorSlot
 from repro.obs.evidence import EvidenceBundle
 from repro.obs.metrics import MetricsRegistry, get_default
 from repro.obs.tracing import trace_span
@@ -63,9 +70,7 @@ class Analyzer(Protocol):
 
     def push(self, obs: QuantumObservation) -> None: ...
 
-    def verdict(
-        self, min_oscillating_windows: Optional[int] = None
-    ) -> UnitVerdict: ...
+    def verdict(self) -> UnitVerdict: ...
 
     def first_detection_quantum(self) -> Optional[int]: ...
 
@@ -143,12 +148,12 @@ class _HealthMixin:
 class BurstAnalyzer(_HealthMixin):
     """Recurrent-burst detection for one combinational unit (IV-B).
 
-    ``accumulator`` is anything with the ``ingest_window_counts`` /
-    ``read_and_reset`` pair — a programmed auditor
-    :class:`~repro.hardware.auditor.MonitorSlot` for hardware-faithful
-    live sessions, or a :class:`StreamingDensityHistogram` for replay and
-    raw feeds. Per-quantum work is O(n_windows + bins); history is the
-    bounded pattern horizon recurrence clustering consumes.
+    ``accumulator`` is the auditor slot programmed for this unit; without
+    one the analyzer folds through a slot of its own with the default
+    :class:`~repro.config.AuditorConfig`, so counts always pass the
+    hardware's saturating histogram buffer. Per-quantum work is
+    O(n_windows + bins); history is the bounded pattern horizon
+    recurrence clustering consumes.
     """
 
     method = "burst"
@@ -157,13 +162,11 @@ class BurstAnalyzer(_HealthMixin):
         self,
         unit: str,
         dt: int,
-        accumulator=None,
+        accumulator: Optional[MonitorSlot] = None,
         lr_threshold: float = LIKELIHOOD_RATIO_THRESHOLD,
-        n_bins: int = 128,
         max_windows: int = CLUSTERING_WINDOW_QUANTA,
         metrics: Optional[MetricsRegistry] = None,
         capture_evidence: bool = False,
-        evidence_capacity: Optional[int] = None,
     ):
         self.unit = unit
         self.dt = int(dt)
@@ -171,7 +174,7 @@ class BurstAnalyzer(_HealthMixin):
         self._acc = (
             accumulator
             if accumulator is not None
-            else StreamingDensityHistogram(dt=dt, n_bins=n_bins)
+            else MonitorSlot(unit, self.dt, AuditorConfig())
         )
         self._horizon = PatternHorizon(max_windows)
         self.analyses: Deque[BurstAnalysis] = deque(maxlen=max_windows)
@@ -202,11 +205,7 @@ class BurstAnalyzer(_HealthMixin):
         self._seen_clamps = 0
         self._seen_saturations = 0
         self.evidence = (
-            EvidenceBundle(
-                unit, self.method, metrics=m,
-                **({} if evidence_capacity is None
-                   else {"capacity": evidence_capacity}),
-            )
+            EvidenceBundle(unit, self.method, metrics=m)
             if capture_evidence else None
         )
         self._prev_lr = 0.0
@@ -253,15 +252,15 @@ class BurstAnalyzer(_HealthMixin):
                 self._prev_lr = analysis.likelihood_ratio
         self.quanta_seen += 1
         self._m_windows.inc(len(counts))
-        # The accumulator (MonitorSlot or StreamingDensityHistogram) keeps
-        # cumulative event/clamp/saturation tallies; export per-push deltas
-        # rather than re-reducing the (possibly huge) counts array.
-        events = getattr(self._acc, "events_seen", 0)
+        # The slot keeps cumulative event/clamp/saturation tallies; export
+        # per-push deltas rather than re-reducing the (possibly huge)
+        # counts array.
+        events = self._acc.events_seen
         if events != self._seen_events:
             self._m_events.inc(events - self._seen_events)
             self._seen_events = events
-        clamps = getattr(self._acc, "clamp_events", 0)
-        saturations = getattr(self._acc, "entry_saturations", 0)
+        clamps = self._acc.clamp_events
+        saturations = self._acc.entry_saturations
         if clamps != self._seen_clamps:
             self._m_clamps.inc(clamps - self._seen_clamps)
             self._seen_clamps = clamps
@@ -269,9 +268,7 @@ class BurstAnalyzer(_HealthMixin):
             self._m_saturations.inc(saturations - self._seen_saturations)
             self._seen_saturations = saturations
 
-    def verdict(
-        self, min_oscillating_windows: Optional[int] = None
-    ) -> UnitVerdict:
+    def verdict(self) -> UnitVerdict:
         if not self._horizon:
             return UnitVerdict(
                 unit=self.unit,
@@ -333,6 +330,12 @@ class BurstAnalyzer(_HealthMixin):
         return None
 
 
+#: Window analyses an :class:`OscillationAnalyzer` keeps for inspection
+#: (:meth:`~repro.core.detector.CCHunter.cache_analyses`). Verdicts read
+#: the analyzer's running tallies, never these.
+RECENT_ANALYSES = 64
+
+
 class _PairState:
     """Running state for one cross-context (replacer, victim) pair."""
 
@@ -351,6 +354,9 @@ class OscillationAnalyzer(_HealthMixin):
     width. Within an open window every cross-context pair keeps a
     running identifier-train autocorrelogram, so closing the window reads
     the dominant pair's correlogram in O(max_lag) — no event replay.
+    A closed window updates running tallies (significant windows, max
+    peak, first significant quantum, one period per significant window),
+    so state stays a few bytes per window however long the audit runs.
     """
 
     method = "oscillation"
@@ -362,11 +368,9 @@ class OscillationAnalyzer(_HealthMixin):
         max_lag: int = 1000,
         min_train_events: int = 64,
         min_peak_height: float = DEFAULT_MIN_PEAK_HEIGHT,
-        min_oscillating_windows: int = 1,
         context_id_bits: int = 3,
         metrics: Optional[MetricsRegistry] = None,
         capture_evidence: bool = False,
-        evidence_capacity: Optional[int] = None,
     ):
         if not 0 < window_fraction <= 1.0:
             raise DetectionError(
@@ -377,12 +381,17 @@ class OscillationAnalyzer(_HealthMixin):
         self.max_lag = max_lag
         self.min_train_events = min_train_events
         self.min_peak_height = min_peak_height
-        self.min_oscillating_windows = min_oscillating_windows
         self.context_id_bits = context_id_bits
-        self.analyses: List[OscillationAnalysis] = []
-        #: Quantum index each analysis came from (parallel to ``analyses``).
-        self.analysis_quanta: List[int] = []
+        #: The last ``RECENT_ANALYSES`` window analyses, oldest first.
+        self.analyses: Deque[OscillationAnalysis] = deque(
+            maxlen=RECENT_ANALYSES
+        )
         self.windows_analyzed = 0
+        self.significant_windows = 0
+        self._max_peak: Optional[float] = None
+        self._first_significant: Optional[int] = None
+        #: Dominant period of each significant window that has one.
+        self._periods = array("d")
         self.last_acf: Optional[np.ndarray] = None
         self._pairs: Dict[int, _PairState] = {}
         m = metrics if metrics is not None else get_default()
@@ -418,11 +427,7 @@ class OscillationAnalyzer(_HealthMixin):
             labels,
         )
         self.evidence = (
-            EvidenceBundle(
-                unit, self.method, metrics=m,
-                **({} if evidence_capacity is None
-                   else {"capacity": evidence_capacity}),
-            )
+            EvidenceBundle(unit, self.method, metrics=m)
             if capture_evidence else None
         )
         self._init_health(m)
@@ -493,7 +498,9 @@ class OscillationAnalyzer(_HealthMixin):
             acf, min_peak_height=self.min_peak_height
         )
         self.analyses.append(analysis)
-        self.analysis_quanta.append(quantum)
+        peak = analysis.max_peak
+        if self._max_peak is None or peak > self._max_peak:
+            self._max_peak = peak
         self._m_train_length.set(state.count)
         self._m_acf_lags.set(acf.size)
         if self.evidence is not None:
@@ -507,31 +514,25 @@ class OscillationAnalyzer(_HealthMixin):
                 self.evidence.record_acf(quantum, acf, analysis)
         if analysis.significant:
             self._m_windows_significant.inc()
+            self.significant_windows += 1
+            if self._first_significant is None:
+                self._first_significant = quantum
+            if analysis.dominant_period:
+                self._periods.append(analysis.dominant_period)
 
-    def verdict(
-        self, min_oscillating_windows: Optional[int] = None
-    ) -> UnitVerdict:
-        needed = (
-            min_oscillating_windows
-            if min_oscillating_windows is not None
-            else self.min_oscillating_windows
-        )
-        significant = [a for a in self.analyses if a.significant]
-        periods = [a.dominant_period for a in significant if a.dominant_period]
+    def verdict(self) -> UnitVerdict:
+        periods = self._periods
         return UnitVerdict(
             unit=self.unit,
             method="oscillation",
-            detected=len(significant) >= needed,
+            detected=self.significant_windows >= 1,
             quanta_analyzed=self.windows_analyzed,
-            oscillating_windows=len(significant),
-            max_peak=max((a.max_peak for a in self.analyses), default=0.0),
+            oscillating_windows=self.significant_windows,
+            max_peak=0.0 if self._max_peak is None else self._max_peak,
             dominant_period=float(np.median(periods)) if periods else None,
             notes=self._health_notes(),
             health=self._health.value,
         )
 
     def first_detection_quantum(self) -> Optional[int]:
-        for analysis, quantum in zip(self.analyses, self.analysis_quanta):
-            if analysis.significant:
-                return quantum
-        return None
+        return self._first_significant

@@ -22,10 +22,12 @@ The session degrades instead of dying (docs/ROBUSTNESS.md):
   dispatch but still gets its ``on_close``, which is guaranteed to be
   attempted for every sink exactly once per close.
 
-:func:`build_session` wires a session straight from an EventSource's
-channel specs with the CC-auditor's histogram geometry — the path trace
-replay and raw feeds use; :class:`~repro.core.detector.CCHunter` builds
-its analyzers around programmed auditor slots instead.
+Every session builds its analyzers through one factory,
+:func:`analyzer_for`, with the paper's detection parameters:
+:class:`~repro.core.detector.CCHunter` passes the auditor slot it
+programmed for a burst channel, while trace replay and each served
+tenant call :func:`build_session_from_specs`, whose burst analyzers fold
+through a fresh slot of their own.
 """
 
 from __future__ import annotations
@@ -35,23 +37,16 @@ import time
 from time import perf_counter
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
-from repro.config import LIKELIHOOD_RATIO_THRESHOLD, AuditorConfig
-from repro.core.density import StreamingDensityHistogram
-from repro.core.oscillation import DEFAULT_MIN_PEAK_HEIGHT
 from repro.core.report import DetectionReport, UnitVerdict
 from repro.errors import DetectionError
+from repro.hardware.auditor import MonitorSlot
 from repro.obs.log import get_logger
 from repro.obs.metrics import Gauge, Histogram, MetricsRegistry, get_default
 from repro.obs.tracing import trace_span
 from repro.pipeline.analyzers import Analyzer, BurstAnalyzer, OscillationAnalyzer
 from repro.pipeline.health import Health, worst
 from repro.pipeline.sinks import VerdictSink
-from repro.pipeline.source import (
-    ChannelKind,
-    ChannelSpec,
-    EventSource,
-    QuantumObservation,
-)
+from repro.pipeline.source import ChannelKind, ChannelSpec, QuantumObservation
 
 _log = get_logger("pipeline.session")
 
@@ -294,17 +289,13 @@ class DetectionSession:
             if timed:
                 self._m_sinks.observe(perf_counter() - t0)
 
-    def _unit_verdict(
-        self, unit: str, min_oscillating_windows: Optional[int]
-    ) -> UnitVerdict:
+    def _unit_verdict(self, unit: str) -> UnitVerdict:
         """One unit's verdict with combined health; never raises."""
         analyzer = self._analyzers[unit]
         state = self._unit_states[unit]
         try:
             with trace_span("analyzer.verdict", unit=unit):
-                verdict = analyzer.verdict(
-                    min_oscillating_windows=min_oscillating_windows
-                )
+                verdict = analyzer.verdict()
         except Exception as exc:
             self._record_analyzer_error(unit, exc)
             return UnitVerdict(
@@ -337,8 +328,7 @@ class DetectionSession:
         """Per-unit :class:`~repro.obs.evidence.EvidenceBundle` mapping.
 
         Empty unless analyzers were built with ``capture_evidence=True``
-        (see :func:`build_session` /
-        :class:`~repro.core.detector.CCHunter`).
+        (see :func:`analyzer_for`).
         """
         bundles = {}
         for unit, analyzer in self._analyzers.items():
@@ -354,11 +344,7 @@ class DetectionSession:
             for a in self._analyzers.values()
         )
 
-    def current_verdicts(
-        self,
-        min_oscillating_windows: Optional[int] = None,
-        with_evidence: bool = False,
-    ) -> DetectionReport:
+    def current_verdicts(self, with_evidence: bool = False) -> DetectionReport:
         """Verdicts as of the quanta pushed so far.
 
         With ``with_evidence=True`` each verdict carries its unit's
@@ -367,7 +353,7 @@ class DetectionSession:
         """
         verdicts = []
         for unit in self._analyzers:
-            verdict = self._unit_verdict(unit, min_oscillating_windows)
+            verdict = self._unit_verdict(unit)
             if with_evidence:
                 bundle = getattr(self._analyzers[unit], "evidence", None)
                 if bundle is not None:
@@ -431,9 +417,7 @@ class DetectionSession:
                                 type(sink).__name__, state.failures,
                             )
 
-    def close(
-        self, min_oscillating_windows: Optional[int] = None
-    ) -> DetectionReport:
+    def close(self) -> DetectionReport:
         """Final verdicts; ``on_close`` is attempted for *every* sink.
 
         When evidence is being captured the final report's verdicts
@@ -451,10 +435,7 @@ class DetectionSession:
         """
         if self._final_report is not None:
             return self._final_report
-        report = self.current_verdicts(
-            min_oscillating_windows,
-            with_evidence=self.captures_evidence,
-        )
+        report = self.current_verdicts(with_evidence=self.captures_evidence)
         # Seal the session before dispatching: a sink that re-enters
         # close() (e.g. a panicking supervisor callback) gets the final
         # report back instead of a second on_close fan-out.
@@ -483,105 +464,69 @@ class DetectionSession:
         return analyzer.first_detection_quantum()
 
 
-def build_session(
-    source: EventSource,
-    lr_threshold: float = LIKELIHOOD_RATIO_THRESHOLD,
+def analyzer_for(
+    spec: ChannelSpec,
+    accumulator: Optional[MonitorSlot] = None,
     window_fraction: float = 1.0,
-    max_lag: int = 1000,
-    min_train_events: int = 64,
-    min_peak_height: float = DEFAULT_MIN_PEAK_HEIGHT,
-    auditor_config: Optional[AuditorConfig] = None,
-    sinks: Iterable[VerdictSink] = (),
-    track_detection_latency: bool = False,
     metrics: Optional[MetricsRegistry] = None,
     capture_evidence: bool = False,
-    evidence_capacity: Optional[int] = None,
-) -> DetectionSession:
-    """A session with one analyzer per channel the source offers.
+) -> Analyzer:
+    """The analyzer for one channel, with the paper's detection parameters.
 
-    Burst channels get streaming density accumulators with the auditor's
-    saturation limits (same numerics as the hardware monitor slots);
-    the conflict channel gets an incremental oscillation analyzer.
-    ``capture_evidence`` makes every analyzer keep a bounded forensic
+    A burst channel gets a :class:`BurstAnalyzer` folding its counts
+    through ``accumulator`` — the auditor slot programmed for the unit —
+    or, without one, through a fresh :class:`MonitorSlot`; the conflict
+    channel gets an :class:`OscillationAnalyzer` whose observation
+    windows tile each quantum at ``window_fraction`` of its width.
+    ``capture_evidence`` makes the analyzer keep a bounded forensic
     :class:`~repro.obs.evidence.EvidenceBundle` (docs/FORENSICS.md);
     verdicts are bit-identical with capture on or off.
     """
-    return build_session_from_specs(
-        source.channels(),
-        lr_threshold=lr_threshold,
+    if spec.kind is ChannelKind.BURST:
+        return BurstAnalyzer(
+            spec.name,
+            spec.dt,
+            accumulator=accumulator,
+            metrics=metrics,
+            capture_evidence=capture_evidence,
+        )
+    return OscillationAnalyzer(
+        spec.name,
         window_fraction=window_fraction,
-        max_lag=max_lag,
-        min_train_events=min_train_events,
-        min_peak_height=min_peak_height,
-        auditor_config=auditor_config,
-        sinks=sinks,
-        track_detection_latency=track_detection_latency,
         metrics=metrics,
         capture_evidence=capture_evidence,
-        evidence_capacity=evidence_capacity,
     )
 
 
 def build_session_from_specs(
     specs: Iterable[ChannelSpec],
-    lr_threshold: float = LIKELIHOOD_RATIO_THRESHOLD,
     window_fraction: float = 1.0,
-    max_lag: int = 1000,
-    min_train_events: int = 64,
-    min_peak_height: float = DEFAULT_MIN_PEAK_HEIGHT,
-    auditor_config: Optional[AuditorConfig] = None,
     sinks: Iterable[VerdictSink] = (),
     track_detection_latency: bool = False,
     metrics: Optional[MetricsRegistry] = None,
     capture_evidence: bool = False,
-    evidence_capacity: Optional[int] = None,
 ) -> DetectionSession:
-    """A session built straight from channel specs — no source needed.
+    """A session with one :func:`analyzer_for` analyzer per channel spec.
 
-    This is how the multi-tenant service (:mod:`repro.serve`) builds
-    one session per tenant from the channel list in the tenant's wire
-    ``hello`` frame; :func:`build_session` is now the thin adapter that
-    reads the specs off an EventSource. Analyzer construction is
-    identical either way, so a served tenant's verdicts are
-    bit-identical to an in-process session over the same observations.
+    Trace replay passes its source's ``channels()``; the multi-tenant
+    service (:mod:`repro.serve`) passes the channel list of a tenant's
+    wire ``hello`` frame. Analyzer construction is the one
+    :class:`~repro.core.detector.CCHunter` uses, so a served or replayed
+    session's verdicts are bit-identical to a live audit's over the same
+    observations.
     """
-    cfg = auditor_config or AuditorConfig()
     session = DetectionSession(
         sinks=sinks,
         track_detection_latency=track_detection_latency,
         metrics=metrics,
     )
     for spec in specs:
-        if spec.kind is ChannelKind.BURST:
-            session.add_analyzer(
-                BurstAnalyzer(
-                    unit=spec.name,
-                    dt=spec.dt,
-                    accumulator=StreamingDensityHistogram(
-                        dt=spec.dt,
-                        n_bins=cfg.histogram_bins,
-                        count_clamp=cfg.accumulator_max,
-                        entry_max=cfg.histogram_entry_max,
-                    ),
-                    lr_threshold=lr_threshold,
-                    n_bins=cfg.histogram_bins,
-                    metrics=session.metrics,
-                    capture_evidence=capture_evidence,
-                    evidence_capacity=evidence_capacity,
-                )
+        session.add_analyzer(
+            analyzer_for(
+                spec,
+                window_fraction=window_fraction,
+                metrics=session.metrics,
+                capture_evidence=capture_evidence,
             )
-        else:
-            session.add_analyzer(
-                OscillationAnalyzer(
-                    unit=spec.name,
-                    window_fraction=window_fraction,
-                    max_lag=max_lag,
-                    min_train_events=min_train_events,
-                    min_peak_height=min_peak_height,
-                    context_id_bits=cfg.context_id_bits,
-                    metrics=session.metrics,
-                    capture_evidence=capture_evidence,
-                    evidence_capacity=evidence_capacity,
-                )
-            )
+        )
     return session

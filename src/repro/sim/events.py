@@ -19,9 +19,8 @@ attach a *window reader* (``window_reader()``) that consumes the tap's
 append-only chunk columns incrementally. Readers are the streaming hot
 path: each read costs O(events in the window) instead of re-sorting the
 whole history at every quantum boundary, the tap keeps its full record,
-and any number of readers can coexist on one tap. ``clear()`` supports
-streaming consumers that drain destructively (readers detect it and fail
-loudly rather than silently skipping history).
+and any number of readers can coexist on one tap. A tap is never
+cleared, so a reader's cursor stays valid for the tap's whole life.
 
 Periodic bursts (a bus-lock sender's ``count`` locks every ``period``
 cycles) stay symbolic as :class:`GridChunk` rows, in the tap's record and
@@ -180,7 +179,6 @@ class EventTap:
         self._stage_ctxs: List[int] = []
         self._stage_grid: Optional[Tuple[List[int], int, int, int]] = None
         self._sorted_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._clear_epoch = 0
 
     def record(self, time: int, ctx: int) -> None:
         """Record a single event."""
@@ -297,15 +295,6 @@ class EventTap:
         """An incremental windowed reader over this tap (hot path)."""
         return EventWindowReader(self)
 
-    def clear(self) -> None:
-        self._time_chunks.clear()
-        self._ctx_chunks.clear()
-        self._stage_times = []
-        self._stage_ctxs = []
-        self._stage_grid = None
-        self._sorted_cache = None
-        self._clear_epoch += 1
-
 
 class EventWindowReader:
     """Incremental windowed timestamp reader over one :class:`EventTap`.
@@ -329,18 +318,9 @@ class EventWindowReader:
         self._chunk_idx = 0
         self._pending = np.zeros(0, dtype=np.int64)
         self._cursor: Optional[int] = None
-        self._epoch = tap._clear_epoch
-
-    def _check_epoch(self) -> None:
-        if self._tap._clear_epoch != self._epoch:
-            raise SimulationError(
-                f"tap {self._tap.name!r} was cleared under an active "
-                "window reader; create a new reader after clear()"
-            )
 
     def _merged(self) -> np.ndarray:
         """All unconsumed timestamps (pending carry + new chunks), sorted."""
-        self._check_epoch()
         tap = self._tap
         tap._flush_stage()
         chunks = tap._time_chunks
@@ -433,7 +413,6 @@ class RateSegmentTap:
             Tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = None
         self._sparse = EventTap(name + ".sparse")
-        self._clear_epoch = 0
 
     def record_segment(self, start: int, end: int, rate: float) -> None:
         """Record uniform activity of ``rate`` events/cycle over [start, end)."""
@@ -543,14 +522,6 @@ class RateSegmentTap:
             times = times[keep]
         return times
 
-    def clear(self) -> None:
-        self._seg_starts.clear()
-        self._seg_ends.clear()
-        self._seg_rates.clear()
-        self._seg_cache = None
-        self._sparse.clear()
-        self._clear_epoch += 1
-
 
 class SegmentWindowReader:
     """Incremental windowed reader over a :class:`RateSegmentTap`.
@@ -577,17 +548,11 @@ class SegmentWindowReader:
         self._p_ends = np.zeros(0, dtype=np.int64)
         self._p_rates = np.zeros(0, dtype=np.float64)
         self._cursor: Optional[int] = None
-        self._epoch = tap._clear_epoch
         self._sparse = tap._sparse.window_reader()
         self._counts = np.zeros(0, dtype=np.float64)
 
     def _merge_new(self) -> None:
         tap = self._tap
-        if tap._clear_epoch != self._epoch:
-            raise SimulationError(
-                f"tap {tap.name!r} was cleared under an active "
-                "window reader; create a new reader after clear()"
-            )
         n = len(tap._seg_starts)
         if n == self._seg_idx:
             return
@@ -674,7 +639,6 @@ class LabeledEventTap:
         self._sorted_cache: Optional[
             Tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = None
-        self._clear_epoch = 0
 
     def record(self, time: int, replacer: int, victim: int) -> None:
         limit = 1 << self.context_id_bits
@@ -750,16 +714,6 @@ class LabeledEventTap:
         """An incremental windowed reader over this tap (hot path)."""
         return LabeledWindowReader(self)
 
-    def clear(self) -> None:
-        self._time_chunks.clear()
-        self._replacer_chunks.clear()
-        self._victim_chunks.clear()
-        self._stage_times = []
-        self._stage_replacers = []
-        self._stage_victims = []
-        self._sorted_cache = None
-        self._clear_epoch += 1
-
 
 class LabeledWindowReader:
     """Incremental windowed reader over a :class:`LabeledEventTap`.
@@ -778,15 +732,9 @@ class LabeledWindowReader:
         self._p_reps = np.zeros(0, dtype=np.int16)
         self._p_vics = np.zeros(0, dtype=np.int16)
         self._cursor: Optional[int] = None
-        self._epoch = tap._clear_epoch
 
     def _merge_new(self) -> None:
         tap = self._tap
-        if tap._clear_epoch != self._epoch:
-            raise SimulationError(
-                f"tap {tap.name!r} was cleared under an active "
-                "window reader; create a new reader after clear()"
-            )
         tap._flush_stage()
         chunks = tap._time_chunks
         if len(chunks) == self._chunk_idx:

@@ -10,8 +10,8 @@ serves timed accesses whose latency reflects the lock state.
 Locks are committed when the locking operation is issued, covering the
 whole burst (producers-first contract, see :mod:`repro.sim.engine`).
 
-The bus keeps its own lock record, independent of the tap (which
-destructive consumers may ``clear()``). Each ``lock_burst`` is one
+The bus keeps its own lock record, ordered for contention queries
+rather than in the tap's record order. Each ``lock_burst`` is one
 symbolic :class:`~repro.sim.events.GridChunk` row, ordered by start;
 single locks from ``noise_locks`` are one sorted array. A contention
 query asks only the rows that reach the queried times, each in closed

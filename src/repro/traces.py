@@ -28,7 +28,7 @@ from repro.errors import DetectionError, TraceCorruptionError
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry, get_default
 from repro.obs.tracing import trace_span
-from repro.pipeline.session import build_session
+from repro.pipeline.session import build_session_from_specs
 from repro.pipeline.sinks import VerdictSink
 from repro.pipeline.source import (
     ChannelKind,
@@ -459,19 +459,16 @@ def analyze_traces(
     bus_dt: Optional[int] = None,
     divider_dt: Optional[int] = None,
     multiplier_dt: Optional[int] = None,
-    max_lag: int = 1000,
-    min_train_events: int = 64,
     window_fraction: float = 1.0,
     sinks: Iterable[VerdictSink] = (),
     track_detection_latency: bool = False,
     injectors: Iterable[object] = (),
     capture_evidence: bool = False,
-    evidence_capacity: Optional[int] = None,
 ) -> DetectionReport:
     """Run the full CC-Hunter analysis offline over a trace archive.
 
     Builds an :class:`ArchiveEventSource` and replays it through a
-    standard :func:`~repro.pipeline.session.build_session` pipeline — the
+    :func:`~repro.pipeline.session.build_session_from_specs` session — the
     identical analyzer code path live sessions use, so offline verdicts
     cannot drift from online ones. ``sinks`` (e.g. a
     :class:`~repro.pipeline.sinks.MetricsSink`) and
@@ -495,15 +492,12 @@ def analyze_traces(
         from repro.faults.source import FaultInjectingSource
 
         feed = FaultInjectingSource(source, injectors)
-    session = build_session(
-        feed,
+    session = build_session_from_specs(
+        feed.channels(),
         window_fraction=window_fraction,
-        max_lag=max_lag,
-        min_train_events=min_train_events,
         sinks=sinks,
         track_detection_latency=track_detection_latency,
         capture_evidence=capture_evidence,
-        evidence_capacity=evidence_capacity,
     )
     feed.subscribe(session)
     source.replay()

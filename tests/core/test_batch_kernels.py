@@ -14,10 +14,9 @@ from hypothesis import strategies as st
 
 from repro.config import AuditorConfig
 from repro.core.autocorr import RunningAutocorrelogram
-from repro.core.density import StreamingDensityHistogram
 from repro.core.event_train import EventTrain
 from repro.errors import DetectionError
-from repro.hardware.auditor import VectorRegisterPair
+from repro.hardware.auditor import MonitorSlot, VectorRegisterPair
 
 
 def reference_correlogram(x, max_lag):
@@ -104,26 +103,32 @@ class TestRunningAutocorrelogram:
         assert est.n == 5
 
 
+def _slot():
+    return MonitorSlot("x", 10, AuditorConfig(histogram_bins=16))
+
+
 class TestStreamingDensityBatch:
+    """The auditor slot's density fold, one window at a time or batched."""
+
     def test_push_adapter_equals_batch(self):
         counts = [0, 3, 1, 0, 200, 5]
-        one = StreamingDensityHistogram(dt=10, n_bins=16)
-        many = StreamingDensityHistogram(dt=10, n_bins=16)
+        one, many = _slot(), _slot()
         for c in counts:
-            one.push(c)
-        many.push_batch(np.array(counts, dtype=np.int64))
-        np.testing.assert_array_equal(one.histogram(), many.histogram())
+            one.ingest_window_counts([c])
+        many.ingest_window_counts(np.array(counts, dtype=np.int64))
+        np.testing.assert_array_equal(one.histogram, many.histogram)
         assert one.events_seen == many.events_seen
 
     def test_float_counts_rejected_loudly(self):
-        est = StreamingDensityHistogram(dt=10, n_bins=16)
+        slot = _slot()
         with pytest.raises(DetectionError, match="integers"):
-            est.push_batch(np.array([1.5, 2.0]))
+            slot.ingest_window_counts(np.array([1.7, 2.2]))
+        assert slot.windows_recorded == 0
 
     def test_narrow_integer_dtypes_widened(self):
-        est = StreamingDensityHistogram(dt=10, n_bins=16)
-        est.push_batch(np.array([1, 2], dtype=np.int32))
-        assert est.events_seen == 3
+        slot = _slot()
+        slot.ingest_window_counts(np.array([1, 2], dtype=np.int32))
+        assert slot.events_seen == 3
 
 
 class TestVectorRegisterBatch:

@@ -106,7 +106,7 @@ class TestCacheFlow:
                       ctx=2)
 
     def test_oscillation_detected_on_pingpong(self, small_machine):
-        hunter = CCHunter(small_machine, min_train_events=64, max_lag=400)
+        hunter = CCHunter(small_machine)
         hunter.audit(AuditUnit.CACHE)
         self._pingpong(small_machine)
         small_machine.run_quanta(1)
@@ -156,7 +156,7 @@ class TestDividerFlow:
 
 class TestDetectionLatency:
     def test_cache_first_detection_quantum(self, small_machine):
-        hunter = CCHunter(small_machine, min_train_events=64, max_lag=400)
+        hunter = CCHunter(small_machine)
         hunter.audit(AuditUnit.CACHE)
         TestCacheFlow()._pingpong(small_machine)
         small_machine.run_quanta(2)

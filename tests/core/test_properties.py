@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from repro.core.autocorr import RunningAutocorrelogram, autocorrelogram
 from repro.core.clustering import analyze_recurrence
-from repro.core.density import StreamingDensityHistogram, build_density_histogram
+from repro.config import AuditorConfig
+from repro.core.density import build_density_histogram
 from repro.core.event_train import EventTrain, dominant_pair_series
 from repro.core.oscillation import analyze_autocorrelogram
+from repro.hardware.auditor import MonitorSlot
 from repro.util.stats import sample_counts_to_histogram
 
 
@@ -132,28 +134,10 @@ class TestStreamingEqualsBatch:
         rng = np.random.default_rng(seed)
         arr = np.array(counts, dtype=np.int64)
         batch = sample_counts_to_histogram(arr, 128)
-        streaming = StreamingDensityHistogram(dt=100)
+        slot = MonitorSlot("x", 100, AuditorConfig())
         for chunk in _chunked(rng, arr):
-            streaming.ingest_window_counts(chunk)
-        assert np.array_equal(streaming.read_and_reset(), batch)
-
-    def test_streaming_density_matches_monitor_slot_saturation(self):
-        from repro.config import AuditorConfig
-        from repro.hardware.auditor import MonitorSlot
-
-        cfg = AuditorConfig()
-        slot = MonitorSlot(unit_name="x", dt=100, config=cfg)
-        streaming = StreamingDensityHistogram(
-            dt=100,
-            n_bins=cfg.histogram_bins,
-            count_clamp=cfg.accumulator_max,
-            entry_max=cfg.histogram_entry_max,
-        )
-        rng = np.random.default_rng(3)
-        counts = rng.integers(0, 200_000, size=5_000)
-        slot.ingest_window_counts(counts)
-        streaming.ingest_window_counts(counts)
-        assert np.array_equal(slot.read_and_reset(), streaming.read_and_reset())
+            slot.ingest_window_counts(chunk)
+        assert np.array_equal(slot.read_and_reset(), batch)
 
 
 class TestDeterminism:

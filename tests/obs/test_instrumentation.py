@@ -82,18 +82,9 @@ class TestPipelineMetrics:
 
     def test_saturation_counter_fires_on_clamped_counts(self):
         """Drive a burst analyzer past the accumulator clamp directly."""
-        from repro.core.density import StreamingDensityHistogram
-
         reg = MetricsRegistry()
         session = DetectionSession(metrics=reg)
-        accumulator = StreamingDensityHistogram(
-            dt=100, count_clamp=65535, entry_max=65535
-        )
-        session.add_analyzer(
-            BurstAnalyzer(
-                unit="membus", dt=100, accumulator=accumulator, metrics=reg
-            )
-        )
+        session.add_analyzer(BurstAnalyzer(unit="membus", dt=100, metrics=reg))
         huge = np.full(200, 10**9, dtype=np.int64)
         session.push_quantum(
             QuantumObservation(
@@ -119,9 +110,7 @@ class TestNullRegistryPath:
 class TestCacheAnalyzerMetrics:
     def test_oscillation_train_and_window_counters(self, small_machine):
         reg = MetricsRegistry()
-        hunter = CCHunter(
-            small_machine, min_train_events=64, max_lag=400, metrics=reg
-        )
+        hunter = CCHunter(small_machine, metrics=reg)
         hunter.audit(AuditUnit.CACHE)
         from tests.core.test_detector import TestCacheFlow
 

@@ -17,7 +17,7 @@ from repro.pipeline import (
     MachineEventSource,
     QuantumObservation,
     StreamPrinterSink,
-    build_session,
+    build_session_from_specs,
 )
 from repro.sim.process import BusLockBurst, Process
 from repro.traces import ArchiveEventSource, export_traces
@@ -128,7 +128,9 @@ class TestMachineEventSource:
         """Concurrent audit sessions share one source's observations."""
         source = MachineEventSource(small_machine)
         source.add_burst_channel("membus", small_machine.bus_lock_tap, 1000)
-        sessions = [build_session(source) for _ in range(3)]
+        sessions = [
+            build_session_from_specs(source.channels()) for _ in range(3)
+        ]
         for session in sessions:
             source.subscribe(session)
 
@@ -249,7 +251,7 @@ class TestOscillationAnalyzerIncremental:
         from repro.core.event_train import dominant_pair_series
         from repro.core.oscillation import analyze_autocorrelogram
 
-        hunter = CCHunter(small_machine, min_train_events=64, max_lag=400)
+        hunter = CCHunter(small_machine)
         hunter.audit(AuditUnit.CACHE)
         from tests.core.test_detector import TestCacheFlow
 
@@ -263,7 +265,7 @@ class TestOscillationAnalyzerIncremental:
         )
         labels, _idx, _pair = dominant_pair_series(reps, vics)
         batch = analyze_autocorrelogram(
-            autocorrelogram(labels, 400), min_peak_height=0.45
+            autocorrelogram(labels, 1000), min_peak_height=0.45
         )
         assert incremental[0].significant == batch.significant
         assert incremental[0].max_peak == pytest.approx(

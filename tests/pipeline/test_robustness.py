@@ -53,10 +53,10 @@ class _ExplodingAnalyzer(BurstAnalyzer):
             raise RuntimeError("boom")
         super().push(obs)
 
-    def verdict(self, min_oscillating_windows=None):
+    def verdict(self):
         if self.verdict_raises:
             raise RuntimeError("verdict boom")
-        return super().verdict(min_oscillating_windows)
+        return super().verdict()
 
 
 class _FlakySink:

@@ -144,30 +144,3 @@ class TestBuildSessionFromSpecs:
         report = session.current_verdicts()
         assert report.verdict_for("membus").method == "burst"
         assert report.verdict_for("cache").method == "oscillation"
-
-    def test_matches_source_built_session(self):
-        """Spec-built and source-built sessions see identical verdicts.
-
-        This is the contract the serve path relies on: a tenant session
-        built from the channel list in its hello frame must be
-        bit-identical to one built off the live EventSource.
-        """
-        from repro.pipeline import build_session
-
-        class _SpecOnlySource:
-            quantum_cycles = 30
-
-            def channels(self):
-                return TestBuildSessionFromSpecs.SPECS
-
-            def subscribe(self, consumer):
-                pass
-
-        rng = np.random.default_rng(11)
-        via_specs = build_session_from_specs(self.SPECS)
-        via_source = build_session(_SpecOnlySource())
-        for q in range(20):
-            counts = rng.poisson(2.0, size=3)
-            for session in (via_specs, via_source):
-                session.push_quantum(_obs(q, counts=counts))
-        assert via_specs.close() == via_source.close()

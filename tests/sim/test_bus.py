@@ -196,15 +196,6 @@ class TestLockHistoryEquivalence:
         times = np.array([50_500, 99_500, 102_000])
         assert bus.locked_at(times).tolist() == [True, True, False]
 
-    def test_clearing_the_tap_keeps_contention(self, bus):
-        bus.lock_burst(0, start=0, count=10, period=1_000)
-        bus.noise_locks(3, start=20_000, duration=10_000, rate_per_cycle=1e-3)
-        times = np.arange(0, 40_000, 500, dtype=np.int64)
-        before = bus.locked_at(times)
-        bus.lock_tap.clear()
-        np.testing.assert_array_equal(bus.locked_at(times), before)
-        assert before.any()
-
     def test_record_is_symbolic(self, bus):
         # A long burst costs one row, and a query builds none of its locks.
         tracemalloc.start()

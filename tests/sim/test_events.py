@@ -43,13 +43,6 @@ class TestEventTap:
         with pytest.raises(SimulationError):
             tap.density_counts(0, 0, 10)
 
-    def test_clear(self):
-        tap = EventTap("t")
-        tap.record(5, 0)
-        tap.clear()
-        assert tap.count == 0
-        assert tap.times().size == 0
-
     def test_cache_invalidated_on_append(self):
         tap = EventTap("t")
         tap.record(5, 0)
@@ -114,13 +107,6 @@ class TestRateSegmentTap:
         tap.record_segment(0, 10_000, 0.1)
         times = tap.materialize_times(0, 10_000, max_events=100)
         assert times.size == 100
-
-    def test_clear(self):
-        tap = RateSegmentTap("d")
-        tap.record_segment(0, 10, 1.0)
-        tap.record(3)
-        tap.clear()
-        assert tap.count == 0
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -4,8 +4,8 @@ Each reader consumes its tap's append-only columns exactly once while
 matching the full-history read (``density_counts`` / ``records_in``)
 bit for bit — the property the columnar hot path rests on
 (docs/PERFORMANCE.md). These tests pin the equivalence and the loud
-failure modes: rewinding cursors, taps cleared mid-stream, and events
-recorded behind an already-read window.
+failure modes: rewinding cursors and events recorded behind an
+already-read window.
 """
 
 import tracemalloc
@@ -83,15 +83,6 @@ class TestEventWindowReader:
         with pytest.raises(SimulationError):
             reader.read(100, 200)
 
-    def test_clear_mid_stream_raises(self):
-        tap = EventTap("t")
-        tap.record_batch(np.array([5], dtype=np.int64), ctx=0)
-        reader = tap.window_reader()
-        reader.read(0, 10)
-        tap.clear()
-        with pytest.raises(SimulationError):
-            reader.read(10, 20)
-
     def test_full_history_reads_unaffected_by_reader(self):
         # The reader is non-destructive: trace export and figures keep
         # seeing the tap's whole history.
@@ -133,11 +124,8 @@ class TestGridChunkEquivalence:
     read must equal ``record_batch`` of the same materialized bursts."""
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(st.lists(_tap_op, max_size=6), min_size=1, max_size=6),
-        st.one_of(st.none(), st.integers(0, 5)),
-    )
-    def test_grid_reads_match_materialized(self, quanta, clear_after):
+    @given(st.lists(st.lists(_tap_op, max_size=6), min_size=1, max_size=6))
+    def test_grid_reads_match_materialized(self, quanta):
         grid, batch = EventTap("grid"), EventTap("batch")
         readers = (grid.window_reader(), batch.window_reader())
         for q, ops in enumerate(quanta):
@@ -165,11 +153,6 @@ class TestGridChunkEquivalence:
             _assert_same_columns(
                 grid.times_and_contexts(), batch.times_and_contexts()
             )
-            if q == clear_after:
-                grid.clear()
-                batch.clear()
-                assert grid.count == 0 and grid.times().size == 0
-                readers = (grid.window_reader(), batch.window_reader())
         end = (len(quanta) + 2) * _QUANTUM
         np.testing.assert_array_equal(grid.times(), batch.times())
         np.testing.assert_array_equal(
@@ -231,15 +214,6 @@ class TestSegmentWindowReader:
         # The reader reuses its float column; no returned column shares it.
         for got, want in reads:
             np.testing.assert_array_equal(got, want)
-
-    def test_clear_mid_stream_raises(self):
-        tap = RateSegmentTap("d")
-        tap.record_segment(0, 100, 1.0)
-        reader = tap.window_reader()
-        reader.read_counts(50, 0, 100)
-        tap.clear()
-        with pytest.raises(SimulationError):
-            reader.read_counts(50, 100, 200)
 
 
 class TestLabeledWindowReader:
