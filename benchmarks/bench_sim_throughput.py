@@ -1,7 +1,7 @@
 """Extension: simulator hot path throughput and batch-kernel speedups.
 
 The simulator hot path (docs/PERFORMANCE.md, "Simulator hot path")
-claims four things, measured here on the same hardware and committed to
+makes these claims, measured here on the same hardware and committed to
 ``BENCH_sim.json`` at the repo root:
 
 - a full audited cache-channel session (covert sweeps plus background
@@ -26,10 +26,22 @@ claims four things, measured here on the same hardware and committed to
 - a 600-quantum memory-bus session with a verdict every quantum holds
   its rate past the 512-window recurrence horizon: a verdict clusters
   the horizon's distinct patterns, not its windows (re-clustering all
-  512 windows on every verdict ran this session at about 0.25x).
+  512 windows on every verdict ran this session at about 0.25x);
+- each in-process path costs the same per quantum late in a session as
+  early: the Figure 14 bzip2+h264ref pair (divider), the bus session
+  with a verdict every quantum and the noisy cache session each run at
+  two lengths, and the long session's last quanta cost at most
+  ``GROWTH_BOUND`` times a short session's per quantum. A cost that
+  grows with history (rebuilding every divider usage track on each
+  registration took the benign pair from 69 to 316 ms per quantum
+  between 12 and 96 quanta) fails this on any host, with no baseline
+  to drift.
 
 Session rates divide the quanta a session actually ran
-(``ChannelRun.quanta``) by its median seconds.
+(``ChannelRun.quanta``) by its median seconds. A growth row times its
+two sessions' quanta one by one, alternating between them, so set-up is
+excluded and a host slowdown hits both lengths (see
+``_growth_results``).
 
 ``REPRO_BENCH_QUICK=1`` shrinks trial counts for CI smoke runs (the
 speedup assertions still apply; the committed JSON is only rewritten by
@@ -47,12 +59,20 @@ import numpy as np
 from conftest import record
 
 from repro.analysis.figures import run_channel_session
+from repro.channels.base import ChannelConfig
+from repro.channels.cache import CacheCovertChannel
+from repro.channels.membus import MemoryBusCovertChannel
 from repro.config import CacheConfig
+from repro.core.detector import AuditUnit, CCHunter
 from repro.hardware.bloom import BloomFilter
 from repro.hardware.conflict_tracker import GenerationConflictTracker
 from repro.sim.events import LabeledEventTap
+from repro.sim.machine import Machine
 from repro.sim.resources.cache import SharedCache
 from repro.util.bitstream import Message
+from repro.workloads.base import workload_process
+from repro.workloads.noise import background_noise_processes
+from repro.workloads.spec import bzip2, h264ref
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 N_QUANTA = 8 if QUICK else 16
@@ -74,6 +94,20 @@ MEMBUS_EAGER_QUANTA = 600
 CACHE_STEADY_QUANTA = 32
 CACHE_STEADY_SETS = 256
 CACHE_STEADY_TRIALS = 2 if QUICK else 3
+#: A growth row fails when its long session's last quanta cost more
+#: than this multiple of its short session's, per quantum.
+GROWTH_BOUND = 1.25
+GROWTH_TRIALS = 2 if QUICK else 3
+#: (short, long) session lengths per growth row: about a second per
+#: trial each. A bus quantum takes well under a millisecond, so its
+#: sessions need hundreds of quanta for a steady ratio; the long one
+#: runs past the 512-window recurrence horizon.
+DIVIDER_GROWTH_QUANTA = (12, 48)
+MEMBUS_GROWTH_QUANTA = (300, 1200)
+CACHE_GROWTH_QUANTA = (8, 32)
+CACHE_GROWTH_SETS = 64
+
+GROWTH_ROWS = ("divider_growth", "membus_growth", "cache_growth")
 
 _OUT_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -135,16 +169,21 @@ def _cache_steady_session_results():
     return _median_rate(run, CACHE_STEADY_TRIALS)
 
 
+def _one_bit_per_quantum(n_quanta):
+    """A message of ``n_quanta`` bits, ``MEMBUS_ONES`` of them ones."""
+    bits = np.zeros(n_quanta, dtype=int)
+    ones = round(MEMBUS_ONES * n_quanta)
+    bits[np.random.default_rng(13).choice(bits.size, ones, replace=False)] = 1
+    return Message.from_bits(bits)
+
+
 def _membus_session_results(n_quanta=MEMBUS_QUANTA, eager=False):
     """Median rate of a noise-free bus covert session, 40% one bits.
 
     ``eager`` evaluates a verdict after every quantum, as time-to-detection
     tracking does; otherwise the session is judged once, at the end.
     """
-    bits = np.zeros(n_quanta, dtype=int)
-    ones = round(MEMBUS_ONES * n_quanta)
-    bits[np.random.default_rng(13).choice(bits.size, ones, replace=False)] = 1
-    message = Message.from_bits(bits)
+    message = _one_bit_per_quantum(n_quanta)
 
     def run():
         t0 = perf_counter()
@@ -160,6 +199,78 @@ def _membus_session_results(n_quanta=MEMBUS_QUANTA, eager=False):
         return perf_counter() - t0, result.quanta
 
     return _median_rate(run, MEMBUS_TRIALS)
+
+
+def _growth_results(build, lengths):
+    """Per-quantum cost late in a long session over early in a short one.
+
+    ``build(n_quanta)`` sets up a session of ``n_quanta`` and returns its
+    machine. The long session runs all but its last ``short`` quanta;
+    then its remaining quanta and a fresh short session's quanta run
+    alternately, one quantum each, timed from quantum start to quantum
+    end. A host slowdown therefore lands on both sides alike. Set-up and
+    each side's first timed quantum are excluded.
+    """
+    short, long_ = lengths
+    late_s, early_s, ratios = [], [], []
+    for _trial in range(GROWTH_TRIALS):
+        late = build(long_)
+        late.run_quanta(long_ - short)
+        machines = (late, build(short))
+        spent = [0.0, 0.0]
+        for q in range(short):
+            for side in (0, 1) if q % 2 == 0 else (1, 0):
+                t0 = perf_counter()
+                machines[side].run_quanta(1)
+                if q:
+                    spent[side] += perf_counter() - t0
+        late_s.append(spent[0] / (short - 1))
+        early_s.append(spent[1] / (short - 1))
+        ratios.append(spent[0] / spent[1])
+    ratio = statistics.median(ratios)
+    return {
+        "quanta": list(lengths),
+        "short_quantum_seconds": statistics.median(early_s),
+        "long_quantum_seconds": statistics.median(late_s),
+        "ratio": ratio,
+        "flat": ratio <= GROWTH_BOUND,
+    }
+
+
+def _benign_divider_machine(n_quanta):
+    """The Figure 14 bzip2+h264ref pair under full audit, as
+    ``fig14_false_alarms`` runs it."""
+    machine = Machine(seed=9)
+    hunter = CCHunter(machine)
+    hunter.audit(AuditUnit.MEMORY_BUS)
+    hunter.audit(AuditUnit.DIVIDER, core=0)
+    CCHunter(machine).audit(AuditUnit.CACHE)
+    for ctx, (profile, seed) in enumerate(((bzip2, 1), (h264ref, 2))):
+        machine.spawn(
+            workload_process(profile, machine, n_quanta, seed=seed,
+                             instance=ctx),
+            ctx=ctx,
+        )
+    return machine
+
+
+def _covert_machine(channel_cls, unit, n_quanta, noise, **channel_kwargs):
+    """A covert session with a verdict every quantum, one bit per
+    quantum (40% ones), as ``run_channel_session`` sets it up."""
+    machine = Machine(seed=19)
+    hunter = CCHunter(machine, track_detection_latency=True)
+    config = ChannelConfig(
+        message=_one_bit_per_quantum(n_quanta), bandwidth_bps=10.0
+    )
+    channel = channel_cls(machine, config, **channel_kwargs)
+    hunter.audit(unit)
+    channel.deploy()
+    if noise:
+        background_noise_processes(
+            machine, n_quanta=n_quanta, seed=19,
+            avoid_contexts=(channel.trojan_ctx, channel.spy_ctx),
+        )
+    return machine
 
 
 def _time_kernel(fn, *args):
@@ -284,6 +395,23 @@ def measure_sim_throughput():
         "membus_eager_session": _membus_session_results(
             MEMBUS_EAGER_QUANTA, eager=True
         ),
+        "divider_growth": _growth_results(
+            _benign_divider_machine, DIVIDER_GROWTH_QUANTA
+        ),
+        "membus_growth": _growth_results(
+            partial(
+                _covert_machine, MemoryBusCovertChannel,
+                AuditUnit.MEMORY_BUS, noise=False,
+            ),
+            MEMBUS_GROWTH_QUANTA,
+        ),
+        "cache_growth": _growth_results(
+            partial(
+                _covert_machine, CacheCovertChannel, AuditUnit.CACHE,
+                noise=True, n_sets_total=CACHE_GROWTH_SETS,
+            ),
+            CACHE_GROWTH_QUANTA,
+        ),
         "kernels": {
             "access_series_hot_set": _access_series_results(),
             "bloom": _bloom_results(),
@@ -314,6 +442,14 @@ def test_sim_throughput(benchmark):
         f"access_series hot-set kernel {hot['speedup']:6.1f}x faster than "
         f"per-access loop ({hot['samples']} accesses)",
     ]
+    for name in GROWTH_ROWS:
+        row = results[name]
+        short, long_ = row["quanta"]
+        lines.append(
+            f"{name:<15}{row['ratio']:6.2f}x per-quantum cost at {long_} vs "
+            f"{short} quanta ({1e3 * row['short_quantum_seconds']:.2f} -> "
+            f"{1e3 * row['long_quantum_seconds']:.2f} ms)"
+        )
     for name, k in sorted(results["kernels"]["bloom"].items()):
         lines.append(
             f"bloom {name:<9} batch {k['speedup']:6.1f}x faster than "
@@ -326,6 +462,9 @@ def test_sim_throughput(benchmark):
     # overhead is the whole cost (quick mode's smaller series amortizes
     # the kernel's fixed numpy overhead less, so it gates lower).
     assert hot["speedup"] > (3.0 if QUICK else 5.0), results
+    # No in-process path may cost more per quantum as its session grows.
+    for name in GROWTH_ROWS:
+        assert results[name]["flat"], (name, results[name])
     assert hot["counters_identical"], results
     # And the bloom batch primitives must dominate their scalar loops.
     # (Quick mode's smaller key sample fits inside the scalar path's

@@ -180,6 +180,16 @@ SUITE: Tuple[BenchSpec, ...] = (
                 "kernels.access_series_hot_set.counters_identical",
                 kind="bool",
             ),
+            # Growth gates: a path's per-quantum cost late in a long
+            # session is at most 1.25x its cost early in a short one,
+            # timed quantum by quantum in lockstep, so the ratio needs
+            # no machine-specific baseline. Rebuilding every divider
+            # usage track on each registration read 4.5x on the benign
+            # divider pair (12 vs 48 quanta); the bus and cache paths
+            # read about 1.06x.
+            MetricSpec("divider_growth.flat", kind="bool"),
+            MetricSpec("membus_growth.flat", kind="bool"),
+            MetricSpec("cache_growth.flat", kind="bool"),
         ),
     ),
     BenchSpec(

@@ -507,11 +507,14 @@ class TrialRunner:
     ) -> List[_ChunkResult]:
         """Fan chunks over a process pool, retrying crashed chunks.
 
-        A worker crash (``BrokenProcessPool``) poisons the whole pool:
-        every unfinished chunk is requeued, each one's retry budget is
-        charged, and the pool is rebuilt. Ordinary exceptions raised by
-        the trial function are *not* retried — they are deterministic
-        under the seed contract — and propagate to the caller.
+        A worker crash (``BrokenProcessPool``) poisons the whole pool, so
+        every unfinished chunk fails with it and which one crashed is
+        unknown. Those chunks are then rerun one at a time, each alone
+        in a fresh one-worker pool, and only a chunk that crashes alone
+        is charged a retry: a neighbour's crash never spends a chunk's
+        budget. Ordinary exceptions raised by the trial function are
+        *not* retried — they are deterministic under the seed contract —
+        and propagate to the caller.
 
         With ``spec.timeout_s`` set, two extra guards apply. A chunk
         that exhausts its crash retries is *recorded* — every trial in
@@ -528,7 +531,7 @@ class TrialRunner:
         done_trials = 0
         retry_counter = registry.counter(
             "cchunter_exec_chunk_retries_total",
-            "Chunk resubmissions after worker crashes.",
+            "Chunk reruns after the chunk crashed its worker alone.",
             labels={"spec": spec.key or spec.fn.__name__},
         )
         backstop = None
@@ -556,14 +559,20 @@ class TrialRunner:
                 chunk_result, registry, spec, done_trials, total
             ))
 
+        # Chunks that were unfinished when a shared pool broke; each
+        # reruns alone until it completes or is given up on.
+        isolate: List[int] = []
         while pending:
-            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
+            isolate = [ci for ci in isolate if ci in pending]
+            batch = isolate[:1] or list(pending)
+            workers = min(self.jobs, len(batch))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {
                     pool.submit(
                         _run_chunk, spec.fn, chunks[ci], True, spec.timeout_s,
                         profile,
                     ): ci
-                    for ci in list(pending)
+                    for ci in batch
                 }
                 try:
                     for future in as_completed(futures, timeout=backstop):
@@ -571,9 +580,13 @@ class TrialRunner:
                         try:
                             chunk_result = future.result()
                         except BrokenProcessPool:
-                            # A crash poisons the whole pool, so every
-                            # unfinished chunk lands here; each is charged
-                            # one retry and requeued for the rebuilt pool.
+                            if len(batch) > 1:
+                                # A crash poisons the whole pool, so every
+                                # unfinished chunk lands here, crasher or
+                                # not: rerun each alone, uncharged.
+                                isolate.append(ci)
+                                continue
+                            # Crashed alone: this chunk is the crasher.
                             retries[ci] += 1
                             retry_counter.inc()
                             if retries[ci] > self.max_chunk_retries:

@@ -45,7 +45,7 @@ from repro.config import (
     AuditorConfig,
 )
 from repro.core.autocorr import RunningAutocorrelogram
-from repro.core.burst import BurstAnalysis, analyze_histogram
+from repro.core.burst import analyze_histogram
 from repro.core.clustering import PatternHorizon
 from repro.core.oscillation import (
     DEFAULT_MIN_PEAK_HEIGHT,
@@ -177,7 +177,6 @@ class BurstAnalyzer(_HealthMixin):
             else MonitorSlot(unit, self.dt, AuditorConfig())
         )
         self._horizon = PatternHorizon(max_windows)
-        self.analyses: Deque[BurstAnalysis] = deque(maxlen=max_windows)
         self.quanta_seen = 0
         m = metrics if metrics is not None else get_default()
         labels = {"unit": unit}
@@ -223,16 +222,17 @@ class BurstAnalyzer(_HealthMixin):
             return
         self._acc.ingest_window_counts(counts)
         hist = self._horizon.push(self._acc.read_and_reset(), obs.quantum)
-        analysis = analyze_histogram(hist, lr_threshold=self.lr_threshold)
-        self.analyses.append(analysis)
         if self.evidence is not None:
-            # Capture reads values already computed above — it can never
-            # perturb the verdict numerics (bit-identical on/off). The
-            # span lives inside the guard, so it costs nothing when
-            # evidence capture is off.
+            # Capture only reads the window's histogram and its analysis,
+            # which nothing else needs — it can never perturb the verdict
+            # numerics (bit-identical on/off). The span lives inside the
+            # guard, so it costs nothing when evidence capture is off.
             with trace_span(
                 "analyzer.evidence", unit=self.unit, quantum=obs.quantum
             ):
+                analysis = analyze_histogram(
+                    hist, lr_threshold=self.lr_threshold
+                )
                 self.evidence.record_lr(
                     obs.quantum, analysis.likelihood_ratio
                 )

@@ -26,14 +26,19 @@ window — the random low-density conflicts of the false-alarm study.
 
 Every overlap is reported once — when the chronologically later interval
 is registered — as a rate segment in the wait-event tap. All bookkeeping
-is vectorized: per-context interval arrays are append-only and
-time-sorted (each context's operations execute in virtual-time order), so
-overlap detection is a pair of binary searches.
+is vectorized. Each context's usage is three append-only, time-sorted
+numpy columns (starts, ends, intensities) that grow by doubling; each
+context's operations execute in virtual-time order, so a registration
+appends to its own columns and reads every other context's as views of
+the live prefix. Overlap detection is a pair of binary searches per
+other context, and the overlapping pairs are expanded with one
+``np.repeat``, so beyond those searches a registration's cost does not
+grow with the session's history.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -45,42 +50,66 @@ from repro.sim.events import RateSegmentTap
 CONTENTION_INTENSITY = 0.5
 
 
-class _UsageTrack:
-    """Append-only, time-sorted usage intervals of one context."""
+def _grown(column: np.ndarray, n: int, size: int) -> np.ndarray:
+    """A ``size``-long copy of ``column`` whose first ``n`` rows are live."""
+    grown = np.empty(size, dtype=column.dtype)
+    grown[:n] = column[:n]
+    return grown
 
-    __slots__ = ("starts", "ends", "intensities", "_arrays")
+
+class _UsageTrack:
+    """Append-only, time-sorted usage intervals of one context.
+
+    ``[:n]`` of each column is live, the rest is room to grow; reads are
+    read-only views of the live prefix.
+    """
+
+    __slots__ = ("_starts", "_ends", "_intensities", "_n")
 
     def __init__(self) -> None:
-        self.starts: List[int] = []
-        self.ends: List[int] = []
-        self.intensities: List[float] = []
-        self._arrays: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._starts = np.empty(0, dtype=np.int64)
+        self._ends = np.empty(0, dtype=np.int64)
+        self._intensities = np.empty(0, dtype=np.float64)
+        self._n = 0
 
     def append_batch(
         self, starts: np.ndarray, ends: np.ndarray, intensities: np.ndarray
     ) -> None:
-        if len(starts) == 0:
+        n, k = self._n, len(starts)
+        if k == 0:
             return
-        if self.starts and starts[0] < self.ends[-1]:
+        if n and starts[0] < self._ends[n - 1]:
             raise SimulationError(
                 "context usage intervals must be registered in time order"
             )
-        self.starts.extend(int(s) for s in starts)
-        self.ends.extend(int(e) for e in ends)
-        self.intensities.extend(float(i) for i in intensities)
-        self._arrays = None
+        if n + k > self._starts.size:
+            size = max(2 * self._starts.size, n + k)
+            self._starts = _grown(self._starts, n, size)
+            self._ends = _grown(self._ends, n, size)
+            self._intensities = _grown(self._intensities, n, size)
+        self._starts[n:n + k] = starts
+        self._ends[n:n + k] = ends
+        self._intensities[n:n + k] = intensities
+        self._n = n + k
 
     def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._arrays is None:
-            self._arrays = (
-                np.asarray(self.starts, dtype=np.int64),
-                np.asarray(self.ends, dtype=np.int64),
-                np.asarray(self.intensities, dtype=np.float64),
-            )
-        return self._arrays
+        """``(starts, ends, intensities)`` of the live prefix."""
+        n = self._n
+        views = (self._starts[:n], self._ends[:n], self._intensities[:n])
+        for view in views:
+            view.flags.writeable = False
+        return views
+
+    @property
+    def starts(self) -> np.ndarray:
+        return self.arrays()[0]
+
+    @property
+    def ends(self) -> np.ndarray:
+        return self.arrays()[1]
 
     def __len__(self) -> int:
-        return len(self.starts)
+        return self._n
 
 
 class DividerUnit:
@@ -119,16 +148,15 @@ class DividerUnit:
             o_starts, o_ends, o_int = track.arrays()
             lo = np.searchsorted(o_ends, starts, side="right")
             hi = np.searchsorted(o_starts, ends, side="left")
-            mask = hi > lo
-            if not mask.any():
+            # New interval i overlaps the other context's [lo[i], hi[i]);
+            # pairs come out in (i, other) order.
+            counts = np.maximum(hi - lo, 0)
+            total = int(counts.sum())
+            if total == 0:
                 continue
-            new_idx = np.concatenate(
-                [np.full(h - l, i) for i, (l, h) in enumerate(zip(lo, hi))
-                 if h > l]
-            )
-            other_idx = np.concatenate(
-                [np.arange(l, h) for l, h in zip(lo, hi) if h > l]
-            )
+            new_idx = np.repeat(np.arange(counts.size), counts)
+            other_idx = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+            other_idx += np.arange(total)
             seg_starts = np.maximum(starts[new_idx], o_starts[other_idx])
             seg_ends = np.minimum(ends[new_idx], o_ends[other_idx])
             rates = base_rate * intensities[new_idx] * o_int[other_idx]

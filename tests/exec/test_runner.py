@@ -9,6 +9,7 @@ import pytest
 
 from repro.exec import (
     ExecError,
+    TrialFailure,
     TrialRunner,
     TrialSpec,
     default_chunk_size,
@@ -53,6 +54,13 @@ def crash_until_flagged(index, flag_dir):
 
 def crash_always(index):
     os._exit(23)
+
+
+def crash_at(index, crasher):
+    """Healthy trials, except ``crasher``, which always kills its worker."""
+    if index == crasher:
+        crash_always(index)
+    return index
 
 
 class TestTrialSeed:
@@ -218,6 +226,26 @@ class TestCrashRetry:
             labels={"spec": "crash_until_flagged"},
         ).value
         assert retries >= 1
+
+    def test_only_the_crashing_chunk_is_charged(self):
+        # With no retries to spare, charging neighbours for a crash would
+        # report healthy chunks that shared the broken pool as crashed.
+        registry = MetricsRegistry()
+        runner = TrialRunner(
+            jobs=2, chunk_size=1, max_chunk_retries=0, metrics=registry
+        )
+        results = runner.run_trials(
+            TrialSpec(fn=crash_at, common={"crasher": 1}, timeout_s=30.0),
+            params=[{"index": i} for i in range(5)],
+        )
+        assert [r for i, r in enumerate(results) if i != 1] == [0, 2, 3, 4]
+        assert isinstance(results[1], TrialFailure)
+        assert results[1].kind == "crashed"
+        retries = registry.counter(
+            "cchunter_exec_chunk_retries_total",
+            labels={"spec": "crash_at"},
+        ).value
+        assert retries == 1
 
     def test_persistent_crash_exhausts_retries(self):
         runner = TrialRunner(jobs=2, chunk_size=1, max_chunk_retries=1)

@@ -95,6 +95,13 @@ class TestRandomUse:
             0.01 / CFG.contention_event_period
         )
 
+    def test_track_views_are_read_only(self, unit):
+        unit.random_use(0, 0, 1_000_000, duty=0.5, burst_cycles=10_000)
+        track = unit._usage[0]
+        for column in (track.starts, track.ends, *track.arrays()):
+            with pytest.raises(ValueError):
+                column[0] = 1
+
     def test_zero_duty_no_usage(self, unit):
         unit.random_use(0, 0, 1_000_000, duty=0.0, burst_cycles=1000)
         assert 0 not in unit._usage
