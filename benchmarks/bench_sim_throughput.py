@@ -35,7 +35,12 @@ makes these claims, measured here on the same hardware and committed to
   grows with history (rebuilding every divider usage track on each
   registration took the benign pair from 69 to 316 ms per quantum
   between 12 and 96 quanta) fails this on any host, with no baseline
-  to drift.
+  to drift;
+- a verdict on a full recurrence horizon of a bus covert session's two
+  patterns costs at most ``VERDICT_COST_BOUND`` burst analyses of the
+  horizon's total: it re-analyzes only the patterns the last push
+  changed and runs no k-means (re-clustering and re-analyzing every
+  pattern on each verdict read about 9).
 
 Session rates divide the quanta a session actually ran
 (``ChannelRun.quanta``) by its median seconds. A growth row times its
@@ -62,10 +67,18 @@ from repro.analysis.figures import run_channel_session
 from repro.channels.base import ChannelConfig
 from repro.channels.cache import CacheCovertChannel
 from repro.channels.membus import MemoryBusCovertChannel
-from repro.config import CacheConfig
+from repro.config import (
+    CLUSTERING_WINDOW_QUANTA,
+    MEMBUS_DELTA_T_CYCLES,
+    CacheConfig,
+)
+from repro.core.burst import analyze_histogram
 from repro.core.detector import AuditUnit, CCHunter
 from repro.hardware.bloom import BloomFilter
 from repro.hardware.conflict_tracker import GenerationConflictTracker
+from repro.obs.metrics import MetricsRegistry
+from repro.pipeline.analyzers import BurstAnalyzer
+from repro.pipeline.source import QuantumObservation
 from repro.sim.events import LabeledEventTap
 from repro.sim.machine import Machine
 from repro.sim.resources.cache import SharedCache
@@ -108,6 +121,12 @@ CACHE_GROWTH_QUANTA = (8, 32)
 CACHE_GROWTH_SETS = 64
 
 GROWTH_ROWS = ("divider_growth", "membus_growth", "cache_growth")
+#: Timed verdicts of the verdict-cost row, each after one more push
+#: past the recurrence horizon.
+VERDICT_COST_TRIALS = 300 if QUICK else 1000
+#: The verdict-cost row fails when a verdict costs more than this many
+#: burst analyses of the horizon's total.
+VERDICT_COST_BOUND = 3.0
 
 _OUT_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -234,6 +253,54 @@ def _growth_results(build, lengths):
         "long_quantum_seconds": statistics.median(late_s),
         "ratio": ratio,
         "flat": ratio <= GROWTH_BOUND,
+    }
+
+
+def _verdict_cost_results():
+    """A verdict's cost in burst analyses, past the recurrence horizon.
+
+    A bus covert session's quanta as the analyzer sees them: 2,500 Δt
+    windows, empty when the bit is 0, with 1,000 windows of 20 events
+    when it is 1 (``MEMBUS_ONES`` of the quanta), so the horizon holds
+    two patterns. The stream fills the 512-window horizon; then each
+    trial pushes one quantum and times ``BurstAnalyzer.verdict()`` and
+    one ``analyze_histogram`` of the horizon's total, alternating which
+    runs first, so a host slowdown lands on both. The ratio of their
+    medians needs no baseline.
+    """
+    quiet = np.zeros(2500, dtype=np.int64)
+    burst = quiet.copy()
+    burst[:1000] = 20
+    analyzer = BurstAnalyzer(
+        "membus", MEMBUS_DELTA_T_CYCLES, metrics=MetricsRegistry()
+    )
+    message = _one_bit_per_quantum(
+        CLUSTERING_WINDOW_QUANTA + VERDICT_COST_TRIALS
+    )
+    verdict_s, analysis_s = [], []
+    for q, bit in enumerate(message):
+        analyzer.push(QuantumObservation(
+            quantum=q, t0=q, t1=q + 1,
+            counts={"membus": burst if bit else quiet},
+        ))
+        if q < CLUSTERING_WINDOW_QUANTA:
+            continue
+        total = np.sum(analyzer.histograms, axis=0)
+        timed = [
+            (verdict_s, analyzer.verdict),
+            (analysis_s, partial(analyze_histogram, total)),
+        ]
+        for spent, run in timed if q % 2 else timed[::-1]:
+            t0 = perf_counter()
+            run()
+            spent.append(perf_counter() - t0)
+    ratio = statistics.median(verdict_s) / statistics.median(analysis_s)
+    return {
+        "ratio": ratio,
+        "verdict_seconds": statistics.median(verdict_s),
+        "analysis_seconds": statistics.median(analysis_s),
+        "trials": VERDICT_COST_TRIALS,
+        "cheap": ratio <= VERDICT_COST_BOUND,
     }
 
 
@@ -412,6 +479,7 @@ def measure_sim_throughput():
             ),
             CACHE_GROWTH_QUANTA,
         ),
+        "verdict_cost": _verdict_cost_results(),
         "kernels": {
             "access_series_hot_set": _access_series_results(),
             "bloom": _bloom_results(),
@@ -450,6 +518,13 @@ def test_sim_throughput(benchmark):
             f"{short} quanta ({1e3 * row['short_quantum_seconds']:.2f} -> "
             f"{1e3 * row['long_quantum_seconds']:.2f} ms)"
         )
+    cost = results["verdict_cost"]
+    lines.append(
+        f"verdict_cost   {cost['ratio']:6.2f}x one burst analysis "
+        f"({1e6 * cost['verdict_seconds']:.0f} vs "
+        f"{1e6 * cost['analysis_seconds']:.0f} us, two patterns, past the "
+        f"{CLUSTERING_WINDOW_QUANTA}-window horizon)"
+    )
     for name, k in sorted(results["kernels"]["bloom"].items()):
         lines.append(
             f"bloom {name:<9} batch {k['speedup']:6.1f}x faster than "
@@ -465,6 +540,8 @@ def test_sim_throughput(benchmark):
     # No in-process path may cost more per quantum as its session grows.
     for name in GROWTH_ROWS:
         assert results[name]["flat"], (name, results[name])
+    # A verdict re-analyzes only what the last push changed.
+    assert cost["cheap"], cost
     assert hot["counters_identical"], results
     # And the bloom batch primitives must dominate their scalar loops.
     # (Quick mode's smaller key sample fits inside the scalar path's

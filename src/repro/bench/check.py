@@ -140,8 +140,11 @@ def compare_metrics(
 
     Each row carries ``ok`` plus everything needed to print a verdict
     line: metric key, direction, baseline and fresh values, and the
-    worst tolerated value (``allowed``). Metrics marked ``quick=False``
-    are reported as skipped rows under a quick run instead of judged.
+    worst tolerated value (``allowed``). A bool row also carries the
+    numbers that sit beside the bool in the fresh document
+    (``context``), since the bool is only a verdict on them. Metrics
+    marked ``quick=False`` are reported as skipped rows under a quick
+    run instead of judged.
     """
     rows: List[Dict[str, Any]] = []
     for metric in spec.metrics:
@@ -161,8 +164,15 @@ def compare_metrics(
         if metric.kind == "bool":
             # A true baseline is an invariant; a false one gates nothing.
             ok = bool(fresh_value) or not bool(base_value)
+            parent = metric.key.rpartition(".")[0]
+            siblings = extract_metric(fresh, parent) if parent else fresh
             row.update(
-                baseline=bool(base_value), fresh=bool(fresh_value), ok=ok
+                baseline=bool(base_value), fresh=bool(fresh_value), ok=ok,
+                context={
+                    name: value for name, value in siblings.items()
+                    if isinstance(value, (int, float))
+                    and not isinstance(value, bool)
+                },
             )
             rows.append(row)
             continue
@@ -185,9 +195,13 @@ def compare_metrics(
 
 def _format_failure(row: Mapping[str, Any]) -> str:
     if row["kind"] == "bool":
+        numbers = ", ".join(
+            f"{name}={value:.3g}" for name, value in row["context"].items()
+        )
         return (
             f"{row['bench']}.{row['metric']}: baseline {row['baseline']} "
             f"but fresh run produced {row['fresh']}"
+            + (f" ({numbers})" if numbers else "")
         )
     word = "below" if row["direction"] == "higher" else "above"
     return (

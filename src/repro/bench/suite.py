@@ -190,6 +190,13 @@ SUITE: Tuple[BenchSpec, ...] = (
             MetricSpec("divider_growth.flat", kind="bool"),
             MetricSpec("membus_growth.flat", kind="bool"),
             MetricSpec("cache_growth.flat", kind="bool"),
+            # A verdict on a full horizon of two patterns costs at most
+            # 3 burst analyses of the horizon's total, timed in
+            # alternation, so the ratio needs no baseline either.
+            # Re-clustering and re-analyzing every pattern on each
+            # verdict read about 9; analyzing only the patterns the
+            # last push changed reads about 2.
+            MetricSpec("verdict_cost.cheap", kind="bool"),
         ),
     ),
     BenchSpec(

@@ -16,7 +16,7 @@ windows do not dilute the histograms of an active channel.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from functools import cached_property
 from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,23 +74,7 @@ def _kmeans_rows(
     n = inverse.size
     if not 1 <= k <= n:
         raise DetectionError(f"k must be in 1..{n}, got {k}")
-
-    # --- k-means++ seeding
-    centroids = np.empty((k, rows.shape[1]), dtype=np.float64)
-    centroids[0] = rows[inverse[int(gen.integers(0, n))]]
-    closest_sq = ((rows - centroids[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        point_sq = closest_sq[inverse]
-        total = point_sq.sum()
-        if total == 0:
-            centroids[j] = rows[inverse[int(gen.integers(0, n))]]
-            continue
-        idx = int(gen.choice(n, p=point_sq / total))
-        centroids[j] = rows[inverse[idx]]
-        closest_sq = np.minimum(
-            closest_sq, ((rows - centroids[j]) ** 2).sum(axis=1)
-        )
-
+    centroids = rows[_seed(rows, inverse, k, gen)]
     weighted = counts[:, None] * rows
     labels = np.zeros(rows.shape[0], dtype=np.int64)
     for _ in range(max_iters):
@@ -117,27 +101,117 @@ def _kmeans_rows(
     return labels, centroids
 
 
-@dataclass(frozen=True)
-class RecurrenceAnalysis:
-    """Outcome of the pattern-clustering recurrence check."""
+def _seed(
+    rows: np.ndarray, inverse: np.ndarray, k: int, gen: np.random.Generator
+) -> List[int]:
+    """k-means++ seeding: the row of each of the ``k`` initial centroids.
 
-    n_windows: int
-    cluster_labels: np.ndarray
-    #: Cluster indices whose aggregate histogram has a significant burst
-    #: distribution (likelihood ratio >= threshold).
-    burst_clusters: Tuple[int, ...]
-    #: Per-burst-cluster aggregate burst analyses (parallel to burst_clusters).
-    burst_analyses: Tuple[BurstAnalysis, ...]
-    #: Windows falling in burst clusters.
-    burst_window_indices: np.ndarray
-    #: Burst patterns recur: enough burst windows, spread over the horizon.
-    recurrent: bool
+    A point whose row is already a centroid is drawn with probability
+    0, so distinct rows are all seeded before any is seeded twice.
+    """
+    n = inverse.size
+    picks = [int(inverse[int(gen.integers(0, n))])]
+    closest_sq = ((rows - rows[picks[0]]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        point_sq = closest_sq[inverse]
+        total = point_sq.sum()
+        if total == 0:
+            picks.append(int(inverse[int(gen.integers(0, n))]))
+            continue
+        picks.append(int(inverse[int(gen.choice(n, p=point_sq / total))]))
+        closest_sq = np.minimum(
+            closest_sq, ((rows - rows[picks[-1]]) ** 2).sum(axis=1)
+        )
+    return picks
+
+
+def _window_rows(live: Sequence[int], slots: np.ndarray) -> np.ndarray:
+    """Each window's row: its slot's position among the ``live`` slots."""
+    remap = np.empty(live[-1] + 1, dtype=np.intp)
+    remap[live] = np.arange(len(live))
+    return remap[slots]
+
+
+def _rows(keys: Sequence[bytes]) -> np.ndarray:
+    """The float64 symbol rows whose int64 bytes are ``keys``."""
+    return np.array(
+        [np.frombuffer(key, dtype=np.int64) for key in keys], dtype=np.float64
+    )
+
+
+class RecurrenceAnalysis:
+    """Outcome of the pattern-clustering recurrence check.
+
+    A verdict reads ``n_windows``, ``recurrent``,
+    ``burst_window_fraction`` and ``max_likelihood_ratio``, and none of
+    them depends on how clusters are numbered. The fields that do —
+    ``cluster_labels``, ``burst_clusters``, the order of
+    ``burst_analyses`` and ``burst_window_indices`` — only evidence
+    reads, so a result of :meth:`PatternHorizon.analyze` builds them on
+    first read, from what the horizon held when the result was made.
+    """
+
+    def __init__(
+        self,
+        n_windows: int,
+        cluster_labels: np.ndarray,
+        burst_clusters: Tuple[int, ...],
+        burst_analyses: Tuple[BurstAnalysis, ...],
+        burst_window_indices: np.ndarray,
+        recurrent: bool,
+    ):
+        numbered = (
+            cluster_labels, burst_clusters, burst_analyses,
+            burst_window_indices,
+        )
+        self._defer(
+            n_windows, recurrent, burst_window_indices.size,
+            burst_analyses, lambda: numbered,
+        )
+
+    def _defer(
+        self, n_windows, recurrent, burst_window_count, burst_analyses, number
+    ) -> None:
+        """Set the fields a verdict reads; ``number()`` returns the four
+        numbered ones on first read. ``burst_analyses`` may come in any
+        order."""
+        self.n_windows = n_windows
+        #: Burst patterns recur: enough burst windows, spread over the
+        #: horizon. Implies at least two burst windows.
+        self.recurrent = recurrent
+        self.burst_window_count = int(burst_window_count)
+        #: Largest likelihood ratio among the burst clusters (0 if none).
+        self.max_likelihood_ratio = max(
+            (a.likelihood_ratio for a in burst_analyses), default=0.0
+        )
+        self._number = number
+
+    @cached_property
+    def _numbered(self) -> tuple:
+        return self._number()
+
+    cluster_labels = property(
+        lambda self: self._numbered[0],
+        doc="Cluster of each window, oldest first.",
+    )
+    burst_clusters = property(
+        lambda self: self._numbered[1],
+        doc="Clusters whose aggregate histogram has a significant burst "
+        "distribution (likelihood ratio >= threshold).",
+    )
+    burst_analyses = property(
+        lambda self: self._numbered[2],
+        doc="Aggregate burst analysis of each burst cluster, in order.",
+    )
+    burst_window_indices = property(
+        lambda self: self._numbered[3], doc="Windows in burst clusters."
+    )
 
     @property
     def burst_window_fraction(self) -> float:
         if self.n_windows == 0:
             return 0.0
-        return self.burst_window_indices.size / self.n_windows
+        return self.burst_window_count / self.n_windows
 
 
 class PatternHorizon:
@@ -145,17 +219,22 @@ class PatternHorizon:
 
     Each pushed histogram is discretized once. Windows that discretize
     to the same symbol string share one pattern entry holding the
-    string, its window count and the int64 sum of its windows'
-    histograms; entries are updated as windows enter and leave the
-    horizon, and an entry is freed when its last window leaves. A
-    running int64 total covers every retained window.
+    string, the push index of each of its windows and the int64 sum of
+    its windows' histograms; entries are updated as windows enter and
+    leave the horizon, and an entry is freed when its last window
+    leaves. A running int64 total covers every retained window.
 
     :meth:`analyze` therefore clusters the distinct patterns, weighted
     by count, instead of every window, and sums pattern aggregates
     instead of window histograms. Symbols are integers 0-3, so every
     weighted centroid sum is an integer of at most 3 x ``max_windows``,
     exact in float64, and the result is bit-identical to clustering the
-    windows one by one (docs/ALGORITHMS.md, section 5).
+    windows one by one (docs/ALGORITHMS.md, section 5). With exactly
+    ``k`` live patterns (with the default ``k``, any four or fewer) each
+    is its own cluster, so no k-means runs and each cluster's burst
+    analysis is its pattern's, kept until a push or an eviction changes
+    the pattern: a verdict then costs the analyses of the patterns
+    changed since the last one.
 
     A window whose histogram equals the last one pushed for its pattern
     shares that array, so a steady channel's horizon holds a few arrays
@@ -171,17 +250,26 @@ class PatternHorizon:
         #: Retained window histograms, oldest first (read-only: equal
         #: histograms of one pattern share an array).
         self.histograms: Deque[np.ndarray] = deque()
-        #: Pattern slot and quantum of each retained window.
-        self._slots: Deque[int] = deque()
+        #: Quantum of each retained window.
         self._quanta: Deque[int] = deque()
         self._pushed = 0
-        #: Pattern state per slot; a slot is live while its count is > 0.
+        #: Pattern slot of each window in push order; the retained
+        #: windows' are the last ``len(self)`` of the first ``_logged``
+        #: entries. A full log moves its retained entries to a new array
+        #: instead of being overwritten, so a view of logged entries
+        #: never changes.
+        self._slot_log = np.empty(0, dtype=np.intp)
+        self._logged = 0
+        #: Pattern state per slot; a slot is live while it has windows.
         self._slot_of: Dict[bytes, int] = {}
         self._keys: List[bytes] = []
         self._latest: List[Optional[np.ndarray]] = []
+        #: Push index of each of a slot's retained windows, oldest first.
+        self._windows: List[Deque[int]] = []
+        #: ``(lr_threshold, analysis)`` of a slot's aggregate, or None
+        #: once a push or an eviction has changed it.
+        self._analyses: List[Optional[Tuple[float, BurstAnalysis]]] = []
         self._free: List[int] = []
-        self._counts = np.zeros(0, dtype=np.int64)
-        self._rows = np.zeros((0, 0), dtype=np.float64)
         self._aggregates = np.zeros((0, 0), dtype=np.int64)
         #: Sum of every retained window's histogram.
         self.total = np.zeros(0, dtype=np.int64)
@@ -219,23 +307,27 @@ class PatternHorizon:
         slot = self._slot_of.get(key)
         if slot is None:
             slot = self._new_slot(key)
-            self._rows[slot] = row
         elif np.array_equal(hist, self._latest[slot]):
             hist = self._latest[slot]
         self._latest[slot] = hist
-        self._counts[slot] += 1
+        self._windows[slot].append(self._pushed)
+        self._analyses[slot] = None
         self._aggregates[slot] += hist
         self.total += hist
+        if self._logged == self._slot_log.size:
+            kept = self._slot_log[self._logged - len(self.histograms):]
+            self._slot_log = np.empty(2 * kept.size + 16, dtype=np.intp)
+            self._slot_log[:kept.size] = kept
+            self._logged = kept.size
+        self._slot_log[self._logged] = slot
+        self._logged += 1
         self.histograms.append(hist)
-        self._slots.append(slot)
         self._quanta.append(self._pushed if quantum is None else int(quantum))
         self._pushed += 1
         return hist
 
     def _start(self, width: int) -> None:
-        self._rows = np.zeros((1, width), dtype=np.float64)
         self._aggregates = np.zeros((1, width), dtype=np.int64)
-        self._counts = np.zeros(1, dtype=np.int64)
         self.total = np.zeros(width, dtype=np.int64)
 
     def _new_slot(self, key: bytes) -> int:
@@ -246,25 +338,42 @@ class PatternHorizon:
             slot = len(self._keys)
             self._keys.append(key)
             self._latest.append(None)
-            if slot == self._counts.size:  # full: double the capacity
-                self._counts, self._rows, self._aggregates = (
-                    np.concatenate((a, np.zeros_like(a)))
-                    for a in (self._counts, self._rows, self._aggregates)
+            self._windows.append(deque())
+            self._analyses.append(None)
+            if slot == len(self._aggregates):  # full: double the capacity
+                self._aggregates = np.concatenate(
+                    (self._aggregates, np.zeros_like(self._aggregates))
                 )
         self._slot_of[key] = slot
         return slot
 
     def _evict(self) -> None:
+        slot = int(self._slot_log[self._logged - len(self.histograms)])
         hist = self.histograms.popleft()
-        slot = self._slots.popleft()
         self._quanta.popleft()
         self.total -= hist
         self._aggregates[slot] -= hist
-        self._counts[slot] -= 1
-        if self._counts[slot] == 0:
+        self._analyses[slot] = None
+        windows = self._windows[slot]
+        windows.popleft()
+        if not windows:
             del self._slot_of[self._keys[slot]]
             self._latest[slot] = None
             self._free.append(slot)
+
+    def _analysis(self, slot: int, lr_threshold: float) -> BurstAnalysis:
+        """The burst analysis of one slot's aggregate, kept until the
+        slot changes. It analyzes a copy, since the aggregate changes in
+        place, and the copy is read-only, since every result until then
+        shares it."""
+        cached = self._analyses[slot]
+        if cached is None or cached[0] != lr_threshold:
+            hist = self._aggregates[slot].copy()
+            hist.flags.writeable = False
+            cached = self._analyses[slot] = (
+                lr_threshold, analyze_histogram(hist, lr_threshold=lr_threshold)
+            )
+        return cached[1]
 
     def analyze(
         self,
@@ -280,56 +389,94 @@ class PatternHorizon:
         n = len(self.histograms)
         if n == 0:
             raise DetectionError("need at least one window histogram")
-        live = np.flatnonzero(self._counts)
-        remap = np.empty(self._counts.size, dtype=np.intp)
-        remap[live] = np.arange(live.size)
-        inverse = remap[np.fromiter(self._slots, dtype=np.intp, count=n)]
-        k_eff = k if k is not None else max(1, min(4, live.size))
-        if k_eff == 1:
-            # One cluster: k-means labels every point 0 regardless of
-            # seeding (argmin over a single column), so skip it outright —
-            # the centroid is never used. Same labels, bit for bit.
-            row_labels = np.zeros(live.size, dtype=np.int64)
+        live = sorted(self._slot_of.values())
+        keys = [self._keys[slot] for slot in live]
+        k_eff = k if k is not None else max(1, min(4, len(live)))
+        slots = self._slot_log[self._logged - n:self._logged]
+        # With k patterns each is its own cluster (docs/ALGORITHMS.md,
+        # section 5), so a cluster's analysis is its pattern's. Labels
+        # are then row numbers until the numbered fields are read.
+        own_clusters = k_eff == len(live)
+        if own_clusters:
+            row_labels = np.arange(k_eff)
+            cluster_analyses = [
+                self._analysis(slot, lr_threshold) for slot in live
+            ]
         else:
-            row_labels, _centroids = _kmeans_rows(
-                self._rows[live], self._counts[live], inverse, k_eff,
-                make_rng(rng), max_iters=64,
-            )
-
-        aggregates = self._aggregates[live]
-        burst_rows = np.zeros(live.size, dtype=bool)
-        burst_clusters: List[int] = []
-        analyses: List[BurstAnalysis] = []
-        for j in range(k_eff):
-            members = row_labels == j
-            if not members.any():
-                continue
-            analysis = analyze_histogram(
-                aggregates[members].sum(axis=0), lr_threshold=lr_threshold
-            )
-            if analysis.significant:
-                burst_clusters.append(j)
-                analyses.append(analysis)
-                burst_rows |= members
-
-        burst_windows = np.flatnonzero(burst_rows[inverse])
+            inverse = _window_rows(live, slots)
+            if k_eff == 1:
+                # One cluster: k-means labels every point 0 regardless
+                # of seeding (argmin over a single column), so skip it
+                # outright — the centroid is never used. Same labels,
+                # bit for bit.
+                row_labels = np.zeros(len(live), dtype=np.int64)
+            else:
+                counts = np.array(
+                    [len(self._windows[slot]) for slot in live],
+                    dtype=np.int64,
+                )
+                row_labels, _centroids = _kmeans_rows(
+                    _rows(keys), counts, inverse, k_eff, make_rng(rng),
+                    max_iters=64,
+                )
+            aggregates = self._aggregates[live]
+            cluster_analyses = []
+            for j in range(k_eff):
+                members = row_labels == j
+                cluster_analyses.append(
+                    analyze_histogram(
+                        aggregates[members].sum(axis=0),
+                        lr_threshold=lr_threshold,
+                    )
+                    if members.any() else None
+                )
+        burst = {
+            j for j, analysis in enumerate(cluster_analyses)
+            if analysis is not None and analysis.significant
+        }
+        burst_rows = [j in burst for j in row_labels.tolist()]
+        # The rule reads each burst pattern's window count, first and
+        # last push index: the windows' positions up to one offset.
+        burst_windows = [
+            self._windows[slot] for slot, b in zip(live, burst_rows) if b
+        ]
+        size = sum(map(len, burst_windows))
         recurrent = bool(
-            burst_windows.size >= min_burst_windows
+            size >= min_burst_windows
             and (
-                burst_windows.size > 1
-                and (burst_windows[-1] - burst_windows[0])
-                >= burst_windows.size
-                or burst_windows.size >= max(2, n // 2)
+                size > 1
+                and max(w[-1] for w in burst_windows)
+                - min(w[0] for w in burst_windows) >= size
+                or size >= max(2, n // 2)
             )
         )
-        return RecurrenceAnalysis(
-            n_windows=n,
-            cluster_labels=row_labels[inverse],
-            burst_clusters=tuple(burst_clusters),
-            burst_analyses=tuple(analyses),
-            burst_window_indices=burst_windows,
-            recurrent=recurrent,
+
+        def number() -> tuple:
+            window_rows = (
+                _window_rows(live, slots) if own_clusters else inverse
+            )
+            order: Sequence[int] = range(k_eff)
+            if own_clusters and k_eff > 1:
+                # k-means++ seeds every pattern once, in the order its
+                # draws pick them; that order numbers the clusters.
+                order = _seed(
+                    _rows(keys), window_rows, k_eff, make_rng(rng)
+                )
+            numbered = [label for label, j in enumerate(order) if j in burst]
+            return (
+                np.argsort(order)[row_labels][window_rows],
+                tuple(numbered),
+                tuple(cluster_analyses[order[label]] for label in numbered),
+                np.flatnonzero(np.array(burst_rows)[window_rows]),
+            )
+
+        result = RecurrenceAnalysis.__new__(RecurrenceAnalysis)
+        result._defer(
+            n, recurrent, size, [cluster_analyses[j] for j in burst], number
         )
+        if own_clusters and isinstance(rng, np.random.Generator):
+            result._numbered  # a shared stream takes its draws now
+        return result
 
 
 def analyze_recurrence(

@@ -8,8 +8,10 @@ pushes for one named unit and keeps only bounded incremental state:
   :class:`~repro.hardware.auditor.MonitorSlot`) into a
   :class:`~repro.core.clustering.PatternHorizon` of the last
   ``CLUSTERING_WINDOW_QUANTA`` per-quantum histograms — exactly the
-  horizon recurrence clustering looks at, grouped by discretized pattern
-  so a verdict costs O(distinct patterns).
+  horizon recurrence clustering looks at, grouped by discretized pattern.
+  A verdict clusters patterns, not windows; with at most four patterns
+  it runs no k-means and re-analyzes only the patterns changed since the
+  last verdict.
 - :class:`OscillationAnalyzer` folds each observation window's dominant
   pair train into per-pair running sums and a
   :class:`RunningAutocorrelogram`, so closing a window costs O(max_lag)
@@ -280,10 +282,6 @@ class BurstAnalyzer(_HealthMixin):
                 health=self._health.value,
             )
         recurrence = self._horizon.analyze(lr_threshold=self.lr_threshold)
-        best_lr = max(
-            (a.likelihood_ratio for a in recurrence.burst_analyses),
-            default=0.0,
-        )
         if self.evidence is not None:
             with trace_span(
                 "analyzer.evidence",
@@ -298,9 +296,9 @@ class BurstAnalyzer(_HealthMixin):
         return UnitVerdict(
             unit=self.unit,
             method="burst",
-            detected=bool(recurrence.recurrent and recurrence.burst_clusters),
+            detected=recurrence.recurrent,
             quanta_analyzed=self.quanta_seen,
-            max_likelihood_ratio=best_lr,
+            max_likelihood_ratio=recurrence.max_likelihood_ratio,
             recurrent=recurrence.recurrent,
             burst_window_fraction=recurrence.burst_window_fraction,
             notes=self._health_notes(),
@@ -325,7 +323,7 @@ class BurstAnalyzer(_HealthMixin):
         for hist, quantum in self._horizon.windows():
             replay.push(hist, quantum)
             recurrence = replay.analyze(lr_threshold=self.lr_threshold)
-            if recurrence.recurrent and recurrence.burst_clusters:
+            if recurrence.recurrent:
                 return quantum
         return None
 

@@ -23,6 +23,7 @@ from repro.bench import (
     load_history,
     suite_names,
 )
+from repro.bench.check import _format_failure
 from repro.bench.suite import allowed_bound
 from repro.cli import main
 from repro.errors import EXIT_BENCH_REGRESSION, BenchError
@@ -74,6 +75,34 @@ class TestCompareMetrics:
         assert compare_metrics(
             spec, {"identical": False}, {"identical": False}
         )[0]["ok"]
+
+    def test_failed_bool_row_prints_the_numbers_beside_it(self):
+        spec = _spec(
+            MetricSpec("growth.flat", kind="bool"),
+            MetricSpec("identical", kind="bool"),
+        )
+        fresh = {
+            "growth": {
+                "quanta": [12, 48],
+                "ratio": 4.36,
+                "long_quantum_seconds": 0.246,
+                "flat": False,
+            },
+            "identical": False,
+            "trials": 3,
+        }
+        baseline = {"growth": {"flat": True}, "identical": True}
+        nested, top = compare_metrics(spec, fresh, baseline)
+        assert nested["context"] == {
+            "ratio": 4.36, "long_quantum_seconds": 0.246,
+        }
+        assert _format_failure(nested) == (
+            "toy.growth.flat: baseline True but fresh run produced False "
+            "(ratio=4.36, long_quantum_seconds=0.246)"
+        )
+        assert _format_failure(top).endswith(
+            "produced False (trials=3)"
+        )
 
     def test_quick_skips_full_only_metrics(self):
         spec = _spec(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import clustering
 from repro.core.clustering import PatternHorizon, analyze_recurrence, kmeans
 from repro.errors import DetectionError
 
@@ -182,3 +183,102 @@ class TestPatternHorizon:
         with pytest.raises(DetectionError):
             horizon.push(np.zeros(64))
         assert len(horizon) == 1
+
+
+def _counting(monkeypatch, name):
+    """Wrap ``repro.core.clustering.<name>``; returns the call log."""
+    calls = []
+    real = getattr(clustering, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(clustering, name, wrapper)
+    return calls
+
+
+class TestSkippedWork:
+    """With the default k and at most four live patterns, a verdict runs
+    no k-means and re-analyzes only the patterns changed since the last
+    verdict."""
+
+    def test_no_kmeans_at_or_below_k_patterns(self, monkeypatch):
+        kmeans_calls = _counting(monkeypatch, "_kmeans_rows")
+        seeds = _counting(monkeypatch, "_seed")
+        horizon = PatternHorizon(max_windows=8)
+        seen = set()
+        for i in range(20):
+            hist = covert_hist(i) if i % 3 else quiet_hist(i)
+            if i % 5 == 4:
+                hist[40 + i % 2] = 50  # a third and a fourth pattern
+            horizon.push(hist)
+            seen.add(horizon.n_patterns)
+            result = horizon.analyze()
+            assert result.burst_window_fraction >= 0.0
+        assert seen == {1, 2, 3, 4}
+        assert kmeans_calls == [] and seeds == []
+        # Reading a numbered field runs the seeding alone, never Lloyd.
+        assert result.cluster_labels.size == len(horizon)
+        assert kmeans_calls == [] and len(seeds) == 1
+
+    def test_more_than_k_patterns_run_kmeans(self, monkeypatch):
+        kmeans_calls = _counting(monkeypatch, "_kmeans_rows")
+        horizon = PatternHorizon(max_windows=8)
+        for i in range(5):
+            hist = quiet_hist(i)
+            hist[10 + 3 * i] = 50  # five distinct patterns
+            horizon.push(hist)
+        assert horizon.n_patterns == 5
+        horizon.analyze()
+        assert len(kmeans_calls) == 1
+
+    def test_analyzes_only_changed_patterns(self, monkeypatch):
+        analyses = _counting(monkeypatch, "analyze_histogram")
+        horizon = PatternHorizon(max_windows=4)
+        a, b = covert_hist(0), quiet_hist(0)
+        for hist in (b, a, a):
+            horizon.push(hist)
+        horizon.analyze()
+        assert len(analyses) == 2  # both patterns are new
+        horizon.analyze()
+        assert len(analyses) == 2  # nothing changed
+        horizon.push(a)  # fills the horizon: pattern a only
+        horizon.analyze()
+        assert len(analyses) == 3
+        horizon.push(a)  # pushes a, evicts b's only window: one live slot
+        horizon.analyze()
+        assert len(analyses) == 4 and horizon.n_patterns == 1
+        horizon.push(b)  # pushes b into the freed slot, evicts an a
+        horizon.analyze()
+        assert len(analyses) == 6
+        horizon.analyze(lr_threshold=0.9)  # another threshold: both again
+        assert len(analyses) == 8
+
+    def test_result_unchanged_by_later_pushes(self):
+        """Numbered fields read after later pushes and evictions equal
+        those read at once, and no analysis aliases a live aggregate."""
+        horizon = PatternHorizon(max_windows=6)
+        stream = [covert_hist(i) if i % 2 else quiet_hist(i) for i in range(6)]
+        for hist in stream:
+            horizon.push(hist)
+        late = horizon.analyze(k=2)
+        early = horizon.analyze(k=2)
+        expected = (
+            early.cluster_labels.copy(),
+            early.burst_clusters,
+            early.burst_window_indices.copy(),
+            [a.hist.copy() for a in early.burst_analyses],
+        )
+        assert early.burst_analyses
+        for i in range(9):  # evicts every window and frees a slot
+            horizon.push(covert_hist(100 + i))
+        for result in (late, early):
+            assert result.cluster_labels.tolist() == expected[0].tolist()
+            assert result.burst_clusters == expected[1]
+            assert (
+                result.burst_window_indices.tolist() == expected[2].tolist()
+            )
+            assert [a.hist.tolist() for a in result.burst_analyses] == [
+                h.tolist() for h in expected[3]
+            ]

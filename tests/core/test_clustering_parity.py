@@ -218,3 +218,35 @@ def test_analyze_recurrence_matches_reference(n_windows, n_templates, k, seed):
     _assert_analysis_equal(
         analyze_recurrence(windows, k=k, rng=seed, max_windows=8), expected
     )
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_few_patterns_past_the_default_horizon(seed):
+    """At most 4 live patterns, so every verdict takes the path without
+    k-means, over a stream that runs past the default 512-window horizon
+    in phases: patterns leave the horizon, free their slots and return.
+    Checked against the reference every 8th push."""
+    gen = np.random.default_rng(seed)
+    templates = gen.choice(BIN_VALUES, size=(4, 16))
+    # Template t alone is empty at bin 1 + t, so no two discretize alike.
+    templates[:, 1:5] = 30
+    templates[np.arange(4), 1 + np.arange(4)] = 0
+    phases = ((0, 1), (1, 2, 3), (0, 3), (2,))
+    windows = [
+        templates[gen.choice(phase)].astype(np.int64)
+        for phase in phases
+        for _ in range(300)
+    ]
+    horizon = PatternHorizon()
+    live = set()
+    for i, hist in enumerate(windows):
+        horizon.push(hist)
+        live.add(horizon.n_patterns)
+        if i % 8:
+            continue
+        retained = windows[max(0, i + 1 - horizon.max_windows):i + 1]
+        _assert_analysis_equal(
+            horizon.analyze(rng=seed),
+            ref.analyze_recurrence(retained, rng=seed),
+        )
+    assert max(live) == 4 and len(horizon) == horizon.max_windows
