@@ -40,7 +40,12 @@ makes these claims, measured here on the same hardware and committed to
   patterns costs at most ``VERDICT_COST_BOUND`` burst analyses of the
   horizon's total: it re-analyzes only the patterns the last push
   changed and runs no k-means (re-clustering and re-analyzing every
-  pattern on each verdict read about 9).
+  pattern on each verdict read about 9);
+- a divider quantum's tap read and monitor-slot fold cost O(segments),
+  not O(windows): at the divider's Δt of 500 cycles (500k windows a
+  quantum) they cost at most ``DIVIDER_COUNTS_BOUND`` times the same
+  segments read at Δt = 50,000 (5,000 windows). Spreading the segments
+  into one float per window and binning them read about 29.
 
 Session rates divide the quanta a session actually ran
 (``ChannelRun.quanta``) by its median seconds. A growth row times its
@@ -69,16 +74,19 @@ from repro.channels.cache import CacheCovertChannel
 from repro.channels.membus import MemoryBusCovertChannel
 from repro.config import (
     CLUSTERING_WINDOW_QUANTA,
+    DIVIDER_DELTA_T_CYCLES,
     MEMBUS_DELTA_T_CYCLES,
+    AuditorConfig,
     CacheConfig,
 )
 from repro.core.burst import analyze_histogram
 from repro.core.detector import AuditUnit, CCHunter
 from repro.hardware.bloom import BloomFilter
+from repro.hardware.auditor import MonitorSlot
 from repro.hardware.conflict_tracker import GenerationConflictTracker
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.analyzers import BurstAnalyzer
-from repro.pipeline.source import QuantumObservation
+from repro.pipeline.source import QuantumObservation, WindowCounts
 from repro.sim.events import LabeledEventTap
 from repro.sim.machine import Machine
 from repro.sim.resources.cache import SharedCache
@@ -127,6 +135,15 @@ VERDICT_COST_TRIALS = 300 if QUICK else 1000
 #: The verdict-cost row fails when a verdict costs more than this many
 #: burst analyses of the horizon's total.
 VERDICT_COST_BOUND = 3.0
+#: Quanta of the benign divider pair whose tap reads the divider-counts
+#: row times (about 1,400 wait segments each), and the coarse Δt the
+#: divider's own Δt is timed against.
+DIVIDER_COUNTS_QUANTA = 8
+DIVIDER_COUNTS_COARSE_DT = 50_000
+DIVIDER_COUNTS_TRIALS = 2 if QUICK else 3
+#: The divider-counts row fails when a quantum's read and fold at the
+#: divider's Δt cost more than this multiple of the coarse Δt's.
+DIVIDER_COUNTS_BOUND = 3.0
 
 _OUT_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -281,7 +298,7 @@ def _verdict_cost_results():
     for q, bit in enumerate(message):
         analyzer.push(QuantumObservation(
             quantum=q, t0=q, t1=q + 1,
-            counts={"membus": burst if bit else quiet},
+            counts={"membus": WindowCounts(burst if bit else quiet)},
         ))
         if q < CLUSTERING_WINDOW_QUANTA:
             continue
@@ -301,6 +318,50 @@ def _verdict_cost_results():
         "analysis_seconds": statistics.median(analysis_s),
         "trials": VERDICT_COST_TRIALS,
         "cheap": ratio <= VERDICT_COST_BOUND,
+    }
+
+
+def _divider_counts_results():
+    """A divider quantum's tap read and slot fold, fine Δt over coarse.
+
+    The bzip2+h264ref pair records its divider waits for
+    ``DIVIDER_COUNTS_QUANTA`` quanta; then each trial reads the wait tap
+    quantum by quantum at the divider's Δt and at
+    ``DIVIDER_COUNTS_COARSE_DT``, 100 times fewer windows, through a
+    fresh reader per Δt, and folds each read into a fresh monitor slot.
+    The two Δt alternate which runs first, so a host slowdown lands on
+    both, and the ratio of their medians needs no baseline: the same
+    segments cost the same at either Δt unless a path pays per window.
+    """
+    machine = _benign_divider_machine(DIVIDER_COUNTS_QUANTA)
+    machine.run_quanta(DIVIDER_COUNTS_QUANTA)
+    tap = machine.divider_wait_tap_for(0)
+    span = machine.quantum_cycles
+    fine_s, coarse_s = [], []
+    for _trial in range(DIVIDER_COUNTS_TRIALS):
+        sides = [
+            (spent, dt, tap.window_reader(),
+             MonitorSlot("divider", dt, AuditorConfig()))
+            for spent, dt in (
+                (fine_s, DIVIDER_DELTA_T_CYCLES),
+                (coarse_s, DIVIDER_COUNTS_COARSE_DT),
+            )
+        ]
+        for q in range(DIVIDER_COUNTS_QUANTA):
+            for spent, dt, reader, slot in sides if q % 2 else sides[::-1]:
+                t0 = perf_counter()
+                slot.ingest_window_counts(
+                    reader.read_counts(dt, q * span, (q + 1) * span)
+                )
+                spent.append(perf_counter() - t0)
+                slot.read_and_reset()
+    ratio = statistics.median(fine_s) / statistics.median(coarse_s)
+    return {
+        "quanta": DIVIDER_COUNTS_QUANTA,
+        "fine_seconds": statistics.median(fine_s),
+        "coarse_seconds": statistics.median(coarse_s),
+        "ratio": ratio,
+        "flat": ratio <= DIVIDER_COUNTS_BOUND,
     }
 
 
@@ -480,6 +541,7 @@ def measure_sim_throughput():
             CACHE_GROWTH_QUANTA,
         ),
         "verdict_cost": _verdict_cost_results(),
+        "divider_counts": _divider_counts_results(),
         "kernels": {
             "access_series_hot_set": _access_series_results(),
             "bloom": _bloom_results(),
@@ -525,6 +587,13 @@ def test_sim_throughput(benchmark):
         f"{1e6 * cost['analysis_seconds']:.0f} us, two patterns, past the "
         f"{CLUSTERING_WINDOW_QUANTA}-window horizon)"
     )
+    counts = results["divider_counts"]
+    lines.append(
+        f"divider_counts {counts['ratio']:6.2f}x a quantum's read and fold "
+        f"at dt {DIVIDER_DELTA_T_CYCLES} vs {DIVIDER_COUNTS_COARSE_DT} "
+        f"({1e3 * counts['fine_seconds']:.2f} vs "
+        f"{1e3 * counts['coarse_seconds']:.2f} ms)"
+    )
     for name, k in sorted(results["kernels"]["bloom"].items()):
         lines.append(
             f"bloom {name:<9} batch {k['speedup']:6.1f}x faster than "
@@ -542,6 +611,9 @@ def test_sim_throughput(benchmark):
         assert results[name]["flat"], (name, results[name])
     # A verdict re-analyzes only what the last push changed.
     assert cost["cheap"], cost
+    # A divider quantum's counts cost what its segments do, not its
+    # windows.
+    assert counts["flat"], counts
     assert hot["counters_identical"], results
     # And the bloom batch primitives must dominate their scalar loops.
     # (Quick mode's smaller key sample fits inside the scalar path's

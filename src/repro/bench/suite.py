@@ -197,6 +197,12 @@ SUITE: Tuple[BenchSpec, ...] = (
             # verdict read about 9; analyzing only the patterns the
             # last push changed reads about 2.
             MetricSpec("verdict_cost.cheap", kind="bool"),
+            # A divider quantum's tap read and slot fold at Δt = 500
+            # (500k windows) cost at most 3x the same segments at Δt =
+            # 50,000, timed in alternation. Spreading the segments into
+            # one float per window and binning them read about 29;
+            # carrying runs of equal-valued windows reads about 1.4.
+            MetricSpec("divider_counts.flat", kind="bool"),
         ),
     ),
     BenchSpec(

@@ -16,6 +16,9 @@ parsing lives in :mod:`repro.faults.spec`.
 
 Random draws always iterate burst channels in sorted-name order, so the
 stream consumed per quantum does not depend on dict insertion order.
+Injectors perturb single Δt windows, so a targeted channel's runs
+(:class:`~repro.util.runs.WindowCounts`) are expanded to one count per
+window first, and a perturbed channel carries one entry per window.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import numpy as np
 
 from repro.pipeline.source import ConflictRecords, QuantumObservation
 from repro.util.rng import derive_rng
+from repro.util.runs import WindowCounts
 
 
 class FaultInjector:
@@ -62,15 +66,15 @@ class FaultInjector:
         are returned as-is (same object, no tag).
         """
         tags: List[str] = []
-        new_counts: Optional[Dict[str, np.ndarray]] = None
+        new_counts: Optional[Dict[str, WindowCounts]] = None
         for name in sorted(obs.counts):
             if not self._targets(name):
                 continue
-            perturbed = self._perturb_counts(obs.counts[name])
+            perturbed = self._perturb_counts(obs.counts[name].expand())
             if perturbed is not None:
                 if new_counts is None:
                     new_counts = dict(obs.counts)
-                new_counts[name] = perturbed
+                new_counts[name] = WindowCounts(perturbed)
                 tags.append(f"{self.kind}:{name}")
         new_conflicts: Optional[ConflictRecords] = None
         if obs.conflicts is not None and self._targets(conflict_channel):

@@ -16,28 +16,23 @@ the background while the other fills.
 The model is behaviourally faithful to the fixed-width hardware: density
 indices clamp at the last histogram bin, the accumulator and histogram
 entries saturate, and vector-register drains happen whole-register at a
-time. A slot folds whole Δt windows, one count each, so the countdown and
-the accumulator appear only as the clamp each window's count passes
-through.
+time. A slot folds whole Δt windows, so the countdown and the
+accumulator appear only as the clamp each window's count passes through.
+It takes them as runs of equal-valued windows: a run of ``n`` windows
+bumps its entry by ``n``, as ``n`` countdown expiries would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.config import AuditorConfig
 from repro.errors import HardwareError
 from repro.util.dtypes import ensure_int64
-
-#: Windows clamped per pass in :meth:`MonitorSlot.ingest_window_counts`.
-#: A divider quantum is 500k windows; clamping it whole takes a 4 MB
-#: temporary per quantum, and whether the C heap keeps such a
-#: temporary's pages between quanta depends on the heap's layout, which
-#: varies from one process to the next.
-_CLAMP_CHUNK = 1 << 16
+from repro.util.runs import WindowCounts
 
 
 @dataclass
@@ -47,7 +42,9 @@ class MonitorSlot:
     Its histogram buffer is the package's only saturating density
     accumulator: every burst analyzer folds its per-Δt counts through a
     slot, whether the slot is programmed on a live auditor or stands
-    alone for trace replay and served tenants.
+    alone for trace replay and served tenants. A fold costs O(runs +
+    bins): a divider quantum of 500k windows arrives as a few thousand
+    runs, and every tally below comes from the runs.
     """
 
     unit_name: str
@@ -67,35 +64,49 @@ class MonitorSlot:
             raise HardwareError(f"Δt must be positive, got {self.dt}")
         self.histogram = np.zeros(self.config.histogram_bins, dtype=np.int64)
 
-    def ingest_window_counts(self, counts: Sequence[int]) -> None:
+    def ingest_window_counts(
+        self, counts: Union[WindowCounts, Sequence[int]]
+    ) -> None:
         """Record one event count per elapsed Δt window.
 
         Equivalent to the hardware's event-signal path: the accumulator
         counts events, and at each countdown expiry its (saturated) value
-        bumps the matching histogram entry. Lists and narrow integer
-        columns are widened; float columns raise instead of truncating.
+        bumps the matching histogram entry. ``counts`` is a
+        :class:`~repro.util.runs.WindowCounts` or one count per window;
+        a run of ``n`` windows bumps its entry ``n`` times at once (a
+        length-weighted bincount). Lists and narrow integer columns are
+        widened; float columns raise instead of truncating.
         """
-        arr = ensure_int64(counts, "window counts").ravel()
-        if arr.size == 0:
+        if not isinstance(counts, WindowCounts):
+            counts = WindowCounts(
+                ensure_int64(counts, "window counts").ravel()
+            )
+        values = ensure_int64(counts.values, "window counts")
+        lengths = counts.lengths
+        if values.size == 0:
             return
-        if arr.min() < 0:
+        if values.min() < 0:
             raise HardwareError("event counts cannot be negative")
         cfg = self.config
-        self.events_seen += int(arr.sum())
-        over = arr > cfg.accumulator_max
+        self.events_seen += counts.total()
+        over = values > cfg.accumulator_max
         if over.any():
-            self.clamp_events += int(over.sum())
+            self.clamp_events += int(
+                over.sum() if lengths is None else lengths[over].sum()
+            )
         # Clamping to the accumulator, then to the last bin, is one clamp.
         limit = min(cfg.accumulator_max, cfg.histogram_bins - 1)
+        bins = np.minimum(values, limit)
         hist = self.histogram
-        for lo in range(0, arr.size, _CLAMP_CHUNK):
-            bins = np.minimum(arr[lo : lo + _CLAMP_CHUNK], limit)
-            hist += np.bincount(bins, minlength=cfg.histogram_bins)
+        # Float weights sum window counts exactly (below 2**53).
+        hist += np.bincount(
+            bins, weights=lengths, minlength=cfg.histogram_bins
+        ).astype(np.int64, copy=False)
         saturated = hist > cfg.histogram_entry_max
         if saturated.any():
             self.entry_saturations += int(saturated.sum())
             np.minimum(hist, cfg.histogram_entry_max, out=hist)
-        self.windows_recorded += int(arr.size)
+        self.windows_recorded += len(counts)
 
     def read_and_reset(self) -> np.ndarray:
         """Daemon read at the OS-quantum boundary: copy out, clear buffer."""

@@ -55,6 +55,7 @@ from repro.pipeline.source import (
     MachineEventSource,
     ObservationConsumer,
     QuantumObservation,
+    WindowCounts,
 )
 
 __all__ = [
@@ -86,4 +87,5 @@ __all__ = [
     "MachineEventSource",
     "ObservationConsumer",
     "QuantumObservation",
+    "WindowCounts",
 ]

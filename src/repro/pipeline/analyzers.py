@@ -154,8 +154,10 @@ class BurstAnalyzer(_HealthMixin):
     one the analyzer folds through a slot of its own with the default
     :class:`~repro.config.AuditorConfig`, so counts always pass the
     hardware's saturating histogram buffer. Per-quantum work is
-    O(n_windows + bins); history is the bounded pattern horizon
-    recurrence clustering consumes.
+    O(runs + bins), where a dense channel's quantum is a few thousand
+    runs of equal-valued windows and a sparse one's is one run per
+    window; history is the bounded pattern horizon recurrence
+    clustering consumes.
     """
 
     method = "burst"
@@ -255,8 +257,7 @@ class BurstAnalyzer(_HealthMixin):
         self.quanta_seen += 1
         self._m_windows.inc(len(counts))
         # The slot keeps cumulative event/clamp/saturation tallies; export
-        # per-push deltas rather than re-reducing the (possibly huge)
-        # counts array.
+        # per-push deltas rather than re-reducing the counts.
         events = self._acc.events_seen
         if events != self._seen_events:
             self._m_events.inc(events - self._seen_events)

@@ -12,7 +12,8 @@ fields must be present and well-typed, and numpy columns come back as
 Formats (the ``format`` key is mandatory on decode):
 
 - ``repro.pipeline.observation/v1`` — one quantum's observation:
-  burst-channel count columns, optional conflict records, fault tags.
+  burst-channel count columns (one entry per Δt window: runs are
+  expanded on encode), optional conflict records, fault tags.
 - ``repro.pipeline.verdict/v1`` — one unit's verdict, the exact field
   set of :meth:`UnitVerdict.to_dict` plus the format stamp.
 - ``repro.pipeline.channel/v1`` — one :class:`ChannelSpec` (the
@@ -43,6 +44,7 @@ from repro.pipeline.source import (
     ConflictRecords,
     QuantumObservation,
 )
+from repro.util.runs import WindowCounts
 
 OBSERVATION_FORMAT = "repro.pipeline.observation/v1"
 VERDICT_FORMAT = "repro.pipeline.verdict/v1"
@@ -123,7 +125,7 @@ def observation_to_dict(obs: QuantumObservation) -> Dict[str, Any]:
         "t0": int(obs.t0),
         "t1": int(obs.t1),
         "counts": {
-            name: [int(v) for v in column]
+            name: column.expand().tolist()
             for name, column in obs.counts.items()
         },
         "conflicts": conflicts,
@@ -144,7 +146,9 @@ def observation_from_dict(payload: Any) -> QuantumObservation:
         _require(payload, "counts", what), f"{what}.counts"
     )
     counts = {
-        str(name): _int64_column(column, f"{what}.counts[{name!r}]")
+        str(name): WindowCounts(
+            _int64_column(column, f"{what}.counts[{name!r}]")
+        )
         for name, column in raw_counts.items()
     }
     conflicts: Optional[ConflictRecords] = None

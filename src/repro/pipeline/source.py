@@ -34,6 +34,7 @@ from repro.errors import DetectionError
 from repro.obs.metrics import MetricsRegistry, get_default
 from repro.obs.tracing import trace_span
 from repro.util.dtypes import require_int64
+from repro.util.runs import WindowCounts
 
 
 class ChannelKind(enum.Enum):
@@ -75,8 +76,11 @@ class QuantumObservation:
     """Everything an EventSource saw during one OS quantum.
 
     ``counts`` maps each burst channel name to its per-Δt-window event
-    counts over ``[t0, t1)``; ``conflicts`` carries the quantum's
-    conflict-miss records when a conflict channel is enabled.
+    counts over ``[t0, t1)`` as a :class:`~repro.util.runs.WindowCounts`
+    (``len()`` is the window count): runs of equal-valued windows from a
+    dense (rate-segment) tap, one entry per window from everything else.
+    ``conflicts`` carries the quantum's conflict-miss records when a
+    conflict channel is enabled.
 
     ``faults`` lists known data-quality impairments of this observation
     as ``"kind:channel"`` tags (channel ``*`` = every channel) — e.g. a
@@ -89,7 +93,7 @@ class QuantumObservation:
     quantum: int
     t0: int
     t1: int
-    counts: Dict[str, np.ndarray] = field(default_factory=dict)
+    counts: Dict[str, WindowCounts] = field(default_factory=dict)
     conflicts: Optional[ConflictRecords] = None
     faults: Tuple[str, ...] = ()
 
@@ -144,8 +148,8 @@ class MachineEventSource:
 
     Every channel is read through an incremental tap window reader
     (:meth:`~repro.sim.events.EventTap.window_reader`): per quantum this
-    touches only the events of that quantum's window, carried zero-copy
-    as numpy columns into the observation.
+    touches only the events (or rate segments) of that quantum's window,
+    carried zero-copy as numpy columns into the observation.
     """
 
     def __init__(
@@ -227,12 +231,11 @@ class MachineEventSource:
         with trace_span("source.emit", quantum=quantum):
             readers = self._burst_readers
             counts = {
-                name: require_int64(
-                    readers[name].read_counts(spec.dt, t0, t1),
-                    f"channel {name!r} window counts",
-                )
+                name: readers[name].read_counts(spec.dt, t0, t1)
                 for name, (spec, _tap) in self._burst_taps.items()
             }
+            for name, column in counts.items():
+                require_int64(column.values, f"channel {name!r} window counts")
             conflicts = None
             if self._conflict_spec is not None:
                 times, reps, vics = self._conflict_reader.read(t0, t1)
@@ -252,5 +255,5 @@ class MachineEventSource:
         if timed:
             self._m_observations.inc()
             for name, counter in self._channel_counters.items():
-                counter.inc(int(counts[name].sum()))
+                counter.inc(counts[name].total())
             self._m_emit.observe(perf_counter() - t_start)

@@ -27,6 +27,7 @@ import numpy as np
 from repro.errors import ServeError
 from repro.pipeline.source import ChannelKind, ChannelSpec, QuantumObservation
 from repro.util.rng import derive_rng
+from repro.util.runs import WindowCounts
 
 #: Δt window width (cycles) the serve traffic uses everywhere.
 DT = 1000
@@ -52,7 +53,7 @@ def covert_observations(
             quantum=q,
             t0=q * span,
             t1=(q + 1) * span,
-            counts={"membus": counts},
+            counts={"membus": WindowCounts(counts)},
         )
 
 
@@ -77,7 +78,7 @@ def benign_observations(
             quantum=q,
             t0=q * span,
             t1=(q + 1) * span,
-            counts={"membus": counts},
+            counts={"membus": WindowCounts(counts)},
         )
 
 

@@ -38,6 +38,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.util.runs import WindowCounts
 
 
 def _concat_chunks(chunks: Sequence[np.ndarray], dtype) -> np.ndarray:
@@ -93,10 +94,10 @@ def _round_density_counts(counts: np.ndarray) -> np.ndarray:
     """Round spread float counts half-up with an epsilon, in place.
 
     The epsilon keeps float residue from the segment cumsum from
-    flipping an x.5 boundary either way. Shared by the full-history and
-    windowed density paths so both round identically. ``counts`` is the
-    caller's working column: it is overwritten, and only the returned
-    int64 column is new.
+    flipping an x.5 boundary either way. Shared by the full-history
+    column and the streaming runs so both round identically. ``counts``
+    is the caller's working column: it is overwritten, and only the
+    returned int64 column is new.
     """
     counts += 0.5
     counts += 1e-6
@@ -122,11 +123,11 @@ def spread_segment_counts(
     (one cumulative sum at the end), so cost is O(#segments + #windows)
     regardless of segment lengths.
 
-    This is THE segment-spread kernel: both
-    :meth:`RateSegmentTap.density_counts` (full history) and
-    :class:`SegmentWindowReader` (streaming) call it with identically
-    ordered segment columns, so the two paths agree bit for bit — float
-    accumulation order included.
+    This is the full-history reference
+    (:meth:`RateSegmentTap.density_counts`); the streaming
+    :class:`SegmentWindowReader` reaches the same integers in run form
+    through :func:`segment_count_runs`, which keeps this kernel's float
+    accumulation order.
     """
     if starts.size == 0:
         return
@@ -153,6 +154,91 @@ def spread_segment_counts(
         np.add.at(diff, fm[has_mid] + 1, rm[has_mid] * dt)
         np.add.at(diff, lm[has_mid], -rm[has_mid] * dt)
         counts += np.cumsum(diff[:-1], out=diff[:-1])
+
+
+def _heads(column: np.ndarray) -> np.ndarray:
+    """Mask of the entries that differ from the one before (and the first)."""
+    heads = np.empty(column.size, dtype=bool)
+    heads[:1] = True
+    np.not_equal(column[1:], column[:-1], out=heads[1:])
+    return heads
+
+
+def _distinct(column: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``column``.
+
+    ``np.unique`` hashes instead, over ten times slower on a few
+    thousand window indices.
+    """
+    column = np.sort(column)
+    return column[_heads(column)]
+
+
+def segment_count_runs(
+    sparse: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    rates: np.ndarray,
+    dt: int,
+    t0: int,
+    t1: int,
+) -> WindowCounts:
+    """Per-Δt window counts over ``[t0, t1)`` as runs, in O(segments).
+
+    ``sparse`` holds the window index of each sparse event; the segment
+    columns come in the order :func:`spread_segment_counts` takes them,
+    and the runs expand to exactly what that kernel yields on top of
+    the sparse counts, rounded. Between edge windows (a sparse event, a
+    segment's partial first or last window) a window holds only the
+    difference array's cumulative sum, constant between its steps; an
+    edge window adds its partial sums in the kernel's order. Runs break
+    at every edge window, the window after it and every step, and equal
+    neighbours merge (docs/ALGORITHMS.md §2.2 has the exactness
+    argument).
+    """
+    n_windows = -(-(t1 - t0) // dt)
+    s = np.maximum(starts, t0)
+    e = np.minimum(ends, t1)
+    first = (s - t0) // dt
+    last = (e - 1 - t0) // dt
+    single = first == last
+    multi = ~single
+    fm, lm = first[multi], last[multi]
+    sm, em, rm = s[multi], e[multi], rates[multi]
+    # Middle windows fm+1 .. lm-1 hold r·dt each: a step up at fm+1 and
+    # a step down at lm. level[k] is the cumulative sum after the k-th
+    # distinct step (level[0] = 0.0), each step's entries added as the
+    # difference array adds them: every rise, then every fall.
+    mid = lm > fm + 1
+    step_at = np.concatenate([fm[mid] + 1, lm[mid]])
+    steps = _distinct(step_at)
+    level = np.zeros(steps.size + 1)
+    np.add.at(
+        level[1:],
+        np.searchsorted(steps, step_at),
+        np.concatenate([rm[mid] * dt, -rm[mid] * dt]),
+    )
+    np.cumsum(level, out=level)
+    edges = _distinct(np.concatenate([sparse, first, lm]))
+    acc = np.zeros(edges.size)
+    np.add.at(acc, np.searchsorted(edges, sparse), 1.0)
+    np.add.at(
+        acc,
+        np.searchsorted(edges, first[single]),
+        (e[single] - s[single]) * rates[single],
+    )
+    np.add.at(acc, np.searchsorted(edges, fm), (t0 + (fm + 1) * dt - sm) * rm)
+    np.add.at(acc, np.searchsorted(edges, lm), (em - (t0 + lm * dt)) * rm)
+    acc += level[np.searchsorted(steps, edges, side="right")]
+    cuts = _distinct(np.concatenate([[0], edges, edges + 1, steps]))
+    cuts = cuts[cuts < n_windows]
+    spread = level[np.searchsorted(steps, cuts, side="right")]
+    spread[np.searchsorted(cuts, edges)] = acc
+    counts = _round_density_counts(spread)
+    keep = _heads(counts)
+    return WindowCounts(
+        counts[keep], np.diff(cuts[keep], append=n_windows)
+    )
 
 
 class EventTap:
@@ -362,21 +448,22 @@ class EventWindowReader:
         lo = int(np.searchsorted(window, t0, side="left"))
         return window[lo:]
 
-    def read_counts(self, dt: int, t0: int, t1: int) -> np.ndarray:
+    def read_counts(self, dt: int, t0: int, t1: int) -> WindowCounts:
         """Event count per Δt window tiling ``[t0, t1)`` (hot-path kernel).
 
         Same formula as ``EventTap.density_counts`` — one subtraction,
-        one integer divide, one bincount over the window's column.
+        one integer divide, one bincount over the window's column — and
+        one entry per window.
         """
         if dt <= 0:
             raise SimulationError(f"Δt must be positive, got {dt}")
         n_windows = -(-(t1 - t0) // dt)
         times = self.read(t0, t1)
         if times.size == 0:
-            return np.zeros(n_windows, dtype=np.int64)
+            return WindowCounts(np.zeros(n_windows, dtype=np.int64))
         idx = (times - t0) // dt
         counts = np.bincount(idx, minlength=n_windows)
-        return counts.astype(np.int64, copy=False)
+        return WindowCounts(counts.astype(np.int64, copy=False))
 
 
 @dataclass(frozen=True)
@@ -402,13 +489,15 @@ class RateSegmentTap:
     recorded in O(1). ``materialize_times`` synthesizes explicit timestamps
     for plots and for consumers (like the autocorrelation analysis) that
     need individual events; synthesis is deterministic.
+
+    Segments are stored as append-only chunks, one ``(starts, ends,
+    rates)`` triple of int64/int64/float64 columns per recording call,
+    in record order.
     """
 
     def __init__(self, name: str):
         self.name = name
-        self._seg_starts: List[int] = []
-        self._seg_ends: List[int] = []
-        self._seg_rates: List[float] = []
+        self._chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._seg_cache: Optional[
             Tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = None
@@ -416,23 +505,19 @@ class RateSegmentTap:
 
     def record_segment(self, start: int, end: int, rate: float) -> None:
         """Record uniform activity of ``rate`` events/cycle over [start, end)."""
-        if end <= start or rate <= 0:
-            return
-        self._seg_starts.append(int(start))
-        self._seg_ends.append(int(end))
-        self._seg_rates.append(float(rate))
-        self._seg_cache = None
+        self.record_segments_batch([start], [end], [rate])
 
     def record_segments_batch(
         self, starts: np.ndarray, ends: np.ndarray, rates: np.ndarray
     ) -> None:
         """Record many segments at once (empty/zero-rate entries skipped)."""
-        keep = (np.asarray(ends) > np.asarray(starts)) & (np.asarray(rates) > 0)
+        starts = np.asarray(starts, dtype=np.int64)
+        ends = np.asarray(ends, dtype=np.int64)
+        rates = np.asarray(rates, dtype=np.float64)
+        keep = (ends > starts) & (rates > 0)
         if not keep.any():
             return
-        self._seg_starts.extend(int(s) for s in np.asarray(starts)[keep])
-        self._seg_ends.extend(int(e) for e in np.asarray(ends)[keep])
-        self._seg_rates.extend(float(r) for r in np.asarray(rates)[keep])
+        self._chunks.append((starts[keep], ends[keep], rates[keep]))
         self._seg_cache = None
 
     def record(self, time: int, ctx: int = -1) -> None:
@@ -442,12 +527,20 @@ class RateSegmentTap:
     def record_batch(self, times: np.ndarray, ctx: int = -1) -> None:
         self._sparse.record_batch(times, ctx)
 
+    def _columns(
+        self, since: int = 0
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(starts, ends, rates) of chunks ``since`` on, in record order."""
+        chunks = self._chunks[since:]
+        return tuple(
+            _concat_chunks([chunk[i] for chunk in chunks], dtype)
+            for i, dtype in enumerate((np.int64, np.int64, np.float64))
+        )
+
     def _segment_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(starts, ends, rates), sorted by start, with a sort cache."""
         if self._seg_cache is None:
-            starts = np.asarray(self._seg_starts, dtype=np.int64)
-            ends = np.asarray(self._seg_ends, dtype=np.int64)
-            rates = np.asarray(self._seg_rates, dtype=np.float64)
+            starts, ends, rates = self._columns()
             order = np.argsort(starts, kind="stable")
             self._seg_cache = (starts[order], ends[order], rates[order])
         return self._seg_cache
@@ -479,8 +572,8 @@ class RateSegmentTap:
     def density_counts(self, dt: int, t0: int, t1: int) -> np.ndarray:
         """Events per Δt window in ``[t0, t1)``; segment mass is spread exactly.
 
-        Delegates to :func:`spread_segment_counts`, the kernel shared
-        with the streaming :class:`SegmentWindowReader`.
+        Delegates to :func:`spread_segment_counts`, the reference the
+        streaming :class:`SegmentWindowReader`'s runs expand to.
         """
         if dt <= 0:
             raise SimulationError(f"Δt must be positive, got {dt}")
@@ -526,40 +619,32 @@ class RateSegmentTap:
 class SegmentWindowReader:
     """Incremental windowed reader over a :class:`RateSegmentTap`.
 
-    The dense counterpart of :class:`EventWindowReader`: new segments are
-    consumed from the tap's append-only columns exactly once, segments
-    still overlapping future windows are carried (sorted by start, tie
-    order = record order — the same order the full-history path uses),
-    and per-window counts come from :func:`spread_segment_counts`, so the
-    streaming and full-history paths agree bit for bit, float
-    accumulation order included.
-
-    The float column the counts are spread and rounded in belongs to the
-    reader and is reused every quantum. At the divider's Δt it holds 500k
-    windows (4 MB); allocated per quantum next to the other temporaries,
-    it would leave the C heap's layout to decide whether a quantum faults
-    ~15 MB of fresh pages in, and that layout varies between processes.
+    The dense counterpart of :class:`EventWindowReader`: new segment
+    chunks are consumed from the tap exactly once, segments still
+    overlapping future windows are carried (sorted by start, tie order =
+    record order — the same order the full-history path uses), and each
+    read returns the quantum's counts as runs of equal-valued windows
+    from :func:`segment_count_runs`. A read costs O(segments + sparse
+    events), not O(windows), and the runs expand to the full-history
+    ``density_counts`` bit for bit.
     """
 
     def __init__(self, tap: RateSegmentTap):
         self._tap = tap
-        self._seg_idx = 0
+        self._chunk_idx = 0
         self._p_starts = np.zeros(0, dtype=np.int64)
         self._p_ends = np.zeros(0, dtype=np.int64)
         self._p_rates = np.zeros(0, dtype=np.float64)
         self._cursor: Optional[int] = None
         self._sparse = tap._sparse.window_reader()
-        self._counts = np.zeros(0, dtype=np.float64)
 
     def _merge_new(self) -> None:
         tap = self._tap
-        n = len(tap._seg_starts)
-        if n == self._seg_idx:
+        n = len(tap._chunks)
+        if n == self._chunk_idx:
             return
-        new_starts = np.asarray(tap._seg_starts[self._seg_idx:], dtype=np.int64)
-        new_ends = np.asarray(tap._seg_ends[self._seg_idx:], dtype=np.int64)
-        new_rates = np.asarray(tap._seg_rates[self._seg_idx:], dtype=np.float64)
-        self._seg_idx = n
+        new_starts, new_ends, new_rates = tap._columns(self._chunk_idx)
+        self._chunk_idx = n
         if (
             self._cursor is not None
             and new_starts.size
@@ -576,8 +661,8 @@ class SegmentWindowReader:
         self._p_ends = np.concatenate([self._p_ends, new_ends])[order]
         self._p_rates = np.concatenate([self._p_rates, new_rates])[order]
 
-    def read_counts(self, dt: int, t0: int, t1: int) -> np.ndarray:
-        """Events per Δt window in ``[t0, t1)``; advances the cursor."""
+    def read_counts(self, dt: int, t0: int, t1: int) -> WindowCounts:
+        """Events per Δt window in ``[t0, t1)``, as runs; advances cursor."""
         if dt <= 0:
             raise SimulationError(f"Δt must be positive, got {dt}")
         if t1 < t0:
@@ -588,31 +673,19 @@ class SegmentWindowReader:
                 f"starts before the cursor at {self._cursor}"
             )
         self._merge_new()
-        n_windows = -(-(t1 - t0) // dt)
-        if self._counts.size != n_windows:
-            self._counts = np.empty(n_windows, dtype=np.float64)
-        counts = self._counts
-        np.copyto(counts, self._sparse.read_counts(dt, t0, t1))
+        sparse = (self._sparse.read(t0, t1) - t0) // dt
         starts, ends, rates = self._p_starts, self._p_ends, self._p_rates
-        if starts.size:
-            sel = (starts < t1) & (ends > t0)
-            spread_segment_counts(
-                counts,
-                starts[sel],
-                ends[sel],
-                rates[sel],
-                dt,
-                t0,
-                t1,
-                n_windows,
-            )
-            keep = ends > t1
-            if not keep.all():
-                self._p_starts = starts[keep]
-                self._p_ends = ends[keep]
-                self._p_rates = rates[keep]
+        sel = (starts < t1) & (ends > t0)
+        counts = segment_count_runs(
+            sparse, starts[sel], ends[sel], rates[sel], dt, t0, t1
+        )
+        keep = ends > t1
+        if not keep.all():
+            self._p_starts = starts[keep]
+            self._p_ends = ends[keep]
+            self._p_rates = rates[keep]
         self._cursor = int(t1)
-        return _round_density_counts(counts)
+        return counts
 
 
 class LabeledEventTap:

@@ -39,6 +39,7 @@ from repro.pipeline.source import (
 )
 from repro.sim.machine import Machine
 from repro.util.dtypes import ensure_int64
+from repro.util.runs import WindowCounts
 
 #: Version 2 adds the per-record CRC32 ``checksum_manifest``; version 1
 #: archives (no manifest) still load, with integrity checks skipped.
@@ -397,17 +398,19 @@ class ArchiveEventSource:
         archive = self.archive
         t0 = quantum * archive.quantum_cycles
         t1 = t0 + archive.quantum_cycles
-        counts: Dict[str, np.ndarray] = {}
+        counts: Dict[str, WindowCounts] = {}
         times = archive.bus_lock_times
         lo = np.searchsorted(times, t0, side="left")
         hi = np.searchsorted(times, t1, side="left")
-        counts["membus"] = np.bincount(
+        counts["membus"] = WindowCounts(np.bincount(
             (times[lo:hi] - t0) // self._bus_dt,
             minlength=-(-archive.quantum_cycles // self._bus_dt),
-        )
+        ))
         for name, (dt, dense) in self._dense.items():
             per_quantum = -(-archive.quantum_cycles // dt)
-            counts[name] = dense[quantum * per_quantum:(quantum + 1) * per_quantum]
+            counts[name] = WindowCounts(
+                dense[quantum * per_quantum:(quantum + 1) * per_quantum]
+            )
         lo = np.searchsorted(archive.cache_times, t0, side="left")
         hi = np.searchsorted(archive.cache_times, t1, side="left")
         conflicts = ConflictRecords(

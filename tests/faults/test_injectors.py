@@ -16,6 +16,7 @@ from repro.faults import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.source import ConflictRecords, QuantumObservation
+from repro.util.runs import WindowCounts
 
 
 def _obs(quantum, counts=None, conflicts=None, width=1000):
@@ -23,9 +24,17 @@ def _obs(quantum, counts=None, conflicts=None, width=1000):
         quantum=quantum,
         t0=quantum * width,
         t1=(quantum + 1) * width,
-        counts=counts or {},
+        counts={
+            name: WindowCounts(column)
+            for name, column in (counts or {}).items()
+        },
         conflicts=conflicts,
     )
+
+
+def _counts(obs, name="membus"):
+    """One channel's counts, one entry per window."""
+    return obs.counts[name].expand()
 
 
 def _burst_obs(quantum, seed=0, n=64, channels=("membus",)):
@@ -64,13 +73,36 @@ class TestDeterminism:
         for a, b in zip(first, second):
             assert a.faults == b.faults
             for name in a.counts:
-                np.testing.assert_array_equal(a.counts[name], b.counts[name])
+                np.testing.assert_array_equal(
+                    _counts(a, name), _counts(b, name)
+                )
+
+    @pytest.mark.parametrize("text", ["drop:0.3", "stall:0.3:8", "reorder:8"])
+    def test_runs_perturb_as_their_windows(self, text):
+        """A channel carried as runs is perturbed window by window."""
+        values = np.array([3, 0, 7, 0], dtype=np.int64)
+        lengths = np.array([5, 20, 3, 12], dtype=np.int64)
+        runs, windows = (
+            apply_injectors(
+                injectors_from_string(text, seed=3),
+                QuantumObservation(
+                    quantum=0, t0=0, t1=1000, counts={"membus": counts}
+                ),
+            )
+            for counts in (
+                WindowCounts(values, lengths),
+                WindowCounts(np.repeat(values, lengths)),
+            )
+        )
+        kind = text.split(":")[0]
+        assert runs.faults == windows.faults == (f"{kind}:membus",)
+        np.testing.assert_array_equal(_counts(runs), _counts(windows))
 
     def test_different_seeds_differ(self):
         first = _stream("drop:0.5", seed=1)
         second = _stream("drop:0.5", seed=2)
         assert any(
-            not np.array_equal(a.counts["membus"], b.counts["membus"])
+            not np.array_equal(_counts(a), _counts(b))
             for a, b in zip(first, second)
         )
 
@@ -90,29 +122,29 @@ class TestDeterminism:
 class TestSemantics:
     def test_original_observation_never_mutated(self):
         obs = _burst_obs(0)
-        pristine = obs.counts["membus"].copy()
+        pristine = _counts(obs).copy()
         apply_injectors(injectors_from_string("drop:0.9,bitflip:0.5"), obs)
-        np.testing.assert_array_equal(obs.counts["membus"], pristine)
+        np.testing.assert_array_equal(_counts(obs), pristine)
         assert obs.faults == ()
 
     def test_drop_only_removes_events(self):
         obs = _burst_obs(0)
         out = DropInjector(0.5, seed=1).apply(obs)
-        assert out.counts["membus"].sum() < obs.counts["membus"].sum()
-        assert np.all(out.counts["membus"] >= 0)
+        assert _counts(out).sum() < _counts(obs).sum()
+        assert np.all(_counts(out) >= 0)
         assert "drop:membus" in out.faults
 
     def test_dup_only_adds_events(self):
         obs = _burst_obs(0)
         out = DuplicateInjector(0.5, seed=1).apply(obs)
-        assert out.counts["membus"].sum() > obs.counts["membus"].sum()
-        assert np.all(out.counts["membus"] >= obs.counts["membus"])
+        assert _counts(out).sum() > _counts(obs).sum()
+        assert np.all(_counts(out) >= _counts(obs))
 
     def test_reorder_preserves_event_totals(self):
         obs = _burst_obs(0)
         out = ReorderInjector(8, seed=1).apply(obs)
-        assert out.counts["membus"].sum() == obs.counts["membus"].sum()
-        assert not np.array_equal(out.counts["membus"], obs.counts["membus"])
+        assert _counts(out).sum() == _counts(obs).sum()
+        assert not np.array_equal(_counts(out), _counts(obs))
 
     def test_reorder_keeps_conflict_times_sorted(self):
         obs = _conflict_obs(0)
@@ -126,27 +158,27 @@ class TestSemantics:
     def test_stall_zeroes_contiguous_runs(self):
         obs = _obs(0, counts={"membus": np.full(64, 5, dtype=np.int64)})
         out = StallInjector(0.2, max_len=4, seed=1).apply(obs)
-        assert (out.counts["membus"] == 0).any()
-        kept = out.counts["membus"] != 0
-        assert np.all(out.counts["membus"][kept] == 5)
+        assert (_counts(out) == 0).any()
+        kept = _counts(out) != 0
+        assert np.all(_counts(out)[kept] == 5)
 
     def test_saturate_pins_to_entry_max(self):
         obs = _burst_obs(0)
         out = SaturateInjector(0.3, seed=1).apply(obs)
-        pinned = out.counts["membus"] == SaturateInjector.SATURATED
+        pinned = _counts(out) == SaturateInjector.SATURATED
         assert pinned.any()
 
     def test_bitflip_changes_values_not_length(self):
         obs = _burst_obs(0)
         out = BitFlipInjector(0.3, seed=1).apply(obs)
-        assert out.counts["membus"].size == obs.counts["membus"].size
-        assert not np.array_equal(out.counts["membus"], obs.counts["membus"])
+        assert _counts(out).size == _counts(obs).size
+        assert not np.array_equal(_counts(out), _counts(obs))
 
     def test_channel_targeting(self):
         obs = _burst_obs(0, channels=("membus", "divider"))
         out = DropInjector(0.9, channel="membus", seed=1).apply(obs)
         np.testing.assert_array_equal(
-            out.counts["divider"], obs.counts["divider"]
+            _counts(out, "divider"), _counts(obs, "divider")
         )
         assert out.faults == ("drop:membus",)
         assert out.faults_for("divider") == ()

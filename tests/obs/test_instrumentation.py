@@ -11,7 +11,12 @@ import numpy as np
 from repro.config import MachineConfig
 from repro.core.detector import AuditUnit, CCHunter
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.pipeline import BurstAnalyzer, DetectionSession, QuantumObservation
+from repro.pipeline import (
+    BurstAnalyzer,
+    DetectionSession,
+    QuantumObservation,
+    WindowCounts,
+)
 from repro.sim.machine import Machine
 from repro.sim.process import BusLockBurst, Process
 
@@ -88,7 +93,8 @@ class TestPipelineMetrics:
         huge = np.full(200, 10**9, dtype=np.int64)
         session.push_quantum(
             QuantumObservation(
-                quantum=0, t0=0, t1=100, counts={"membus": huge},
+                quantum=0, t0=0, t1=100,
+                counts={"membus": WindowCounts(huge)},
                 conflicts=None,
             )
         )

@@ -20,6 +20,7 @@ from repro.pipeline import (
     CodecError,
     ConflictRecords,
     QuantumObservation,
+    WindowCounts,
     channel_spec_from_dict,
     channel_spec_to_dict,
     observation_from_dict,
@@ -42,8 +43,11 @@ def _obs(conflicts=True, faults=()):
         t0=7000,
         t1=8000,
         counts={
-            "membus": np.array([0, 4, 17, 0], dtype=np.int64),
-            "divider": np.array([1, 1], dtype=np.int64),
+            "membus": WindowCounts(np.array([0, 4, 17, 0], dtype=np.int64)),
+            "divider": WindowCounts(
+                np.array([1, 0], dtype=np.int64),
+                np.array([2, 3], dtype=np.int64),
+            ),
         },
         conflicts=records,
         faults=tuple(faults),
@@ -59,8 +63,12 @@ class TestObservationRoundTrip:
         assert back.faults == obs.faults
         assert sorted(back.counts) == sorted(obs.counts)
         for name in obs.counts:
-            assert back.counts[name].dtype == np.int64
-            np.testing.assert_array_equal(back.counts[name], obs.counts[name])
+            # Runs travel expanded: one entry per window.
+            assert back.counts[name].lengths is None
+            assert back.counts[name].values.dtype == np.int64
+            np.testing.assert_array_equal(
+                back.counts[name].values, obs.counts[name].expand()
+            )
         for field in ("times", "replacers", "victims"):
             col = getattr(back.conflicts, field)
             assert col.dtype == np.int64
@@ -89,11 +97,11 @@ class TestObservationRoundTrip:
             quantum=quantum,
             t0=quantum * 1000,
             t1=(quantum + 1) * 1000,
-            counts={"membus": np.array(counts, dtype=np.int64)},
+            counts={"membus": WindowCounts(np.array(counts, dtype=np.int64))},
             faults=tuple(faults),
         )
         back = observation_from_dict(json.loads(obs.to_json()))
-        np.testing.assert_array_equal(back.counts["membus"], counts)
+        np.testing.assert_array_equal(back.counts["membus"].values, counts)
         assert back.faults == tuple(faults)
 
 

@@ -2,8 +2,9 @@
 
 The machine source reads every tap through an incremental window reader
 (docs/PERFORMANCE.md, "Columnar hot path"). The taps' full-history
-reads stay the reference: ``density_counts`` for each burst channel and
-``records_in`` for the conflict channel. One seeded session per channel
+reads stay the reference: ``density_counts`` for each burst channel
+(a rate-segment tap's runs are expanded to one count per window first)
+and ``records_in`` for the conflict channel. One seeded session per channel
 family records every observation the analyzers receive and checks it
 against the reference reads of that quantum's window. Analyzers are a
 pure function of their observations, so equal observations give equal
@@ -53,10 +54,14 @@ def test_observations_match_full_history_reads(kind):
     for obs in observations:
         assert sorted(obs.counts) == sorted(source._burst_taps)
         for name, (spec, tap) in source._burst_taps.items():
-            np.testing.assert_array_equal(
-                obs.counts[name], tap.density_counts(spec.dt, obs.t0, obs.t1)
-            )
-            events += int(obs.counts[name].sum())
+            counts = obs.counts[name]
+            # The tap kind decides the form: runs from the divider's
+            # rate segments, one entry per window from bus locks.
+            assert (counts.lengths is not None) == (kind == "divider")
+            want = tap.density_counts(spec.dt, obs.t0, obs.t1)
+            assert len(counts) == want.size
+            np.testing.assert_array_equal(counts.expand(), want)
+            events += counts.total()
         if kind != "cache":
             assert obs.conflicts is None
             continue

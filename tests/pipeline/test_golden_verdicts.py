@@ -16,7 +16,16 @@ verdict frames are made of:
   burst windows, aggregate histogram) from a session capturing evidence;
 - the serialized evidence bundle of an eager membus session with
   ``capture_evidence=True``, plus its cluster snapshot after every
-  quantum.
+  quantum;
+- the divider unit, whose per-Δt counts are half a million windows a
+  quantum: an eager covert divider session with background noise, the
+  divider unit of the benign bzip2+h264ref pair under bus and divider
+  audit, and
+  the covert stream through a :class:`~repro.faults.FaultInjectingSource`
+  that drops, stalls and reorders divider windows. Each pins the
+  per-quantum verdicts (with health under faults), every retained
+  per-quantum histogram and the monitor slot's cumulative tallies; the
+  fault record also pins each injector's tallies.
 
 A long trajectory is stored as the SHA-256 of its canonical JSON, its
 length, its first and last few entries and one digest per chunk, so a
@@ -39,6 +48,7 @@ from repro.analysis.figures import run_channel_session
 from repro.channels.base import ChannelConfig
 from repro.channels.membus import MemoryBusCovertChannel
 from repro.core.detector import AuditUnit, CCHunter
+from repro.faults.spec import injectors_from_string
 from repro.pipeline.session import build_session_from_specs
 from repro.pipeline.sinks import CollectingSink
 from repro.serve.service import ServeConfig
@@ -49,11 +59,23 @@ from repro.serve.traffic import (
 )
 from repro.sim.machine import Machine
 from repro.util.bitstream import Message
+from repro.workloads.base import workload_process
+from repro.workloads.spec import bzip2, h264ref
 
 GOLDEN = Path(__file__).with_name("golden_verdicts.json")
 
 #: Quanta of the eager membus sessions: one bit per quantum at 10 bps.
 MEMBUS_QUANTA = 600
+#: Quanta of the divider sessions: one bit per quantum at 10 bps.
+DIVIDER_QUANTA = 48
+#: The audited divider's channel name (core 0).
+DIVIDER = "divider(core 0)"
+#: Divider faults: thin, black out and shuffle Δt windows (in blocks of
+#: 4,096: the reorder injector shuffles block by block in Python).
+DIVIDER_FAULTS = ",".join(
+    f"{clause}@{DIVIDER}"
+    for clause in ("drop:0.2", "stall:0.0005:64", "reorder:4096")
+)
 #: Observations per served stream.
 SERVE_OBSERVATIONS = 1200
 #: Entries kept verbatim at each end of a stored trajectory.
@@ -95,11 +117,12 @@ def _burst_entry(quantum, verdict):
     ]
 
 
-def _message(seed):
-    """600 bits, 40% of them 1s, as the membus-long benchmark sends."""
-    bits = np.zeros(MEMBUS_QUANTA, dtype=int)
+def _message(seed, n_bits=MEMBUS_QUANTA):
+    """``n_bits`` bits, 40% of them 1s, as the membus-long benchmark
+    sends."""
+    bits = np.zeros(n_bits, dtype=int)
     rng = np.random.default_rng(seed)
-    bits[rng.choice(MEMBUS_QUANTA, MEMBUS_QUANTA * 2 // 5, replace=False)] = 1
+    bits[rng.choice(n_bits, n_bits * 2 // 5, replace=False)] = 1
     return Message.from_bits(bits)
 
 
@@ -182,8 +205,73 @@ def membus_evidence(seed=11):
     }
 
 
+def _divider_record(hunter, sink, slot_index):
+    """Per-quantum divider verdicts, retained histograms, slot tallies."""
+    slot = hunter.auditor.slot(slot_index)
+    return {
+        "first_detection": hunter.first_detection_quantum(
+            AuditUnit.DIVIDER, core=0
+        ),
+        "trajectory": _digest([
+            _burst_entry(q, report.verdict_for(DIVIDER))
+            + [report.verdict_for(DIVIDER).health]
+            for q, report in sink.reports
+        ]),
+        "histograms": _digest([
+            _sha256(h.tolist())
+            for h in hunter.burst_histograms(AuditUnit.DIVIDER, core=0)
+        ]),
+        "slot": [
+            slot.events_seen, slot.clamp_events, slot.entry_saturations
+        ],
+    }
+
+
+def divider_trajectory(seed=5, faults=""):
+    """An eager covert divider session with background noise, optionally
+    through fault injectors on the divider channel."""
+    sink = CollectingSink()
+    injectors = injectors_from_string(faults, seed=seed) if faults else []
+    run = run_channel_session(
+        "divider", _message(seed, DIVIDER_QUANTA), bandwidth_bps=10.0,
+        seed=seed, sinks=[sink], track_detection_latency=True,
+        injectors=injectors,
+    )
+    assert run.quanta == DIVIDER_QUANTA
+    record = _divider_record(run.hunter, sink, 0)
+    if injectors:
+        record["injectors"] = [
+            [i.kind, i.quanta_touched, i.events_dropped, i.events_added,
+             i.values_corrupted]
+            for i in injectors
+        ]
+    return record
+
+
+def benign_divider_trajectory(seed=9):
+    """The divider unit of Figure 14's bzip2+h264ref pair, audited with
+    the memory bus as the false-alarm screen audits it, but eagerly."""
+    machine = Machine(seed=seed)
+    sink = CollectingSink()
+    hunter = CCHunter(machine, sinks=[sink], track_detection_latency=True)
+    hunter.audit(AuditUnit.MEMORY_BUS)
+    hunter.audit(AuditUnit.DIVIDER, core=0)
+    for ctx, profile in enumerate((bzip2, h264ref)):
+        machine.spawn(
+            workload_process(
+                profile, machine, DIVIDER_QUANTA, seed=ctx + 1, instance=ctx
+            ),
+            ctx=ctx,
+        )
+    machine.run_quanta(DIVIDER_QUANTA)
+    return _divider_record(hunter, sink, 1)
+
+
 RECORDS = {
     "membus-eager": membus_trajectory,
+    "divider-covert": divider_trajectory,
+    "divider-benign": benign_divider_trajectory,
+    "divider-faults": lambda: divider_trajectory(faults=DIVIDER_FAULTS),
     "serve-covert": lambda: serve_trajectory("covert"),
     "serve-benign": lambda: serve_trajectory("benign"),
     "membus-evidence": membus_evidence,

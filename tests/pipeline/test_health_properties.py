@@ -18,6 +18,7 @@ from repro.pipeline import (
     DetectionSession,
     Health,
     QuantumObservation,
+    WindowCounts,
     worst,
 )
 
@@ -86,7 +87,9 @@ def _obs(quantum, faults=()):
         quantum=quantum,
         t0=quantum * 1000,
         t1=(quantum + 1) * 1000,
-        counts={"membus": np.array([1, 0, 2, 1], dtype=np.int64)},
+        counts={
+            "membus": WindowCounts(np.array([1, 0, 2, 1], dtype=np.int64))
+        },
         faults=tuple(faults),
     )
 

@@ -17,6 +17,7 @@ from repro.pipeline import (
     MachineEventSource,
     QuantumObservation,
     StreamPrinterSink,
+    WindowCounts,
     build_session_from_specs,
 )
 from repro.sim.process import BusLockBurst, Process
@@ -27,7 +28,11 @@ def _obs(quantum, counts, t0=None, t1=None, width=1000):
     t0 = quantum * width if t0 is None else t0
     t1 = t0 + width if t1 is None else t1
     return QuantumObservation(
-        quantum=quantum, t0=t0, t1=t1, counts=counts, conflicts=None
+        quantum=quantum,
+        t0=t0,
+        t1=t1,
+        counts={name: WindowCounts(c) for name, c in counts.items()},
+        conflicts=None,
     )
 
 

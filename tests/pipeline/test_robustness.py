@@ -19,6 +19,7 @@ from repro.pipeline import (
     Health,
     OscillationAnalyzer,
     QuantumObservation,
+    WindowCounts,
     worst,
 )
 from repro.pipeline.source import ConflictRecords
@@ -31,7 +32,7 @@ def _obs(quantum, counts, conflicts=None, width=1000):
         quantum=quantum,
         t0=quantum * width,
         t1=(quantum + 1) * width,
-        counts=counts,
+        counts={name: WindowCounts(c) for name, c in counts.items()},
         conflicts=conflicts,
     )
 

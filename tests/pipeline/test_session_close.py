@@ -15,6 +15,7 @@ from repro.pipeline import (
     ChannelSpec,
     DetectionSession,
     QuantumObservation,
+    WindowCounts,
     build_session_from_specs,
 )
 
@@ -24,7 +25,7 @@ def _obs(quantum=0, counts=(1, 0, 2)):
         quantum=quantum,
         t0=quantum * 30,
         t1=(quantum + 1) * 30,
-        counts={"membus": np.array(counts, dtype=np.int64)},
+        counts={"membus": WindowCounts(np.array(counts, dtype=np.int64))},
     )
 
 

@@ -11,6 +11,7 @@ from repro.pipeline import (
     DetectionSession,
     MetricsSink,
     QuantumObservation,
+    WindowCounts,
 )
 
 
@@ -19,7 +20,7 @@ def _obs(quantum, width=1000):
         quantum=quantum,
         t0=quantum * width,
         t1=(quantum + 1) * width,
-        counts={"membus": np.zeros(4, dtype=np.int64)},
+        counts={"membus": WindowCounts(np.zeros(4, dtype=np.int64))},
         conflicts=None,
     )
 

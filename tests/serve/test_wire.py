@@ -8,7 +8,12 @@ import pytest
 
 from repro.core.report import DetectionReport, UnitVerdict
 from repro.errors import FrameDecodeError, WireError
-from repro.pipeline import ChannelKind, ChannelSpec, QuantumObservation
+from repro.pipeline import (
+    ChannelKind,
+    ChannelSpec,
+    QuantumObservation,
+    WindowCounts,
+)
 from repro.serve.wire import (
     MAX_FRAME_BYTES,
     Bye,
@@ -36,7 +41,7 @@ def _obs(quantum=3):
         quantum=quantum,
         t0=quantum * 100,
         t1=(quantum + 1) * 100,
-        counts={"membus": np.array([0, 7, 0], dtype=np.int64)},
+        counts={"membus": WindowCounts(np.array([0, 7, 0], dtype=np.int64))},
     )
 
 
@@ -78,8 +83,8 @@ class TestRoundTrip:
         if frame.type == "obs":
             assert back.seq == frame.seq
             np.testing.assert_array_equal(
-                back.observation.counts["membus"],
-                frame.observation.counts["membus"],
+                back.observation.counts["membus"].expand(),
+                frame.observation.counts["membus"].expand(),
             )
         elif frame.type == "goodbye":
             assert back.report == frame.report
