@@ -32,7 +32,11 @@ def measure_latencies():
     ):
         message = _message_with_ones(bits, seed=7)
         kwargs = {"n_sets_total": 128} if kind == "cache" else {}
-        run = run_channel_session(kind, message, bw, seed=7, **kwargs)
+        # Only an eager session records when its verdict first fired.
+        run = run_channel_session(
+            kind, message, bw, seed=7, track_detection_latency=True,
+            **kwargs,
+        )
         core = 0 if kind == "divider" else None
         latency = run.hunter.first_detection_quantum(_UNIT[kind], core=core)
         rows.append((kind, bw, run.quanta, latency))

@@ -30,7 +30,7 @@ from repro.core.calibration import (
     assess_delta_t,
     calibrate_alpha,
 )
-from repro.core.clustering import RecurrenceAnalysis, analyze_recurrence, kmeans
+from repro.core.clustering import RecurrenceAnalysis, analyze_recurrence
 from repro.core.density import (
     DensityHistogram,
     build_density_histogram,
@@ -68,7 +68,6 @@ __all__ = [
     "find_threshold_bin",
     "RecurrenceAnalysis",
     "analyze_recurrence",
-    "kmeans",
     "autocorrelation",
     "autocorrelogram",
     "RunningAutocorrelogram",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,30 +26,6 @@ from repro.core.burst import BurstAnalysis, analyze_histogram
 from repro.errors import DetectionError
 from repro.util.rng import RngLike, make_rng
 from repro.util.strings import discretize_histogram
-
-
-def kmeans(
-    points: np.ndarray,
-    k: int,
-    rng: RngLike = 0,
-    max_iters: int = 64,
-) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Plain k-means with k-means++ seeding.
-
-    Returns ``(labels, centroids, inertia)``. Deterministic for a fixed
-    seed. Empty clusters are re-seeded on the farthest point.
-    """
-    X = np.asarray(points, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise DetectionError("kmeans needs a non-empty 2-D point matrix")
-    n = X.shape[0]
-    labels, centroids = _kmeans_rows(
-        X, np.ones(n, dtype=np.int64), np.arange(n), k, make_rng(rng),
-        max_iters,
-    )
-    distances = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    inertia = float(distances[np.arange(n), labels].sum())
-    return labels, centroids, inertia
 
 
 def _kmeans_rows(
@@ -64,8 +40,9 @@ def _kmeans_rows(
 
     ``inverse`` maps each of the n points, in order, to its row; every
     row has at least one point. Returns per-row labels and the
-    centroids. The result is the one :func:`kmeans` gives on the n
-    expanded points whenever each centroid's weighted sum is exact,
+    centroids. Empty clusters are re-seeded on the farthest point. The
+    result is the one plain k-means with k-means++ seeding gives on the
+    n expanded points whenever each centroid's weighted sum is exact,
     which holds for integer rows: distances are per-row values, and the
     steps that index points (the k-means++ draws and the empty-cluster
     re-seed) gather per-row values to the n points in order, so the RNG
@@ -250,8 +227,6 @@ class PatternHorizon:
         #: Retained window histograms, oldest first (read-only: equal
         #: histograms of one pattern share an array).
         self.histograms: Deque[np.ndarray] = deque()
-        #: Quantum of each retained window.
-        self._quanta: Deque[int] = deque()
         self._pushed = 0
         #: Pattern slot of each window in push order; the retained
         #: windows' are the last ``len(self)`` of the first ``_logged``
@@ -282,18 +257,10 @@ class PatternHorizon:
         """Distinct discretized patterns among the retained windows."""
         return len(self._slot_of)
 
-    def windows(self) -> Iterator[Tuple[np.ndarray, int]]:
-        """``(histogram, quantum)`` of each retained window, oldest first."""
-        return zip(self.histograms, self._quanta)
-
-    def push(
-        self, hist: np.ndarray, quantum: Optional[int] = None
-    ) -> np.ndarray:
+    def push(self, hist: np.ndarray) -> np.ndarray:
         """Add one window, evicting the oldest one at the horizon.
 
-        ``quantum`` labels the window for :meth:`windows`; it defaults to
-        the number of windows pushed before this one. Returns the array
-        the horizon retains for the window.
+        Returns the array the horizon retains for the window.
         """
         hist = np.asarray(hist, dtype=np.int64)
         if self._pushed and hist.size != self.total.size:
@@ -322,7 +289,6 @@ class PatternHorizon:
         self._slot_log[self._logged] = slot
         self._logged += 1
         self.histograms.append(hist)
-        self._quanta.append(self._pushed if quantum is None else int(quantum))
         self._pushed += 1
         return hist
 
@@ -350,7 +316,6 @@ class PatternHorizon:
     def _evict(self) -> None:
         slot = int(self._slot_log[self._logged - len(self.histograms)])
         hist = self.histograms.popleft()
-        self._quanta.popleft()
         self.total -= hist
         self._aggregates[slot] -= hist
         self._analyses[slot] = None

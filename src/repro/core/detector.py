@@ -204,11 +204,13 @@ class CCHunter:
     ) -> Optional[int]:
         """Index of the first quantum at which the unit's verdict fires.
 
-        For oscillation monitoring this is the first significant window's
-        quantum; for burst monitoring, the earliest prefix of per-quantum
-        histograms whose recurrence analysis detects. Returns None if the
-        session never detects. Useful as a time-to-detection metric: how
-        long a channel runs before CC-Hunter calls it.
+        Useful as a time-to-detection metric: how long a channel runs
+        before CC-Hunter calls it. The answer is the session's record of
+        its per-quantum verdicts
+        (:meth:`~repro.pipeline.session.DetectionSession.first_detection_quantum`):
+        None if the unit never fired, and a :class:`DetectionError` unless
+        the hunter was built with ``track_detection_latency=True`` or with
+        sinks, so that it evaluated a verdict at every quantum.
         """
         return self.session.first_detection_quantum(
             self._channel_name(unit, core)

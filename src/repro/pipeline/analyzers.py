@@ -74,8 +74,6 @@ class Analyzer(Protocol):
 
     def verdict(self) -> UnitVerdict: ...
 
-    def first_detection_quantum(self) -> Optional[int]: ...
-
 
 class _HealthMixin:
     """Shared gap/fault bookkeeping behind each analyzer's health state."""
@@ -225,7 +223,7 @@ class BurstAnalyzer(_HealthMixin):
             self.quanta_seen += 1
             return
         self._acc.ingest_window_counts(counts)
-        hist = self._horizon.push(self._acc.read_and_reset(), obs.quantum)
+        hist = self._horizon.push(self._acc.read_and_reset())
         if self.evidence is not None:
             # Capture only reads the window's histogram and its analysis,
             # which nothing else needs — it can never perturb the verdict
@@ -314,20 +312,6 @@ class BurstAnalyzer(_HealthMixin):
         """
         return self._horizon.histograms
 
-    def first_detection_quantum(self) -> Optional[int]:
-        """Earliest retained quantum whose histogram prefix detects.
-
-        Replays the retained windows into a fresh horizon, analyzing
-        after each push; the answer is the detecting window's quantum.
-        """
-        replay = PatternHorizon(self._horizon.max_windows)
-        for hist, quantum in self._horizon.windows():
-            replay.push(hist, quantum)
-            recurrence = replay.analyze(lr_threshold=self.lr_threshold)
-            if recurrence.recurrent:
-                return quantum
-        return None
-
 
 #: Window analyses an :class:`OscillationAnalyzer` keeps for inspection
 #: (:meth:`~repro.core.detector.CCHunter.cache_analyses`). Verdicts read
@@ -354,8 +338,9 @@ class OscillationAnalyzer(_HealthMixin):
     running identifier-train autocorrelogram, so closing the window reads
     the dominant pair's correlogram in O(max_lag) — no event replay.
     A closed window updates running tallies (significant windows, max
-    peak, first significant quantum, one period per significant window),
-    so state stays a few bytes per window however long the audit runs.
+    peak, one period per significant window), so state stays a few bytes
+    per window however long the audit runs. The verdict fires from the
+    first significant window on; the session records at which quantum.
     """
 
     method = "oscillation"
@@ -388,7 +373,6 @@ class OscillationAnalyzer(_HealthMixin):
         self.windows_analyzed = 0
         self.significant_windows = 0
         self._max_peak: Optional[float] = None
-        self._first_significant: Optional[int] = None
         #: Dominant period of each significant window that has one.
         self._periods = array("d")
         self.last_acf: Optional[np.ndarray] = None
@@ -514,8 +498,6 @@ class OscillationAnalyzer(_HealthMixin):
         if analysis.significant:
             self._m_windows_significant.inc()
             self.significant_windows += 1
-            if self._first_significant is None:
-                self._first_significant = quantum
             if analysis.dominant_period:
                 self._periods.append(analysis.dominant_period)
 
@@ -532,6 +514,3 @@ class OscillationAnalyzer(_HealthMixin):
             notes=self._health_notes(),
             health=self._health.value,
         )
-
-    def first_detection_quantum(self) -> Optional[int]:
-        return self._first_significant

@@ -4,8 +4,8 @@ A :class:`DetectionSession` owns one analyzer per audited unit and is
 itself an :class:`~repro.pipeline.source.ObservationConsumer`, so it can
 subscribe to any EventSource. Verdicts are available after every quantum
 via :meth:`current_verdicts`; when sinks are attached (or first-detection
-tracking is on) the session evaluates them eagerly each quantum and
-notifies the sinks.
+tracking is on) the session evaluates them eagerly each quantum,
+notifies the sinks and records each unit's first detection.
 
 The session degrades instead of dying (docs/ROBUSTNESS.md):
 
@@ -73,7 +73,16 @@ class _SinkState:
 
 
 class DetectionSession:
-    """An online CC-Hunter detection pipeline, decoupled from any source."""
+    """An online CC-Hunter detection pipeline, decoupled from any source.
+
+    An *eager* session (sinks attached, or ``track_detection_latency``)
+    evaluates every unit's verdict at each pushed quantum, as the
+    auditor's daemon does at each OS quantum. Eager since its first
+    push, it records the quantum at which each unit first fires:
+    :meth:`first_detection_quantum` and the
+    ``cchunter_first_detection_quantum`` gauge read that record. A
+    *lazy* session evaluates verdicts only when asked, so it has none.
+    """
 
     def __init__(
         self,
@@ -269,7 +278,12 @@ class DetectionSession:
             if timed:
                 self._m_verdict.observe(perf_counter() - t0)
         for verdict in report.verdicts:
-            if verdict.detected and verdict.unit not in self._first_detection:
+            # Only a session eager since its first push has a record.
+            if (
+                verdict.detected
+                and verdict.unit not in self._first_detection
+                and self._quanta_evaluated + 1 == self.quanta_pushed
+            ):
                 self._first_detection[verdict.unit] = obs.quantum
                 self._first_gauges[verdict.unit].set(obs.quantum)
                 _log.info(
@@ -446,22 +460,20 @@ class DetectionSession:
     def first_detection_quantum(self, unit: str) -> Optional[int]:
         """First quantum at which ``unit``'s verdict fired, or None.
 
-        Exact when the session evaluated eagerly (sinks attached or
-        ``track_detection_latency``) for every quantum pushed so far; a
-        tracked detection is always returned, and an empty tracking map
-        then means "genuinely nothing detected yet". If any quantum was
-        pushed while the session was lazy (e.g. sinks attached mid-run),
-        the answer is reconstructed from the analyzer's retained
-        incremental state instead.
+        The answer is the session's own record, kept while it evaluates
+        each quantum's verdicts, so only a session that evaluated every
+        quantum pushed has one. Any other session raises
+        :class:`DetectionError`: what its analyzers retain cannot say when
+        a unit first fired.
         """
-        analyzer = self.analyzer_for(unit)
-        if unit in self._first_detection:
-            return self._first_detection[unit]
-        if self._eager and self._quanta_evaluated == self.quanta_pushed:
-            # Eager for the whole session: the map is authoritative, so
-            # its silence means no detection yet — not "unknown".
-            return None
-        return analyzer.first_detection_quantum()
+        self.analyzer_for(unit)
+        if self._quanta_evaluated != self.quanta_pushed:
+            raise DetectionError(
+                f"first detection of {unit!r} is unknown: quanta were pushed "
+                "without a verdict; pass track_detection_latency=True or "
+                "attach a sink before the first push"
+            )
+        return self._first_detection.get(unit)
 
 
 def analyzer_for(

@@ -26,7 +26,11 @@ class VerdictSink(Protocol):
 
 
 class CollectingSink:
-    """Keeps every per-quantum report in memory (tests, notebooks)."""
+    """Keeps every per-quantum report in memory (tests, notebooks).
+
+    A unit's first detection is the session's record:
+    :meth:`~repro.pipeline.session.DetectionSession.first_detection_quantum`.
+    """
 
     def __init__(self):
         self.reports: List[Tuple[int, DetectionReport]] = []
@@ -37,14 +41,6 @@ class CollectingSink:
 
     def on_close(self, report: DetectionReport) -> None:
         self.final = report
-
-    def first_detection(self, unit: str) -> Optional[int]:
-        """First collected quantum at which ``unit`` was detected."""
-        for quantum, report in self.reports:
-            verdict = report.verdict_for(unit)
-            if verdict.detected:
-                return quantum
-        return None
 
 
 def _verdict_line(verdict: UnitVerdict) -> str:
@@ -90,12 +86,13 @@ class MetricsSink:
     """Folds per-quantum verdict updates into a metrics registry.
 
     The observability counterpart of :class:`StreamPrinterSink`: instead
-    of printing each report it counts them, tallies per-unit detected
-    verdicts, and records each unit's first-detection quantum as a gauge
-    — so a dashboard scraping the registry sees detection state without
-    any report parsing. Attach it to any session (or pass it to
+    of printing each report it counts them and tallies per-unit detected
+    verdicts, so a dashboard scraping the registry sees detection state
+    without any report parsing. Attach it to any session (or pass it to
     ``analyze_traces``) to make replayed archives export the same metric
-    names live sessions do.
+    names live sessions do. Each unit's first-detection quantum is the
+    session's ``cchunter_first_detection_quantum`` gauge, which a session
+    with a sink attached always sets.
     """
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None):
@@ -109,7 +106,6 @@ class MetricsSink:
             "session closes observed",
         )
         self._detected: Dict[str, object] = {}
-        self._first_seen: Dict[str, int] = {}
 
     def _detected_counter(self, unit: str):
         counter = self._detected.get(unit)
@@ -124,23 +120,11 @@ class MetricsSink:
     def on_quantum(self, quantum: int, report: DetectionReport) -> None:
         self._m_reports.inc()
         for verdict in report.verdicts:
-            if not verdict.detected:
-                continue
-            self._detected_counter(verdict.unit).inc()
-            if verdict.unit not in self._first_seen:
-                self._first_seen[verdict.unit] = quantum
-                self.metrics.gauge(
-                    "cchunter_sink_first_detection_quantum",
-                    "quantum of the first detected verdict this sink saw",
-                    labels={"unit": verdict.unit},
-                ).set(quantum)
+            if verdict.detected:
+                self._detected_counter(verdict.unit).inc()
 
     def on_close(self, report: DetectionReport) -> None:
         self._m_closes.inc()
-
-    def first_detection(self, unit: str) -> Optional[int]:
-        """First quantum at which ``unit`` was detected, or None."""
-        return self._first_seen.get(unit)
 
 
 class TimeseriesSink:

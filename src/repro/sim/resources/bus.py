@@ -11,8 +11,9 @@ Locks are committed when the locking operation is issued, covering the
 whole burst (producers-first contract, see :mod:`repro.sim.engine`).
 
 The bus keeps its own lock record, ordered for contention queries
-rather than in the tap's record order. Each ``lock_burst`` is one
-symbolic :class:`~repro.sim.events.GridChunk` row, ordered by start;
+rather than in the tap's record order. The engine issues bursts in time
+order, so each ``lock_burst`` appends one symbolic
+:class:`~repro.sim.events.GridChunk` row (an earlier start raises);
 single locks from ``noise_locks`` are one sorted array. A contention
 query asks only the rows that reach the queried times, each in closed
 form, and builds no lock — so a sample costs the same at the end of a
@@ -85,27 +86,25 @@ class MemoryBus:
         Bursts are the sender hot path: each call adds one symbolic row
         to the bus's lock record and one to the indicator tap; no lock is
         built here. An installed throttle may stretch ``period`` first.
+        A burst may not start before the previous burst's start.
         """
         if self.throttle is not None:
             period = self.throttle.spacing(ctx, count, period)
         if count <= 0 or period <= 0:
             raise SimulationError("lock burst needs positive count and period")
         start = int(start)
-        row = GridChunk(np.array([start], dtype=np.int64), count, period)
-        at = bisect_right(self._row_starts, start)
         reach = start + (count - 1) * period
-        if at:
-            reach = max(reach, self._row_reach[at - 1])
-        self._bursts.insert(at, row)
-        self._row_starts.insert(at, start)
-        self._row_reach.insert(at, reach)
-        # A burst inserted out of start order may extend the reach of
-        # the rows after it (the engine issues bursts in time order, so
-        # this loop normally has nothing to do).
-        for i in range(at + 1, len(self._row_reach)):
-            if self._row_reach[i] >= reach:
-                break
-            self._row_reach[i] = reach
+        if self._row_starts:
+            if start < self._row_starts[-1]:
+                raise SimulationError(
+                    "lock bursts must be issued in start order"
+                )
+            reach = max(reach, self._row_reach[-1])
+        self._bursts.append(
+            GridChunk(np.array([start], dtype=np.int64), count, period)
+        )
+        self._row_starts.append(start)
+        self._row_reach.append(reach)
         self.lock_tap.record_grid(start, count, period, ctx)
         self.total_locks += count
         return int(start + count * period)

@@ -3,8 +3,9 @@
 Until the per-pattern horizon, ``kmeans`` ran over every point and
 ``analyze_recurrence`` re-discretized, re-stacked and re-clustered the
 whole window list on every call. The two functions below are those
-implementations, unchanged. The parity tests compare
-:func:`repro.core.clustering.kmeans` and
+implementations, unchanged. ``kmeans`` is also the only float k-means
+left: the package clusters integer symbol rows only. The parity tests
+compare the row core ``repro.core.clustering._kmeans_rows`` and
 :class:`repro.core.clustering.PatternHorizon` with them bit for bit.
 """
 

@@ -1,12 +1,10 @@
-"""Tests for k-means and recurrence analysis."""
+"""Tests for the pattern horizon and recurrence analysis."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import clustering
-from repro.core.clustering import PatternHorizon, analyze_recurrence, kmeans
+from repro.core.clustering import PatternHorizon, analyze_recurrence
 from repro.errors import DetectionError
 
 
@@ -24,56 +22,6 @@ def quiet_hist(seed=0):
     hist[0] = 2400
     hist[1] = int(rng.integers(0, 5))
     return hist
-
-
-class TestKMeans:
-    def test_separates_two_clusters(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(0, 0.5, (20, 3))
-        b = rng.normal(10, 0.5, (20, 3))
-        X = np.vstack([a, b])
-        labels, centroids, inertia = kmeans(X, 2, rng=1)
-        assert len(set(labels[:20].tolist())) == 1
-        assert len(set(labels[20:].tolist())) == 1
-        assert labels[0] != labels[20]
-
-    def test_k_one(self):
-        X = np.arange(12, dtype=float).reshape(6, 2)
-        labels, centroids, _ = kmeans(X, 1)
-        assert (labels == 0).all()
-        assert centroids[0].tolist() == X.mean(axis=0).tolist()
-
-    def test_k_equals_n(self):
-        X = np.array([[0.0], [10.0], [20.0]])
-        labels, _, inertia = kmeans(X, 3)
-        assert sorted(labels.tolist()) == [0, 1, 2]
-        assert inertia == pytest.approx(0.0)
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(30, 4))
-        a = kmeans(X, 3, rng=7)[0]
-        b = kmeans(X, 3, rng=7)[0]
-        assert a.tolist() == b.tolist()
-
-    def test_bad_k(self):
-        with pytest.raises(DetectionError):
-            kmeans(np.zeros((3, 2)), 4)
-
-    def test_bad_shape(self):
-        with pytest.raises(DetectionError):
-            kmeans(np.zeros(5), 2)
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 1000), st.integers(2, 5))
-    def test_inertia_non_negative_and_labels_valid(self, seed, k):
-        rng = np.random.default_rng(seed)
-        X = rng.normal(size=(24, 3))
-        labels, centroids, inertia = kmeans(X, k, rng=seed)
-        assert inertia >= 0
-        assert labels.min() >= 0
-        assert labels.max() < k
-        assert centroids.shape == (k, 3)
 
 
 class TestRecurrence:
@@ -161,17 +109,6 @@ class TestPatternHorizon:
         assert [h.tolist() for h in horizon.histograms] == [
             covert_hist(0).tolist(), covert_hist(0).tolist(), other.tolist()
         ]
-
-    def test_windows_carry_their_quanta(self):
-        horizon = PatternHorizon(max_windows=2)
-        horizon.push(quiet_hist(0))
-        horizon.push(quiet_hist(1), quantum=7)
-        horizon.push(quiet_hist(2), quantum=9)
-        assert [q for _h, q in horizon.windows()] == [7, 9]
-        default = PatternHorizon()
-        for i in range(3):
-            default.push(quiet_hist(i))
-        assert [q for _h, q in default.windows()] == [0, 1, 2]
 
     def test_bad_input_rejected(self):
         with pytest.raises(DetectionError):

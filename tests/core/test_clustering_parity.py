@@ -1,14 +1,14 @@
-"""Exact-parity proof: row-weighted k-means and the pattern horizon.
+"""Exact-parity proof: the row-weighted k-means core and the horizon.
 
-:func:`repro.core.clustering.kmeans` now runs through a core that
-clusters distinct rows weighted by count, and
+``_kmeans_rows`` clusters distinct rows weighted by count, and
 :class:`repro.core.clustering.PatternHorizon` keeps per-pattern state
 instead of re-clustering every window. Both must be *bit-identical* to
 the implementations they replaced, which :mod:`tests.core.
-clustering_reference` keeps verbatim: same labels, centroids and
-inertia from ``kmeans``; same labels, burst clusters, burst analyses,
-burst windows and recurrence from the horizon, on streams long enough
-that patterns leave the horizon, come back and reuse freed slots.
+clustering_reference` keeps verbatim: the core's labels and centroids
+must be the reference ``kmeans``'s on the expanded integer points, and
+the horizon must give the same labels, burst clusters, burst analyses,
+burst windows and recurrence, on streams long enough that patterns
+leave the horizon, come back and reuse freed slots.
 """
 
 import dataclasses
@@ -23,7 +23,6 @@ from repro.core.clustering import (
     PatternHorizon,
     _kmeans_rows,
     analyze_recurrence,
-    kmeans,
 )
 from repro.errors import DetectionError
 from tests.core import clustering_reference as ref
@@ -40,48 +39,6 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and (
         a.tobytes() == b.tobytes()
     )
-
-
-def _assert_kmeans_equal(points, k, seed):
-    try:
-        expected = ref.kmeans(points, k, rng=seed)
-    except DetectionError as exc:
-        with pytest.raises(DetectionError, match=re.escape(str(exc))):
-            kmeans(points, k, rng=seed)
-        return
-    labels, centroids, inertia = kmeans(points, k, rng=seed)
-    assert _same_bits(labels, expected[0])
-    assert _same_bits(centroids, expected[1])
-    assert _same_bits(np.float64(inertia), np.float64(expected[2]))
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(1, 40),
-    st.integers(1, 6),
-    st.integers(1, 6),
-    st.integers(0, 2**32 - 1),
-)
-def test_kmeans_matches_reference_on_float_points(n, d, k, seed):
-    points = np.random.default_rng(seed).normal(size=(n, d))
-    _assert_kmeans_equal(points, k, seed)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.integers(1, 6),
-    st.integers(1, 60),
-    st.integers(1, 8),
-    st.integers(1, 5),
-    st.integers(0, 2**32 - 1),
-)
-def test_kmeans_matches_reference_on_integer_points_with_duplicates(
-    distinct, n, d, k, seed
-):
-    gen = np.random.default_rng(seed)
-    rows = gen.integers(0, 4, size=(distinct, d))
-    points = rows[gen.integers(0, distinct, size=n)].astype(np.float64)
-    _assert_kmeans_equal(points, k, seed)
 
 
 @settings(max_examples=300, deadline=None)

@@ -156,14 +156,14 @@ class TestDividerFlow:
 
 class TestDetectionLatency:
     def test_cache_first_detection_quantum(self, small_machine):
-        hunter = CCHunter(small_machine)
+        hunter = CCHunter(small_machine, track_detection_latency=True)
         hunter.audit(AuditUnit.CACHE)
         TestCacheFlow()._pingpong(small_machine)
         small_machine.run_quanta(2)
         assert hunter.first_detection_quantum(AuditUnit.CACHE) == 0
 
     def test_never_detected_returns_none(self, small_machine):
-        hunter = CCHunter(small_machine)
+        hunter = CCHunter(small_machine, track_detection_latency=True)
         hunter.audit(AuditUnit.MEMORY_BUS)
         small_machine.run_quanta(2)
         assert hunter.first_detection_quantum(AuditUnit.MEMORY_BUS) is None
@@ -184,7 +184,7 @@ class TestDetectionLatency:
         from repro.util.bitstream import Message
 
         machine = Machine(seed=91)
-        hunter = CCHunter(machine)
+        hunter = CCHunter(machine, track_detection_latency=True)
         hunter.audit(AuditUnit.MEMORY_BUS)
         channel = MemoryBusCovertChannel(
             machine,

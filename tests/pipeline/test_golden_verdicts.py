@@ -48,6 +48,7 @@ from repro.analysis.figures import run_channel_session
 from repro.channels.base import ChannelConfig
 from repro.channels.membus import MemoryBusCovertChannel
 from repro.core.detector import AuditUnit, CCHunter
+from repro.errors import DetectionError
 from repro.faults.spec import injectors_from_string
 from repro.pipeline.session import build_session_from_specs
 from repro.pipeline.sinks import CollectingSink
@@ -294,6 +295,22 @@ def test_fixture_covers_every_record(golden):
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_record_matches_golden(name, golden):
     assert _as_json(RECORDS[name]()) == golden[name]
+
+
+def test_membus_session_without_tracking_has_no_first_detection():
+    """The membus-eager session run lazily evaluated no verdict per
+    quantum, so it has no record of when it first fired, and raises. Its
+    512 retained windows cannot stand in for that record past the
+    horizon: replaying them names a later quantum than the eager one."""
+    seed = 7
+    run = run_channel_session(
+        "membus", _message(seed), bandwidth_bps=10.0, seed=seed,
+        noise=False,
+    )
+    assert run.quanta == MEMBUS_QUANTA
+    assert run.hunter.report().verdict_for("membus").detected
+    with pytest.raises(DetectionError, match="track_detection_latency"):
+        run.hunter.first_detection_quantum(AuditUnit.MEMORY_BUS)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """The oscillation analyzer's state stays bounded however long it runs.
 
 Its verdict reads running tallies instead of a list of every window's
-analysis. These tests pin the tallies to the list-based computation they
-replace, and pin the analyzer's memory to a constant per window.
+analysis. These tests pin the tallies, and the first detection an eager
+session records from them, to the list-based computation they replace,
+and pin the analyzer's memory to a constant per window.
 """
 
 import tracemalloc
@@ -14,7 +15,12 @@ from hypothesis import strategies as st
 
 from repro.core.report import UnitVerdict
 from repro.obs.metrics import MetricsRegistry
-from repro.pipeline import ConflictRecords, OscillationAnalyzer, QuantumObservation
+from repro.pipeline import (
+    ConflictRecords,
+    DetectionSession,
+    OscillationAnalyzer,
+    QuantumObservation,
+)
 from repro.pipeline import analyzers as analyzers_module
 from repro.pipeline.analyzers import RECENT_ANALYSES
 
@@ -74,11 +80,16 @@ class TestTalliesMatchAnalysisList:
     )
     def test_verdict_and_first_detection(self, seed, n_quanta, fraction):
         rng = np.random.default_rng(seed)
-        analyzer = OscillationAnalyzer(
-            window_fraction=fraction,
-            max_lag=60,
-            min_train_events=8,
-            metrics=MetricsRegistry(),
+        session = DetectionSession(
+            track_detection_latency=True, metrics=MetricsRegistry()
+        )
+        analyzer = session.add_analyzer(
+            OscillationAnalyzer(
+                window_fraction=fraction,
+                max_lag=60,
+                min_train_events=8,
+                metrics=session.metrics,
+            )
         )
         analyses, quanta = [], []
         real = analyzers_module.analyze_autocorrelogram
@@ -92,7 +103,7 @@ class TestTalliesMatchAnalysisList:
             analyzers_module, "analyze_autocorrelogram", recording
         ):
             for quantum in range(n_quanta):
-                analyzer.push(_random_quantum(rng, quantum))
+                session.push_quantum(_random_quantum(rng, quantum))
                 quanta.extend([quantum] * (len(analyses) - len(quanta)))
 
         # The list-based computation the tallies replace.
@@ -110,7 +121,7 @@ class TestTalliesMatchAnalysisList:
         first = next(
             (q for a, q in zip(analyses, quanta) if a.significant), None
         )
-        assert analyzer.first_detection_quantum() == first
+        assert session.first_detection_quantum("cache") == first
         recent = analyses[-RECENT_ANALYSES:]
         assert len(analyzer.analyses) == len(recent)
         assert all(a is b for a, b in zip(analyzer.analyses, recent))

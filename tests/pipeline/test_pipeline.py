@@ -179,6 +179,9 @@ class TestArchiveEventSource:
 
 class TestDetectionLatencyTracking:
     def test_eager_first_detection_matches_lazy(self):
+        """Only a session that evaluated a verdict at every quantum knows
+        when its unit first fired: the lazy run raises instead of
+        reconstructing an answer, and the eager run names quantum 1."""
         from repro.analysis.figures import run_channel_session
         from repro.util.bitstream import Message
 
@@ -190,14 +193,15 @@ class TestDetectionLatencyTracking:
             "membus", message, bandwidth_bps=100.0, seed=91, noise=False,
             track_detection_latency=True,
         )
-        lazy_q = lazy.hunter.first_detection_quantum(AuditUnit.MEMORY_BUS)
+        with pytest.raises(DetectionError, match="track_detection_latency"):
+            lazy.hunter.first_detection_quantum(AuditUnit.MEMORY_BUS)
         eager_q = eager.hunter.first_detection_quantum(AuditUnit.MEMORY_BUS)
-        assert lazy_q is not None
-        assert eager_q == lazy_q
+        assert eager_q == 1
 
     def test_lazy_first_detection_counts_gaps_after_detection(self):
-        """A gap counts a quantum but adds no window; the lazy replay must
-        still name the quantum the detecting window came from."""
+        """A gap counts a quantum but adds no window; the eager record
+        still names the quantum the verdict first fired, and the lazy
+        session, which evaluated no verdict, raises."""
         import dataclasses
 
         from repro.pipeline.session import build_session_from_specs
@@ -215,37 +219,51 @@ class TestDetectionLatencyTracking:
             lazy.push_quantum(obs)
             eager.push_quantum(obs)
         assert lazy.analyzer_for("membus").gaps == 1
+        assert eager.analyzer_for("membus").gaps == 1
         assert eager.first_detection_quantum("membus") == 1
-        assert lazy.first_detection_quantum("membus") == 1
+        with pytest.raises(DetectionError):
+            lazy.first_detection_quantum("membus")
 
     def test_eager_session_without_detection_returns_none(self):
-        """Regression: an eager session that never detected must answer
-        None directly — its tracking map is authoritative — instead of
-        falling through to the analyzer's retrospective reconstruction."""
+        """An eager session that never detected answers None: its record
+        covers every quantum, so its silence means "not detected yet"."""
         session = DetectionSession(track_detection_latency=True)
-        analyzer = BurstAnalyzer(unit="membus", dt=100)
-        session.add_analyzer(analyzer)
+        session.add_analyzer(BurstAnalyzer(unit="membus", dt=100))
         for quantum in range(3):
             session.push_quantum(
                 _obs(quantum, {"membus": np.zeros(8, dtype=np.int64)})
             )
-        # Poison the fallback: reaching it means the eager map was ignored.
-        analyzer.first_detection_quantum = lambda: pytest.fail(
-            "eager session fell through to analyzer reconstruction"
-        )
         assert session.first_detection_quantum("membus") is None
 
-    def test_sink_attached_mid_run_falls_back_to_analyzer(self):
-        """Quanta pushed while lazy aren't in the tracking map, so the
-        session must reconstruct from the analyzer's retained state."""
-        session = DetectionSession()
-        analyzer = BurstAnalyzer(unit="membus", dt=100)
-        session.add_analyzer(analyzer)
-        session.push_quantum(_obs(0, {"membus": np.zeros(8, dtype=np.int64)}))
-        session.sinks.append(CollectingSink())  # eager from quantum 1 on
-        session.push_quantum(_obs(1, {"membus": np.zeros(8, dtype=np.int64)}))
-        analyzer.first_detection_quantum = lambda: 0  # sentinel
-        assert session.first_detection_quantum("membus") == 0
+    def test_sink_attached_mid_run_raises(self):
+        """Quanta 0-3 were pushed without a verdict, so a sink attached
+        after them leaves the record incomplete: the session raises
+        instead of answering, and its gauge does not report quantum 4,
+        the first evaluated quantum whose verdict fired, for the eager
+        record's quantum 1."""
+        from repro.obs.metrics import MetricsRegistry
+        from repro.serve.traffic import CHANNELS, covert_observations
+
+        observations = list(covert_observations(10, seed=3))
+        eager = build_session_from_specs(
+            CHANNELS, track_detection_latency=True, metrics=MetricsRegistry()
+        )
+        late = build_session_from_specs(CHANNELS, metrics=MetricsRegistry())
+        for obs in observations:
+            if obs.quantum == 4:
+                late.sinks.append(CollectingSink())  # eager from here on
+            eager.push_quantum(obs)
+            late.push_quantum(obs)
+        assert eager.first_detection_quantum("membus") == 1
+        assert late.current_verdicts().verdict_for("membus").detected
+        with pytest.raises(DetectionError, match="before the first push"):
+            late.first_detection_quantum("membus")
+        gauge = late.metrics.gauge(
+            "cchunter_first_detection_quantum", labels={"unit": "membus"}
+        )
+        assert gauge.value == -1
+        with pytest.raises(DetectionError, match="not being audited"):
+            late.first_detection_quantum("cache")
 
 
 class TestOscillationAnalyzerIncremental:

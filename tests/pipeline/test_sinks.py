@@ -111,12 +111,6 @@ class TestMetricsSink:
         sink = MetricsSink(metrics=reg)
         sink.on_quantum(3, _Report())
         sink.on_quantum(4, _Report())
-        assert sink.first_detection("membus") == 3
-        assert sink.first_detection("cache") is None
-        gauge = reg.gauge(
-            "cchunter_sink_first_detection_quantum", labels={"unit": "membus"}
-        )
-        assert gauge.value == 3
         detected = reg.counter(
             "cchunter_sink_detected_verdicts_total", labels={"unit": "membus"}
         )

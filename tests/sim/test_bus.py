@@ -35,6 +35,15 @@ class TestLockBurst:
         with pytest.raises(SimulationError):
             bus.lock_burst(0, 0, count=0, period=100)
 
+    def test_out_of_order_burst_raises(self, bus):
+        bus.lock_burst(0, start=10_000, count=1, period=1_000)
+        with pytest.raises(SimulationError, match="start order"):
+            bus.lock_burst(1, start=9_999, count=100, period=1_000)
+        assert bus.total_locks == bus.lock_tap.count == 1
+        # An equal start is still in order.
+        bus.lock_burst(1, start=10_000, count=2, period=1_000)
+        assert bus.total_locks == 3
+
     def test_locked_at_inside_window(self, bus):
         bus.lock_burst(0, start=1000, count=1, period=5000)
         times = np.array([999, 1000, 3999, 4000, 10_000])
@@ -126,7 +135,11 @@ _time = st.one_of(
 )
 _bursts = st.tuples(
     st.just("burst"),
-    _time.map(abs),  # start: out of order, often overlapping
+    # Gap from the previous burst's start: bursts are issued in start
+    # order, and often overlap.
+    st.one_of(
+        st.integers(0, 50_000), st.integers(0, 50).map(lambda i: 1_000 * i)
+    ),
     st.integers(1, 40),  # count
     # Periods below, at and above the lock duration.
     st.sampled_from([1, 7, 1_000, 2_999, 3_000, 3_001, 5_000, 20_000]),
@@ -161,11 +174,13 @@ class TestLockHistoryEquivalence:
         tap = _RecordingTap()
         bus = MemoryBus(config, tap, make_rng(seed))
         bursts = []
+        start = 0
         for op in ops + [("query", -10_000, 200, 3_000)]:
             kind, a, b, c = op
             if kind == "burst":
-                bus.lock_burst(ctx=0, start=a, count=b, period=c)
-                bursts.append(a + c * np.arange(b, dtype=np.int64))
+                start += a
+                bus.lock_burst(ctx=0, start=start, count=b, period=c)
+                bursts.append(start + c * np.arange(b, dtype=np.int64))
             elif kind == "noise":
                 bus.noise_locks(ctx=3, start=a, duration=b, rate_per_cycle=c)
             else:
@@ -189,9 +204,9 @@ class TestLockHistoryEquivalence:
             False, True,
         ]
 
-    def test_out_of_order_burst_reaches_past_later_rows(self, bus):
-        bus.lock_burst(0, start=10_000, count=1, period=1_000)
+    def test_long_burst_reaches_past_later_rows(self, bus):
         bus.lock_burst(1, start=0, count=100, period=1_000)  # to 99_000
+        bus.lock_burst(0, start=10_000, count=1, period=1_000)
         bus.lock_burst(0, start=20_000, count=1, period=1_000)
         times = np.array([50_500, 99_500, 102_000])
         assert bus.locked_at(times).tolist() == [True, True, False]
