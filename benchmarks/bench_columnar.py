@@ -1,11 +1,11 @@
 """Extension: columnar estimator kernels vs their per-event adapters.
 
 The structure-of-arrays refactor (docs/PERFORMANCE.md, "Columnar hot
-path") hands each analyzer a whole window of counts or labels at once,
-and the vectorized ``push_batch`` estimator kernels must beat their
-per-event ``push`` adapters by an order of magnitude or more. The density
-row times the CC-auditor's ``MonitorSlot.ingest_window_counts`` called
-once per window against one call for the whole column. This bench
+path") hands each analyzer a whole window of counts at once, and the
+vectorized estimator kernels must beat their per-event adapters by an
+order of magnitude or more. The density row times the CC-auditor's
+``MonitorSlot.ingest_window_counts`` called once per window against one
+call for the whole column. This bench
 measures that claim and commits the numbers to ``BENCH_columnar.json``
 at the repo root. Whole-session throughput on the same audited bus
 session is gated by ``bench_obs_overhead`` (``quanta_per_second.off``).
@@ -24,7 +24,6 @@ import numpy as np
 from conftest import record
 
 from repro.config import AuditorConfig
-from repro.core.autocorr import RunningAutocorrelogram
 from repro.hardware.auditor import MonitorSlot
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
@@ -47,19 +46,7 @@ def _time_kernel(fn, *args):
 
 def _kernel_results():
     rng = np.random.default_rng(17)
-    labels = rng.integers(0, 2, size=KERNEL_SAMPLES).astype(np.int64)
     counts = rng.integers(0, 40, size=KERNEL_SAMPLES).astype(np.int64)
-
-    def acf_push(values):
-        est = RunningAutocorrelogram(64)
-        for v in values:
-            est.push(int(v))
-        return est
-
-    def acf_batch(values):
-        est = RunningAutocorrelogram(64)
-        est.push_batch(values)
-        return est
 
     def density_push(values):
         slot = MonitorSlot("membus", 1000, AuditorConfig())
@@ -72,20 +59,16 @@ def _kernel_results():
         slot.ingest_window_counts(values)
         return slot
 
-    out = {}
-    for name, push, batch, data in (
-        ("autocorrelogram", acf_push, acf_batch, labels),
-        ("density_histogram", density_push, density_batch, counts),
-    ):
-        push_sec = _time_kernel(push, data)
-        batch_sec = _time_kernel(batch, data)
-        out[name] = {
-            "samples": int(data.size),
+    push_sec = _time_kernel(density_push, counts)
+    batch_sec = _time_kernel(density_batch, counts)
+    return {
+        "density_histogram": {
+            "samples": int(counts.size),
             "push_seconds": push_sec,
             "push_batch_seconds": batch_sec,
             "speedup": push_sec / batch_sec,
         }
-    return out
+    }
 
 
 def measure_columnar():

@@ -45,7 +45,12 @@ makes these claims, measured here on the same hardware and committed to
   not O(windows): at the divider's Δt of 500 cycles (500k windows a
   quantum) they cost at most ``DIVIDER_COUNTS_BOUND`` times the same
   segments read at Δt = 50,000 (5,000 windows). Spreading the segments
-  into one float per window and binning them read about 29.
+  into one float per window and binning them read about 29;
+- a cache observation window costs one correlogram: pushing a window of
+  a covert ping-pong's 4,000-record train plus 800 records on other
+  context pairs costs at most ``OSCILLATION_COST_BOUND`` analyses of a
+  correlogram. Feeding every pair its own running estimator and
+  correlating the dominant train over all its lags read about 27.
 
 Session rates divide the quanta a session actually ran
 (``ChannelRun.quanta``) by its median seconds. A growth row times its
@@ -81,12 +86,17 @@ from repro.config import (
 )
 from repro.core.burst import analyze_histogram
 from repro.core.detector import AuditUnit, CCHunter
+from repro.core.oscillation import analyze_autocorrelogram
 from repro.hardware.bloom import BloomFilter
 from repro.hardware.auditor import MonitorSlot
 from repro.hardware.conflict_tracker import GenerationConflictTracker
 from repro.obs.metrics import MetricsRegistry
-from repro.pipeline.analyzers import BurstAnalyzer
-from repro.pipeline.source import QuantumObservation, WindowCounts
+from repro.pipeline.analyzers import BurstAnalyzer, OscillationAnalyzer
+from repro.pipeline.source import (
+    ConflictRecords,
+    QuantumObservation,
+    WindowCounts,
+)
 from repro.sim.events import LabeledEventTap
 from repro.sim.machine import Machine
 from repro.sim.resources.cache import SharedCache
@@ -144,6 +154,11 @@ DIVIDER_COUNTS_TRIALS = 2 if QUICK else 3
 #: The divider-counts row fails when a quantum's read and fold at the
 #: divider's Δt cost more than this multiple of the coarse Δt's.
 DIVIDER_COUNTS_BOUND = 3.0
+#: Timed window pushes of the oscillation-cost row.
+OSCILLATION_COST_TRIALS = 100 if QUICK else 300
+#: The oscillation-cost row fails when pushing one cache window costs
+#: more than this many correlogram analyses.
+OSCILLATION_COST_BOUND = 14.0
 
 _OUT_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -365,6 +380,68 @@ def _divider_counts_results():
     }
 
 
+def _oscillation_window(rng, n_train=4000, half=128, n_other=800):
+    """One quantum's conflict records as a covert cache window: a
+    square-wave ping-pong between contexts 0 and 2 of half-period
+    ``half``, interleaved in time with records on other context pairs."""
+    wave = (np.arange(n_train) // half) % 2 == 0
+    others = np.array([(1, 3), (3, 1), (4, 5), (5, 4), (6, 7), (1, 7)])
+    other = others[rng.integers(0, len(others), size=n_other)]
+    covert = np.zeros(n_train + n_other, dtype=bool)
+    covert[rng.choice(covert.size, n_train, replace=False)] = True
+    replacers = np.empty(covert.size, dtype=np.int16)
+    victims = np.empty(covert.size, dtype=np.int16)
+    replacers[covert] = np.where(wave, 0, 2)
+    victims[covert] = np.where(wave, 2, 0)
+    replacers[~covert] = other[:, 0]
+    victims[~covert] = other[:, 1]
+    span = 10 * covert.size
+    times = np.sort(rng.choice(span, covert.size, replace=False))
+    return span, ConflictRecords(
+        times=times.astype(np.int64), replacers=replacers, victims=victims
+    )
+
+
+def _oscillation_cost_results():
+    """One cache window's push in correlogram analyses.
+
+    Each trial pushes the same one-window quantum (see
+    :func:`_oscillation_window`) into an ``OscillationAnalyzer`` and
+    times it against one ``analyze_autocorrelogram`` of the previous
+    window's correlogram, alternating which runs first, so a host
+    slowdown lands on both. The push itself analyzes one correlogram, so
+    the ratio of their medians is at least 1 and needs no baseline.
+    """
+    span, records = _oscillation_window(np.random.default_rng(31))
+    analyzer = OscillationAnalyzer(metrics=MetricsRegistry())
+    push_s, analysis_s = [], []
+    for q in range(OSCILLATION_COST_TRIALS + 1):
+        obs = QuantumObservation(
+            quantum=q, t0=0, t1=span, conflicts=records
+        )
+        if not q:
+            analyzer.push(obs)
+            continue
+        timed = [
+            (push_s, partial(analyzer.push, obs)),
+            (analysis_s,
+             partial(analyze_autocorrelogram, analyzer.last_acf)),
+        ]
+        for spent, run in timed if q % 2 else timed[::-1]:
+            t0 = perf_counter()
+            run()
+            spent.append(perf_counter() - t0)
+    assert analyzer.significant_windows == analyzer.windows_analyzed
+    ratio = statistics.median(push_s) / statistics.median(analysis_s)
+    return {
+        "ratio": ratio,
+        "push_seconds": statistics.median(push_s),
+        "analysis_seconds": statistics.median(analysis_s),
+        "trials": OSCILLATION_COST_TRIALS,
+        "cheap": ratio <= OSCILLATION_COST_BOUND,
+    }
+
+
 def _benign_divider_machine(n_quanta):
     """The Figure 14 bzip2+h264ref pair under full audit, as
     ``fig14_false_alarms`` runs it."""
@@ -542,6 +619,7 @@ def measure_sim_throughput():
         ),
         "verdict_cost": _verdict_cost_results(),
         "divider_counts": _divider_counts_results(),
+        "oscillation_cost": _oscillation_cost_results(),
         "kernels": {
             "access_series_hot_set": _access_series_results(),
             "bloom": _bloom_results(),
@@ -594,6 +672,12 @@ def test_sim_throughput(benchmark):
         f"({1e3 * counts['fine_seconds']:.2f} vs "
         f"{1e3 * counts['coarse_seconds']:.2f} ms)"
     )
+    osc = results["oscillation_cost"]
+    lines.append(
+        f"oscillation_cost {osc['ratio']:4.2f}x one correlogram analysis "
+        f"({1e3 * osc['push_seconds']:.2f} vs "
+        f"{1e3 * osc['analysis_seconds']:.2f} ms, one cache window)"
+    )
     for name, k in sorted(results["kernels"]["bloom"].items()):
         lines.append(
             f"bloom {name:<9} batch {k['speedup']:6.1f}x faster than "
@@ -614,6 +698,8 @@ def test_sim_throughput(benchmark):
     # A divider quantum's counts cost what its segments do, not its
     # windows.
     assert counts["flat"], counts
+    # A cache window costs one correlogram, on its dominant pair only.
+    assert osc["cheap"], osc
     assert hot["counters_identical"], results
     # And the bloom batch primitives must dominate their scalar loops.
     # (Quick mode's smaller key sample fits inside the scalar path's

@@ -118,9 +118,6 @@ SUITE: Tuple[BenchSpec, ...] = (
             # Speedup ratios divide out machine speed, so they travel
             # better than raw throughput; still leave wide margins.
             MetricSpec(
-                "kernels.autocorrelogram.speedup", "higher", tolerance=0.8,
-            ),
-            MetricSpec(
                 "kernels.density_histogram.speedup", "higher", tolerance=0.8,
             ),
         ),
@@ -203,6 +200,13 @@ SUITE: Tuple[BenchSpec, ...] = (
             # one float per window and binning them read about 29;
             # carrying runs of equal-valued windows reads about 1.4.
             MetricSpec("divider_counts.flat", kind="bool"),
+            # Pushing one cache window (a 4,000-record covert train plus
+            # 800 records on other pairs) costs at most 14 analyses of
+            # a correlogram, timed in alternation. A running estimator
+            # per pair, with the dominant train correlated over all its
+            # lags, read 32-42; one exact correlogram of the dominant
+            # pair over the needed lags reads about 6.
+            MetricSpec("oscillation_cost.cheap", kind="bool"),
         ),
     ),
     BenchSpec(

@@ -15,9 +15,9 @@ attaches both to a simulated machine.
 """
 
 from repro.core.autocorr import (
-    RunningAutocorrelogram,
     autocorrelation,
     autocorrelogram,
+    binary_autocorrelogram,
 )
 from repro.core.burst import (
     BurstAnalysis,
@@ -70,7 +70,7 @@ __all__ = [
     "analyze_recurrence",
     "autocorrelation",
     "autocorrelogram",
-    "RunningAutocorrelogram",
+    "binary_autocorrelogram",
     "OscillationAnalysis",
     "analyze_autocorrelogram",
     "AuditUnit",

@@ -13,6 +13,8 @@ multiples.
 
 The full correlogram is computed with an FFT-based convolution, which is
 exactly the paper's estimator (the same sums, evaluated in O(n log n)).
+:func:`binary_autocorrelogram` is the detector's kernel for 0/1
+identifier trains: exact integer lagged sums over the needed lags only.
 """
 
 from __future__ import annotations
@@ -67,139 +69,53 @@ def autocorrelogram(x: np.ndarray, max_lag: int) -> np.ndarray:
     return acov / denom
 
 
-class RunningAutocorrelogram:
-    """Incrementally maintained autocorrelogram (running-sums estimator).
+#: Below this many samples a 0/1 train's lagged products run in float32:
+#: every partial sum is an integer no larger than the train's length,
+#: which float32 holds exactly up to 2**24.
+_FLOAT32_EXACT = 1 << 24
 
-    The streaming counterpart of :func:`autocorrelogram`: the series
-    arrives in arbitrary chunks and only *running sums* are kept — Σx,
-    the lagged cross products ``C_p = Σ_i x_i · x_{i-p}``, and the first
-    and last ``max_lag`` values (for the end-correction terms of the
-    paper's r_p). Appending ``m`` values costs one C-level sliding
-    correlation — O(max_lag · m) however the series is chunked,
-    independent of how long it already is; ``correlogram()`` reads the
-    current r_0..r_max_lag in
-    O(max_lag). Memory is O(max_lag) no matter how many events stream in.
 
-    For integer-valued series (the detector's 0/1 identifier trains)
-    every running sum is exact, so the result matches the batch FFT
-    estimator to floating-point round-off; the FFT path stays available
-    as the batch cross-check.
+def binary_autocorrelogram(labels: np.ndarray, max_lag: int) -> np.ndarray:
+    """r_p for p = 0 .. min(max_lag, n−1) of a 0/1 identifier train.
+
+    The oscillation analyzer's kernel, exact in O(max_lag · n). The lagged
+    products ``C_p = Σ_i x_i · x_{i+p}`` come from one sliding
+    correlation of the zero-padded train with itself over the needed
+    lags only; for 0/1 labels they are exact integer sums. Expanding
+    ``Σ (x_i − x̄)(x_{i+p} − x̄)`` gives
+    ``C_p − x̄·(2Σx − head_p − tail_p) + (n−p)·x̄²`` over
+    ``C_0 − n·x̄²``, where ``head_p`` / ``tail_p`` are the sums of the
+    first / last ``p`` labels. A constant train's correlogram is all
+    ones, as in :func:`autocorrelogram`, which this matches to the FFT's
+    round-off.
     """
-
-    def __init__(self, max_lag: int):
-        if max_lag < 0:
-            raise DetectionError(f"max_lag must be non-negative, got {max_lag}")
-        self.max_lag = max_lag
-        self._n = 0
-        self._sum = 0.0
-        #: cross[p] = Σ_{i > p} x_i · x_{i-p}; cross[0] = Σ x_i².
-        self._cross = np.zeros(max_lag + 1, dtype=np.float64)
-        self._head = np.zeros(0, dtype=np.float64)
-        self._tail = np.zeros(0, dtype=np.float64)
-
-    @property
-    def n(self) -> int:
-        """Number of samples consumed so far."""
-        return self._n
-
-    def _advance_window(self, y: np.ndarray, y_sum: float) -> None:
-        """Slide the head/tail windows and running sums past chunk ``y``.
-
-        The single shared implementation of the end-correction window
-        bookkeeping: both :meth:`push` and :meth:`push_batch` delegate
-        here after updating the cross products, so the two entry points
-        cannot drift apart (the property tests additionally pin both to
-        the O(n·lags) reference estimator).
-        """
-        m = y.size
-        self._sum += y_sum
-        self._n += m
-        if self._head.size < self.max_lag:
-            need = self.max_lag - self._head.size
-            self._head = np.concatenate([self._head, y[:need]])
-        if not self.max_lag:
-            return
-        t = self._tail.size
-        if t == self.max_lag and m == 1:
-            # Full tail, one sample: shift in place, no reallocation.
-            self._tail[:-1] = self._tail[1:]
-            self._tail[-1] = y[0]
-            return
-        z = np.concatenate([self._tail, y])
-        self._tail = z[z.size - min(self._n, self.max_lag) :]
-
-    def push(self, value: float) -> None:
-        """Append a single sample.
-
-        Thin adapter over the same state transitions as
-        :meth:`push_batch`: for one sample the sliding correlation
-        collapses to ``ΔC_p = v · tail[t − p]``, a single vector
-        multiply-accumulate. Arithmetic is identical (the same products,
-        added once), so results match ``push_batch([value])`` bit for
-        bit; the window slide is shared code.
-        """
-        v = float(value)
-        t = self._tail.size
-        k = t if t < self.max_lag else self.max_lag
-        self._cross[0] += v * v
-        if k:
-            self._cross[1 : k + 1] += v * self._tail[t - k :][::-1]
-        self._advance_window(np.array([v], dtype=np.float64), v)
-
-    def push_batch(self, values: np.ndarray) -> None:
-        """Append a chunk of samples (order is the series order)."""
-        y = np.asarray(values, dtype=np.float64).ravel()
-        if y.size == 0:
-            return
-        m = y.size
-        t = self._tail.size
-        z = np.concatenate([self._tail, y])
-        p_hi = min(self.max_lag, m - 1 + t)
-        if m <= 4 * (self.max_lag + 1):
-            # ΔC_p = Σ_j y[j] · z[t + j − p]: one sliding correlation
-            # covers every lag at once. np.correlate(z, y, 'full')[k] =
-            # Σ_j z[j + k − (m−1)] y[j], so lag p lives at index
-            # k = m − 1 + t − p.
-            c = np.correlate(z, y, mode="full")
-            self._cross[: p_hi + 1] += c[m - 1 + t - p_hi : m + t][::-1]
-        else:
-            # Chunk much longer than the lag range: the full correlation
-            # would cost O(m²); the max_lag + 1 needed lags cost O(m)
-            # each as direct dot products (same products, same sums).
-            for p in range(p_hi + 1):
-                lo = p - t
-                if lo <= 0:
-                    self._cross[p] += np.dot(y, z[t - p : t - p + m])
-                else:
-                    self._cross[p] += np.dot(y[lo:], z[: m - lo])
-        self._advance_window(y, float(y.sum()))
-
-    #: Backwards-compatible name for the batch kernel.
-    extend = push_batch
-
-    def correlogram(self) -> np.ndarray:
-        """Current r_p for p = 0 .. min(max_lag, n−1), as in the batch path.
-
-        Expanding ``Σ (x_i − x̄)(x_{i+p} − x̄)`` gives
-        ``C_p − x̄·(2Σx − head_p − tail_p) + (n−p)·x̄²`` where ``head_p`` /
-        ``tail_p`` are the sums of the first/last ``p`` samples — all held
-        as running state, so no sample replay is needed.
-        """
-        n = self._n
-        if n < 2:
-            raise DetectionError("autocorrelogram needs at least 2 samples")
-        max_lag = min(self.max_lag, n - 1)
-        mean = self._sum / n
-        denom = float(self._cross[0]) - n * mean * mean
-        if denom <= 0.0:
-            # Constant series: perfectly self-similar at every lag.
-            return np.ones(max_lag + 1, dtype=np.float64)
-        p = np.arange(max_lag + 1)
-        head_p = np.concatenate(([0.0], np.cumsum(self._head)))[p]
-        tail_p = np.concatenate(([0.0], np.cumsum(self._tail[::-1])))[p]
-        num = (
-            self._cross[: max_lag + 1]
-            - mean * (2.0 * self._sum - head_p - tail_p)
-            + (n - p) * mean * mean
+    x = np.asarray(labels).ravel()
+    if x.dtype.kind not in "biu":
+        raise DetectionError(
+            f"binary_autocorrelogram needs integer 0/1 labels, got {x.dtype}"
         )
-        return num / denom
+    n = x.size
+    if n < 2:
+        raise DetectionError("autocorrelogram needs at least 2 samples")
+    if max_lag < 0:
+        raise DetectionError(f"max_lag must be non-negative, got {max_lag}")
+    if x.min() < 0 or x.max() > 1:
+        raise DetectionError("binary_autocorrelogram needs labels in {0, 1}")
+    max_lag = min(max_lag, n - 1)
+    y = x.astype(np.float32 if n <= _FLOAT32_EXACT else np.float64)
+    padded = np.concatenate([y, np.zeros(max_lag, dtype=y.dtype)])
+    cross = np.correlate(padded, y, mode="valid").astype(np.float64)
+    total = float(x.sum())
+    mean = total / n
+    denom = float(cross[0]) - n * mean * mean
+    if denom <= 0.0:
+        return np.ones(max_lag + 1, dtype=np.float64)
+    p = np.arange(max_lag + 1)
+    head_p = np.concatenate(([0.0], np.cumsum(x[:max_lag])))
+    tail_p = np.concatenate(([0.0], np.cumsum(x[::-1][:max_lag])))
+    num = (
+        cross
+        - mean * (2.0 * total - head_p - tail_p)
+        + (n - p) * mean * mean
+    )
+    return num / denom

@@ -12,12 +12,13 @@ pushes for one named unit and keeps only bounded incremental state:
   A verdict clusters patterns, not windows; with at most four patterns
   it runs no k-means and re-analyzes only the patterns changed since the
   last verdict.
-- :class:`OscillationAnalyzer` folds each observation window's dominant
-  pair train into per-pair running sums and a
-  :class:`RunningAutocorrelogram`, so closing a window costs O(max_lag)
-  instead of re-autocorrelating the window's whole event train. Its
-  verdict reads running tallies of the analyzed windows; only the last
-  ``RECENT_ANALYSES`` window analyses are kept for inspection.
+- :class:`OscillationAnalyzer` computes one correlogram per observation
+  window: it groups the window's cross-context conflict records once,
+  picks the dominant pair and autocorrelates that pair's 0/1 train alone
+  (:func:`~repro.core.autocorr.binary_autocorrelogram`, exact in
+  O(max_lag · n)). Its verdict reads running tallies of the analyzed
+  windows; only the last ``RECENT_ANALYSES`` window analyses are kept
+  for inspection.
 
 ``verdict()`` may be called after any quantum; analyzers never replay
 history to answer it.
@@ -46,9 +47,10 @@ from repro.config import (
     LIKELIHOOD_RATIO_THRESHOLD,
     AuditorConfig,
 )
-from repro.core.autocorr import RunningAutocorrelogram
+from repro.core.autocorr import binary_autocorrelogram
 from repro.core.burst import analyze_histogram
 from repro.core.clustering import PatternHorizon
+from repro.core.event_train import dominant_pair_series
 from repro.core.oscillation import (
     DEFAULT_MIN_PEAK_HEIGHT,
     OscillationAnalysis,
@@ -61,7 +63,7 @@ from repro.obs.evidence import EvidenceBundle
 from repro.obs.metrics import MetricsRegistry, get_default
 from repro.obs.tracing import trace_span
 from repro.pipeline.health import Health
-from repro.pipeline.source import QuantumObservation
+from repro.pipeline.source import ConflictRecords, QuantumObservation
 
 
 class Analyzer(Protocol):
@@ -318,29 +320,25 @@ class BurstAnalyzer(_HealthMixin):
 #: the analyzer's running tallies, never these.
 RECENT_ANALYSES = 64
 
-
-class _PairState:
-    """Running state for one cross-context (replacer, victim) pair."""
-
-    __slots__ = ("count", "ones", "acf")
-
-    def __init__(self, max_lag: int):
-        self.count = 0
-        self.ones = 0
-        self.acf = RunningAutocorrelogram(max_lag)
+#: The records of a quantum without a conflict channel.
+_NO_CONFLICTS = ConflictRecords(
+    times=np.zeros(0, dtype=np.int64),
+    replacers=np.zeros(0, dtype=np.int64),
+    victims=np.zeros(0, dtype=np.int64),
+)
 
 
 class OscillationAnalyzer(_HealthMixin):
     """Oscillatory-pattern detection for the shared cache (IV-D).
 
     Observation windows tile each quantum at ``window_fraction`` of its
-    width. Within an open window every cross-context pair keeps a
-    running identifier-train autocorrelogram, so closing the window reads
-    the dominant pair's correlogram in O(max_lag) — no event replay.
-    A closed window updates running tallies (significant windows, max
-    peak, one period per significant window), so state stays a few bytes
-    per window however long the audit runs. The verdict fires from the
-    first significant window on; the session records at which quantum.
+    width. Closing a window autocorrelates its dominant cross-context
+    pair's identifier train, once, over lags 0 .. ``max_lag``; the other
+    pairs' records are only counted. A closed window updates running
+    tallies (significant windows, max peak, one period per significant
+    window), so state stays a few bytes per window however long the
+    audit runs. The verdict fires from the first significant window on;
+    the session records at which quantum.
     """
 
     method = "oscillation"
@@ -376,7 +374,6 @@ class OscillationAnalyzer(_HealthMixin):
         #: Dominant period of each significant window that has one.
         self._periods = array("d")
         self.last_acf: Optional[np.ndarray] = None
-        self._pairs: Dict[int, _PairState] = {}
         m = metrics if metrics is not None else get_default()
         labels = {"unit": unit}
         self._m_windows = m.counter(
@@ -396,7 +393,7 @@ class OscillationAnalyzer(_HealthMixin):
         )
         self._m_train_events = m.counter(
             "cchunter_analyzer_train_events_total",
-            "cross-context conflict events folded into pair trains",
+            "cross-context conflict events in closed windows",
             labels,
         )
         self._m_train_length = m.gauge(
@@ -418,64 +415,40 @@ class OscillationAnalyzer(_HealthMixin):
     def push(self, obs: QuantumObservation) -> None:
         self._note_faults(obs)
         recs = obs.conflicts
+        if recs is None:
+            recs = _NO_CONFLICTS
         width = max(1, int(round((obs.t1 - obs.t0) * self.window_fraction)))
         start = obs.t0
         while start < obs.t1:
             end = min(start + width, obs.t1)
-            if recs is not None and recs.times.size:
-                lo = np.searchsorted(recs.times, start, side="left")
-                hi = np.searchsorted(recs.times, end, side="left")
-                self._ingest(recs.replacers[lo:hi], recs.victims[lo:hi])
-            self._close_window(obs.quantum)
+            lo = np.searchsorted(recs.times, start, side="left")
+            hi = np.searchsorted(recs.times, end, side="left")
+            self._close_window(
+                obs.quantum, recs.replacers[lo:hi], recs.victims[lo:hi]
+            )
             start = end
 
-    def _ingest(self, replacers: np.ndarray, victims: np.ndarray) -> None:
-        reps = np.asarray(replacers, dtype=np.int64)
-        vics = np.asarray(victims, dtype=np.int64)
-        cross = reps != vics
-        if not cross.any():
-            return
-        reps = reps[cross]
-        vics = vics[cross]
-        lo = np.minimum(reps, vics)
-        hi = np.maximum(reps, vics)
-        packed = (lo << self.context_id_bits) | hi
-        for key in np.unique(packed):
-            sel = packed == key
-            # Identifier 1 ⟺ the lower context id of the pair replaced
-            # (the paper's S→T direction) — same labeling as
-            # dominant_pair_series.
-            labels = (reps[sel] == (int(key) >> self.context_id_bits)).astype(
-                np.int64
-            )
-            state = self._pairs.get(int(key))
-            if state is None:
-                state = self._pairs[int(key)] = _PairState(self.max_lag)
-            state.count += labels.size
-            state.ones += int(labels.sum())
-            state.acf.push_batch(labels)
-            self._m_train_events.inc(labels.size)
-
-    def _close_window(self, quantum: int) -> None:
+    def _close_window(
+        self, quantum: int, replacers: np.ndarray, victims: np.ndarray
+    ) -> None:
         self.windows_analyzed += 1
         self._m_windows.inc()
-        pairs, self._pairs = self._pairs, {}
-        if not pairs:
-            self._m_windows_skipped.inc()
-            return
         # Covert cache communication is a ping-pong between ONE pair of
         # contexts; analyze the dominant pair's labeled train (ties break
-        # toward the smallest packed pair id, matching the batch path).
-        key = min(pairs, key=lambda k: (-pairs[k].count, k))
-        state = pairs[key]
+        # toward the smallest packed pair id).
+        labels, _idx, _pair = dominant_pair_series(
+            replacers, victims, self.context_id_bits
+        )
+        self._m_train_events.inc(int(np.count_nonzero(replacers != victims)))
+        ones = int(labels.sum())
         both_directions = (
-            state.count >= self.min_train_events
-            and 4 <= state.ones <= state.count - 4
+            labels.size >= self.min_train_events
+            and 4 <= ones <= labels.size - 4
         )
         if not both_directions:
             self._m_windows_skipped.inc()
             return
-        acf = state.acf.correlogram()
+        acf = binary_autocorrelogram(labels, self.max_lag)
         self.last_acf = acf
         analysis = analyze_autocorrelogram(
             acf, min_peak_height=self.min_peak_height
@@ -484,7 +457,7 @@ class OscillationAnalyzer(_HealthMixin):
         peak = analysis.max_peak
         if self._max_peak is None or peak > self._max_peak:
             self._max_peak = peak
-        self._m_train_length.set(state.count)
+        self._m_train_length.set(labels.size)
         self._m_acf_lags.set(acf.size)
         if self.evidence is not None:
             # Read-only capture of already-computed values; never

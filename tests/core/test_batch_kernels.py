@@ -1,19 +1,19 @@
 """Batch kernels vs per-event adapters vs brute-force references.
 
-The columnar hot path leans on vectorized ``push_batch`` kernels; the
-per-event ``push`` entry points remain as thin adapters. These tests pin
-both to an O(n·lags) reference estimator (autocorrelation) and to
-repeated single-record paths (density, auditor vector registers), so the
-fast and slow paths cannot drift apart.
+The columnar hot path leans on vectorized kernels; the per-event entry
+points remain as thin adapters. These tests pin the kernels to an
+O(n·lags) reference estimator (autocorrelation) and to repeated
+single-record paths (density, auditor vector registers), so the fast
+and slow paths cannot drift apart.
 """
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import AuditorConfig
-from repro.core.autocorr import RunningAutocorrelogram
+from repro.core.autocorr import binary_autocorrelogram
 from repro.core.event_train import EventTrain
 from repro.errors import DetectionError
 from repro.hardware.auditor import MonitorSlot, VectorRegisterPair
@@ -36,71 +36,35 @@ def reference_correlogram(x, max_lag):
     )
 
 
-class TestRunningAutocorrelogram:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(st.integers(0, 1), min_size=2, max_size=120),
-        st.integers(0, 40),
-        st.integers(1, 17),
-    )
-    def test_push_and_push_batch_agree_exactly(self, bits, max_lag, chunk):
-        """Integer series: running sums are exact, so any chunking of the
-        same series leaves bit-identical estimator state."""
-        one = RunningAutocorrelogram(max_lag)
-        many = RunningAutocorrelogram(max_lag)
-        for b in bits:
-            one.push(b)
-        for i in range(0, len(bits), chunk):
-            many.push_batch(np.array(bits[i : i + chunk]))
-        assert one.n == many.n == len(bits)
-        np.testing.assert_array_equal(one.correlogram(), many.correlogram())
-
+class TestBinaryAutocorrelogram:
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(st.integers(0, 1), min_size=2, max_size=120),
         st.integers(0, 40),
     )
-    def test_both_match_reference(self, bits, max_lag):
+    def test_matches_reference(self, bits, max_lag):
         ref = reference_correlogram(bits, max_lag)
-        pushed = RunningAutocorrelogram(max_lag)
-        batched = RunningAutocorrelogram(max_lag)
-        for b in bits:
-            pushed.push(b)
-        batched.push_batch(np.array(bits))
-        np.testing.assert_allclose(pushed.correlogram(), ref, atol=1e-9)
-        np.testing.assert_allclose(batched.correlogram(), ref, atol=1e-9)
+        got = binary_autocorrelogram(np.array(bits), max_lag)
+        np.testing.assert_allclose(got, ref, atol=1e-9)
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(
-            st.floats(-100, 100, allow_nan=False), min_size=2, max_size=80
-        ),
-        st.integers(0, 30),
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.array([0.0, 1.0, 0.0]),
+            np.array([0, 1, 2]),
+            np.array([0, -1, 1]),
+            np.array([1]),
+            np.array([], dtype=np.int64),
+        ],
+        ids=["float", "above-one", "negative", "one-sample", "empty"],
     )
-    def test_float_series_match_reference(self, values, max_lag):
-        arr = np.asarray(values, dtype=np.float64)
-        # The running estimator expands Σ(x−x̄)² as C₀ − n·x̄², which is
-        # pure cancellation noise when the true variance is ~1e9 times
-        # smaller than the raw power (e.g. two samples differing in the
-        # 7th significant digit). No finite tolerance is meaningful
-        # there, and the detector never sees such series — its trains
-        # are 0/1 labels — so the property holds on conditioned inputs.
-        centered = arr - arr.mean()
-        assume(
-            float(np.dot(centered, centered))
-            > 1e-7 * max(1.0, float(np.dot(arr, arr)))
-        )
-        ref = reference_correlogram(values, max_lag)
-        est = RunningAutocorrelogram(max_lag)
-        est.push_batch(arr)
-        np.testing.assert_allclose(
-            est.correlogram(), ref, atol=1e-6, rtol=1e-6
-        )
+    def test_rejects_non_binary_or_short_trains(self, labels):
+        with pytest.raises(DetectionError):
+            binary_autocorrelogram(labels, 4)
 
-    def test_extend_alias_is_push_batch(self):
-        est = RunningAutocorrelogram(4)
-        est.extend(np.array([1, 0, 1, 0, 1]))
-        assert est.n == 5
+    def test_rejects_negative_max_lag(self):
+        with pytest.raises(DetectionError, match="max_lag"):
+            binary_autocorrelogram(np.array([0, 1, 0]), -1)
 
 
 def _slot():

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.autocorr import RunningAutocorrelogram, autocorrelogram
+from repro.core.autocorr import autocorrelogram, binary_autocorrelogram
 from repro.core.clustering import analyze_recurrence
 from repro.config import AuditorConfig
 from repro.core.density import build_density_histogram
@@ -93,7 +93,7 @@ def _chunked(rng, arr):
 
 
 class TestStreamingEqualsBatch:
-    """The pipeline's incremental estimators must match the batch ones."""
+    """The pipeline's estimators must match the batch ones."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -101,29 +101,15 @@ class TestStreamingEqualsBatch:
         st.integers(2, 300),
         st.integers(0, 80),
     )
-    def test_running_autocorrelogram_matches_fft(self, seed, n, max_lag):
+    def test_binary_autocorrelogram_matches_fft(self, seed, n, max_lag):
         rng = np.random.default_rng(seed)
         series = rng.integers(0, 2, size=n).astype(np.int64)
-        running = RunningAutocorrelogram(max_lag)
-        for chunk in _chunked(rng, series):
-            running.extend(chunk)
         batch = autocorrelogram(series, max_lag)
-        streamed = running.correlogram()
-        assert streamed.shape == batch.shape
-        # Integer series: both paths sum exact integers; only the FFT's
-        # own float round-off separates them.
-        assert np.allclose(streamed, batch, atol=1e-9, rtol=0.0)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(2, 200))
-    def test_running_autocorrelogram_float_series(self, seed, n):
-        rng = np.random.default_rng(seed)
-        series = rng.normal(scale=5.0, size=n)
-        running = RunningAutocorrelogram(50)
-        running.extend(series)
-        assert np.allclose(
-            running.correlogram(), autocorrelogram(series, 50), atol=1e-7
-        )
+        exact = binary_autocorrelogram(series, max_lag)
+        assert exact.shape == batch.shape
+        # Integer series: the lagged sums are exact integers; only the
+        # FFT's own float round-off separates the two.
+        assert np.allclose(exact, batch, atol=1e-9, rtol=0.0)
 
     @settings(max_examples=40, deadline=None)
     @given(

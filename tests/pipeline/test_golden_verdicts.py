@@ -25,7 +25,14 @@ verdict frames are made of:
   that drops, stalls and reorders divider windows. Each pins the
   per-quantum verdicts (with health under faults), every retained
   per-quantum histogram and the monitor slot's cumulative tallies; the
-  fault record also pins each injector's tallies.
+  fault record also pins each injector's tallies;
+- the cache unit's oscillation analyzer: an eager noisy cache covert
+  session at 256 sets (the cache-noisy benchmark workload's session
+  shape), and the same channel audited in quarter-quantum windows. Each
+  pins the per-quantum verdicts, the first-detection quantum and, for
+  every analyzed window, its ``significant`` flag, ``max_peak``,
+  ``dominant_period``, peak lags and the SHA-256 of its correlogram's
+  float64 bytes.
 
 A long trajectory is stored as the SHA-256 of its canonical JSON, its
 length, its first and last few entries and one digest per chunk, so a
@@ -50,6 +57,7 @@ from repro.channels.membus import MemoryBusCovertChannel
 from repro.core.detector import AuditUnit, CCHunter
 from repro.errors import DetectionError
 from repro.faults.spec import injectors_from_string
+from repro.pipeline.analyzers import RECENT_ANALYSES
 from repro.pipeline.session import build_session_from_specs
 from repro.pipeline.sinks import CollectingSink
 from repro.serve.service import ServeConfig
@@ -77,6 +85,14 @@ DIVIDER_FAULTS = ",".join(
     f"{clause}@{DIVIDER}"
     for clause in ("drop:0.2", "stall:0.0005:64", "reorder:4096")
 )
+#: Quanta of the eager noisy cache session (one bit per quantum at
+#: 10 bps) and the cache sets its channel spans.
+CACHE_QUANTA = 32
+CACHE_SETS = 256
+#: The fractional cache session: four windows a quantum, over few enough
+#: quanta that the analyzer keeps every window's analysis.
+CACHE_WINDOW_FRACTION = 0.25
+CACHE_FRACTIONAL_QUANTA = 12
 #: Observations per served stream.
 SERVE_OBSERVATIONS = 1200
 #: Entries kept verbatim at each end of a stored trajectory.
@@ -268,7 +284,62 @@ def benign_divider_trajectory(seed=9):
     return _divider_record(hunter, sink, 1)
 
 
+def _oscillation_entry(quantum, verdict):
+    return [
+        int(quantum),
+        bool(verdict.detected),
+        int(verdict.quanta_analyzed),
+        int(verdict.oscillating_windows),
+        float(verdict.max_peak),
+        verdict.dominant_period,
+    ]
+
+
+def _acf_window(analysis):
+    acf = np.ascontiguousarray(analysis.acf, dtype=np.float64)
+    return [
+        bool(analysis.significant),
+        float(analysis.max_peak),
+        float(analysis.dominant_period),
+        [int(lag) for lag in analysis.peak_lags],
+        hashlib.sha256(acf.tobytes()).hexdigest(),
+    ]
+
+
+def cache_trajectory(seed=3, quanta=CACHE_QUANTA, window_fraction=1.0):
+    """An eager noisy cache covert session at ``CACHE_SETS`` sets: its
+    per-quantum verdicts and every analyzed window's correlogram."""
+    sink = CollectingSink()
+    run = run_channel_session(
+        "cache", Message.random(quanta, rng=np.random.default_rng(seed)),
+        bandwidth_bps=10.0, seed=seed, noise=True,
+        window_fraction=window_fraction, sinks=[sink],
+        track_detection_latency=True, n_sets_total=CACHE_SETS,
+    )
+    assert run.quanta == quanta
+    windows = run.hunter.cache_analyses()
+    # Every window closed is below the analyzer's recent-analysis cap, so
+    # none of the analyzed windows has been dropped.
+    closed = sink.reports[-1][1].verdict_for("cache").quanta_analyzed
+    assert len(windows) <= closed < RECENT_ANALYSES
+    return {
+        "first_detection": run.hunter.first_detection_quantum(
+            AuditUnit.CACHE
+        ),
+        "trajectory": _digest([
+            _oscillation_entry(q, report.verdict_for("cache"))
+            for q, report in sink.reports
+        ]),
+        "windows": _digest([_acf_window(a) for a in windows]),
+    }
+
+
 RECORDS = {
+    "cache-covert": cache_trajectory,
+    "cache-fractional": lambda: cache_trajectory(
+        quanta=CACHE_FRACTIONAL_QUANTA,
+        window_fraction=CACHE_WINDOW_FRACTION,
+    ),
     "membus-eager": membus_trajectory,
     "divider-covert": divider_trajectory,
     "divider-benign": benign_divider_trajectory,

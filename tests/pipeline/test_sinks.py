@@ -118,12 +118,16 @@ class TestMetricsSink:
 
     def test_clear_verdicts_record_nothing_per_unit(self):
         reg = MetricsRegistry()
-        session = _session(MetricsSink(metrics=reg))
+        session = DetectionSession(
+            sinks=[MetricsSink(metrics=reg)], metrics=reg
+        )
+        session.add_analyzer(BurstAnalyzer(unit="membus", dt=100, metrics=reg))
         session.push_quantum(_obs(0))  # all-zero counts: verdict stays clear
         detected = reg.counter(
             "cchunter_sink_detected_verdicts_total", labels={"unit": "membus"}
         )
         assert detected.value == 0
-        assert "cchunter_sink_first_detection_quantum" not in (
-            reg.to_dict()["metrics"]
+        first = reg.gauge(
+            "cchunter_first_detection_quantum", labels={"unit": "membus"}
         )
+        assert first.value == -1
