@@ -11,11 +11,6 @@ makes these claims, measured here on the same hardware and committed to
   workload runs it, where the LRU walk and the conflict tracker's
   settle are the whole cost (classifying each series' conflicts on its
   own ran it at about 0.4x the rate);
-- the batched cache path, settle included, clears the per-access
-  :meth:`SharedCache.access` loop on the kernel it was built for — a
-  hit-heavy hot-working-set series, where the per-access loop pays full
-  Python overhead per access — with identical hit/miss/conflict
-  counters;
 - the batched bloom-filter primitives (``add_batch`` /
   ``contains_batch``) dominate their scalar loops by an order of
   magnitude or more;
@@ -82,14 +77,12 @@ from repro.config import (
     DIVIDER_DELTA_T_CYCLES,
     MEMBUS_DELTA_T_CYCLES,
     AuditorConfig,
-    CacheConfig,
 )
 from repro.core.burst import analyze_histogram
 from repro.core.detector import AuditUnit, CCHunter
 from repro.core.oscillation import analyze_autocorrelogram
 from repro.hardware.bloom import BloomFilter
 from repro.hardware.auditor import MonitorSlot
-from repro.hardware.conflict_tracker import GenerationConflictTracker
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.analyzers import BurstAnalyzer, OscillationAnalyzer
 from repro.pipeline.source import (
@@ -97,9 +90,7 @@ from repro.pipeline.source import (
     QuantumObservation,
     WindowCounts,
 )
-from repro.sim.events import LabeledEventTap
 from repro.sim.machine import Machine
-from repro.sim.resources.cache import SharedCache
 from repro.util.bitstream import Message
 from repro.workloads.base import workload_process
 from repro.workloads.noise import background_noise_processes
@@ -526,70 +517,6 @@ def _bloom_results():
     return out
 
 
-def _fresh_cache():
-    config = CacheConfig()
-    n_sets = config.size_bytes // (config.line_bytes * config.associativity)
-    tracker = GenerationConflictTracker(
-        capacity=n_sets * config.associativity
-    )
-    return SharedCache(
-        config, tracker, LabeledEventTap("bench"), np.random.default_rng(5)
-    )
-
-
-def _access_series_per_access(cache, ctx, accesses, gap, start):
-    """The per-access reference: one :meth:`SharedCache.access` call per
-    element, as the parity tests' reference (tests/sim/cache_reference.py)
-    runs it."""
-    accesses = accesses.tolist()
-    t = int(start)
-    latencies = np.empty(len(accesses), dtype=np.int64)
-    for i, (set_index, tag) in enumerate(accesses):
-        latency, _hit = cache.access(ctx, set_index, tag, t)
-        latencies[i] = latency
-        t += latency + gap
-    return t, latencies
-
-
-def _access_series_results():
-    # A hot working set that fits its sets' ways: the steady state is
-    # hit-dominated, which is where the per-access Python overhead the
-    # kernel removes is the whole cost.
-    rng = np.random.default_rng(9)
-    sets = rng.integers(0, 64, size=KERNEL_SAMPLES)
-    tags = rng.integers(0, 8, size=KERNEL_SAMPLES)
-    pattern = np.stack([sets, tags], axis=1).astype(np.int64)
-
-    def run(batch):
-        cache = _fresh_cache()
-        series = (
-            cache.access_series if batch
-            else partial(_access_series_per_access, cache)
-        )
-        series(0, pattern, 8, 0)  # warm fills
-        cache.settle()
-        t0 = perf_counter()
-        series(0, pattern, 8, 10**9)
-        cache.settle()  # the batch side pays for all tracker work
-        seconds = perf_counter() - t0
-        return seconds, (cache.hits, cache.misses, cache.conflict_misses)
-
-    best = {"batch": float("inf"), "per_access": float("inf")}
-    counters = {}
-    for _ in range(3):
-        for key, batch in (("batch", True), ("per_access", False)):
-            seconds, counts = run(batch)
-            best[key] = min(best[key], seconds)
-            counters[key] = counts
-    return {
-        "samples": KERNEL_SAMPLES,
-        "batch_seconds": best["batch"],
-        "per_access_seconds": best["per_access"],
-        "speedup": best["per_access"] / best["batch"],
-        "counters_identical": counters["batch"] == counters["per_access"],
-    }
-
-
 def measure_sim_throughput():
     return {
         "n_quanta": N_QUANTA,
@@ -621,7 +548,6 @@ def measure_sim_throughput():
         "divider_counts": _divider_counts_results(),
         "oscillation_cost": _oscillation_cost_results(),
         "kernels": {
-            "access_series_hot_set": _access_series_results(),
             "bloom": _bloom_results(),
         },
     }
@@ -637,7 +563,6 @@ def test_sim_throughput(benchmark):
     steady = results["cache_steady_session"]
     bus = results["membus_session"]
     eager = results["membus_eager_session"]
-    hot = results["kernels"]["access_series_hot_set"]
     lines = [
         f"cache session  {ses['quanta_per_second']:7.1f} q/s "
         f"({ses['quanta']} quanta, noise)",
@@ -647,8 +572,6 @@ def test_sim_throughput(benchmark):
         f"({bus['quanta']} quanta, no noise)",
         f"membus session {eager['quanta_per_second']:7.1f} q/s "
         f"({eager['quanta']} quanta, no noise, verdict every quantum)",
-        f"access_series hot-set kernel {hot['speedup']:6.1f}x faster than "
-        f"per-access loop ({hot['samples']} accesses)",
     ]
     for name in GROWTH_ROWS:
         row = results[name]
@@ -686,10 +609,6 @@ def test_sim_throughput(benchmark):
     if not QUICK:
         lines.append(f"(written to {_OUT_PATH})")
     record("Extension: simulator hot path", *lines)
-    # The batched cache path must clear 5x where per-access Python
-    # overhead is the whole cost (quick mode's smaller series amortizes
-    # the kernel's fixed numpy overhead less, so it gates lower).
-    assert hot["speedup"] > (3.0 if QUICK else 5.0), results
     # No in-process path may cost more per quantum as its session grows.
     for name in GROWTH_ROWS:
         assert results[name]["flat"], (name, results[name])
@@ -700,7 +619,6 @@ def test_sim_throughput(benchmark):
     assert counts["flat"], counts
     # A cache window costs one correlogram, on its dominant pair only.
     assert osc["cheap"], osc
-    assert hot["counters_identical"], results
     # And the bloom batch primitives must dominate their scalar loops.
     # (Quick mode's smaller key sample fits inside the scalar path's
     # probe_words memo, deflating the ratio; the full run resolves it.)

@@ -203,19 +203,21 @@ class ReorderInjector(FaultInjector):
         self.window = int(window)
 
     def _block_permutation(self, n: int) -> Optional[np.ndarray]:
+        """Each block's entries shuffled in place; ``None`` if none moved.
+
+        One ``permuted`` over the full blocks, as rows of a matrix, then
+        one ``permutation`` of a tail of two or more: the same draws, in
+        the same order, as one ``permutation`` per block.
+        """
         if n < 2 or self.window < 2:
             return None
         perm = np.arange(n)
-        changed = False
-        for lo in range(0, n, self.window):
-            hi = min(lo + self.window, n)
-            if hi - lo < 2:
-                continue
-            block = self.rng.permutation(hi - lo)
-            if np.any(block != np.arange(hi - lo)):
-                changed = True
-            perm[lo:hi] = lo + block
-        return perm if changed else None
+        lo = n - n % self.window
+        rows = perm[:lo].reshape(-1, self.window)
+        self.rng.permuted(rows, axis=1, out=rows)
+        if n - lo >= 2:
+            perm[lo:] = lo + self.rng.permutation(n - lo)
+        return perm if np.any(perm != np.arange(n)) else None
 
     def _perturb_counts(self, counts: np.ndarray) -> Optional[np.ndarray]:
         perm = self._block_permutation(counts.size)

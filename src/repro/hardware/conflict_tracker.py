@@ -17,20 +17,21 @@ column and bloom filter). A miss whose tag hits any live bloom filter was
 evicted within roughly the last ``capacity`` distinct block touches —
 a conflict miss.
 
-The shared cache does not call a tracker per access on its hot path. It
-logs a window of accesses (block keys, evictions, conflict candidates)
-and hands the log to :meth:`settle`, which answers every candidate's
-check as of its position. The generation tracker settles in one
-vectorized pass; any other tracker replays the log through its scalar
-protocol methods (:func:`replay_log`), which are the reference the
-vectorized pass is proven bit-identical to.
+The shared cache never calls a tracker per access. It logs a window of
+accesses (block keys, evictions, conflict candidates) and hands the log
+to :meth:`settle`, which answers every candidate's check as of its
+position; ``settle`` is the generation tracker's only entry point. It
+settles in one vectorized pass over key-sorted columns of per-block
+state. The ideal tracker keeps the scalar protocol (``on_access``,
+``on_replacement``, ``check_recent_eviction``) and settles by replaying
+the log through it (:func:`replay_log`). The per-access generation
+tracker that the vectorized pass is proven bit-identical to lives with
+the tests (``tests/hardware/tracker_reference.py``).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import repeat
-from typing import Dict, Optional, Protocol
+from typing import Optional, Protocol
 
 import numpy as np
 
@@ -42,26 +43,21 @@ from repro.hardware.lru_stack import LRUStack
 #: back that no generation remembers it.
 _NEVER = -(1 << 62)
 
+_EMPTY = np.zeros(0, dtype=np.int64)
+
 
 class ConflictMissTracker(Protocol):
     """What the shared cache needs from a conflict-miss tracker."""
-
-    def on_access(self, key: int) -> None:
-        """A resident block (or a just-filled block) was accessed."""
-
-    def on_replacement(self, key: int) -> None:
-        """Block ``key`` was evicted from the cache."""
-
-    def check_recent_eviction(self, key: int) -> bool:
-        """At miss time: was ``key`` recently (prematurely) evicted?"""
 
     def settle(self, keys, ev_pos, ev_keys, cand_pos) -> np.ndarray:
         """Apply a logged window; one conflict verdict per candidate.
 
         ``keys`` holds the block key of every access in order. Access
         ``p`` evicted ``ev_keys[k]`` when ``ev_pos[k] == p``, and the miss
-        at each of ``cand_pos`` asks :meth:`check_recent_eviction` first.
-        The result is what per-access calls in log order would give.
+        at each of ``cand_pos`` was checked before that eviction: was its
+        block recently (prematurely) evicted? The result is what a
+        per-access tracker gives when, per access in log order, it checks
+        the miss, records the eviction, then records the access.
         """
 
 
@@ -78,7 +74,7 @@ def _key_position_order(keys: np.ndarray, pos: np.ndarray) -> np.ndarray:
 
 
 def replay_log(tracker, keys, ev_pos, ev_keys, cand_pos) -> np.ndarray:
-    """Settle a log through the scalar protocol, one access at a time.
+    """Settle a log through a tracker's scalar methods, one access at a time.
 
     Per access, in the cache's order: the miss's check, the eviction's
     replacement, then the access itself.
@@ -140,6 +136,11 @@ class GenerationConflictTracker:
     the last-touch epoch mod ``generations`` while fewer than
     ``generations`` advances have passed since (none after). An advance
     therefore bumps the epoch and flash-clears one bloom filter.
+
+    The epochs live in two int64 columns, block keys sorted ascending and
+    each key's last-touch epoch beside it, like the auditor's fixed
+    per-block metadata table: a block enters on its access and leaves on
+    its replacement.
     """
 
     def __init__(
@@ -162,8 +163,9 @@ class GenerationConflictTracker:
         self._blooms = [
             BloomFilter(bits, bloom_hashes) for _ in range(generations)
         ]
-        #: Last-touch epoch per resident block; entries leave on replacement.
-        self._last_touch: Dict[int, int] = {}
+        #: Resident blocks' keys, ascending, and their last-touch epochs.
+        self._keys = _EMPTY
+        self._epochs = _EMPTY
         self._epoch = 0
         self._accessed_in_current = 0
         self.generation_advances = 0
@@ -172,66 +174,28 @@ class GenerationConflictTracker:
     def current_generation(self) -> int:
         return self._epoch % self.generations
 
-    def on_access(self, key: int) -> None:
-        if self._last_touch.get(key) == self._epoch:
-            return  # already counted in this generation
-        self._last_touch[key] = self._epoch
-        self._accessed_in_current += 1
-        if self._accessed_in_current >= self.threshold:
-            self._advance_generation()
-
-    def _advance_generation(self) -> None:
-        """Open a new generation, discarding the oldest.
-
-        With ``G`` generations used as a circular buffer, the slot after
-        the current one holds the *oldest* generation: flash-clear its
-        bloom filter and make it current. Its column of generation bits
-        needs no walk: touches ``G`` epochs old simply stop counting.
-        """
-        self._epoch += 1
-        self._blooms[self._epoch % self.generations].clear()
-        self._accessed_in_current = 0
-        self.generation_advances += 1
-
     def latest_generation_of(self, key: int) -> Optional[int]:
         """Most recent generation in which ``key`` was accessed, if resident."""
-        last = self._last_touch.get(key)
-        if last is None or self._epoch - last >= self.generations:
+        at = int(np.searchsorted(self._keys, key))
+        if at == self._keys.size or int(self._keys[at]) != key:
+            return None
+        last = int(self._epochs[at])
+        if self._epoch - last >= self.generations:
             return None
         return last % self.generations
-
-    def on_replacement(self, key: int) -> None:
-        """Record the replaced tag in the bloom filter of its latest generation.
-
-        A block not touched within the live generations is old enough
-        that re-fetching it would not be a conflict miss, so it is not
-        remembered.
-        """
-        last = self._last_touch.pop(key, None)
-        if last is not None and self._epoch - last < self.generations:
-            self._blooms[last % self.generations].add(key)
-
-    def check_recent_eviction(self, key: int) -> bool:
-        """Bloom-filter probe: does any live generation remember this tag?
-
-        A hit means the block was accessed in that generation but replaced
-        to make room for a more recently accessed block — a conflict miss
-        (subject to bloom false positives).
-        """
-        for bloom in self._blooms:
-            if bloom.contains(key):
-                return True
-        return False
 
     # ------------------------------------------------------------- settle
 
     def settle(self, keys, ev_pos, ev_keys, cand_pos) -> np.ndarray:
         """Classify a logged window in one vectorized pass.
 
-        Exactly :func:`replay_log` over the scalar methods. The steps:
+        Exactly what per-access tracking in log order gives (see
+        :meth:`ConflictMissTracker.settle`). The steps:
 
         1. Sort accesses and evictions by (key, position), so each event
-           knows the previous event on its block, or the carried state.
+           knows the previous event on its block, or the carried state:
+           one search of the key column finds the epochs the window's
+           blocks carry in.
         2. An access sets a new generation bit when its block was evicted
            since, or last touched before the latest advance. Advances are
            found one segment at a time: the first position where the
@@ -244,7 +208,9 @@ class GenerationConflictTracker:
            at ``j < i`` set it, or it was set when the window opened; one
            table of first-set positions per (incarnation, bit) answers
            every check.
-        5. Last-touch epochs, bloom words and counters are written back.
+        5. Bloom words and counters are written back, and the columns
+           drop every block the window touched and take back, in key
+           order, those whose last event is an access.
         """
         keys = np.asarray(keys, dtype=np.int64)
         ev_pos = np.asarray(ev_pos, dtype=np.int64)
@@ -255,7 +221,7 @@ class GenerationConflictTracker:
             return np.zeros(cand_pos.size, dtype=bool)
         G = self.generations
         e0 = self._epoch
-        last_touch = self._last_touch
+        held = self._keys
 
         # 1. Events in (key, position) order: accesses, then evictions.
         # Access p and the eviction at p concern different blocks.
@@ -268,13 +234,15 @@ class GenerationConflictTracker:
         first = np.empty(order.size, dtype=bool)
         first[0] = True
         np.not_equal(s_key[1:], s_key[:-1], out=first[1:])
-        # Carried last-touch epochs of the blocks the window opens on.
-        first_keys = s_key[first].tolist()
-        carried = np.fromiter(
-            map(last_touch.get, first_keys, repeat(_NEVER)),
-            dtype=np.int64,
-            count=len(first_keys),
-        )
+        # Carried last-touch epochs of the blocks the window opens on:
+        # one search of the key column.
+        first_keys = s_key[first]
+        at = np.searchsorted(held, first_keys)
+        known = at < held.size
+        known[known] = held[at[known]] == first_keys[known]
+        entries = at[known]
+        carried = np.full(first_keys.size, _NEVER, dtype=np.int64)
+        carried[known] = self._epochs[entries]
         # prev[k]: position of the previous event on the same block
         # (first events: -1), and whether that event was an eviction.
         prev = np.where(first, -1, np.roll(s_pos, 1))
@@ -370,16 +338,27 @@ class GenerationConflictTracker:
                 table[row * n_bits:(row + 1) * n_bits] < n,
                 kept + int(inserted[row]),
             )
+        # The columns drop every block the window touched and take back
+        # those whose last event is an access. A block taken back goes
+        # after the untouched keys below it (its search index less the
+        # touched ones) and the blocks taken back before it; the window's
+        # blocks are key-sorted, so both columns share these slots.
         last = np.append(first[1:], True)
-        stay = last & acc
-        last_touch.update(
-            zip(
-                s_key[stay].tolist(),
-                (e0 + np.searchsorted(adv, s_pos[stay], side="left")).tolist(),
-            )
-        )
-        gone = s_key[last & s_evict].tolist()
-        deque(map(last_touch.pop, gone, repeat(None)), maxlen=0)
+        stay = acc[last]
+        untouched = np.ones(held.size, dtype=bool)
+        untouched[entries] = False
+        slot = (at - np.cumsum(known) + known)[stay]
+        slot += np.arange(slot.size)
+        rest = np.ones(held.size - entries.size + slot.size, dtype=bool)
+        rest[slot] = False
+        epochs = e0 + np.searchsorted(adv, s_pos[last][stay], side="left")
+        columns = []
+        for column, back in ((held, first_keys[stay]), (self._epochs, epochs)):
+            merged = np.empty(rest.size, dtype=np.int64)
+            merged[slot] = back
+            merged[rest] = column[untouched]
+            columns.append(merged)
+        self._keys, self._epochs = columns
         self._epoch = e0 + n_adv
         self._accessed_in_current = count
         self.generation_advances += n_adv
@@ -390,7 +369,7 @@ class GenerationConflictTracker:
     def clear(self) -> None:
         for bloom in self._blooms:
             bloom.clear()
-        self._last_touch.clear()
+        self._keys = self._epochs = _EMPTY
         self._epoch = 0
         self._accessed_in_current = 0
 

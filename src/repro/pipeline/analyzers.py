@@ -358,6 +358,9 @@ class OscillationAnalyzer(_HealthMixin):
             raise DetectionError(
                 f"window fraction must be in (0, 1], got {window_fraction}"
             )
+        if max_lag < 3:
+            # The correlogram analysis needs lags 0 .. 3 at least.
+            raise DetectionError(f"max_lag must be at least 3, got {max_lag}")
         self.unit = unit
         self.window_fraction = window_fraction
         self.max_lag = max_lag

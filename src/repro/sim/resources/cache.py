@@ -13,21 +13,21 @@ accesses that reach L2 (covert-channel and noise working sets are sized to
 defeat the 32 KB L1s, as in the paper's attack implementations).
 
 Batched hot path: ``access_series`` and ``random_traffic`` are the
-simulator's dominant cost. Block keys, latency jitter and per-access
-times are computed in numpy over the whole series, and only the LRU walk
-remains a Python loop; it returns the misses at once, because latencies
-feed back into the processes. Conflict classification is deferred: the
-walk logs each series' block keys and evictions, and
-:meth:`SharedCache.settle` hands the log to the tracker's ``settle`` in
-one call, which answers every logged conflict check as of its position.
-The per-access :meth:`SharedCache.access` calls the tracker per access;
-it is the reference the parity suite proves the walk and settle
-bit-identical to (events, latencies, counters, RNG/jitter stepping), and
-nothing in the simulator calls it.
+simulator's dominant cost, and its only way into the cache. Block keys,
+latency jitter and per-access times are computed in numpy over the
+whole series, and only the LRU walk remains a Python loop; it returns
+the misses at once, because latencies feed back into the processes.
+Conflict classification is deferred: the walk logs each series' block
+keys and evictions, and :meth:`SharedCache.settle` hands the log to the
+tracker's ``settle`` in one call, which answers every logged conflict
+check as of its position. The per-access path that calls a tracker per
+access lives with the tests (``tests/sim/cache_reference.py``), as the
+reference the parity suite proves the walk and settle bit-identical to
+(events, latencies, counters, RNG/jitter stepping).
 
-Mitigations (:mod:`repro.mitigation`) act through two declared hooks
-that both paths honour: ``partition`` picks the victim of a miss, and
-``fuzzer`` transforms the latency column ``access_series`` returns.
+Mitigations (:mod:`repro.mitigation`) act through two declared hooks:
+``partition`` picks the victim of a miss, and ``fuzzer`` transforms the
+latency column ``access_series`` returns.
 """
 
 from __future__ import annotations
@@ -93,10 +93,8 @@ class SharedCache:
             self._jitter_pool_np = rng.integers(
                 -latency_jitter, latency_jitter + 1, size=65_536
             )
-            self._jitter_pool = self._jitter_pool_np.tolist()
         else:
             self._jitter_pool_np = np.zeros(1, dtype=np.int64)
-            self._jitter_pool = [0]
         self._jitter_idx = 0
         # Per-set LRU order: OrderedDict maps tag -> owner ctx, MRU at end.
         self._sets: List["OrderedDict[int, int]"] = [
@@ -109,67 +107,6 @@ class SharedCache:
         self.partition = None
         self.fuzzer = None
         self._reset_log()
-
-    # ---------------------------------------------------------------- access
-
-    def access(self, ctx: int, set_index: int, tag: int, time: int) -> Tuple[int, bool]:
-        """One L2 access. Returns ``(latency, hit)``.
-
-        On a miss, the incoming tag is checked against the conflict tracker
-        *before* insertion; if it was recently prematurely evicted and the
-        fill replaces a victim, a conflict-miss event labeled
-        ``(replacer=ctx, victim=victim owner)`` is recorded, mirroring what
-        the CC-auditor's vector registers capture. Logged series are
-        settled first, so the tracker sees every access in order.
-        """
-        self.settle()
-        if not 0 <= set_index < self.config.n_sets:
-            raise SimulationError(
-                f"set index {set_index} outside 0..{self.config.n_sets - 1}"
-            )
-        cache_set = self._sets[set_index]
-        key = block_key(set_index, tag)
-        was_hit = tag in cache_set
-        if was_hit:
-            cache_set.move_to_end(tag)
-            cache_set[tag] = ctx
-            self.tracker.on_access(key)
-            self.hits += 1
-            latency = self.config.hit_latency
-        else:
-            self.misses += 1
-            is_conflict = self.tracker.check_recent_eviction(key)
-            victim_owner = self._make_room(cache_set, set_index, ctx)
-            cache_set[tag] = ctx
-            self.tracker.on_access(key)
-            if is_conflict and victim_owner is not None:
-                self.conflict_misses += 1
-                self.miss_tap.record(time, ctx, victim_owner)
-            latency = self.config.miss_latency
-        if self.latency_jitter:
-            pool = self._jitter_pool
-            self._jitter_idx = (self._jitter_idx + 1) % len(pool)
-            latency += pool[self._jitter_idx]
-        return latency, was_hit
-
-    def _make_room(self, cache_set, set_index: int, ctx: int) -> Optional[int]:
-        """Evict what a fill by ``ctx`` displaces; returns the victim's owner.
-
-        A full set loses its LRU block. An installed partition picks the
-        victim instead, or none; an eviction it makes across groups
-        returns ``None`` too, so no conflict is attributed to it.
-        """
-        if self.partition is None:
-            if len(cache_set) < self.config.associativity:
-                return None
-            victim_tag, victim_owner = cache_set.popitem(last=False)
-        else:
-            victim_tag, victim_owner = self.partition.victim(ctx, cache_set)
-            if victim_tag is None:
-                return None
-            del cache_set[victim_tag]
-        self.tracker.on_replacement(block_key(set_index, victim_tag))
-        return victim_owner
 
     def _walk(self, ctx, sets_list, tags_list):
         """The LRU walk of one series: the only per-access loop.
@@ -272,10 +209,10 @@ class SharedCache:
         self._logged = 0
 
     def _consume_jitter(self, n: int) -> np.ndarray:
-        """The next ``n`` pool values, exactly as ``access`` would step them.
+        """The next ``n`` pool values, one step per access.
 
-        ``access`` pre-increments, so the slice starts one past the
-        current index; the index afterwards equals ``n`` ``access`` steps.
+        Each access steps the index before it reads, so the slice starts
+        one past the current index and the index ends ``n`` steps on.
         """
         pool = self._jitter_pool_np
         size = pool.size
@@ -366,7 +303,7 @@ class SharedCache:
         self.misses += n_miss
         if self.latency_jitter:
             # Latencies are discarded by noise traffic, but the pool index
-            # must step exactly as the per-access loop steps it.
+            # steps once per access all the same.
             self._jitter_idx = (
                 self._jitter_idx + count
             ) % self._jitter_pool_np.size

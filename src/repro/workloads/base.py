@@ -105,26 +105,30 @@ def _loop_pattern_accesses(
     ctx_salt: int,
     instance: int,
     rng: np.random.Generator,
-) -> Tuple[Tuple[int, int], ...]:
+) -> np.ndarray:
     """One episode of the repeating cache walk (working set re-walked).
 
     Instances alternate between ``lines_per_set`` and one line fewer
     (different file sizes per server instance), so two co-running
     instances over-commit each 8-way set by about one line — one mutual
-    eviction per set per walk, the paper's webserver signature.
+    eviction per set per walk, the paper's webserver signature. Returns
+    the ``(n, 2)`` int64 ``(set, tag)`` rows: per repeat, per set of the
+    window, its lines in order.
     """
     n_sets = machine.config.l2.n_sets
     jitter = int(rng.integers(-pattern.base_jitter, pattern.base_jitter + 1))
     base = (pattern.base_set + jitter) % n_sets
     lines = max(1, pattern.lines_per_set - (instance % 2))
-    accesses = []
-    for _ in range(pattern.repeats):
-        for offset in range(pattern.ws_sets):
-            s = (base + offset) % n_sets
-            for line in range(lines):
-                tag = 3_000_000 + ctx_salt * 10_000 + offset * 8 + line
-                accesses.append((s, tag))
-    return tuple(accesses)
+    offsets = np.repeat(np.arange(pattern.ws_sets, dtype=np.int64), lines)
+    line = np.tile(np.arange(lines, dtype=np.int64), pattern.ws_sets)
+    walk = np.stack(
+        (
+            (base + offsets) % n_sets,
+            3_000_000 + ctx_salt * 10_000 + offsets * 8 + line,
+        ),
+        axis=1,
+    )
+    return np.tile(walk, (pattern.repeats, 1))
 
 
 def workload_process(

@@ -6,10 +6,10 @@ only admissible because it is *bit-identical* to the scalar protocol —
 identical false-positive sets, not just rates. Hypothesis drives
 arbitrary key columns, filter geometries and access series through both
 implementations and diffs complete final states, settled. The cache's
-reference is :mod:`tests.sim.cache_reference`, one
-:meth:`SharedCache.access` call per element, called directly;
-way-partitioned caches are compared the same way. The settle's parity
-with the pre-settle tracker is :mod:`tests.hardware.test_settle_parity`.
+reference is :mod:`tests.sim.cache_reference`, one per-access ``access``
+call per element, called directly, over the dict-based generation
+tracker; way-partitioned caches are compared the same way. The settle's
+parity with the earlier trackers is :mod:`tests.hardware.test_settle_parity`.
 """
 
 from functools import partial
@@ -25,15 +25,14 @@ from repro.hardware.bloom import (
     hash_indices_batch,
     probe_positions,
 )
-from repro.hardware.conflict_tracker import (
-    GenerationConflictTracker,
-    IdealLRUConflictTracker,
-)
+from repro.hardware.conflict_tracker import GenerationConflictTracker
 from repro.mitigation.partition import _WayPartition
 from repro.sim.events import LabeledEventTap
 from repro.sim.resources.cache import SharedCache
 from tests.hardware.test_settle_parity import cache_observables
 from tests.sim.cache_reference import (
+    TRACKER_PAIRS,
+    PerAccessCache,
     access_series_per_access,
     counted_access_calls,
     random_traffic_per_access,
@@ -113,11 +112,12 @@ OPS = st.lists(
 )
 
 
-def _small_cache(tracker_factory=GenerationConflictTracker, jitter=3):
+def _small_cache(tracker_factory=GenerationConflictTracker, jitter=3,
+                 cls=SharedCache):
     config = CacheConfig(size_bytes=8 * 1024)  # 16 sets x 8 ways
     tracker = tracker_factory(config.n_sets * config.associativity)
     tap = LabeledEventTap("prop")
-    return SharedCache(
+    return cls(
         config, tracker, tap, np.random.default_rng(77), latency_jitter=jitter
     )
 
@@ -146,16 +146,19 @@ def _run_ops(cache, ops, per_access):
     return outputs
 
 
-def _compare_per_access(ops, tracker_factory=GenerationConflictTracker,
-                        jitter=3, partitioned=False):
-    """Run ``ops`` batched and per access on twin caches; assert identical
-    outputs and states, and that only the reference calls ``access``.
-    Returns the twins' ``cross_group_evictions_prevented`` when
-    ``partitioned``: the partition is installed over :func:`_warm_fills`.
+def _compare_per_access(ops, trackers=TRACKER_PAIRS[0], jitter=3,
+                        partitioned=False):
+    """Run ``ops`` batched and per access on twin caches, over the
+    ``(batch, reference)`` pair of tracker classes ``trackers``; assert
+    identical outputs and states, and that only the reference calls
+    ``access``. Returns the twins' ``cross_group_evictions_prevented``
+    when ``partitioned``: the partition is installed over
+    :func:`_warm_fills`.
     """
     twins = []
-    for per_access in (False, True):
-        cache = _small_cache(tracker_factory, jitter)
+    for per_access, tracker_factory in zip((False, True), trackers):
+        cls = PerAccessCache if per_access else SharedCache
+        cache = _small_cache(tracker_factory, jitter, cls)
         partition = None
         if partitioned:
             _warm_fills(cache)
@@ -197,17 +200,15 @@ class TestAccessSeriesEquivalence:
 
     @pytest.mark.parity
     @pytest.mark.parametrize(
-        "tracker_factory",
-        (GenerationConflictTracker, IdealLRUConflictTracker),
-        ids=("generation", "ideal-lru"),
+        "trackers", TRACKER_PAIRS, ids=("generation", "ideal-lru")
     )
     @settings(max_examples=40, deadline=None)
     @given(ops=OPS)
-    def test_partitioned_matches_per_access(self, tracker_factory, ops):
+    def test_partitioned_matches_per_access(self, trackers, ops):
         """Partitioned ``access_series`` and ``random_traffic`` ≡ one
         partitioned ``access`` call per element, installed over
         unpartitioned warm-up fills so the over-budget eviction runs."""
-        _compare_per_access(ops, tracker_factory, partitioned=True)
+        _compare_per_access(ops, trackers, partitioned=True)
 
     @pytest.mark.parity
     def test_partitioned_over_budget_evictions(self):

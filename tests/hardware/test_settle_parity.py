@@ -2,15 +2,18 @@
 
 The shared cache walks LRU only and logs what the conflict tracker
 needs; :meth:`GenerationConflictTracker.settle` classifies a whole log in
-one vectorized pass. The reference is the tracker that pass replaced,
-kept verbatim in :mod:`tests.hardware.tracker_reference`, driven per
-access through :meth:`SharedCache.access` (:mod:`tests.sim.cache_reference`).
-Hypothesis draws cache and tracker geometries small enough that several
-generation advances fall inside one settle, and settles at random series
-boundaries, since results must not depend on where settles fall. Latencies,
-counters, conflict trains, LRU sets and the tracker's observables must
-match: current generation, accessed-in-current, advances, bloom words and
-every resident block's latest generation.
+one vectorized pass over key-sorted columns. The references are kept
+verbatim in :mod:`tests.hardware.tracker_reference`: the tracker from
+before settling existed, driven per access through the per-access cache
+of :mod:`tests.sim.cache_reference`, and the dict-based tracker from
+before the columns, fed the same settle logs. Hypothesis draws cache and
+tracker geometries small enough that several generation advances fall
+inside one settle, and settles at random series boundaries, since
+results must not depend on where settles fall. Latencies, counters,
+conflict trains, LRU sets and the tracker's observables must match:
+current generation, accessed-in-current, advances, bloom words and
+every resident block's latest generation; against the dict tracker, also
+every block's last-touch epoch.
 """
 
 from functools import partial
@@ -31,6 +34,7 @@ from repro.sim.events import LabeledEventTap
 from repro.sim.resources.cache import SharedCache, block_key
 from tests.hardware import tracker_reference as ref
 from tests.sim.cache_reference import (
+    PerAccessCache,
     access_series_per_access,
     random_traffic_per_access,
 )
@@ -86,10 +90,17 @@ def _trackers(geometry):
     )
 
 
-def _cache(n_sets, ways, tracker):
+def _cache(n_sets, ways, tracker, cls=SharedCache):
     config = CacheConfig(size_bytes=n_sets * ways * 64, associativity=ways)
     tap = LabeledEventTap("settle-parity")
-    return SharedCache(config, tracker, tap, np.random.default_rng(5))
+    return cls(config, tracker, tap, np.random.default_rng(5))
+
+
+def last_touch(tracker):
+    """A generation tracker's block key -> last-touch epoch mapping."""
+    if isinstance(tracker, ref.DictGenerationConflictTracker):
+        return dict(tracker._last_touch)
+    return dict(zip(tracker._keys.tolist(), tracker._epochs.tolist()))
 
 
 def tracker_observables(cache):
@@ -165,7 +176,8 @@ def assert_parity(make, ops, n_sets, ways, partitioned=False):
     """
     runs = []
     for per_access, tracker in zip((False, True), make()):
-        cache = _cache(n_sets, ways, tracker)
+        cls = PerAccessCache if per_access else SharedCache
+        cache = _cache(n_sets, ways, tracker, cls)
         if partitioned:
             _warm_fills(cache, per_access)
             partition = _WayPartition(cache, *PARTITION)
@@ -322,11 +334,12 @@ class TestTrackerSettle:
         self, log, cuts, capacity, generations, bits
     ):
         """``settle`` ≡ the same log through the scalar protocol, of both
-        this tracker and the reference, wherever the windows are cut."""
+        the dict tracker and the pre-settle one, wherever the windows are
+        cut."""
         args = dict(capacity=capacity, generations=generations,
                     bloom_bits_per_generation=bits)
         settled = GenerationConflictTracker(**args)
-        scalar = GenerationConflictTracker(**args)
+        scalar = ref.DictGenerationConflictTracker(**args)
         reference = ref.GenerationConflictTracker(**args)
         for window in _split(log, cuts):
             verdict = settled.settle(*window)
@@ -340,3 +353,97 @@ class TestTrackerSettle:
         empty = np.zeros(0, dtype=np.int64)
         assert tracker.settle(empty, empty, empty, empty).size == 0
         assert tracker.generation_advances == 0
+
+
+#: Block keys: small ones, and ones from 2^40 up to the int64 maximum.
+#: A window holding a key of 2^61 or more leaves the packed (key,
+#: position) sort no room, so ``_key_position_order`` takes its lexsort
+#: branch.
+BIG_KEYS = (1 << 40, (1 << 40) + 3, 1 << 53, (1 << 62) + 5, (1 << 63) - 1)
+WIDE_KEY = st.one_of(st.integers(0, 24), st.sampled_from(BIG_KEYS))
+
+#: Logs over the wide keys, shaped like :data:`LOG`.
+WIDE_LOG = st.lists(
+    st.tuples(WIDE_KEY, st.one_of(st.none(), WIDE_KEY), st.booleans()),
+    max_size=150,
+)
+
+
+_EMPTY = np.zeros(0, dtype=np.int64)
+
+
+def _windows(log, cuts):
+    """Like :func:`_split`, but equal cuts leave empty windows."""
+    bounds = sorted([0, len(log), *(c % (len(log) + 1) for c in cuts)])
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield from _split(log[lo:hi], ()) if hi > lo else [(_EMPTY,) * 4]
+
+
+def _column_state(tracker):
+    """Everything a settle leaves behind, for either generation tracker."""
+    return (
+        last_touch(tracker),
+        tracker._epoch,
+        tracker._accessed_in_current,
+        tracker.generation_advances,
+        [(list(b._words), b.insertions) for b in tracker._blooms],
+    )
+
+
+class TestColumnsMatchDict:
+    """The key-sorted columns ≡ the dict tracker they replaced."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        log=WIDE_LOG,
+        cuts=st.lists(st.integers(0, 150), max_size=5),
+        clears=st.sets(st.integers(0, 6), max_size=2),
+        capacity=st.integers(2, 40),
+        generations=st.integers(2, 4),
+        bits=st.sampled_from((8, 64, 100)),
+        hashes=st.integers(1, 3),
+    )
+    def test_settle_matches_dict_tracker(
+        self, log, cuts, clears, capacity, generations, bits, hashes
+    ):
+        """Both settle the same windows, with ``clear()`` before some:
+        same verdicts, and after each settle the same key -> epoch
+        mapping, epoch, accessed-in-current, advances and bloom words
+        and insertions."""
+        args = dict(capacity=capacity, generations=generations,
+                    bloom_bits_per_generation=bits, bloom_hashes=hashes)
+        columns = GenerationConflictTracker(**args)
+        reference = ref.DictGenerationConflictTracker(**args)
+        for i, window in enumerate(_windows(log, cuts)):
+            if i in clears:
+                columns.clear()
+                reference.clear()
+            verdict = columns.settle(*window)
+            assert verdict.tolist() == reference.settle(*window).tolist()
+            assert _column_state(columns) == _column_state(reference)
+            assert columns._keys.dtype == columns._epochs.dtype == np.int64
+            assert np.all(np.diff(columns._keys) > 0)
+
+    def test_big_keys_take_the_lexsort_branch(self, monkeypatch):
+        """A log holding keys near 2^63 settles through ``np.lexsort``
+        and still matches the dict tracker."""
+        log = [(key, None, False) for key in BIG_KEYS]
+        log += [(3, (1 << 63) - 1, True), ((1 << 63) - 1, 3, True)]
+        calls = []
+        lexsort = np.lexsort
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return lexsort(*args, **kwargs)
+
+        columns = GenerationConflictTracker(4)
+        reference = ref.DictGenerationConflictTracker(4)
+        window = next(_split(log, ()))
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "lexsort", counted)
+            verdict = columns.settle(*window)
+        assert calls
+        assert verdict.tolist() == reference.settle(*window).tolist() == [
+            False, True
+        ]
+        assert _column_state(columns) == _column_state(reference)

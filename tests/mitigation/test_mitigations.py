@@ -140,18 +140,19 @@ class TestCachePartition:
         assert channel.bit_error_rate() <= 1 / 8  # cold-start bit only
 
     def test_accesses_step_the_jitter_pool_not_the_rng(self):
-        """Partitioned misses draw jitter as ``access`` does: one pool
-        step each, leaving the stream noise traffic draws from alone."""
+        """Partitioned accesses draw jitter from the pool: one step each,
+        leaving the stream noise traffic draws from alone."""
         machine = Machine(seed=6)
         cache = machine.l2
         partition_cache_ways(machine, suspect_contexts=(0, 2))
         rng_state = cache._rng.bit_generator.state
-        pool = cache._jitter_pool
+        pool = cache._jitter_pool_np.tolist()
         start = cache._jitter_idx
         blocks = [(s, 10_000 + s) for s in range(20)]
-        for step, (set_index, tag) in enumerate(blocks + blocks, start=1):
-            latency, hit = cache.access(0, set_index, tag, step)
-            assert hit == (step > len(blocks))
+        _end, latencies = cache.access_series(0, blocks + blocks, 0, 1)
+        assert (cache.hits, cache.misses) == (len(blocks), len(blocks))
+        for step, latency in enumerate(latencies.tolist(), start=1):
+            hit = step > len(blocks)
             base = cache.config.hit_latency if hit else cache.config.miss_latency
             assert latency == base + pool[(start + step) % len(pool)]
         assert cache._jitter_idx == (start + 2 * len(blocks)) % len(pool)

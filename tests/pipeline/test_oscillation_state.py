@@ -10,10 +10,12 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.report import UnitVerdict
+from repro.errors import DetectionError
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline import (
     ConflictRecords,
@@ -69,6 +71,22 @@ def _random_quantum(rng, quantum):
     reps = np.concatenate([reps, rng.integers(0, 4, size=strays)])
     vics = np.concatenate([vics, rng.integers(0, 4, size=strays)])
     return _observation(quantum, reps, vics)
+
+
+class TestMaxLag:
+    @pytest.mark.parametrize("max_lag", (-1, 0, 1, 2))
+    def test_below_three_fails_at_construction(self, max_lag):
+        """Every window's correlogram would be shorter than the four lags
+        the analysis needs, so the session would quarantine the analyzer
+        at its first window."""
+        with pytest.raises(DetectionError, match="max_lag"):
+            OscillationAnalyzer(max_lag=max_lag, metrics=MetricsRegistry())
+
+    def test_three_analyzes_windows(self):
+        analyzer = OscillationAnalyzer(max_lag=3, metrics=MetricsRegistry())
+        analyzer.push(_pingpong(0))
+        assert analyzer.windows_analyzed == 1
+        assert analyzer.last_acf.size == 4
 
 
 class TestTalliesMatchAnalysisList:

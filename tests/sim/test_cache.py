@@ -8,9 +8,10 @@ from repro.hardware.conflict_tracker import IdealLRUConflictTracker
 from repro.sim.events import LabeledEventTap
 from repro.sim.resources.cache import SETTLE_ACCESSES, SharedCache, block_key
 from repro.util.rng import make_rng
+from tests.sim.cache_reference import PerAccessCache
 
 
-def make_cache(n_sets=8, assoc=2):
+def make_cache(n_sets=8, assoc=2, cls=SharedCache):
     config = CacheConfig(
         size_bytes=n_sets * assoc * 64,
         line_bytes=64,
@@ -19,58 +20,66 @@ def make_cache(n_sets=8, assoc=2):
         miss_latency=200,
     )
     tracker = IdealLRUConflictTracker(config.n_blocks)
-    cache = SharedCache(
+    cache = cls(
         config, tracker, LabeledEventTap("miss"), make_rng(0), latency_jitter=0
     )
     return cache
 
 
+def access(cache, ctx, set_index, tag, time):
+    """One access as a one-element series, settled: ``(latency, hit)``."""
+    hits = cache.hits
+    _end, latencies = cache.access_series(ctx, ((set_index, tag),), 0, time)
+    cache.settle()
+    return int(latencies[0]), cache.hits > hits
+
+
 class TestBasicAccess:
     def test_first_access_misses(self):
         cache = make_cache()
-        latency, hit = cache.access(ctx=0, set_index=0, tag=1, time=0)
+        latency, hit = access(cache, ctx=0, set_index=0, tag=1, time=0)
         assert not hit
         assert latency == 200
 
     def test_second_access_hits(self):
         cache = make_cache()
-        cache.access(0, 0, 1, 0)
-        latency, hit = cache.access(0, 0, 1, 10)
+        access(cache, 0, 0, 1, 0)
+        latency, hit = access(cache, 0, 0, 1, 10)
         assert hit
         assert latency == 20
 
     def test_lru_eviction_order(self):
         cache = make_cache(assoc=2)
-        cache.access(0, 0, 1, 0)
-        cache.access(0, 0, 2, 1)
-        cache.access(0, 0, 1, 2)   # refresh tag 1
-        cache.access(0, 0, 3, 3)   # evicts tag 2 (LRU)
+        access(cache, 0, 0, 1, 0)
+        access(cache, 0, 0, 2, 1)
+        access(cache, 0, 0, 1, 2)   # refresh tag 1
+        access(cache, 0, 0, 3, 3)   # evicts tag 2 (LRU)
         assert cache.resident_tags(0) == (1, 3)
 
     def test_bad_set_index(self):
         cache = make_cache(n_sets=8)
         with pytest.raises(SimulationError):
-            cache.access(0, 8, 1, 0)
+            access(cache, 0, 8, 1, 0)
 
     def test_owner_tracks_last_accessor(self):
         cache = make_cache()
-        cache.access(0, 0, 1, 0)
+        access(cache, 0, 0, 1, 0)
         assert cache.owner_of(0, 1) == 0
-        cache.access(3, 0, 1, 5)
+        access(cache, 3, 0, 1, 5)
         assert cache.owner_of(0, 1) == 3
 
     def test_occupancy(self):
         cache = make_cache(n_sets=4, assoc=2)
         for tag in range(3):
-            cache.access(0, 0, tag, tag)  # one set overflows at 3rd
+            access(cache, 0, 0, tag, tag)  # one set overflows at 3rd
         assert cache.occupancy == 2
 
     def test_flush(self):
         cache = make_cache()
-        cache.access(0, 0, 1, 0)
+        access(cache, 0, 0, 1, 0)
         cache.flush()
         assert cache.occupancy == 0
-        _, hit = cache.access(0, 0, 1, 10)
+        _, hit = access(cache, 0, 0, 1, 10)
         assert not hit
 
 
@@ -80,14 +89,14 @@ class TestConflictEvents:
         (replacer, victim-owner) labels."""
         cache = make_cache(n_sets=8, assoc=2)
         # ctx 0 owns tags 1, 2 in set 0 (set full).
-        cache.access(0, 0, 1, 0)
-        cache.access(0, 0, 2, 1)
+        access(cache, 0, 0, 1, 0)
+        access(cache, 0, 0, 2, 1)
         # ctx 1 inserts tag 3: evicts tag 1 (no conflict: 3 never seen).
-        cache.access(1, 0, 3, 2)
+        access(cache, 1, 0, 3, 2)
         assert cache.miss_tap.count == 0
         # ctx 0 re-fetches tag 1: recently evicted -> conflict, victim is
         # the evicted block's owner (ctx 0's tag 2... LRU order: 2, 3).
-        cache.access(0, 0, 1, 3)
+        access(cache, 0, 0, 1, 3)
         assert cache.miss_tap.count == 1
         _, reps, vics = cache.miss_tap.records()
         assert reps.tolist() == [0]
@@ -95,20 +104,20 @@ class TestConflictEvents:
     def test_cold_misses_not_conflicts(self):
         cache = make_cache()
         for tag in range(10):
-            cache.access(0, tag % 8, tag, tag)
+            access(cache, 0, tag % 8, tag, tag)
         assert cache.conflict_misses == 0
 
     def test_no_event_without_eviction(self):
         """A conflict-classified fill into a non-full set records no event
         (there is no victim)."""
         cache = make_cache(n_sets=2, assoc=2)
-        cache.access(0, 0, 1, 0)
-        cache.access(0, 0, 2, 1)
-        cache.access(0, 0, 3, 2)   # evicts 1
-        cache.access(0, 1, 9, 3)   # other set
+        access(cache, 0, 0, 1, 0)
+        access(cache, 0, 0, 2, 1)
+        access(cache, 0, 0, 3, 2)   # evicts 1
+        access(cache, 0, 1, 9, 3)   # other set
         # Re-access 1 -> conflict classified, set 0 full -> event recorded.
         before = cache.miss_tap.count
-        cache.access(0, 0, 1, 4)
+        access(cache, 0, 0, 1, 4)
         assert cache.miss_tap.count == before + 1
 
 
@@ -173,7 +182,9 @@ class TestSettle:
         assert cache.occupancy == 0
 
     def test_scalar_access_settles_first(self):
-        cache = make_cache(n_sets=8, assoc=2)
+        """The per-access reference settles a pending log before its own
+        access, so mixed workloads keep log order."""
+        cache = make_cache(n_sets=8, assoc=2, cls=PerAccessCache)
         cache.access_series(0, self.PINGPONG[:3], gap=8, start=0)
         cache.access(1, 0, 1, 100)  # re-fetches tag 1, evicted in the log
         assert cache.conflict_misses == 1

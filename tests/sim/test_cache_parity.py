@@ -1,15 +1,18 @@
 """Exact-parity proof: cache batch kernels vs the per-access loop.
 
 The batched ``access_series``/``random_traffic`` kernels must be
-*bit-identical* to one :meth:`SharedCache.access` call per element —
+*bit-identical* to one per-access ``access`` call per element —
 same labeled event trains, same verdicts, same evidence bundles, same
 counters, same jitter-pool (RNG) stepping — on full audited sessions
 and on direct cache workloads, with and without fault injectors, for
 both tracker designs (docs/PERFORMANCE.md, "Simulator hot path"). The
-reference is :mod:`tests.sim.cache_reference`: patched onto the class
-for the sessions ``run_channel_session`` builds, called directly for
-caches built here. Each reference run counts its ``access`` calls, so a
-reference that quietly batches fails.
+reference is :mod:`tests.sim.cache_reference`: a per-access cache,
+built by the machines ``run_channel_session`` makes under
+:func:`per_access_reference` and directly for caches built here. Its
+generation tracker is the dict-based one from before the key-sorted
+columns (:mod:`tests.hardware.tracker_reference`), so tracker state is
+compared as a key -> last-touch epoch mapping. Each reference run counts
+its ``access`` calls, so a reference that quietly batches fails.
 """
 
 from contextlib import nullcontext
@@ -37,8 +40,11 @@ from repro.sim.resources.cache import SharedCache
 from repro.traces import export_traces, load_traces
 from repro.util.bitstream import Message
 from repro.workloads.noise import background_noise_processes
-from tests.hardware.test_settle_parity import tracker_observables
+from tests.hardware.test_settle_parity import last_touch, tracker_observables
+from tests.hardware.tracker_reference import DictGenerationConflictTracker
 from tests.sim.cache_reference import (
+    TRACKER_PAIRS,
+    PerAccessCache,
     access_series_per_access,
     counted_access_calls,
     per_access_reference,
@@ -66,7 +72,8 @@ PARTITION = ({0: 0, 1: 1, 2: 2, 3: 2}, {0: 2, 1: 2, 2: 4})
 
 
 def _run(kind, batch, injectors=()):
-    """One audited session: ``(run, metrics, SharedCache.access calls)``."""
+    """One audited session: ``(run, metrics, calls)``, where ``calls``
+    counts the reference cache's ``access`` calls."""
     metrics = MetricsRegistry()
     reference = nullcontext() if batch else per_access_reference()
     with counted_access_calls() as calls, reference:
@@ -155,7 +162,8 @@ class TestSessionParity:
         batch_tr = run_batch.machine.l2.tracker
         ref_tr = run_ref.machine.l2.tracker
         assert batch_tr.generation_advances > 0
-        assert batch_tr._last_touch == ref_tr._last_touch
+        assert isinstance(ref_tr, DictGenerationConflictTracker)
+        assert last_touch(batch_tr) == ref_tr._last_touch
         assert tracker_observables(run_batch.machine.l2) == (
             tracker_observables(run_ref.machine.l2)
         )
@@ -163,11 +171,13 @@ class TestSessionParity:
     @pytest.mark.parametrize("kind", KINDS)
     def test_only_the_reference_calls_access(self, kind, clean_pair):
         """The reference makes one ``access`` call per cache access (each
-        one counts a hit or a miss); the batch kernels make none."""
-        (_, _, batch_calls), (run_ref, _, ref_calls) = clean_pair(kind)
+        one counts a hit or a miss); the batch cache has no ``access``."""
+        (run_batch, _, batch_calls), (run_ref, _, ref_calls) = clean_pair(kind)
         ref_l2 = run_ref.machine.l2
+        assert isinstance(ref_l2, PerAccessCache)
         assert ref_calls == ref_l2.hits + ref_l2.misses > 0
         assert batch_calls == 0
+        assert not hasattr(run_batch.machine.l2, "access")
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_verdicts_identical_under_injection(self, kind):
@@ -199,21 +209,35 @@ class TestSessionParity:
         np.testing.assert_array_equal(a.bus_lock_times, b.bus_lock_times)
 
 
-def _make_cache(tracker_factory, seed=23):
+def _make_cache(tracker_factory, seed=23, cls=SharedCache):
     config = CacheConfig(size_bytes=64 * 1024)  # 128 sets x 8 ways
     tracker = tracker_factory(config.n_sets * config.associativity)
     tap = LabeledEventTap("parity")
-    cache = SharedCache(config, tracker, tap, np.random.default_rng(seed))
+    cache = cls(config, tracker, tap, np.random.default_rng(seed))
     return cache, tap
+
+
+def _reference_cache(tracker_factory=DictGenerationConflictTracker):
+    return _make_cache(tracker_factory, cls=PerAccessCache)
+
+
+def _single(cache, per_access, ctx, set_index, tag, time):
+    """One access, ``(latency, hit)``: the reference's ``access``, or a
+    one-element series on the batch cache."""
+    if per_access:
+        return cache.access(ctx, set_index, tag, time)
+    hits = cache.hits
+    _end, latencies = cache.access_series(ctx, ((set_index, tag),), 0, time)
+    return int(latencies[0]), cache.hits > hits
 
 
 def _mixed_workload(cache, per_access):
     """Interleaved singles, tuple series, ndarray series, random traffic.
 
     Covers hit-heavy series after warmup, a miss-heavy thrash series,
-    scalar accesses that settle a pending log, and the RNG draw order of
-    ``random_traffic``; ``per_access`` runs the series and the traffic
-    through the reference instead. Returns the observable outputs.
+    single accesses between series, and the RNG draw order of
+    ``random_traffic``; ``per_access`` runs all of it through the
+    reference instead. Returns the observable outputs.
     """
     if per_access:
         series = partial(access_series_per_access, cache)
@@ -233,10 +257,10 @@ def _mixed_workload(cache, per_access):
               for s in range(8)]
     t, lat = series(1, np.asarray(thrash, dtype=np.int64), 8, t)
     outputs.append(lat.tolist())
-    # Per-access adapter interleaved with series work.
+    # Single accesses interleaved with series work.
     for i in range(50):
-        latency, hit = cache.access(2, int(rng.integers(0, 128)),
-                                    int(rng.integers(0, 4)), t)
+        latency, hit = _single(cache, per_access, 2, int(rng.integers(0, 128)),
+                               int(rng.integers(0, 4)), t)
         outputs.append((latency, hit))
         t += latency
     # Random noise traffic (three RNG draws + jitter stepping).
@@ -258,20 +282,19 @@ def _state_fingerprint(cache, tap):
         "sets": [dict(s) for s in cache._sets],
     }
     fp["tracker"] = tracker_observables(cache)
-    if isinstance(cache.tracker, GenerationConflictTracker):
-        fp["epochs"] = dict(cache.tracker._last_touch)
+    if not isinstance(cache.tracker, IdealLRUConflictTracker):
+        fp["epochs"] = last_touch(cache.tracker)
     return fp
 
 
 class TestDirectCacheParity:
     @pytest.mark.parametrize(
-        "tracker_factory",
-        (GenerationConflictTracker, IdealLRUConflictTracker),
-        ids=("generation", "ideal-lru"),
+        "trackers", TRACKER_PAIRS, ids=("generation", "ideal-lru")
     )
-    def test_mixed_workload_identical(self, tracker_factory):
-        cache_batch, tap_batch = _make_cache(tracker_factory)
-        cache_ref, tap_ref = _make_cache(tracker_factory)
+    def test_mixed_workload_identical(self, trackers):
+        batch_factory, ref_factory = trackers
+        cache_batch, tap_batch = _make_cache(batch_factory)
+        cache_ref, tap_ref = _reference_cache(ref_factory)
         with counted_access_calls() as batch_calls:
             out_batch, end_batch = _mixed_workload(cache_batch, False)
         with counted_access_calls() as ref_calls:
@@ -281,14 +304,14 @@ class TestDirectCacheParity:
         assert _state_fingerprint(cache_batch, tap_batch) == (
             _state_fingerprint(cache_ref, tap_ref)
         )
-        # Only the workload's 50 interleaved singles reach ``access`` on
-        # the batch side; the reference calls it for every access.
-        assert batch_calls[0] == 50
+        # The batch cache has no ``access``; the reference calls it for
+        # every access.
+        assert batch_calls[0] == 0
         assert ref_calls[0] == cache_ref.hits + cache_ref.misses
 
     def test_empty_and_single_series(self):
         cache_batch, _ = _make_cache(GenerationConflictTracker)
-        cache_ref, _ = _make_cache(GenerationConflictTracker)
+        cache_ref, _ = _reference_cache()
         for end, lat in (
             cache_batch.access_series(0, (), 8, 100),
             access_series_per_access(cache_ref, 0, (), 8, 100),
@@ -303,7 +326,7 @@ class TestDirectCacheParity:
 
     def test_bad_set_index_raises_both_paths(self):
         batch, _ = _make_cache(GenerationConflictTracker)
-        reference, _ = _make_cache(GenerationConflictTracker)
+        reference, _ = _reference_cache()
         partitioned, _ = _make_cache(GenerationConflictTracker)
         _WayPartition(partitioned, *PARTITION)
         runs = (
@@ -321,7 +344,7 @@ class TestDirectCacheParity:
 class TestMitigatedSessionsBatch:
     def test_partitioned_session_makes_no_access_call(self):
         """A partitioned cache channel session, noise included, runs
-        entirely through the batch kernels."""
+        entirely through the batch kernels: the cache has no ``access``."""
         machine = Machine(seed=6)
         channel = CacheCovertChannel(
             machine,
@@ -338,3 +361,4 @@ class TestMitigatedSessionsBatch:
             machine.run_quanta(quanta)
         assert machine.l2.hits + machine.l2.misses > 0
         assert calls[0] == 0
+        assert not hasattr(machine.l2, "access")

@@ -1,13 +1,36 @@
 """Tests for the workload framework."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.workloads.base import (
     ActivityProfile,
     CacheLoopPattern,
+    _loop_pattern_accesses,
     workload_process,
 )
+
+
+def _loop_pattern_tuples(pattern, machine, ctx_salt, instance, rng):
+    """One loop-pattern episode as ``(set, tag)`` tuples: the nested-loop
+    version, kept verbatim as the reference for the array one."""
+    n_sets = machine.config.l2.n_sets
+    jitter = int(rng.integers(-pattern.base_jitter, pattern.base_jitter + 1))
+    base = (pattern.base_set + jitter) % n_sets
+    lines = max(1, pattern.lines_per_set - (instance % 2))
+    accesses = []
+    for _ in range(pattern.repeats):
+        for offset in range(pattern.ws_sets):
+            s = (base + offset) % n_sets
+            for line in range(lines):
+                tag = 3_000_000 + ctx_salt * 10_000 + offset * 8 + line
+                accesses.append((s, tag))
+    return tuple(accesses)
 
 
 class TestActivityProfile:
@@ -40,6 +63,44 @@ class TestCacheLoopPattern:
     def test_bad_episodes(self):
         with pytest.raises(ConfigError):
             CacheLoopPattern(episodes_per_quantum=0)
+
+
+@pytest.mark.parity
+class TestLoopPatternEpisode:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ws_sets=st.integers(1, 300),
+        lines_per_set=st.integers(1, 8),
+        repeats=st.integers(1, 3),
+        base_set=st.integers(0, 600),
+        base_jitter=st.integers(0, 16),
+        n_sets=st.sampled_from((1, 7, 64, 256, 512)),
+        ctx_salt=st.integers(0, 7),
+        instance=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_tuple_episode(
+        self, ws_sets, lines_per_set, repeats, base_set, base_jitter,
+        n_sets, ctx_salt, instance, seed,
+    ):
+        """Same rows in the same order, and the same RNG draw."""
+        pattern = CacheLoopPattern(
+            ws_sets=ws_sets, lines_per_set=lines_per_set, repeats=repeats,
+            base_set=base_set, base_jitter=base_jitter,
+        )
+        machine = SimpleNamespace(
+            config=SimpleNamespace(l2=SimpleNamespace(n_sets=n_sets))
+        )
+        rng = np.random.default_rng(seed)
+        rng_ref = np.random.default_rng(seed)
+        rows = _loop_pattern_accesses(pattern, machine, ctx_salt, instance, rng)
+        expected = _loop_pattern_tuples(
+            pattern, machine, ctx_salt, instance, rng_ref
+        )
+        assert rows.dtype == np.int64
+        assert rows.shape == (len(expected), 2)
+        assert [tuple(row) for row in rows.tolist()] == list(expected)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 class TestWorkloadProcess:
