@@ -36,6 +36,11 @@ makes these claims, measured here on the same hardware and committed to
   horizon's total: it re-analyzes only the patterns the last push
   changed and runs no k-means (re-clustering and re-analyzing every
   pattern on each verdict read about 9);
+- a verdict on the served benign tenant's full horizon, about 140
+  patterns whose symbols sit in bins 2-12, costs at most
+  ``KMEANS_COST_BOUND`` burst analyses of the horizon's total: k-means
+  runs over the 16 symbol columns that can be non-zero (clustering all
+  128 columns read about 60);
 - a divider quantum's tap read and monitor-slot fold cost O(segments),
   not O(windows): at the divider's Δt of 500 cycles (500k windows a
   quantum) they cost at most ``DIVIDER_COUNTS_BOUND`` times the same
@@ -90,6 +95,7 @@ from repro.pipeline.source import (
     QuantumObservation,
     WindowCounts,
 )
+from repro.serve import traffic
 from repro.sim.machine import Machine
 from repro.util.bitstream import Message
 from repro.workloads.base import workload_process
@@ -136,6 +142,14 @@ VERDICT_COST_TRIALS = 300 if QUICK else 1000
 #: The verdict-cost row fails when a verdict costs more than this many
 #: burst analyses of the horizon's total.
 VERDICT_COST_BOUND = 3.0
+#: Timed verdicts of the k-means-cost row, each after one more served
+#: benign observation past the recurrence horizon, and the traffic seed.
+KMEANS_COST_TRIALS = 100 if QUICK else 300
+KMEANS_COST_SEED = 5
+#: The k-means-cost row fails when a verdict on the served benign
+#: tenant's horizon costs more than this many burst analyses of the
+#: horizon's total.
+KMEANS_COST_BOUND = 40.0
 #: Quanta of the benign divider pair whose tap reads the divider-counts
 #: row times (about 1,400 wait segments each), and the coarse Δt the
 #: divider's own Δt is timed against.
@@ -279,33 +293,19 @@ def _growth_results(build, lengths):
     }
 
 
-def _verdict_cost_results():
+def _verdict_ratio(analyzer, observations, bound):
     """A verdict's cost in burst analyses, past the recurrence horizon.
 
-    A bus covert session's quanta as the analyzer sees them: 2,500 Δt
-    windows, empty when the bit is 0, with 1,000 windows of 20 events
-    when it is 1 (``MEMBUS_ONES`` of the quanta), so the horizon holds
-    two patterns. The stream fills the 512-window horizon; then each
-    trial pushes one quantum and times ``BurstAnalyzer.verdict()`` and
-    one ``analyze_histogram`` of the horizon's total, alternating which
-    runs first, so a host slowdown lands on both. The ratio of their
-    medians needs no baseline.
+    ``observations`` fill ``analyzer``'s 512-window horizon; then each
+    trial pushes one more and times ``BurstAnalyzer.verdict()`` and one
+    ``analyze_histogram`` of the horizon's total, alternating which runs
+    first, so a host slowdown lands on both. The ratio of their medians
+    needs no baseline, and the row is cheap when it is at most
+    ``bound``.
     """
-    quiet = np.zeros(2500, dtype=np.int64)
-    burst = quiet.copy()
-    burst[:1000] = 20
-    analyzer = BurstAnalyzer(
-        "membus", MEMBUS_DELTA_T_CYCLES, metrics=MetricsRegistry()
-    )
-    message = _one_bit_per_quantum(
-        CLUSTERING_WINDOW_QUANTA + VERDICT_COST_TRIALS
-    )
     verdict_s, analysis_s = [], []
-    for q, bit in enumerate(message):
-        analyzer.push(QuantumObservation(
-            quantum=q, t0=q, t1=q + 1,
-            counts={"membus": WindowCounts(burst if bit else quiet)},
-        ))
+    for q, obs in enumerate(observations):
+        analyzer.push(obs)
         if q < CLUSTERING_WINDOW_QUANTA:
             continue
         total = np.sum(analyzer.histograms, axis=0)
@@ -322,9 +322,50 @@ def _verdict_cost_results():
         "ratio": ratio,
         "verdict_seconds": statistics.median(verdict_s),
         "analysis_seconds": statistics.median(analysis_s),
-        "trials": VERDICT_COST_TRIALS,
-        "cheap": ratio <= VERDICT_COST_BOUND,
+        "trials": len(verdict_s),
+        "cheap": ratio <= bound,
     }
+
+
+def _verdict_cost_results():
+    """A verdict on a bus covert session's two patterns.
+
+    A bus covert session's quanta as the analyzer sees them: 2,500 Δt
+    windows, empty when the bit is 0, with 1,000 windows of 20 events
+    when it is 1 (``MEMBUS_ONES`` of the quanta), so the horizon holds
+    two patterns and a verdict runs no k-means.
+    """
+    quiet = np.zeros(2500, dtype=np.int64)
+    burst = quiet.copy()
+    burst[:1000] = 20
+    message = _one_bit_per_quantum(
+        CLUSTERING_WINDOW_QUANTA + VERDICT_COST_TRIALS
+    )
+    observations = (
+        QuantumObservation(
+            quantum=q, t0=q, t1=q + 1,
+            counts={"membus": WindowCounts(burst if bit else quiet)},
+        )
+        for q, bit in enumerate(message)
+    )
+    analyzer = BurstAnalyzer(
+        "membus", MEMBUS_DELTA_T_CYCLES, metrics=MetricsRegistry()
+    )
+    return _verdict_ratio(analyzer, observations, VERDICT_COST_BOUND)
+
+
+def _kmeans_cost_results():
+    """A verdict on the served benign tenant's horizon, which runs k-means.
+
+    ``benign_observations`` (50 Δt windows of 2 + Poisson(2) events per
+    quantum) past the horizon leave about 140 live patterns whose
+    symbols sit in bins 2-12, so every verdict clusters them.
+    """
+    analyzer = BurstAnalyzer("membus", traffic.DT, metrics=MetricsRegistry())
+    observations = traffic.benign_observations(
+        CLUSTERING_WINDOW_QUANTA + KMEANS_COST_TRIALS, seed=KMEANS_COST_SEED
+    )
+    return _verdict_ratio(analyzer, observations, KMEANS_COST_BOUND)
 
 
 def _divider_counts_results():
@@ -545,6 +586,7 @@ def measure_sim_throughput():
             CACHE_GROWTH_QUANTA,
         ),
         "verdict_cost": _verdict_cost_results(),
+        "kmeans_cost": _kmeans_cost_results(),
         "divider_counts": _divider_counts_results(),
         "oscillation_cost": _oscillation_cost_results(),
         "kernels": {
@@ -588,6 +630,12 @@ def test_sim_throughput(benchmark):
         f"{1e6 * cost['analysis_seconds']:.0f} us, two patterns, past the "
         f"{CLUSTERING_WINDOW_QUANTA}-window horizon)"
     )
+    kmeans = results["kmeans_cost"]
+    lines.append(
+        f"kmeans_cost    {kmeans['ratio']:6.2f}x one burst analysis "
+        f"({1e3 * kmeans['verdict_seconds']:.2f} vs "
+        f"{1e3 * kmeans['analysis_seconds']:.2f} ms, served benign horizon)"
+    )
     counts = results["divider_counts"]
     lines.append(
         f"divider_counts {counts['ratio']:6.2f}x a quantum's read and fold "
@@ -614,6 +662,8 @@ def test_sim_throughput(benchmark):
         assert results[name]["flat"], (name, results[name])
     # A verdict re-analyzes only what the last push changed.
     assert cost["cheap"], cost
+    # K-means clusters only the symbol columns that occur.
+    assert kmeans["cheap"], kmeans
     # A divider quantum's counts cost what its segments do, not its
     # windows.
     assert counts["flat"], counts

@@ -184,6 +184,12 @@ SUITE: Tuple[BenchSpec, ...] = (
             # verdict read about 9; analyzing only the patterns the
             # last push changed reads about 2.
             MetricSpec("verdict_cost.cheap", kind="bool"),
+            # A verdict on the served benign tenant's full horizon
+            # (about 140 patterns, k-means every verdict) costs at most
+            # 40 burst analyses, timed the same way. K-means over all
+            # 128 symbol columns read 57-59; over the 16 columns that
+            # can hold a symbol it reads 25-27.
+            MetricSpec("kmeans_cost.cheap", kind="bool"),
             # A divider quantum's tap read and slot fold at Δt = 500
             # (500k windows) cost at most 3x the same segments at Δt =
             # 50,000, timed in alternation. Spreading the segments into

@@ -27,6 +27,11 @@ from repro.errors import DetectionError
 from repro.util.rng import RngLike, make_rng
 from repro.util.strings import discretize_histogram
 
+#: numpy sums at most this many float64 terms with eight interleaved
+#: accumulators, ``r_j = a[j] + a[j + 8] + ...``, and splits longer
+#: sums in halves.
+PAIRWISE_BLOCK = 128
+
 
 def _kmeans_rows(
     rows: np.ndarray,
@@ -53,22 +58,23 @@ def _kmeans_rows(
         raise DetectionError(f"k must be in 1..{n}, got {k}")
     centroids = rows[_seed(rows, inverse, k, gen)]
     weighted = counts[:, None] * rows
+    clusters = np.arange(k)[:, None]
     labels = np.zeros(rows.shape[0], dtype=np.int64)
     for _ in range(max_iters):
         distances = ((rows[:, None, :] - centroids[None, :, :]) ** 2).sum(
             axis=2
         )
         new_labels = distances.argmin(axis=1)
-        for j in range(k):
-            members = new_labels == j
-            if not members.any():
-                # Re-seed an empty cluster on the farthest point.
-                farthest = int(distances.min(axis=1)[inverse].argmax())
-                centroids[j] = rows[inverse[farthest]]
-            else:
-                centroids[j] = (
-                    weighted[members].sum(axis=0) / counts[members].sum()
-                )
+        # Each cluster's weighted sum as one product of integers, so
+        # exact in any order of summation.
+        members = (new_labels == clusters).astype(np.float64)
+        sizes = members @ counts
+        centroids = (members @ weighted) / np.maximum(sizes, 1)[:, None]
+        empty = sizes == 0
+        if empty.any():
+            # Re-seed an empty cluster on the farthest point.
+            farthest = int(distances.min(axis=1)[inverse].argmax())
+            centroids[empty] = rows[inverse[farthest]]
         # Every row has a point, so the point labels are unchanged
         # exactly when the row labels are.
         if np.array_equal(new_labels, labels):
@@ -110,10 +116,23 @@ def _window_rows(live: Sequence[int], slots: np.ndarray) -> np.ndarray:
 
 
 def _rows(keys: Sequence[bytes]) -> np.ndarray:
-    """The float64 symbol rows whose int64 bytes are ``keys``."""
-    return np.array(
-        [np.frombuffer(key, dtype=np.int64) for key in keys], dtype=np.float64
+    """The float64 symbol rows whose int64 bytes are ``keys``, cut to
+    the symbol columns that occur.
+
+    Rows of at most ``PAIRWISE_BLOCK`` columns keep the shortest prefix
+    that is a multiple of 8, at least 8 wide, and holds every non-zero
+    symbol. Every distance and sum k-means takes over the cut rows is
+    bit-identical to the full rows' (docs/ALGORITHMS.md, section 5).
+    """
+    rows = np.frombuffer(b"".join(keys), dtype=np.int64).reshape(
+        len(keys), -1
     )
+    used = np.flatnonzero(rows.any(axis=0))
+    end = used[-1] + 1 if used.size else 0
+    width = max(8, -(-end // 8) * 8)
+    if width < rows.shape[1] <= PAIRWISE_BLOCK:
+        rows = rows[:, :width]
+    return rows.astype(np.float64)
 
 
 class RecurrenceAnalysis:

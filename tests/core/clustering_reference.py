@@ -1,12 +1,16 @@
-"""Pre-horizon references for recurrence clustering.
+"""Former implementations of recurrence clustering, kept as references.
 
 Until the per-pattern horizon, ``kmeans`` ran over every point and
 ``analyze_recurrence`` re-discretized, re-stacked and re-clustered the
-whole window list on every call. The two functions below are those
-implementations, unchanged. ``kmeans`` is also the only float k-means
-left: the package clusters integer symbol rows only. The parity tests
-compare the row core ``repro.core.clustering._kmeans_rows`` and
-:class:`repro.core.clustering.PatternHorizon` with them bit for bit.
+whole window list on every call. Until rows were cut to the columns
+that hold a symbol, ``_rows`` built every pattern's full 128-column row
+with one ``frombuffer`` per key, and ``_kmeans_rows`` and ``_seed``
+clustered those rows, updating one centroid at a time. The functions
+below are those implementations, unchanged. ``kmeans`` is also the only
+float k-means left: the package clusters integer symbol rows only. The
+parity tests compare the row core ``repro.core.clustering._kmeans_rows``
+and :class:`repro.core.clustering.PatternHorizon` with them bit for
+bit.
 """
 
 from __future__ import annotations
@@ -76,6 +80,87 @@ def kmeans(
     distances = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     inertia = float(distances[np.arange(n), labels].sum())
     return labels, centroids, inertia
+
+
+def _kmeans_rows(
+    rows: np.ndarray,
+    counts: np.ndarray,
+    inverse: np.ndarray,
+    k: int,
+    gen: np.random.Generator,
+    max_iters: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """k-means over distinct rows, each standing for ``counts[r]`` points.
+
+    ``inverse`` maps each of the n points, in order, to its row; every
+    row has at least one point. Returns per-row labels and the
+    centroids. Empty clusters are re-seeded on the farthest point. The
+    result is the one plain k-means with k-means++ seeding gives on the
+    n expanded points whenever each centroid's weighted sum is exact,
+    which holds for integer rows: distances are per-row values, and the
+    steps that index points (the k-means++ draws and the empty-cluster
+    re-seed) gather per-row values to the n points in order, so the RNG
+    sees the same inputs.
+    """
+    n = inverse.size
+    if not 1 <= k <= n:
+        raise DetectionError(f"k must be in 1..{n}, got {k}")
+    centroids = rows[_seed(rows, inverse, k, gen)]
+    weighted = counts[:, None] * rows
+    labels = np.zeros(rows.shape[0], dtype=np.int64)
+    for _ in range(max_iters):
+        distances = ((rows[:, None, :] - centroids[None, :, :]) ** 2).sum(
+            axis=2
+        )
+        new_labels = distances.argmin(axis=1)
+        for j in range(k):
+            members = new_labels == j
+            if not members.any():
+                # Re-seed an empty cluster on the farthest point.
+                farthest = int(distances.min(axis=1)[inverse].argmax())
+                centroids[j] = rows[inverse[farthest]]
+            else:
+                centroids[j] = (
+                    weighted[members].sum(axis=0) / counts[members].sum()
+                )
+        # Every row has a point, so the point labels are unchanged
+        # exactly when the row labels are.
+        if np.array_equal(new_labels, labels):
+            labels = new_labels
+            break
+        labels = new_labels
+    return labels, centroids
+
+
+def _seed(
+    rows: np.ndarray, inverse: np.ndarray, k: int, gen: np.random.Generator
+) -> List[int]:
+    """k-means++ seeding: the row of each of the ``k`` initial centroids.
+
+    A point whose row is already a centroid is drawn with probability
+    0, so distinct rows are all seeded before any is seeded twice.
+    """
+    n = inverse.size
+    picks = [int(inverse[int(gen.integers(0, n))])]
+    closest_sq = ((rows - rows[picks[0]]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        point_sq = closest_sq[inverse]
+        total = point_sq.sum()
+        if total == 0:
+            picks.append(int(inverse[int(gen.integers(0, n))]))
+            continue
+        picks.append(int(inverse[int(gen.choice(n, p=point_sq / total))]))
+        closest_sq = np.minimum(
+            closest_sq, ((rows - rows[picks[-1]]) ** 2).sum(axis=1)
+        )
+    return picks
+
+
+def _rows(keys: Sequence[bytes]) -> np.ndarray:
+    """The float64 symbol rows whose int64 bytes are ``keys``."""
+    return np.array(
+        [np.frombuffer(key, dtype=np.int64) for key in keys], dtype=np.float64
+    )
 
 
 def analyze_recurrence(

@@ -219,3 +219,39 @@ class TestSkippedWork:
             assert [a.hist.tolist() for a in result.burst_analyses] == [
                 h.tolist() for h in expected[3]
             ]
+
+
+class TestSummationGrouping:
+    """numpy sums at most ``PAIRWISE_BLOCK`` float64 terms with eight
+    interleaved accumulators, so a row that is zero after a multiple-of-8
+    prefix sums to the same bits over the prefix as over all its
+    columns. K-means over cut rows relies on this (docs/ALGORITHMS.md,
+    section 5): a numpy release that regrouped its reductions fails here
+    instead of flipping a near-tie unnoticed."""
+
+    N_ROWS = 1000
+
+    def _padded(self, gen, width, n):
+        full = np.zeros((n, clustering.PAIRWISE_BLOCK))
+        full[:, :width] = 4 * gen.random((n, width))
+        return full, np.ascontiguousarray(full[:, :width])
+
+    @pytest.mark.parametrize("width", range(8, clustering.PAIRWISE_BLOCK, 8))
+    def test_multiple_of_8_prefix_sums_as_the_full_row(self, width):
+        gen = np.random.default_rng(width)
+        full, prefix = self._padded(gen, width, self.N_ROWS)
+        assert prefix.sum(axis=1).tobytes() == full.sum(axis=1).tobytes()
+        centroids, cut = self._padded(gen, width, 5)
+        assert (
+            ((prefix[:, None] - cut[None]) ** 2).sum(axis=2).tobytes()
+            == ((full[:, None] - centroids[None]) ** 2).sum(axis=2).tobytes()
+        )
+
+    @pytest.mark.parametrize("width", [5, 11, 12, 19])
+    def test_other_prefixes_regroup(self, width):
+        """The check has teeth: other prefixes of the same kind of rows
+        differ from the full row in the last bit for many rows."""
+        gen = np.random.default_rng(width)
+        full, prefix = self._padded(gen, width, self.N_ROWS)
+        differ = prefix.sum(axis=1) != full.sum(axis=1)
+        assert differ.mean() > 0.1
