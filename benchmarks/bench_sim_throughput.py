@@ -1,4 +1,4 @@
-"""Extension: simulator hot path throughput and batch-kernel speedups.
+"""Extension: simulator hot path throughput.
 
 The simulator hot path (docs/PERFORMANCE.md, "Simulator hot path")
 makes these claims, measured here on the same hardware and committed to
@@ -11,9 +11,6 @@ makes these claims, measured here on the same hardware and committed to
   workload runs it, where the LRU walk and the conflict tracker's
   settle are the whole cost (classifying each series' conflicts on its
   own ran it at about 0.4x the rate);
-- the batched bloom-filter primitives (``add_batch`` /
-  ``contains_batch``) dominate their scalar loops by an order of
-  magnitude or more;
 - a 240-quantum memory-bus session audits thousands of quanta per
   second: the bus answers each spy sample from symbolic burst rows, so
   a late sample costs what an early one does (re-sorting the whole lock
@@ -59,8 +56,8 @@ excluded and a host slowdown hits both lengths (see
 ``_growth_results``).
 
 ``REPRO_BENCH_QUICK=1`` shrinks trial counts for CI smoke runs (the
-speedup assertions still apply; the committed JSON is only rewritten by
-a full run).
+growth and cost assertions still apply; the committed JSON is only
+rewritten by a full run).
 """
 
 import json
@@ -86,7 +83,6 @@ from repro.config import (
 from repro.core.burst import analyze_histogram
 from repro.core.detector import AuditUnit, CCHunter
 from repro.core.oscillation import analyze_autocorrelogram
-from repro.hardware.bloom import BloomFilter
 from repro.hardware.auditor import MonitorSlot
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.analyzers import BurstAnalyzer, OscillationAnalyzer
@@ -105,7 +101,6 @@ from repro.workloads.spec import bzip2, h264ref
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 N_QUANTA = 8 if QUICK else 16
 N_TRIALS = 2 if QUICK else 5
-KERNEL_SAMPLES = 50_000 if QUICK else 200_000
 #: The bus session runs one bit per quantum. At this length a lock
 #: history re-sorted on every sample runs it over 20x slower, a gap no
 #: runner's speed can hide.
@@ -510,54 +505,6 @@ def _covert_machine(channel_cls, unit, n_quanta, noise, **channel_kwargs):
     return machine
 
 
-def _time_kernel(fn, *args):
-    best = float("inf")
-    for _ in range(3):
-        t0 = perf_counter()
-        fn(*args)
-        best = min(best, perf_counter() - t0)
-    return best
-
-
-def _bloom_results():
-    rng = np.random.default_rng(17)
-    keys = rng.integers(0, 1 << 40, size=KERNEL_SAMPLES).tolist()
-
-    def scalar_add():
-        bloom = BloomFilter(4096, 3)
-        for key in keys:
-            bloom.add(key)
-
-    def batch_add():
-        bloom = BloomFilter(4096, 3)
-        bloom.add_batch(keys)
-
-    filled = BloomFilter(4096, 3)
-    filled.add_batch(keys[: KERNEL_SAMPLES // 4])
-
-    def scalar_contains():
-        probe = filled.contains
-        return [probe(key) for key in keys]
-
-    def batch_contains():
-        return filled.contains_batch(keys)
-
-    out = {}
-    for name, scalar, batch in (
-        ("add", scalar_add, batch_add),
-        ("contains", scalar_contains, batch_contains),
-    ):
-        scalar_sec = _time_kernel(scalar)
-        batch_sec = _time_kernel(batch)
-        out[name] = {
-            "samples": KERNEL_SAMPLES,
-            "scalar_seconds": scalar_sec,
-            "batch_seconds": batch_sec,
-            "speedup": scalar_sec / batch_sec,
-        }
-    return out
-
-
 def measure_sim_throughput():
     return {
         "n_quanta": N_QUANTA,
@@ -589,9 +536,6 @@ def measure_sim_throughput():
         "kmeans_cost": _kmeans_cost_results(),
         "divider_counts": _divider_counts_results(),
         "oscillation_cost": _oscillation_cost_results(),
-        "kernels": {
-            "bloom": _bloom_results(),
-        },
     }
 
 
@@ -649,11 +593,6 @@ def test_sim_throughput(benchmark):
         f"({1e3 * osc['push_seconds']:.2f} vs "
         f"{1e3 * osc['analysis_seconds']:.2f} ms, one cache window)"
     )
-    for name, k in sorted(results["kernels"]["bloom"].items()):
-        lines.append(
-            f"bloom {name:<9} batch {k['speedup']:6.1f}x faster than "
-            f"scalar loop ({k['samples']} keys)"
-        )
     if not QUICK:
         lines.append(f"(written to {_OUT_PATH})")
     record("Extension: simulator hot path", *lines)
@@ -669,9 +608,3 @@ def test_sim_throughput(benchmark):
     assert counts["flat"], counts
     # A cache window costs one correlogram, on its dominant pair only.
     assert osc["cheap"], osc
-    # And the bloom batch primitives must dominate their scalar loops.
-    # (Quick mode's smaller key sample fits inside the scalar path's
-    # probe_words memo, deflating the ratio; the full run resolves it.)
-    bloom_floor = 2.0 if QUICK else 5.0
-    for name, k in results["kernels"]["bloom"].items():
-        assert k["speedup"] > bloom_floor, (name, results)

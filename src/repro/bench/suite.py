@@ -38,7 +38,7 @@ class MetricSpec(NamedTuple):
     """One gated metric inside a bench's result document."""
 
     #: Dotted keypath into the bench's metrics doc, e.g.
-    #: ``"quanta_per_second.off"`` or ``"kernels.bloom.add.speedup"``.
+    #: ``"quanta_per_second.off"`` or ``"kernels.density_histogram.speedup"``.
     key: str
     #: ``"higher"`` or ``"lower"`` is better (ignored for bools).
     direction: str = "higher"
@@ -155,17 +155,6 @@ SUITE: Tuple[BenchSpec, ...] = (
             MetricSpec(
                 "membus_eager_session.quanta_per_second", "higher",
                 tolerance=0.5,
-            ),
-            # Quick mode's 50k-key sample fits inside the scalar path's
-            # probe_words memo, deflating the batch-vs-scalar ratio to
-            # single digits; only the full 200k-key run resolves it.
-            MetricSpec(
-                "kernels.bloom.add.speedup", "higher", tolerance=0.8,
-                quick=False,
-            ),
-            MetricSpec(
-                "kernels.bloom.contains.speedup", "higher", tolerance=0.8,
-                quick=False,
             ),
             # Growth gates: a path's per-quantum cost late in a long
             # session is at most 1.25x its cost early in a short one,

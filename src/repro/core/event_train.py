@@ -17,6 +17,10 @@ import numpy as np
 
 from repro.errors import DetectionError
 
+#: Width of a context id (the paper's 3-bit ids): a context pair packs
+#: into ``lo << _CONTEXT_ID_BITS | hi``.
+_CONTEXT_ID_BITS = 3
+
 
 class EventTrain:
     """Sorted event timestamps with windowing and density helpers."""
@@ -60,7 +64,7 @@ class EventTrain:
 
 
 def dominant_pair_series(
-    replacers: np.ndarray, victims: np.ndarray, context_id_bits: int = 3
+    replacers: np.ndarray, victims: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, Tuple[int, int]]:
     """Extract the dominant candidate covert pair's 0/1 event subsequence.
 
@@ -86,12 +90,12 @@ def dominant_pair_series(
         return empty, empty, (-1, -1)
     lo = np.minimum(reps, vics)
     hi = np.maximum(reps, vics)
-    unordered = (lo << context_id_bits) | hi
+    unordered = (lo << _CONTEXT_ID_BITS) | hi
     unordered[~cross] = -1
     candidates, counts = np.unique(unordered[cross], return_counts=True)
     winner = int(candidates[np.argmax(counts)])
-    ctx_a = winner >> context_id_bits
-    ctx_b = winner & ((1 << context_id_bits) - 1)
+    ctx_a = winner >> _CONTEXT_ID_BITS
+    ctx_b = winner & ((1 << _CONTEXT_ID_BITS) - 1)
     member = cross & (unordered == winner)
     indices = np.nonzero(member)[0]
     labels = (reps[indices] == ctx_a).astype(np.int64)

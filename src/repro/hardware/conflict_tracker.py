@@ -208,7 +208,7 @@ class GenerationConflictTracker:
            at ``j < i`` set it, or it was set when the window opened; one
            table of first-set positions per (incarnation, bit) answers
            every check.
-        5. Bloom words and counters are written back, and the columns
+        5. Bloom bits and counters are written back, and the columns
            drop every block the window touched and take back, in key
            order, those whose last event is an access.
         """
@@ -297,7 +297,7 @@ class GenerationConflictTracker:
 
         # 4. First-set positions per (incarnation, bit). Rows cover the
         # incarnations e0 - G + 1 .. e0 + n_adv; the first G rows start
-        # from the window's bloom words (position -1: set before any
+        # from the window's bloom bits (position -1: set before any
         # check), later rows start empty (position n: never).
         n_bits = self._blooms[0].n_bits
         n_hashes = self._blooms[0].n_hashes
@@ -305,7 +305,7 @@ class GenerationConflictTracker:
         n_rows = G + n_adv
         table = np.full(n_rows * n_bits, n, dtype=np.int64)
         opening = np.concatenate(
-            [self._blooms[(inc_lo + row) % G]._bits for row in range(G)]
+            [self._blooms[(inc_lo + row) % G].bits for row in range(G)]
         )
         table[: G * n_bits][opening] = -1
         if ins_pos.size:
@@ -333,11 +333,9 @@ class GenerationConflictTracker:
         inserted = np.bincount(ins_inc - inc_lo, minlength=n_rows)
         for row in range(n_rows - G, n_rows):
             bloom = self._blooms[(inc_lo + row) % G]
+            np.less(table[row * n_bits:(row + 1) * n_bits], n, out=bloom.bits)
             kept = bloom.insertions if row < G else 0
-            bloom.assign_bits(
-                table[row * n_bits:(row + 1) * n_bits] < n,
-                kept + int(inserted[row]),
-            )
+            bloom.insertions = kept + int(inserted[row])
         # The columns drop every block the window touched and take back
         # those whose last event is an access. A block taken back goes
         # after the untouched keys below it (its search index less the

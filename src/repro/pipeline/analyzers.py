@@ -51,11 +51,7 @@ from repro.core.autocorr import binary_autocorrelogram
 from repro.core.burst import analyze_histogram
 from repro.core.clustering import PatternHorizon
 from repro.core.event_train import dominant_pair_series
-from repro.core.oscillation import (
-    DEFAULT_MIN_PEAK_HEIGHT,
-    OscillationAnalysis,
-    analyze_autocorrelogram,
-)
+from repro.core.oscillation import OscillationAnalysis, analyze_autocorrelogram
 from repro.core.report import UnitVerdict
 from repro.errors import DetectionError
 from repro.hardware.auditor import MonitorSlot
@@ -167,20 +163,17 @@ class BurstAnalyzer(_HealthMixin):
         unit: str,
         dt: int,
         accumulator: Optional[MonitorSlot] = None,
-        lr_threshold: float = LIKELIHOOD_RATIO_THRESHOLD,
-        max_windows: int = CLUSTERING_WINDOW_QUANTA,
         metrics: Optional[MetricsRegistry] = None,
         capture_evidence: bool = False,
     ):
         self.unit = unit
         self.dt = int(dt)
-        self.lr_threshold = lr_threshold
         self._acc = (
             accumulator
             if accumulator is not None
             else MonitorSlot(unit, self.dt, AuditorConfig())
         )
-        self._horizon = PatternHorizon(max_windows)
+        self._horizon = PatternHorizon(CLUSTERING_WINDOW_QUANTA)
         self.quanta_seen = 0
         m = metrics if metrics is not None else get_default()
         labels = {"unit": unit}
@@ -234,26 +227,17 @@ class BurstAnalyzer(_HealthMixin):
             with trace_span(
                 "analyzer.evidence", unit=self.unit, quantum=obs.quantum
             ):
-                analysis = analyze_histogram(
-                    hist, lr_threshold=self.lr_threshold
-                )
-                self.evidence.record_lr(
-                    obs.quantum, analysis.likelihood_ratio
-                )
-                crossed = (self._prev_lr >= self.lr_threshold) != (
-                    analysis.likelihood_ratio >= self.lr_threshold
-                )
-                if crossed:
-                    direction = (
-                        "rise"
-                        if analysis.likelihood_ratio >= self.lr_threshold
-                        else "fall"
-                    )
+                analysis = analyze_histogram(hist)
+                lr = analysis.likelihood_ratio
+                self.evidence.record_lr(obs.quantum, lr)
+                above = lr >= LIKELIHOOD_RATIO_THRESHOLD
+                if above != (self._prev_lr >= LIKELIHOOD_RATIO_THRESHOLD):
+                    direction = "rise" if above else "fall"
                     self.evidence.record_histogram(
                         obs.quantum, f"lr-threshold-{direction}", hist,
                         analysis,
                     )
-                self._prev_lr = analysis.likelihood_ratio
+                self._prev_lr = lr
         self.quanta_seen += 1
         self._m_windows.inc(len(counts))
         # The slot keeps cumulative event/clamp/saturation tallies; export
@@ -282,7 +266,7 @@ class BurstAnalyzer(_HealthMixin):
                 else self._health_notes(),
                 health=self._health.value,
             )
-        recurrence = self._horizon.analyze(lr_threshold=self.lr_threshold)
+        recurrence = self._horizon.analyze()
         if self.evidence is not None:
             with trace_span(
                 "analyzer.evidence",
@@ -320,6 +304,11 @@ class BurstAnalyzer(_HealthMixin):
 #: the analyzer's running tallies, never these.
 RECENT_ANALYSES = 64
 
+#: A window's correlogram spans lags 0 .. ``MAX_LAG``, once its dominant
+#: pair's train holds ``MIN_TRAIN_EVENTS`` events.
+MAX_LAG = 1000
+MIN_TRAIN_EVENTS = 64
+
 #: The records of a quantum without a conflict channel.
 _NO_CONFLICTS = ConflictRecords(
     times=np.zeros(0, dtype=np.int64),
@@ -333,7 +322,7 @@ class OscillationAnalyzer(_HealthMixin):
 
     Observation windows tile each quantum at ``window_fraction`` of its
     width. Closing a window autocorrelates its dominant cross-context
-    pair's identifier train, once, over lags 0 .. ``max_lag``; the other
+    pair's identifier train, once, over lags 0 .. ``MAX_LAG``; the other
     pairs' records are only counted. A closed window updates running
     tallies (significant windows, max peak, one period per significant
     window), so state stays a few bytes per window however long the
@@ -347,10 +336,6 @@ class OscillationAnalyzer(_HealthMixin):
         self,
         unit: str = "cache",
         window_fraction: float = 1.0,
-        max_lag: int = 1000,
-        min_train_events: int = 64,
-        min_peak_height: float = DEFAULT_MIN_PEAK_HEIGHT,
-        context_id_bits: int = 3,
         metrics: Optional[MetricsRegistry] = None,
         capture_evidence: bool = False,
     ):
@@ -358,15 +343,8 @@ class OscillationAnalyzer(_HealthMixin):
             raise DetectionError(
                 f"window fraction must be in (0, 1], got {window_fraction}"
             )
-        if max_lag < 3:
-            # The correlogram analysis needs lags 0 .. 3 at least.
-            raise DetectionError(f"max_lag must be at least 3, got {max_lag}")
         self.unit = unit
         self.window_fraction = window_fraction
-        self.max_lag = max_lag
-        self.min_train_events = min_train_events
-        self.min_peak_height = min_peak_height
-        self.context_id_bits = context_id_bits
         #: The last ``RECENT_ANALYSES`` window analyses, oldest first.
         self.analyses: Deque[OscillationAnalysis] = deque(
             maxlen=RECENT_ANALYSES
@@ -439,23 +417,19 @@ class OscillationAnalyzer(_HealthMixin):
         # Covert cache communication is a ping-pong between ONE pair of
         # contexts; analyze the dominant pair's labeled train (ties break
         # toward the smallest packed pair id).
-        labels, _idx, _pair = dominant_pair_series(
-            replacers, victims, self.context_id_bits
-        )
+        labels, _idx, _pair = dominant_pair_series(replacers, victims)
         self._m_train_events.inc(int(np.count_nonzero(replacers != victims)))
         ones = int(labels.sum())
         both_directions = (
-            labels.size >= self.min_train_events
+            labels.size >= MIN_TRAIN_EVENTS
             and 4 <= ones <= labels.size - 4
         )
         if not both_directions:
             self._m_windows_skipped.inc()
             return
-        acf = binary_autocorrelogram(labels, self.max_lag)
+        acf = binary_autocorrelogram(labels, MAX_LAG)
         self.last_acf = acf
-        analysis = analyze_autocorrelogram(
-            acf, min_peak_height=self.min_peak_height
-        )
+        analysis = analyze_autocorrelogram(acf)
         self.analyses.append(analysis)
         peak = analysis.max_peak
         if self._max_peak is None or peak > self._max_peak:

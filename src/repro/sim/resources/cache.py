@@ -54,9 +54,12 @@ SETTLE_ACCESSES = 8192
 _EMPTY = np.zeros(0, dtype=np.int64)
 
 
-def block_key(set_index: int, tag: int) -> int:
-    """Stable integer key for a cache block (set, tag) pair."""
-    return (int(tag) << _TAG_SHIFT) | int(set_index)
+def block_key(set_index, tag):
+    """Stable integer key for a cache block (set, tag) pair.
+
+    Takes ints or int64 columns of sets and tags alike.
+    """
+    return (tag << _TAG_SHIFT) | set_index
 
 
 class SharedCache:
@@ -157,13 +160,13 @@ class SharedCache:
         its owner and the time a conflict there would be recorded at.
         """
         base = self._logged
-        keys = (tags << _TAG_SHIFT) | sets
+        keys = block_key(sets, tags)
         self._log_keys.append(keys)
         if ev_pos:
             pos = np.asarray(ev_pos, dtype=np.int64)
             self._log_ev_pos.append(pos + base)
             self._log_ev_keys.append(
-                (np.asarray(ev_tags, dtype=np.int64) << _TAG_SHIFT) | sets[pos]
+                block_key(sets[pos], np.asarray(ev_tags, dtype=np.int64))
             )
             self._log_owners.append(np.asarray(ev_owners, dtype=np.int64))
             self._log_times.append(times[pos])

@@ -27,6 +27,7 @@ from repro.pipeline import (
     QuantumObservation,
 )
 from repro.pipeline import analyzers as analyzers_module
+from repro.pipeline.analyzers import MAX_LAG, MIN_TRAIN_EVENTS
 from tests.core import autocorr_reference as ref
 
 pytestmark = pytest.mark.parity
@@ -110,10 +111,12 @@ _QUANTUM = 20_000
 def _quantum(rng, quantum):
     """One quantum's conflict records: several cross-context pairs (two
     of them of equal size half the time), same-context records, all
-    interleaved in time."""
+    interleaved in time. A pair holds up to 2,000 records, so its train
+    clears ``MIN_TRAIN_EVENTS`` in windows down to a twentieth of the
+    quantum."""
     reps, vics = [], []
     n_pairs = int(rng.integers(1, 5))
-    sizes = rng.integers(0, 400, size=n_pairs)
+    sizes = rng.integers(0, 2_000, size=n_pairs)
     if n_pairs > 1 and rng.random() < 0.5:
         sizes[1] = sizes[0]
     for size in sizes:
@@ -150,7 +153,7 @@ def _quantum(rng, quantum):
     )
 
 
-def _per_pair_windows(observations, fraction, max_lag, min_train_events):
+def _per_pair_windows(observations, fraction):
     """Every window's (train length, acf) through the per-pair path."""
     out = []
     for obs in observations:
@@ -160,7 +163,7 @@ def _per_pair_windows(observations, fraction, max_lag, min_train_events):
             lo, hi = np.searchsorted(recs.times, [start, start + width])
             out.append(ref.pair_window_acf(
                 recs.replacers[lo:hi], recs.victims[lo:hi],
-                max_lag, min_train_events,
+                MAX_LAG, MIN_TRAIN_EVENTS,
             ))
     return out
 
@@ -171,20 +174,13 @@ class TestAnalyzerParity:
         st.integers(0, 2**32 - 1),
         st.integers(1, 6),
         st.sampled_from([1.0, 0.5, 0.25, 0.05]),
-        st.integers(3, 300),
-        st.sampled_from([8, 64]),
     )
-    def test_window_acfs_equal_per_pair_path(
-        self, seed, n_quanta, fraction, max_lag, min_train_events
-    ):
+    def test_window_acfs_equal_per_pair_path(self, seed, n_quanta, fraction):
         rng = np.random.default_rng(seed)
         observations = [_quantum(rng, q) for q in range(n_quanta)]
         metrics = MetricsRegistry()
         analyzer = OscillationAnalyzer(
-            window_fraction=fraction,
-            max_lag=max_lag,
-            min_train_events=min_train_events,
-            metrics=metrics,
+            window_fraction=fraction, metrics=metrics
         )
         acfs = []
         real = analyzers_module.binary_autocorrelogram
@@ -200,9 +196,7 @@ class TestAnalyzerParity:
             for obs in observations:
                 analyzer.push(obs)
 
-        windows = _per_pair_windows(
-            observations, fraction, max_lag, min_train_events
-        )
+        windows = _per_pair_windows(observations, fraction)
         expected = [(n, acf) for n, acf in windows if acf is not None]
         assert analyzer.windows_analyzed == len(windows)
         assert [n for n, _ in acfs] == [n for n, _ in expected]

@@ -45,7 +45,7 @@ class TestBasics:
         a.add(1234)
         b.add(1234)
         assert a.contains(1234) and b.contains(1234)
-        assert a._bits.tolist() == b._bits.tolist()
+        assert a.bits.tolist() == b.bits.tolist()
 
 
 class TestNoFalseNegatives:

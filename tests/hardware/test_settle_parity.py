@@ -11,7 +11,7 @@ tracker geometries small enough that several generation advances fall
 inside one settle, and settles at random series boundaries, since
 results must not depend on where settles fall. Latencies, counters,
 conflict trains, LRU sets and the tracker's observables must match:
-current generation, accessed-in-current, advances, bloom words and
+current generation, accessed-in-current, advances, bloom bits and
 every resident block's latest generation; against the dict tracker, also
 every block's last-touch epoch.
 """
@@ -117,7 +117,7 @@ def tracker_observables(cache):
         tracker.current_generation,
         tracker._accessed_in_current,
         tracker.generation_advances,
-        [(list(b._words), b.insertions) for b in tracker._blooms],
+        [(b.bits.tolist(), b.insertions) for b in tracker._blooms],
         [tracker.latest_generation_of(key) for key in resident],
     )
 
@@ -316,7 +316,7 @@ def _scalar_state(tracker):
         tracker.current_generation,
         tracker._accessed_in_current,
         tracker.generation_advances,
-        [(list(b._words), b.insertions) for b in tracker._blooms],
+        [(b.bits.tolist(), b.insertions) for b in tracker._blooms],
         [tracker.latest_generation_of(key) for key in range(25)],
     )
 
@@ -386,7 +386,7 @@ def _column_state(tracker):
         tracker._epoch,
         tracker._accessed_in_current,
         tracker.generation_advances,
-        [(list(b._words), b.insertions) for b in tracker._blooms],
+        [(b.bits.tolist(), b.insertions) for b in tracker._blooms],
     )
 
 
@@ -408,7 +408,7 @@ class TestColumnsMatchDict:
     ):
         """Both settle the same windows, with ``clear()`` before some:
         same verdicts, and after each settle the same key -> epoch
-        mapping, epoch, accessed-in-current, advances and bloom words
+        mapping, epoch, accessed-in-current, advances and bloom bits
         and insertions."""
         args = dict(capacity=capacity, generations=generations,
                     bloom_bits_per_generation=bits, bloom_hashes=hashes)

@@ -4,8 +4,7 @@ Two earlier designs, kept verbatim:
 
 - :class:`GenerationConflictTracker` is the tracker from before the
   shared cache logged its accesses and settled them: a generation
-  bitmask and per-generation member sets per block, driven per access
-  (its batch kernel replayed the bloom checks per series).
+  bitmask and per-generation member sets per block, driven per access.
 - :class:`DictGenerationConflictTracker` is the tracker from before its
   last-touch epochs moved into key-sorted columns: a ``Dict[int, int]``
   of epochs, the scalar protocol (``on_access``, ``on_replacement``,
@@ -145,100 +144,6 @@ class GenerationConflictTracker:
             if bloom.contains(key):
                 return True
         return False
-
-    # -------------------------------------------------------------- batch
-
-    def replay_check_batch(
-        self,
-        n: int,
-        cand_pos,
-        cand_keys,
-        ins_pos,
-        ins_keys,
-        clears,
-        snapshot_words,
-    ) -> np.ndarray:
-        """Resolve a series' deferred eviction checks, exactly.
-
-        The cache's batch kernel defers all ``check_recent_eviction``
-        probes out of its access loop: it logs, per series position,
-        which keys were checked (``cand_*``), which victim keys were
-        inserted into which generation's bloom (``ins_*``, one list per
-        generation), and at which positions a generation advance
-        flash-cleared which bloom (``clears``). This method reconstructs
-        each check's answer *as of its position*: a probe bit counts as
-        set for the check at position ``i`` iff it was set in the
-        series-start ``snapshot_words`` or by an insert at position
-        ``j < i``, with no flash-clear of that bloom in between. Bits
-        only ever turn on between clears, so per (generation, segment
-        between clears) one first-set-position array over the filter's
-        bits answers every check in the segment vectorized.
-
-        Equivalent to interleaving scalar ``check_recent_eviction`` /
-        ``on_replacement`` / clears in series order; the hypothesis
-        suite pins that equivalence.
-        """
-        m = len(cand_pos)
-        if m == 0:
-            return np.zeros(0, dtype=bool)
-        n_bits = self._blooms[0].n_bits
-        n_hashes = self._blooms[0].n_hashes
-        pos = np.asarray(cand_pos, dtype=np.int64)
-        cand_idx = hash_indices_batch(cand_keys, n_bits, n_hashes)
-        verdict = np.zeros(m, dtype=bool)
-        u1, u6, u63 = np.uint64(1), np.uint64(6), np.uint64(63)
-        for g in range(self.generations):
-            g_clears = sorted(c for c, gg in clears if gg == g)
-            ipos_list = ins_pos[g]
-            if ipos_list:
-                ipos = np.asarray(ipos_list, dtype=np.int64)
-                iidx = hash_indices_batch(ins_keys[g], n_bits, n_hashes)
-            else:
-                ipos = np.zeros(0, dtype=np.int64)
-                iidx = np.zeros((0, n_hashes), dtype=np.uint64)
-            snap = np.asarray(snapshot_words[g], dtype=np.uint64)
-            # Segment s covers positions (bounds[s], bounds[s+1]]: a clear
-            # at position c happens after position c's check and insert,
-            # so both belong to the segment the clear terminates.
-            bounds = [-1] + g_clears + [n]
-            for s in range(len(bounds) - 1):
-                lo, hi = bounds[s], bounds[s + 1]
-                cmask = (pos > lo) & (pos <= hi)
-                if not cmask.any():
-                    continue
-                cidx = cand_idx[cmask]
-                # first[c, h] = earliest position whose insert set this
-                # probe's bit within the segment (-1: set at segment
-                # start, n: never). Segments after a clear start empty.
-                if s == 0:
-                    in_snap = (snap[cidx >> u6] >> (cidx & u63)) & u1
-                    first = np.where(
-                        in_snap.astype(bool), np.int64(-1), np.int64(n)
-                    )
-                else:
-                    first = np.full(cidx.shape, n, dtype=np.int64)
-                imask = (ipos > lo) & (ipos <= hi)
-                if imask.any():
-                    # Min insert position per distinct bit, by (bit, pos)
-                    # lexsort + first-occurrence compaction, then mapped
-                    # onto the candidates' probe bits via searchsorted.
-                    fb = iidx[imask].ravel()
-                    fp = np.repeat(ipos[imask], n_hashes)
-                    order = np.lexsort((fp, fb))
-                    fb, fp = fb[order], fp[order]
-                    keep = np.empty(fb.size, dtype=bool)
-                    keep[0] = True
-                    keep[1:] = fb[1:] != fb[:-1]
-                    ubits, upos = fb[keep], fp[keep]
-                    loc = np.minimum(
-                        np.searchsorted(ubits, cidx), ubits.size - 1
-                    )
-                    hit = ubits[loc] == cidx
-                    first = np.minimum(
-                        first, np.where(hit, upos[loc], np.int64(n))
-                    )
-                verdict[cmask] |= first.max(axis=1) < pos[cmask]
-        return verdict
 
     # -------------------------------------------------------------- state
 
@@ -482,7 +387,7 @@ class DictGenerationConflictTracker:
         n_rows = G + n_adv
         table = np.full(n_rows * n_bits, n, dtype=np.int64)
         opening = np.concatenate(
-            [self._blooms[(inc_lo + row) % G]._bits for row in range(G)]
+            [self._blooms[(inc_lo + row) % G].bits for row in range(G)]
         )
         table[: G * n_bits][opening] = -1
         if ins_pos.size:
@@ -511,10 +416,8 @@ class DictGenerationConflictTracker:
         for row in range(n_rows - G, n_rows):
             bloom = self._blooms[(inc_lo + row) % G]
             kept = bloom.insertions if row < G else 0
-            bloom.assign_bits(
-                table[row * n_bits:(row + 1) * n_bits] < n,
-                kept + int(inserted[row]),
-            )
+            bloom.bits[:] = table[row * n_bits:(row + 1) * n_bits] < n
+            bloom.insertions = kept + int(inserted[row])
         last = np.append(first[1:], True)
         stay = last & acc
         last_touch.update(

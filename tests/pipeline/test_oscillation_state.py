@@ -10,12 +10,10 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.report import UnitVerdict
-from repro.errors import DetectionError
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline import (
     ConflictRecords,
@@ -58,8 +56,10 @@ def _pingpong(quantum, sets=32, rounds=8):
 
 def _random_quantum(rng, quantum):
     """A square wave of random half-period with random label flips, on
-    a random context pair, plus same-context and stray records."""
-    n = int(rng.integers(0, 600))
+    a random context pair, plus same-context and stray records. Up to
+    2,400 records, so windows down to a twentieth of the quantum can
+    clear the analyzer's 64-event floor."""
+    n = int(rng.integers(0, 2_400))
     half = int(rng.integers(1, 40))
     flip = float(rng.choice([0.0, 0.02, 0.2, 0.5]))
     a, b = (int(c) for c in rng.choice(4, size=2, replace=False))
@@ -71,22 +71,6 @@ def _random_quantum(rng, quantum):
     reps = np.concatenate([reps, rng.integers(0, 4, size=strays)])
     vics = np.concatenate([vics, rng.integers(0, 4, size=strays)])
     return _observation(quantum, reps, vics)
-
-
-class TestMaxLag:
-    @pytest.mark.parametrize("max_lag", (-1, 0, 1, 2))
-    def test_below_three_fails_at_construction(self, max_lag):
-        """Every window's correlogram would be shorter than the four lags
-        the analysis needs, so the session would quarantine the analyzer
-        at its first window."""
-        with pytest.raises(DetectionError, match="max_lag"):
-            OscillationAnalyzer(max_lag=max_lag, metrics=MetricsRegistry())
-
-    def test_three_analyzes_windows(self):
-        analyzer = OscillationAnalyzer(max_lag=3, metrics=MetricsRegistry())
-        analyzer.push(_pingpong(0))
-        assert analyzer.windows_analyzed == 1
-        assert analyzer.last_acf.size == 4
 
 
 class TestTalliesMatchAnalysisList:
@@ -103,10 +87,7 @@ class TestTalliesMatchAnalysisList:
         )
         analyzer = session.add_analyzer(
             OscillationAnalyzer(
-                window_fraction=fraction,
-                max_lag=60,
-                min_train_events=8,
-                metrics=session.metrics,
+                window_fraction=fraction, metrics=session.metrics
             )
         )
         analyses, quanta = [], []

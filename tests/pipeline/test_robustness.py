@@ -239,20 +239,15 @@ def _streams(draw):
         burst = draw(_counts)
         if burst is not None:
             counts["membus"] = np.asarray(burst, dtype=np.int64)
-        n = draw(st.integers(min_value=0, max_value=24))
-        times = np.sort(
-            draw(st.lists(
-                st.integers(min_value=0, max_value=999),
-                min_size=n, max_size=n,
-            ))
-        ).astype(np.int64) + quantum * 1000
-        contexts = st.lists(
-            st.integers(min_value=0, max_value=7), min_size=n, max_size=n
-        )
+        # Up to 160 records over few contexts, so some windows' dominant
+        # pair clears the oscillation analyzer's 64-event floor.
+        n = draw(st.integers(min_value=0, max_value=160))
+        n_contexts = draw(st.integers(min_value=1, max_value=8))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         conflicts = ConflictRecords(
-            times=times,
-            replacers=np.asarray(draw(contexts), dtype=np.int64),
-            victims=np.asarray(draw(contexts), dtype=np.int64),
+            times=np.sort(rng.integers(0, 1000, size=n)) + quantum * 1000,
+            replacers=rng.integers(0, n_contexts, size=n),
+            victims=rng.integers(0, n_contexts, size=n),
         )
         stream.append(_obs(quantum, counts, conflicts))
     return stream
@@ -264,9 +259,7 @@ class TestAnalyzersNeverRaise:
     def test_well_typed_streams_only_move_health(self, stream):
         session = DetectionSession()
         session.add_analyzer(BurstAnalyzer(unit="membus", dt=100))
-        session.add_analyzer(OscillationAnalyzer(
-            unit="cache", max_lag=50, min_train_events=8
-        ))
+        session.add_analyzer(OscillationAnalyzer(unit="cache"))
         for obs in stream:
             session.push_quantum(obs)
         report = session.current_verdicts()
