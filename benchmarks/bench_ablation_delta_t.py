@@ -24,7 +24,7 @@ def sweep_delta_t():
         "membus", Message.random(16, 1), bandwidth_bps=10.0, seed=1
     )
     horizon = run.quanta * run.machine.quantum_cycles
-    times = run.machine.bus_lock_tap.times_in(0, horizon)
+    times = run.machine.bus_lock_tap.window_reader().read(0, horizon)
     train = EventTrain(times)
     rows = []
     for dt in (1_000, 10_000, 100_000, 1_000_000, 10_000_000):

@@ -23,7 +23,7 @@ from repro.workloads.filebench import webserver
 
 def _window_series(machine, quanta):
     horizon = quanta * machine.quantum_cycles
-    times, reps, vics = machine.cache_miss_tap.records_in(0, horizon)
+    times, reps, vics = machine.cache_miss_tap.window_reader().read(0, horizon)
     out = []
     for q in range(quanta):
         t0, t1 = q * machine.quantum_cycles, (q + 1) * machine.quantum_cycles

@@ -39,7 +39,7 @@ def run_with_tracker(tracker_factory, seed=1):
     )
     machine.run_quanta(quanta)
     verdict = hunter.report().verdicts[0]
-    return verdict, machine.cache_miss_tap.count
+    return verdict, machine.l2.conflict_misses
 
 
 def test_ablation_tracker(benchmark):

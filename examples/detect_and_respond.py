@@ -56,7 +56,8 @@ def main() -> None:
     print(f"channel BER: {channel.bit_error_rate():.3f}")
     print(verdict.summary())
 
-    _, reps, vics = machine.cache_miss_tap.records()
+    horizon = machine.quanta_completed * machine.quantum_cycles
+    _, reps, vics = machine.cache_miss_tap.window_reader().read(0, horizon)
     _, _, pair = dominant_pair_series(reps, vics)
     print(f"suspect context pair from the conflict train: {pair}")
     print(f"(ground truth: trojan ctx {channel.trojan_ctx}, "

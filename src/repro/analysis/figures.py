@@ -235,7 +235,7 @@ def fig4_event_trains(
     bus_run = run_channel_session("membus", message, bandwidth_bps, seed=seed)
     div_run = run_channel_session("divider", message, bandwidth_bps, seed=seed)
     horizon = bus_run.quanta * bus_run.machine.quantum_cycles
-    bus_times = bus_run.machine.bus_lock_tap.times_in(0, horizon)
+    bus_times = bus_run.machine.bus_lock_tap.window_reader().read(0, horizon)
     div_times = div_run.machine.divider_wait_tap_for(0).materialize_times(
         0, horizon, max_events=20_000
     )
@@ -422,7 +422,9 @@ def fig8_cache_autocorrelogram(
         "cache", message, bandwidth_bps, seed=seed, n_sets_total=n_sets
     )
     horizon = run.quanta * run.machine.quantum_cycles
-    times, reps, vics = run.machine.cache_miss_tap.records_in(0, horizon)
+    times, reps, vics = run.machine.cache_miss_tap.window_reader().read(
+        0, horizon
+    )
     # As in the detector, autocorrelate the dominant cross-context pair's
     # event series ('S→T' = 0, 'T→S' = 1). Noise conflicts involving the
     # pair still land in the series (they perturb it, shifting the peak
@@ -633,7 +635,9 @@ def fig11_window_scaling(
         "cache", message, bandwidth_bps, seed=seed, n_sets_total=cache_sets
     )
     horizon = run.quanta * run.machine.quantum_cycles
-    times, reps, vics = run.machine.cache_miss_tap.records_in(0, horizon)
+    times, reps, vics = run.machine.cache_miss_tap.window_reader().read(
+        0, horizon
+    )
     spec = TrialSpec(
         fn=_fig11_fraction,
         common={

@@ -12,6 +12,25 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
 
+#: Width of a hardware context id: the CC-auditor's vector registers
+#: record 3-bit replacer and victim ids (Section V-A).
+CONTEXT_ID_BITS = 3
+
+
+def context_ids_fit(ids) -> bool:
+    """Whether every id in the integer array ``ids`` fits in
+    :data:`CONTEXT_ID_BITS` bits (an empty array does)."""
+    return ids.size == 0 or (ids.min() >= 0 and ids.max() < 1 << CONTEXT_ID_BITS)
+
+
+#: Paper constants for Δt, Section IV-B step 1.
+MEMBUS_DELTA_T_CYCLES = 100_000
+DIVIDER_DELTA_T_CYCLES = 500
+
+#: Detection thresholds from Section IV-B steps 4-5.
+LIKELIHOOD_RATIO_THRESHOLD = 0.5
+CLUSTERING_WINDOW_QUANTA = 512
+
 
 @dataclass(frozen=True)
 class CacheConfig:
@@ -150,7 +169,7 @@ class AuditorConfig:
     accumulator_bits: int = 16
     countdown_bits: int = 32
     vector_register_bytes: int = 128
-    context_id_bits: int = 3
+    context_id_bits: int = CONTEXT_ID_BITS
     generations: int = 4
     bloom_hashes: int = 3
 
@@ -175,11 +194,3 @@ class AuditorConfig:
     def histogram_entry_max(self) -> int:
         return (1 << self.histogram_entry_bits) - 1
 
-
-#: Paper constants for Δt, Section IV-B step 1.
-MEMBUS_DELTA_T_CYCLES = 100_000
-DIVIDER_DELTA_T_CYCLES = 500
-
-#: Detection thresholds from Section IV-B steps 4-5.
-LIKELIHOOD_RATIO_THRESHOLD = 0.5
-CLUSTERING_WINDOW_QUANTA = 512

@@ -28,9 +28,9 @@ from repro.util.stats import sample_counts_to_histogram
 class DensitySource(Protocol):
     """Anything that can report event counts per Δt window.
 
-    Satisfied by :class:`~repro.core.event_train.EventTrain`, by the sim's
-    sparse :class:`~repro.sim.events.EventTap`, and by the dense
-    :class:`~repro.sim.events.RateSegmentTap`.
+    Satisfied by :class:`~repro.core.event_train.EventTrain`. The sim's
+    taps report theirs through window readers (``read_counts``), which
+    the streaming path folds into the auditor's monitor slots instead.
     """
 
     def density_counts(self, dt: int, t0: int, t1: int) -> np.ndarray: ...

@@ -15,11 +15,8 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.config import CONTEXT_ID_BITS
 from repro.errors import DetectionError
-
-#: Width of a context id (the paper's 3-bit ids): a context pair packs
-#: into ``lo << _CONTEXT_ID_BITS | hi``.
-_CONTEXT_ID_BITS = 3
 
 
 class EventTrain:
@@ -75,6 +72,9 @@ def dominant_pair_series(
     (the paper's 'S→T' = 0 / 'T→S' = 1), and returns
     ``(labels, event_indices, (ctx_a, ctx_b))``. ``event_indices`` maps
     back into the input arrays. Same-context events never form a pair.
+    A pair packs into ``lo << CONTEXT_ID_BITS | hi``, so ids must fit in
+    :data:`~repro.config.CONTEXT_ID_BITS` bits; the taps and decoders
+    that feed this function refuse any that do not.
 
     Restricting the oscillation analysis to one candidate pair keeps
     unrelated contexts' conflicts — whose identifier values would
@@ -90,12 +90,12 @@ def dominant_pair_series(
         return empty, empty, (-1, -1)
     lo = np.minimum(reps, vics)
     hi = np.maximum(reps, vics)
-    unordered = (lo << _CONTEXT_ID_BITS) | hi
+    unordered = (lo << CONTEXT_ID_BITS) | hi
     unordered[~cross] = -1
     candidates, counts = np.unique(unordered[cross], return_counts=True)
     winner = int(candidates[np.argmax(counts)])
-    ctx_a = winner >> _CONTEXT_ID_BITS
-    ctx_b = winner & ((1 << _CONTEXT_ID_BITS) - 1)
+    ctx_a = winner >> CONTEXT_ID_BITS
+    ctx_b = winner & ((1 << CONTEXT_ID_BITS) - 1)
     member = cross & (unordered == winner)
     indices = np.nonzero(member)[0]
     labels = (reps[indices] == ctx_a).astype(np.int64)

@@ -35,6 +35,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.config import CONTEXT_ID_BITS, context_ids_fit
 from repro.core.report import UnitVerdict
 from repro.errors import DetectionError
 from repro.obs.tracing import TraceContext
@@ -169,6 +170,12 @@ def observation_from_dict(payload: Any) -> QuantumObservation:
                 f"{what}.conflicts: ragged columns (lengths "
                 f"{sorted(c.size for c in columns.values())})"
             )
+        for field in ("replacers", "victims"):
+            if not context_ids_fit(columns[field]):
+                raise CodecError(
+                    f"{what}.conflicts.{field}: context ids must fit in "
+                    f"{CONTEXT_ID_BITS} bits"
+                )
         conflicts = ConflictRecords(
             times=columns["times"],
             replacers=columns["replacers"],

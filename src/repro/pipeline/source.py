@@ -15,9 +15,10 @@ implementation, replaying recorded archives through the same interface.
 The machine source is *columnar* (docs/PERFORMANCE.md): each tap read
 goes through an incremental window reader that consumes the tap's
 append-only numpy columns once, instead of re-sorting the tap's whole
-history at every quantum boundary. The taps' full-history reads
-(``density_counts``, ``records_in``) stay the reference the
-``parity``-marked tests compare every observation against.
+history at every quantum boundary. Window readers are the taps' only
+read path; the ``parity``-marked tests compare every observation
+against references kept in the tests (a stable sort of everything a tap
+recorded, and the per-window segment kernel).
 """
 
 from __future__ import annotations

@@ -105,7 +105,7 @@ class MemoryBus:
         )
         self._row_starts.append(start)
         self._row_reach.append(reach)
-        self.lock_tap.record_grid(start, count, period, ctx)
+        self.lock_tap.record_grid(start, count, period)
         self.total_locks += count
         return int(start + count * period)
 
@@ -128,7 +128,7 @@ class MemoryBus:
             start + np.sort(self._rng.integers(0, duration, size=n))
         ).astype(np.int64)
         self._insert_singles(times)
-        self.lock_tap.record_batch(times, ctx)
+        self.lock_tap.record_batch(times)
         self.total_locks += n
 
     def _insert_singles(self, times: np.ndarray) -> None:

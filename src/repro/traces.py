@@ -22,6 +22,7 @@ from zipfile import BadZipFile
 
 import numpy as np
 
+from repro.config import CONTEXT_ID_BITS, context_ids_fit
 from repro.core.density import default_delta_t
 from repro.core.report import DetectionReport
 from repro.errors import DetectionError, TraceCorruptionError
@@ -126,7 +127,7 @@ def export_traces(
     if quanta <= 0:
         raise DetectionError("nothing recorded: run at least one quantum")
     horizon = quanta * machine.quantum_cycles
-    times, reps, vics = machine.cache_miss_tap.records_in(0, horizon)
+    times, reps, vics = machine.cache_miss_tap.window_reader().read(0, horizon)
     divider_dt = default_delta_t("divider")
     multiplier_dt = default_delta_t("multiplier")
     payload = {
@@ -135,7 +136,9 @@ def export_traces(
         "n_quanta": np.array([quanta]),
         "divider_dt": np.array([divider_dt]),
         "multiplier_dt": np.array([multiplier_dt]),
-        "bus_lock_times": machine.bus_lock_tap.times_in(0, horizon),
+        "bus_lock_times": machine.bus_lock_tap.window_reader().read(
+            0, horizon
+        ),
         "cache_times": times,
         "cache_replacers": reps,
         "cache_victims": vics,
@@ -143,12 +146,12 @@ def export_traces(
     divider_counts: Dict[int, np.ndarray] = {}
     multiplier_counts: Dict[int, np.ndarray] = {}
     for core in range(machine.config.n_cores):
-        div = machine.divider_wait_tap_for(core).density_counts(
+        div = machine.divider_wait_tap_for(core).window_reader().read_counts(
             divider_dt, 0, horizon
-        ).astype(np.int32)
-        mul = machine.multiplier_wait_tap_for(core).density_counts(
+        ).expand().astype(np.int32)
+        mul = machine.multiplier_wait_tap_for(core).window_reader().read_counts(
             multiplier_dt, 0, horizon
-        ).astype(np.int32)
+        ).expand().astype(np.int32)
         divider_counts[core] = div
         multiplier_counts[core] = mul
         payload[f"divider_wait_counts_{core}"] = div
@@ -271,6 +274,12 @@ def load_traces(
             _log.warning(
                 "%s: record %r failed integrity check; blanked "
                 "(unit %r will replay degraded)", src, key, channel,
+            )
+    for key in ("cache_replacers", "cache_victims"):
+        if not context_ids_fit(payload[key]):
+            raise TraceCorruptionError(
+                f"{src}: {key} holds context ids that do not fit in "
+                f"{CONTEXT_ID_BITS} bits"
             )
     divider_counts: Dict[int, np.ndarray] = {}
     multiplier_counts: Dict[int, np.ndarray] = {}

@@ -63,7 +63,9 @@ class TestConflictTrain:
         """After warmup, the pair's conflict train alternates phases of one
         event per swept set — the wavelength equals the total sets used."""
         machine, channel = run_channel(message8)
-        _, reps, vics = machine.cache_miss_tap.records()
+        _, reps, vics = machine.cache_miss_tap.window_reader().read(
+            0, channel.transmission_end
+        )
         labels, _, pair = dominant_pair_series(reps, vics)
         assert set(pair) == {channel.trojan_ctx, channel.spy_ctx}
         changes = np.nonzero(np.diff(labels))[0]
@@ -163,7 +165,9 @@ class TestEvasionKnobs:
             < 0.8 * clean_machine.cache_miss_tap.count
         )
         # Surviving rounds still produce full half-group runs.
-        _, reps, vics = machine.cache_miss_tap.records()
+        _, reps, vics = machine.cache_miss_tap.window_reader().read(
+            0, channel.transmission_end
+        )
         labels, _, _ = dominant_pair_series(reps, vics)
         changes = np.nonzero(np.diff(labels))[0]
         runs = np.diff(np.concatenate([[0], changes + 1, [labels.size]]))
@@ -171,7 +175,9 @@ class TestEvasionKnobs:
 
     def test_subset_shortens_runs(self, message8):
         machine, channel = run_channel(message8, evasion_subset_frac=0.4)
-        _, reps, vics = machine.cache_miss_tap.records()
+        _, reps, vics = machine.cache_miss_tap.window_reader().read(
+            0, channel.transmission_end
+        )
         labels, _, _ = dominant_pair_series(reps, vics)
         changes = np.nonzero(np.diff(labels))[0]
         runs = np.diff(np.concatenate([[0], changes + 1, [labels.size]]))

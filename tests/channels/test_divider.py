@@ -53,9 +53,9 @@ class TestTransmission:
 class TestIndicatorEvents:
     def test_wait_events_only_for_ones(self):
         machine, channel = run_channel(Message.from_bits([1, 0, 0, 1]))
-        counts = machine.divider_wait_tap_for(0).density_counts(
+        counts = machine.divider_wait_tap_for(0).window_reader().read_counts(
             channel.bit_period, 0, channel.transmission_end
-        )
+        ).expand()
         assert counts[0] > 0
         assert counts[1] == 0
         assert counts[2] == 0
@@ -64,9 +64,9 @@ class TestIndicatorEvents:
     def test_wait_density_near_paper_mode(self):
         """~96 wait events per 500-cycle window while saturated (Fig 6b)."""
         machine, channel = run_channel(Message.from_bits([1, 1]))
-        counts = machine.divider_wait_tap_for(0).density_counts(
+        counts = machine.divider_wait_tap_for(0).window_reader().read_counts(
             500, 0, channel.transmission_end
-        )
+        ).expand()
         busy = counts[counts > 0]
         assert 88 <= np.median(busy) <= 104
 

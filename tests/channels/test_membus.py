@@ -56,7 +56,9 @@ class TestTransmission:
 class TestIndicatorEvents:
     def test_lock_events_only_for_ones(self, message8):
         machine, channel = run_channel(message8)
-        times = machine.bus_lock_tap.times()
+        times = machine.bus_lock_tap.window_reader().read(
+            0, channel.transmission_end
+        )
         bit_idx = times // channel.bit_period
         bits = np.asarray(message8.bits)[np.minimum(bit_idx, 7)]
         assert (bits == 1).all()
@@ -69,9 +71,9 @@ class TestIndicatorEvents:
     def test_burst_density_near_paper_bin(self, message8):
         """~20 lock events per Δt = 100k cycles during '1' bits (Fig 6a)."""
         machine, channel = run_channel(Message.from_bits([1] * 4))
-        counts = machine.bus_lock_tap.density_counts(
+        counts = machine.bus_lock_tap.window_reader().read_counts(
             100_000, 0, channel.transmission_end
-        )
+        ).values
         busy = counts[counts > 0]
         assert 18 <= np.median(busy) <= 21
 

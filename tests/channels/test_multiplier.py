@@ -44,9 +44,8 @@ class TestIndicatorEvents:
     def test_wait_density_lower_than_divider(self):
         """The multiplier's pipelined contention fires sparser events."""
         machine, channel = run_channel(Message.from_bits([1, 1]))
-        counts = machine.multiplier_wait_tap_for(0).density_counts(
-            500, 0, channel.transmission_end
-        )
+        reader = machine.multiplier_wait_tap_for(0).window_reader()
+        counts = reader.read_counts(500, 0, channel.transmission_end).expand()
         busy = counts[counts > 0]
         assert 40 <= np.median(busy) <= 55  # ~48 vs the divider's ~96
 

@@ -38,6 +38,7 @@ from tests.sim.cache_reference import (
     access_series_per_access,
     random_traffic_per_access,
 )
+from tests.sim.tap_reference import recorded_records
 
 pytestmark = pytest.mark.parity
 
@@ -123,7 +124,7 @@ def tracker_observables(cache):
 
 
 def cache_observables(cache):
-    times, replacers, victims = cache.miss_tap.records()
+    times, replacers, victims = recorded_records(cache.miss_tap)
     return (
         (cache.hits, cache.misses, cache.conflict_misses),
         cache._jitter_idx,

@@ -106,14 +106,21 @@ def run_session(kind, throttle=None, fuzz=None, partition=None, subset=1.0):
     else:
         observed = np.asarray(channel.g1_means + channel.g0_means)
     l2 = machine.l2
+    # Everything the session recorded: a throttle stretches bursts past
+    # the last quantum.
+    horizon = np.iinfo(np.int64).max
     return {
         "report": hunter.report().to_dict(),
         "ber": channel.bit_error_rate(),
         "spy_latencies_sha256": _sha256(observed),
         "l2": [l2.hits, l2.misses, l2.conflict_misses],
         "jitter_idx": l2._jitter_idx,
-        "conflict_train_sha256": _sha256(*machine.cache_miss_tap.records()),
-        "bus_lock_times_sha256": _sha256(machine.bus_lock_tap.times()),
+        "conflict_train_sha256": _sha256(
+            *machine.cache_miss_tap.window_reader().read(0, horizon)
+        ),
+        "bus_lock_times_sha256": _sha256(
+            machine.bus_lock_tap.window_reader().read(0, horizon)
+        ),
         "locks_delayed": None if locks is None else locks.locks_delayed,
         "cross_group_evictions_prevented": (
             None if ways is None else ways.cross_group_evictions_prevented

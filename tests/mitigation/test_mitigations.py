@@ -43,9 +43,9 @@ class TestBusLockThrottle:
         machine = Machine(seed=5)
         apply_bus_lock_throttle(machine, min_period=100_000)
         channel = run_bus_channel(machine)
-        counts = machine.bus_lock_tap.density_counts(
+        counts = machine.bus_lock_tap.window_reader().read_counts(
             100_000, 0, channel.transmission_end
-        )
+        ).values
         assert counts.max() <= 2  # vs ~20 unthrottled
 
     def test_throttle_breaks_decode(self):
@@ -98,9 +98,11 @@ class TestCachePartition:
         assert baseline_machine.cache_miss_tap.count > 100
 
         partition_cache_ways(machine, suspect_contexts=(0, 2))
-        run_cache_channel(machine)
+        channel = run_cache_channel(machine)
         # No cross-group evictions -> no trojan/spy conflict events.
-        _, reps, vics = machine.cache_miss_tap.records()
+        _, reps, vics = machine.cache_miss_tap.window_reader().read(
+            0, channel.transmission_end + 1
+        )
         pair_events = (
             ((reps == 0) & (vics == 2)) | ((reps == 2) & (vics == 0))
         ).sum()

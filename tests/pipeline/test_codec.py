@@ -19,6 +19,7 @@ from repro.pipeline import (
     ChannelSpec,
     CodecError,
     ConflictRecords,
+    OscillationAnalyzer,
     QuantumObservation,
     WindowCounts,
     channel_spec_from_dict,
@@ -155,6 +156,52 @@ class TestObservationStrictness:
     def test_non_object_rejected(self):
         with pytest.raises(CodecError, match="JSON object"):
             observation_from_dict([1, 2, 3])
+
+
+def _pingpong(quantum, a, b, n=512, phase=32, span=1_000_000):
+    """One quantum of a covert cache train between contexts ``a`` and
+    ``b``: ``phase`` conflicts of ``a`` replacing ``b``, then ``phase``
+    of ``b`` replacing ``a``, alternating."""
+    t0 = quantum * span
+    forward = (np.arange(n) // phase) % 2 == 0
+    return QuantumObservation(
+        quantum=quantum,
+        t0=t0,
+        t1=t0 + span,
+        counts={},
+        conflicts=ConflictRecords(
+            times=t0 + np.arange(n, dtype=np.int64) * (span // n),
+            replacers=np.where(forward, a, b).astype(np.int64),
+            victims=np.where(forward, b, a).astype(np.int64),
+        ),
+    )
+
+
+class TestConflictContextIds:
+    """A context pair packs into ``lo << 3 | hi`` for the oscillation
+    analysis, so a decoded id wider than 3 bits would alias another pair
+    (0 and 9 read as 1 and 1) and silently hide the channel."""
+
+    def test_three_bit_pair_round_trips_and_detects(self):
+        analyzer = OscillationAnalyzer()
+        for q in range(4):
+            payload = observation_to_dict(_pingpong(q, 0, 2))
+            analyzer.push(observation_from_dict(json.loads(json.dumps(payload))))
+        verdict = analyzer.verdict()
+        assert verdict.detected
+        assert verdict.oscillating_windows == 4
+
+    def test_wide_context_ids_rejected(self):
+        for a, b in ((0, 9), (2, 8)):
+            payload = observation_to_dict(_pingpong(0, a, b))
+            with pytest.raises(CodecError, match="fit in 3 bits"):
+                observation_from_dict(payload)
+
+    def test_negative_context_id_rejected(self):
+        payload = observation_to_dict(_obs())
+        payload["conflicts"]["victims"][1] = -1
+        with pytest.raises(CodecError, match="victims"):
+            observation_from_dict(payload)
 
 
 class TestVerdictRoundTrip:

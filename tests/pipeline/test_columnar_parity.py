@@ -1,10 +1,12 @@
-"""Exact-parity proof: tap window reads vs full-history reads.
+"""Exact-parity proof: tap window reads vs reference reads.
 
 The machine source reads every tap through an incremental window reader
-(docs/PERFORMANCE.md, "Columnar hot path"). The taps' full-history
-reads stay the reference: ``density_counts`` for each burst channel
-(a rate-segment tap's runs are expanded to one count per window first)
-and ``records_in`` for the conflict channel. One seeded session per channel
+(docs/PERFORMANCE.md, "Columnar hot path"). The references read what
+each tap recorded directly (``tests/sim/tap_reference.py``): a stable
+sort of every bus lock, counted per Δt window; the per-window segment
+kernel over every divider segment (a rate-segment tap's runs are
+expanded to one count per window first); and a stable sort of every
+conflict record for the conflict channel. One seeded session per channel
 family records every observation the analyzers receive and checks it
 against the reference reads of that quantum's window. Analyzers are a
 pure function of their observations, so equal observations give equal
@@ -17,7 +19,9 @@ import pytest
 
 from repro.analysis.figures import run_channel_session
 from repro.faults.injectors import FaultInjector
+from repro.sim.events import RateSegmentTap
 from repro.util.bitstream import Message
+from tests.sim import tap_reference as ref
 
 pytestmark = pytest.mark.parity
 
@@ -58,7 +62,12 @@ def test_observations_match_full_history_reads(kind):
             # The tap kind decides the form: runs from the divider's
             # rate segments, one entry per window from bus locks.
             assert (counts.lengths is not None) == (kind == "divider")
-            want = tap.density_counts(spec.dt, obs.t0, obs.t1)
+            density = (
+                ref.segment_density_counts
+                if isinstance(tap, RateSegmentTap)
+                else ref.event_density_counts
+            )
+            want = density(tap, spec.dt, obs.t0, obs.t1)
             assert len(counts) == want.size
             np.testing.assert_array_equal(counts.expand(), want)
             events += counts.total()
@@ -67,7 +76,7 @@ def test_observations_match_full_history_reads(kind):
             continue
         # The vector registers drain losslessly, so the labels the
         # auditor hands on equal the tap's own records exactly.
-        reference = run.machine.cache_miss_tap.records_in(obs.t0, obs.t1)
+        reference = ref.records_in(run.machine.cache_miss_tap, obs.t0, obs.t1)
         observed = obs.conflicts
         for got, want in zip(
             (observed.times, observed.replacers, observed.victims), reference

@@ -3,12 +3,13 @@
 A rate-segment tap's reader returns each quantum's counts as runs of
 equal-valued windows (:func:`repro.sim.events.segment_count_runs`), and
 the auditor slot folds runs with a length-weighted bincount. The
-references are the full-history ``RateSegmentTap.density_counts`` column
-and the slot's fold of the runs' expansion. Hypothesis drives:
+references are the per-window segment kernel ``spread_segment_counts``
+over everything the tap recorded (``tests/sim/tap_reference.py``) and the
+slot's fold of the runs' expansion. Hypothesis drives:
 
-- the run kernel through segments that straddle quanta, sparse events
-  inside segment runs, counts that land on x.5, a last window cut short,
-  quanta with no segments, and segments recorded out of start order;
+- the run kernel through segments that straddle quanta, counts that land
+  on x.5, a last window cut short, quanta with no segments, and segments
+  recorded out of start order;
 - the run fold through counts above the 16-bit accumulator and runs long
   enough to saturate a histogram entry;
 
@@ -28,6 +29,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.pipeline import BurstAnalyzer, QuantumObservation, WindowCounts
 from repro.sim.events import RateSegmentTap
 from repro.util.bitstream import Message
+from tests.sim.tap_reference import segment_density_counts
 
 pytestmark = pytest.mark.parity
 
@@ -60,14 +62,13 @@ def _sessions(draw):
     )
     # Each batch is recorded in drawn order, so starts are unsorted.
     batches = draw(st.lists(st.lists(segment, max_size=8), max_size=4))
-    sparse = draw(st.lists(st.integers(0, span - 1), max_size=12))
-    return dt, quantum, n_quanta, batches, sparse
+    return dt, quantum, n_quanta, batches
 
 
 @settings(max_examples=200, deadline=None)
 @given(_sessions())
 def test_reader_runs_expand_to_density_counts(session):
-    dt, quantum, n_quanta, batches, sparse = session
+    dt, quantum, n_quanta, batches = session
     tap = RateSegmentTap("divider")
     for batch in batches:
         starts, lengths, rates = (
@@ -78,12 +79,11 @@ def test_reader_runs_expand_to_density_counts(session):
             )
         )
         tap.record_segments_batch(starts, starts + lengths, rates)
-    tap.record_batch(np.array(sparse, dtype=np.int64))
     reader = tap.window_reader()
     for q in range(n_quanta):
         t0, t1 = q * quantum, (q + 1) * quantum
         runs = reader.read_counts(dt, t0, t1)
-        want = tap.density_counts(dt, t0, t1)
+        want = segment_density_counts(tap, dt, t0, t1)
         _assert_canonical(runs)
         assert len(runs) == want.size
         np.testing.assert_array_equal(runs.expand(), want)
@@ -92,7 +92,7 @@ def test_reader_runs_expand_to_density_counts(session):
 
 def test_quantum_without_segments_is_one_run():
     tap = RateSegmentTap("divider")
-    tap.record_segment(200_000, 250_000, 0.25)
+    tap.record_segments_batch([200_000], [250_000], [0.25])
     reader = tap.window_reader()
     runs = reader.read_counts(500, 0, 100_000)
     assert runs.values.tolist() == [0]
@@ -114,7 +114,7 @@ def test_segments_recorded_between_reads():
         runs = reader.read_counts(500, t0, t1)
         _assert_canonical(runs)
         np.testing.assert_array_equal(
-            runs.expand(), tap.density_counts(500, t0, t1)
+            runs.expand(), segment_density_counts(tap, 500, t0, t1)
         )
 
 
@@ -216,7 +216,7 @@ def test_source_metrics_count_every_window_of_a_run():
     tap = run.machine.divider_wait_tap_for(0)
     span = run.hunter.source.quantum_cycles
     columns = [
-        tap.density_counts(spec.dt, q * span, (q + 1) * span)
+        segment_density_counts(tap, spec.dt, q * span, (q + 1) * span)
         for q in range(run.quanta)
     ]
     events = sum(int(column.sum()) for column in columns)

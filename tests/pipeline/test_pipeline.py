@@ -283,7 +283,7 @@ class TestOscillationAnalyzerIncremental:
         incremental = hunter.cache_analyses()
         assert incremental
 
-        times, reps, vics = small_machine.cache_miss_tap.records_in(
+        times, reps, vics = small_machine.cache_miss_tap.window_reader().read(
             0, small_machine.quantum_cycles
         )
         labels, _idx, _pair = dominant_pair_series(reps, vics)

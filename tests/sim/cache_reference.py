@@ -76,7 +76,7 @@ class PerAccessCache(SharedCache):
             self.tracker.on_access(key)
             if is_conflict and victim_owner is not None:
                 self.conflict_misses += 1
-                self.miss_tap.record(time, ctx, victim_owner)
+                self.miss_tap.record_batch([time], [ctx], [victim_owner])
             latency = self.config.miss_latency
         if self.latency_jitter:
             pool = self._jitter_pool

@@ -29,7 +29,8 @@ class TestLockBurst:
     def test_lock_events_recorded(self, bus):
         end = bus.lock_burst(ctx=0, start=0, count=5, period=5000)
         assert end == 25_000
-        assert bus.lock_tap.times().tolist() == [0, 5000, 10000, 15000, 20000]
+        times = bus.lock_tap.window_reader().read(0, end)
+        assert times.tolist() == [0, 5000, 10000, 15000, 20000]
 
     def test_bad_burst_rejected(self, bus):
         with pytest.raises(SimulationError):
@@ -99,7 +100,7 @@ class TestNoiseLocks:
 
     def test_noise_locks_contend(self, bus):
         bus.noise_locks(ctx=3, start=0, duration=100_000, rate_per_cycle=0.001)
-        times = bus.lock_tap.times()
+        times = bus.lock_tap.window_reader().read(0, 100_000)
         assert bus.locked_at(times).all()
 
 
@@ -110,9 +111,9 @@ class _RecordingTap(EventTap):
         super().__init__("lock")
         self.batches = []
 
-    def record_batch(self, times, ctx):
+    def record_batch(self, times):
         self.batches.append(np.array(times, dtype=np.int64))
-        super().record_batch(times, ctx)
+        super().record_batch(times)
 
 
 def _reference_locked_at(locks, times, lock_duration):

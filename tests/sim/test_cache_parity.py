@@ -50,6 +50,7 @@ from tests.sim.cache_reference import (
     per_access_reference,
     random_traffic_per_access,
 )
+from tests.sim.tap_reference import recorded_records
 
 pytestmark = pytest.mark.parity
 
@@ -125,7 +126,7 @@ def _evidence_dicts(hunter):
 
 
 def _cache_event_train(machine):
-    times, replacers, victims = machine.cache_miss_tap.records()
+    times, replacers, victims = recorded_records(machine.cache_miss_tap)
     return times.tolist(), replacers.tolist(), victims.tolist()
 
 
@@ -273,7 +274,7 @@ def _mixed_workload(cache, per_access):
 
 def _state_fingerprint(cache, tap):
     cache.settle()
-    times, replacers, victims = tap.records()
+    times, replacers, victims = recorded_records(tap)
     fp = {
         "counters": (cache.hits, cache.misses, cache.conflict_misses),
         "jitter_idx": cache._jitter_idx,

@@ -8,6 +8,7 @@ from repro.errors import SimulationError
 from repro.sim.events import RateSegmentTap
 from repro.sim.resources.divider import CONTENTION_INTENSITY, DividerUnit
 from repro.util.rng import make_rng
+from tests.sim.tap_reference import recorded_segments
 
 
 @pytest.fixture
@@ -34,9 +35,9 @@ class TestSaturate:
         unit.run_loop(ctx=1, start=0, iterations=100, divs_per_iter=4)
         # Waits at the full saturation x loop intensity rate.
         expected_rate = 1.0 / CFG.contention_event_period
-        segments = unit.wait_tap.segments
-        assert len(segments) >= 1
-        assert segments[0].rate == pytest.approx(expected_rate)
+        _starts, _ends, rates = recorded_segments(unit.wait_tap)
+        assert rates.size >= 1
+        assert rates[0] == pytest.approx(expected_rate)
 
 
 class TestRunLoop:
@@ -62,7 +63,7 @@ class TestRunLoop:
     def test_loop_usage_creates_waits_for_later_saturator(self, unit):
         unit.run_loop(ctx=1, start=0, iterations=100, divs_per_iter=4)
         unit.saturate(ctx=0, start=0, duration=50_000)
-        assert len(unit.wait_tap.segments) >= 1
+        assert recorded_segments(unit.wait_tap)[0].size >= 1
 
     def test_bad_sizes(self, unit):
         with pytest.raises(SimulationError):
@@ -90,8 +91,8 @@ class TestRandomUse:
                         intensity=0.1)
         unit.random_use(1, 0, 1_000_000, duty=1.0, burst_cycles=1_000_000,
                         intensity=0.1)
-        seg = unit.wait_tap.segments[0]
-        assert seg.rate == pytest.approx(
+        rates = recorded_segments(unit.wait_tap)[2]
+        assert rates[0] == pytest.approx(
             0.01 / CFG.contention_event_period
         )
 
@@ -131,7 +132,9 @@ class TestWaitDensity:
         events per 500-cycle window (Figure 6b's second mode)."""
         unit.saturate(0, 0, 1_000_000)
         unit.run_loop(1, 0, 5000, 4)
-        counts = unit.wait_tap.density_counts(500, 0, 500_000)
+        counts = unit.wait_tap.window_reader().read_counts(
+            500, 0, 500_000
+        ).expand()
         busy = counts[counts > 0]
         assert busy.size > 500
         assert 90 <= np.median(busy) <= 102

@@ -1,11 +1,12 @@
 """Window readers: the columnar taps' incremental per-quantum cursors.
 
 Each reader consumes its tap's append-only columns exactly once while
-matching the full-history read (``density_counts`` / ``records_in``)
-bit for bit — the property the columnar hot path rests on
-(docs/PERFORMANCE.md). These tests pin the equivalence and the loud
-failure modes: rewinding cursors and events recorded behind an
-already-read window.
+matching a stable sort of everything the tap recorded
+(``tests/sim/tap_reference.py``) bit for bit — the property the columnar
+hot path rests on (docs/PERFORMANCE.md). Readers are the taps' only read
+path, so these tests also pin that a fresh reader sees the whole record,
+and the loud failure modes: rewinding cursors and events recorded behind
+an already-read window.
 """
 
 import tracemalloc
@@ -17,12 +18,12 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.events import EventTap, LabeledEventTap, RateSegmentTap
+from tests.sim import tap_reference as ref
 
 
 class TestEventWindowReader:
     def test_read_counts_matches_density_counts(self):
         tap = EventTap("t")
-        legacy = EventTap("legacy")
         rng = np.random.default_rng(3)
         reader = tap.window_reader()
         cursor = 0
@@ -30,10 +31,9 @@ class TestEventWindowReader:
             times = np.sort(
                 rng.integers(cursor, cursor + 10_000, size=200)
             ).astype(np.int64)
-            tap.record_batch(times, ctx=0)
-            legacy.record_batch(times, ctx=0)
+            tap.record_batch(times)
             got = reader.read_counts(700, cursor, cursor + 10_000)
-            want = legacy.density_counts(700, cursor, cursor + 10_000)
+            want = ref.event_density_counts(tap, 700, cursor, cursor + 10_000)
             assert got.lengths is None  # one entry per window
             np.testing.assert_array_equal(got.values, want)
             assert got.values.dtype == np.int64
@@ -41,9 +41,9 @@ class TestEventWindowReader:
 
     def test_unsorted_and_interleaved_chunks(self):
         tap = EventTap("t")
-        tap.record_batch(np.array([50, 10, 90], dtype=np.int64), ctx=1)
-        tap.record(20, 2)
-        tap.record_batch(np.array([70, 30], dtype=np.int64), ctx=0)
+        tap.record_batch(np.array([50, 10, 90], dtype=np.int64))
+        tap.record_batch(np.array([20], dtype=np.int64))
+        tap.record_batch(np.array([70, 30], dtype=np.int64))
         reader = tap.window_reader()
         np.testing.assert_array_equal(
             reader.read(0, 100), [10, 20, 30, 50, 70, 90]
@@ -51,20 +51,20 @@ class TestEventWindowReader:
 
     def test_partial_window_carries_pending(self):
         tap = EventTap("t")
-        tap.record_batch(np.array([5, 15, 25], dtype=np.int64), ctx=0)
+        tap.record_batch(np.array([5, 15, 25], dtype=np.int64))
         reader = tap.window_reader()
         np.testing.assert_array_equal(reader.read(0, 10), [5])
         np.testing.assert_array_equal(reader.read(10, 30), [15, 25])
 
     def test_mid_run_subscribe_sees_history(self):
         tap = EventTap("t")
-        tap.record_batch(np.array([1, 2, 3], dtype=np.int64), ctx=0)
+        tap.record_batch(np.array([1, 2, 3], dtype=np.int64))
         reader = tap.window_reader()
         np.testing.assert_array_equal(reader.read(0, 10), [1, 2, 3])
 
     def test_cursor_cannot_rewind(self):
         tap = EventTap("t")
-        tap.record_batch(np.array([5], dtype=np.int64), ctx=0)
+        tap.record_batch(np.array([5], dtype=np.int64))
         reader = tap.window_reader()
         reader.read(0, 10)
         with pytest.raises(SimulationError):
@@ -80,36 +80,34 @@ class TestEventWindowReader:
         tap = EventTap("t")
         reader = tap.window_reader()
         reader.read(0, 100)
-        tap.record_batch(np.array([50], dtype=np.int64), ctx=0)
+        tap.record_batch(np.array([50], dtype=np.int64))
         with pytest.raises(SimulationError):
             reader.read(100, 200)
 
     def test_full_history_reads_unaffected_by_reader(self):
-        # The reader is non-destructive: trace export and figures keep
-        # seeing the tap's whole history.
+        # The reader is non-destructive: trace export and figures open a
+        # fresh reader and keep seeing the tap's whole history.
         tap = EventTap("t")
-        tap.record_batch(np.array([5, 15], dtype=np.int64), ctx=0)
+        tap.record_batch(np.array([5, 15], dtype=np.int64))
         reader = tap.window_reader()
         reader.read(0, 10)
-        np.testing.assert_array_equal(tap.times(), [5, 15])
-        assert tap.density_counts(10, 0, 20).tolist() == [1, 1]
+        np.testing.assert_array_equal(tap.window_reader().read(0, 20), [5, 15])
+        counts = tap.window_reader().read_counts(10, 0, 20)
+        assert counts.values.tolist() == [1, 1]
 
 
 _QUANTUM = 1_000
-_ctx = st.integers(0, 3)
-# Offsets on a coarse lattice so timestamps from different contexts tie.
+# Offsets on a coarse lattice so timestamps from different bursts tie.
 _offset = st.integers(0, 19).map(lambda i: 50 * i)
 _tap_op = st.one_of(
     st.tuples(
         st.just("grid"), _offset, st.integers(1, 6),
-        st.sampled_from([1, 50, 250, 1_000, 1_700]), _ctx,
+        st.sampled_from([1, 50, 250, 1_000, 1_700]),
     ),
     st.tuples(
         st.just("batch"),
         st.lists(st.integers(0, 39).map(lambda i: 50 * i), max_size=5),
-        _ctx,
     ),
-    st.tuples(st.just("single"), _offset, _ctx),
 )
 
 
@@ -133,56 +131,55 @@ class TestGridChunkEquivalence:
             base = q * _QUANTUM
             for op in ops:
                 if op[0] == "grid":
-                    _, off, count, period, ctx = op
-                    grid.record_grid(base + off, count, period, ctx)
-                    batch.record_batch(
-                        base + off + period * np.arange(count), ctx
-                    )
-                elif op[0] == "batch":
-                    _, offs, ctx = op
-                    for tap in (grid, batch):
-                        tap.record_batch(base + np.array(offs, np.int64), ctx)
+                    _, off, count, period = op
+                    grid.record_grid(base + off, count, period)
+                    batch.record_batch(base + off + period * np.arange(count))
                 else:
-                    _, off, ctx = op
+                    _, offs = op
                     for tap in (grid, batch):
-                        tap.record(base + off, ctx)
+                        tap.record_batch(base + np.array(offs, np.int64))
             _assert_same_columns(
-                readers[0].read(base, base + _QUANTUM),
-                readers[1].read(base, base + _QUANTUM),
+                [readers[0].read(base, base + _QUANTUM)],
+                [readers[1].read(base, base + _QUANTUM)],
             )
             assert grid.count == batch.count
-            _assert_same_columns(
-                grid.times_and_contexts(), batch.times_and_contexts()
-            )
         end = (len(quanta) + 2) * _QUANTUM
-        np.testing.assert_array_equal(grid.times(), batch.times())
-        np.testing.assert_array_equal(
-            grid.density_counts(300, 0, end), batch.density_counts(300, 0, end)
-        )
+        for tap in (grid, batch):
+            np.testing.assert_array_equal(
+                tap.window_reader().read(0, end), ref.times_in(batch, 0, end)
+            )
+            np.testing.assert_array_equal(
+                tap.window_reader().read_counts(300, 0, end).values,
+                ref.event_density_counts(batch, 300, 0, end),
+            )
         _assert_same_columns(
-            readers[0].read(len(quanta) * _QUANTUM, end),
-            readers[1].read(len(quanta) * _QUANTUM, end),
+            [readers[0].read(len(quanta) * _QUANTUM, end)],
+            [readers[1].read(len(quanta) * _QUANTUM, end)],
         )
 
     def test_tie_order_across_contexts(self):
+        # Bursts of two senders interleave on equal timestamps (tie order
+        # shows in the labeled reader's columns, tested below).
         grid, batch = EventTap("grid"), EventTap("batch")
-        grid.record_grid(0, 3, 100, ctx=2)
-        grid.record_grid(100, 2, 100, ctx=1)
-        batch.record_batch(np.array([0, 100, 200]), ctx=2)
-        batch.record_batch(np.array([100, 200]), ctx=1)
-        times, ctxs = grid.times_and_contexts()
+        grid.record_grid(0, 3, 100)
+        grid.record_grid(100, 2, 100)
+        batch.record_batch(np.array([0, 100, 200]))
+        batch.record_batch(np.array([100, 200]))
+        times = grid.window_reader().read(0, 300)
         assert times.tolist() == [0, 100, 100, 200, 200]
-        assert ctxs.tolist() == [2, 2, 1, 2, 1]
         _assert_same_columns(
-            grid.times_and_contexts(), batch.times_and_contexts()
+            [times, ref.recorded_times(grid)],
+            [batch.window_reader().read(0, 300), ref.recorded_times(batch)],
         )
 
     def test_record_stays_symbolic(self):
         tap = EventTap("t")
         tracemalloc.start()
         try:
-            tap.record_grid(0, 10**7, 2, ctx=0)
-            tap.record(5, ctx=1)  # flushes the staged grid into the record
+            tap.record_grid(0, 10**7, 2)
+            # A burst of another shape flushes the staged grid into the
+            # record.
+            tap.record_grid(5, 1, 1)
             assert tap.count == 10**7 + 1
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -193,23 +190,19 @@ class TestGridChunkEquivalence:
 class TestSegmentWindowReader:
     def test_matches_density_counts_across_quanta(self):
         tap = RateSegmentTap("d")
-        legacy = RateSegmentTap("legacy")
         reader = tap.window_reader()
-        # Segments straddling window boundaries, plus sparse extras.
+        # Segments straddling window boundaries.
         for start, end, rate in (
             (0, 2_500, 0.5),
             (2_500, 2_600, 2.0),
             (4_000, 11_000, 0.25),
         ):
-            tap.record_segment(start, end, rate)
-            legacy.record_segment(start, end, rate)
-        tap.record_batch(np.array([100, 9_000], dtype=np.int64))
-        legacy.record_batch(np.array([100, 9_000], dtype=np.int64))
+            tap.record_segments_batch([start], [end], [rate])
         reads = []
         for q in range(3):
             t0, t1 = q * 5_000, (q + 1) * 5_000
             got = reader.read_counts(500, t0, t1)
-            want = legacy.density_counts(500, t0, t1)
+            want = ref.segment_density_counts(tap, 500, t0, t1)
             assert len(got) == want.size
             np.testing.assert_array_equal(got.expand(), want)
             reads.append((got, want))
@@ -221,7 +214,6 @@ class TestSegmentWindowReader:
 class TestLabeledWindowReader:
     def test_matches_records_in(self):
         tap = LabeledEventTap("l2")
-        legacy = LabeledEventTap("legacy")
         rng = np.random.default_rng(8)
         reader = tap.window_reader()
         cursor = 0
@@ -232,27 +224,26 @@ class TestLabeledWindowReader:
             reps = rng.integers(0, 8, size=50).astype(np.int64)
             vics = rng.integers(0, 8, size=50).astype(np.int64)
             tap.record_batch(times, reps, vics)
-            legacy.record_batch(times, reps, vics)
             got = reader.read(cursor, cursor + 1_000)
-            want = legacy.records_in(cursor, cursor + 1_000)
+            want = ref.records_in(tap, cursor, cursor + 1_000)
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
             cursor += 1_000
 
     def test_tie_order_matches_record_order(self):
         tap = LabeledEventTap("l2")
-        legacy = LabeledEventTap("legacy")
-        for t, r, v in ((10, 1, 2), (10, 3, 4), (10, 5, 6)):
-            tap.record(t, r, v)
-            legacy.record(t, r, v)
+        for t, r, v in ((10, 1, 2), (12, 7, 7), (10, 3, 4), (10, 5, 6)):
+            tap.record_batch([t], [r], [v])
         got = tap.window_reader().read(0, 20)
-        want = legacy.records_in(0, 20)
-        for g, w in zip(got, want):
+        assert [c.tolist() for c in got] == [
+            [10, 10, 10, 12], [1, 3, 5, 7], [2, 4, 6, 7]
+        ]
+        for g, w in zip(got, ref.records_in(tap, 0, 20)):
             np.testing.assert_array_equal(g, w)
 
     def test_cursor_cannot_rewind(self):
         tap = LabeledEventTap("l2")
-        tap.record(5, 0, 1)
+        tap.record_batch([5], [0], [1])
         reader = tap.window_reader()
         reader.read(0, 10)
         with pytest.raises(SimulationError):

@@ -164,7 +164,8 @@ class TestWorkloadProcess:
             proc = workload_process(profile, seed_machine, 1, seed=5)
             seed_machine.spawn(proc, ctx=0)
             seed_machine.run_quanta(1)
-            return seed_machine.bus_lock_tap.times().tolist()
+            reader = seed_machine.bus_lock_tap.window_reader()
+            return reader.read(0, seed_machine.quantum_cycles).tolist()
 
         config = MachineConfig(os_quantum_seconds=0.002)
         assert locks(Machine(config, seed=1)) == locks(Machine(config, seed=1))
