@@ -169,7 +169,6 @@ class AuditorConfig:
     accumulator_bits: int = 16
     countdown_bits: int = 32
     vector_register_bytes: int = 128
-    context_id_bits: int = CONTEXT_ID_BITS
     generations: int = 4
     bloom_hashes: int = 3
 

@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.config import AuditorConfig
+from repro.config import CONTEXT_ID_BITS, AuditorConfig, context_ids_fit
 from repro.errors import HardwareError
 from repro.util.dtypes import ensure_int64
 from repro.util.runs import WindowCounts
@@ -133,14 +133,12 @@ class VectorRegisterPair:
         self.swaps = 0
 
     def record(self, replacer: int, victim: int) -> None:
-        limit = 1 << self.config.context_id_bits
+        limit = 1 << CONTEXT_ID_BITS
         if not (0 <= replacer < limit and 0 <= victim < limit):
             raise HardwareError(
-                f"context ids must fit in {self.config.context_id_bits} bits"
+                f"context ids must fit in {CONTEXT_ID_BITS} bits"
             )
-        self._active.append(
-            (replacer << self.config.context_id_bits) | victim
-        )
+        self._active.append((replacer << CONTEXT_ID_BITS) | victim)
         if len(self._active) >= self.capacity:
             self._drained.extend(self._active)
             self._active = []
@@ -164,17 +162,11 @@ class VectorRegisterPair:
             )
         if reps.size == 0:
             return
-        limit = 1 << self.config.context_id_bits
-        if (
-            reps.min() < 0
-            or vics.min() < 0
-            or reps.max() >= limit
-            or vics.max() >= limit
-        ):
+        if not (context_ids_fit(reps) and context_ids_fit(vics)):
             raise HardwareError(
-                f"context ids must fit in {self.config.context_id_bits} bits"
+                f"context ids must fit in {CONTEXT_ID_BITS} bits"
             )
-        packed = ((reps << self.config.context_id_bits) | vics).tolist()
+        packed = ((reps << CONTEXT_ID_BITS) | vics).tolist()
         i, n = 0, len(packed)
         while True:
             room = self.capacity - len(self._active)
@@ -195,9 +187,9 @@ class VectorRegisterPair:
         if packed.size == 0:
             empty = np.zeros(0, dtype=np.int16)
             return empty, empty
-        mask = (1 << self.config.context_id_bits) - 1
+        mask = (1 << CONTEXT_ID_BITS) - 1
         return (
-            (packed >> self.config.context_id_bits).astype(np.int16),
+            (packed >> CONTEXT_ID_BITS).astype(np.int16),
             (packed & mask).astype(np.int16),
         )
 

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.config import AuditorConfig, CacheConfig
+from repro.config import CONTEXT_ID_BITS, AuditorConfig, CacheConfig
 from repro.errors import HardwareError
 
 #: Calibration anchors, from Table I of the paper.
@@ -100,7 +100,7 @@ def detector_bits(auditor: AuditorConfig, cache: CacheConfig) -> int:
     generation bits + 3 owner-context bits).
     """
     blooms = auditor.generations * cache.n_blocks
-    metadata = (auditor.generations + auditor.context_id_bits) * cache.n_blocks
+    metadata = (auditor.generations + CONTEXT_ID_BITS) * cache.n_blocks
     return blooms + metadata
 
 

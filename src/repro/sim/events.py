@@ -361,12 +361,6 @@ class RateSegmentTap:
             for i, dtype in enumerate((np.int64, np.int64, np.float64))
         )
 
-    @property
-    def count(self) -> float:
-        """Expected total events over every recorded segment."""
-        starts, ends, rates = self._columns()
-        return float(((ends - starts) * rates).sum())
-
     def window_reader(self) -> "SegmentWindowReader":
         """An incremental windowed reader over this tap."""
         return SegmentWindowReader(self)

@@ -276,6 +276,11 @@ def load_traces(
                 "(unit %r will replay degraded)", src, key, channel,
             )
     for key in ("cache_replacers", "cache_victims"):
+        if payload[key].dtype.kind not in "iu":
+            raise TraceCorruptionError(
+                f"{src}: {key} must hold integer context ids, got dtype "
+                f"{payload[key].dtype}"
+            )
         if not context_ids_fit(payload[key]):
             raise TraceCorruptionError(
                 f"{src}: {key} holds context ids that do not fit in "

@@ -9,6 +9,7 @@ from repro.core.event_train import dominant_pair_series
 from repro.errors import ChannelError
 from repro.sim.machine import Machine
 from repro.util.bitstream import Message
+from tests.sim.tap_reference import recorded_records
 
 
 def run_channel(message, bandwidth=500.0, seed=3, n_sets=32, **kwargs):
@@ -63,9 +64,7 @@ class TestConflictTrain:
         """After warmup, the pair's conflict train alternates phases of one
         event per swept set — the wavelength equals the total sets used."""
         machine, channel = run_channel(message8)
-        _, reps, vics = machine.cache_miss_tap.window_reader().read(
-            0, channel.transmission_end
-        )
+        _, reps, vics = recorded_records(machine.cache_miss_tap)
         labels, _, pair = dominant_pair_series(reps, vics)
         assert set(pair) == {channel.trojan_ctx, channel.spy_ctx}
         changes = np.nonzero(np.diff(labels))[0]
@@ -165,9 +164,7 @@ class TestEvasionKnobs:
             < 0.8 * clean_machine.cache_miss_tap.count
         )
         # Surviving rounds still produce full half-group runs.
-        _, reps, vics = machine.cache_miss_tap.window_reader().read(
-            0, channel.transmission_end
-        )
+        _, reps, vics = recorded_records(machine.cache_miss_tap)
         labels, _, _ = dominant_pair_series(reps, vics)
         changes = np.nonzero(np.diff(labels))[0]
         runs = np.diff(np.concatenate([[0], changes + 1, [labels.size]]))
@@ -175,9 +172,7 @@ class TestEvasionKnobs:
 
     def test_subset_shortens_runs(self, message8):
         machine, channel = run_channel(message8, evasion_subset_frac=0.4)
-        _, reps, vics = machine.cache_miss_tap.window_reader().read(
-            0, channel.transmission_end
-        )
+        _, reps, vics = recorded_records(machine.cache_miss_tap)
         labels, _, _ = dominant_pair_series(reps, vics)
         changes = np.nonzero(np.diff(labels))[0]
         runs = np.diff(np.concatenate([[0], changes + 1, [labels.size]]))

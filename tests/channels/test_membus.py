@@ -8,6 +8,7 @@ from repro.channels.membus import MemoryBusCovertChannel
 from repro.errors import ChannelError
 from repro.sim.machine import Machine
 from repro.util.bitstream import Message
+from tests.sim.tap_reference import recorded_times
 
 
 def run_channel(message, bandwidth=1000.0, seed=3, **kwargs):
@@ -56,9 +57,7 @@ class TestTransmission:
 class TestIndicatorEvents:
     def test_lock_events_only_for_ones(self, message8):
         machine, channel = run_channel(message8)
-        times = machine.bus_lock_tap.window_reader().read(
-            0, channel.transmission_end
-        )
+        times = recorded_times(machine.bus_lock_tap)
         bit_idx = times // channel.bit_period
         bits = np.asarray(message8.bits)[np.minimum(bit_idx, 7)]
         assert (bits == 1).all()

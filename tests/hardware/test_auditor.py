@@ -76,6 +76,15 @@ class TestVectorRegisters:
         with pytest.raises(HardwareError):
             vectors.record(8, 0)
 
+    def test_batch_context_id_bounds(self):
+        vectors = VectorRegisterPair(AuditorConfig())
+        for replacer, victim in ((8, 0), (0, 9), (-1, 2)):
+            with pytest.raises(HardwareError, match="fit in 3 bits"):
+                vectors.record_batch(
+                    np.array([0, replacer]), np.array([1, victim])
+                )
+        assert vectors.pending == 0
+
     def test_batch(self):
         vectors = VectorRegisterPair(AuditorConfig())
         vectors.record_batch(np.array([0, 1]), np.array([1, 0]))

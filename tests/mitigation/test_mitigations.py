@@ -14,6 +14,7 @@ from repro.mitigation import (
 )
 from repro.sim.machine import Machine
 from repro.util.bitstream import Message
+from tests.sim.tap_reference import recorded_records
 
 
 MSG = Message.from_bits([1, 0, 1, 1, 0, 0, 1, 0])
@@ -98,11 +99,9 @@ class TestCachePartition:
         assert baseline_machine.cache_miss_tap.count > 100
 
         partition_cache_ways(machine, suspect_contexts=(0, 2))
-        channel = run_cache_channel(machine)
+        run_cache_channel(machine)
         # No cross-group evictions -> no trojan/spy conflict events.
-        _, reps, vics = machine.cache_miss_tap.window_reader().read(
-            0, channel.transmission_end + 1
-        )
+        _, reps, vics = recorded_records(machine.cache_miss_tap)
         pair_events = (
             ((reps == 0) & (vics == 2)) | ((reps == 2) & (vics == 0))
         ).sum()

@@ -124,6 +124,13 @@ def recorded_segments(tap):
     return starts[order], ends[order], rates[order]
 
 
+def segment_mass(tap):
+    """Expected total events over every segment a rate-segment ``tap``
+    recorded (0.0 when it recorded none)."""
+    starts, ends, rates = recorded_segments(tap)
+    return float(((ends - starts) * rates).sum())
+
+
 def segment_density_counts(tap, dt, t0, t1):
     """Events of a rate-segment ``tap`` per Δt window in ``[t0, t1)``."""
     n_windows = -(-(t1 - t0) // dt)

@@ -12,6 +12,7 @@ from repro.errors import SimulationError
 from repro.sim.events import EventTap
 from repro.sim.resources.bus import MemoryBus
 from repro.util.rng import make_rng
+from tests.sim.tap_reference import recorded_times
 
 
 @pytest.fixture
@@ -29,7 +30,7 @@ class TestLockBurst:
     def test_lock_events_recorded(self, bus):
         end = bus.lock_burst(ctx=0, start=0, count=5, period=5000)
         assert end == 25_000
-        times = bus.lock_tap.window_reader().read(0, end)
+        times = recorded_times(bus.lock_tap)
         assert times.tolist() == [0, 5000, 10000, 15000, 20000]
 
     def test_bad_burst_rejected(self, bus):
@@ -100,7 +101,7 @@ class TestNoiseLocks:
 
     def test_noise_locks_contend(self, bus):
         bus.noise_locks(ctx=3, start=0, duration=100_000, rate_per_cycle=0.001)
-        times = bus.lock_tap.window_reader().read(0, 100_000)
+        times = recorded_times(bus.lock_tap)
         assert bus.locked_at(times).all()
 
 

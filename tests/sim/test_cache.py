@@ -9,6 +9,7 @@ from repro.sim.events import LabeledEventTap
 from repro.sim.resources.cache import SETTLE_ACCESSES, SharedCache, block_key
 from repro.util.rng import make_rng
 from tests.sim.cache_reference import PerAccessCache
+from tests.sim.tap_reference import recorded_records
 
 
 def make_cache(n_sets=8, assoc=2, cls=SharedCache):
@@ -98,7 +99,7 @@ class TestConflictEvents:
         # the evicted block's owner (ctx 0's tag 2... LRU order: 2, 3).
         access(cache, 0, 0, 1, 3)
         assert cache.miss_tap.count == 1
-        _, reps, vics = cache.miss_tap.window_reader().read(0, 4)
+        _, reps, vics = recorded_records(cache.miss_tap)
         assert reps.tolist() == [0]
 
     def test_cold_misses_not_conflicts(self):
@@ -188,7 +189,7 @@ class TestSettle:
         cache.access_series(0, self.PINGPONG[:3], gap=8, start=0)
         cache.access(1, 0, 1, 100)  # re-fetches tag 1, evicted in the log
         assert cache.conflict_misses == 1
-        assert cache.miss_tap.window_reader().read(0, 101)[1].tolist() == [1]
+        assert recorded_records(cache.miss_tap)[1].tolist() == [1]
 
     def test_long_series_settles_itself(self):
         cache = make_cache(n_sets=8, assoc=2)

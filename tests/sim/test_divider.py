@@ -8,7 +8,7 @@ from repro.errors import SimulationError
 from repro.sim.events import RateSegmentTap
 from repro.sim.resources.divider import CONTENTION_INTENSITY, DividerUnit
 from repro.util.rng import make_rng
-from tests.sim.tap_reference import recorded_segments
+from tests.sim.tap_reference import recorded_segments, segment_mass
 
 
 @pytest.fixture
@@ -24,7 +24,7 @@ LAT_BUSY = CFG.loop_overhead + 4 * (CFG.latency + CFG.contended_extra_latency)
 class TestSaturate:
     def test_saturate_alone_no_waits(self, unit):
         unit.saturate(ctx=0, start=0, duration=100_000)
-        assert unit.wait_tap.count == 0
+        assert segment_mass(unit.wait_tap) == 0
 
     def test_bad_duration(self, unit):
         with pytest.raises(SimulationError):

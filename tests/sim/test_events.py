@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.events import EventTap, LabeledEventTap, RateSegmentTap
+from tests.sim.tap_reference import segment_mass
 
 
 def _counts(tap, dt, t0, t1):
@@ -58,7 +59,7 @@ class TestRateSegmentTap:
     def test_zero_rate_ignored(self):
         tap = RateSegmentTap("d")
         _segment(tap, 0, 100, 0.0)
-        assert tap.count == 0
+        assert segment_mass(tap) == 0
         assert _counts(tap, 50, 0, 100) == [0, 0]
 
     def test_batch_recording(self):
@@ -66,7 +67,7 @@ class TestRateSegmentTap:
         tap.record_segments_batch(
             np.array([0, 100]), np.array([50, 150]), np.array([0.1, 0.2])
         )
-        assert tap.count == pytest.approx(15.0)
+        assert segment_mass(tap) == pytest.approx(15.0)
         assert _counts(tap, 50, 0, 150) == [5, 0, 10]
 
     def test_batch_skips_empty(self):
@@ -74,14 +75,14 @@ class TestRateSegmentTap:
         tap.record_segments_batch(
             np.array([0, 100]), np.array([0, 150]), np.array([0.1, 0.0])
         )
-        assert tap.count == 0
+        assert segment_mass(tap) == 0
         assert _counts(tap, 50, 0, 150) == [0, 0, 0]
 
     def test_expected_count(self):
         tap = RateSegmentTap("d")
         _segment(tap, 0, 1000, 0.05)
         _segment(tap, 2000, 2010, 0.1)
-        assert tap.count == pytest.approx(51.0)
+        assert segment_mass(tap) == pytest.approx(51.0)
 
     def test_materialize_times(self):
         tap = RateSegmentTap("d")

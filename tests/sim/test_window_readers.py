@@ -145,8 +145,10 @@ class TestGridChunkEquivalence:
             assert grid.count == batch.count
         end = (len(quanta) + 2) * _QUANTUM
         for tap in (grid, batch):
+            # A burst may run past ``end``: compare the whole record.
             np.testing.assert_array_equal(
-                tap.window_reader().read(0, end), ref.times_in(batch, 0, end)
+                tap.window_reader().read(0, np.iinfo(np.int64).max),
+                ref.recorded_times(batch),
             )
             np.testing.assert_array_equal(
                 tap.window_reader().read_counts(300, 0, end).values,

@@ -41,10 +41,13 @@ class TestRoundTrip:
             export_traces(Machine(seed=1), tmp_path / "x.npz")
 
 
-def _pingpong_archive(tmp_path, a, b, n_quanta=4, per_quantum=512, phase=32):
+def _pingpong_archive(
+    tmp_path, a, b, n_quanta=4, per_quantum=512, phase=32, dtype=np.int16
+):
     """An idle machine's archive with its conflict records replaced by a
     covert ping-pong train between contexts ``a`` and ``b`` (``phase``
-    conflicts each way, alternating), checksums recomputed."""
+    conflicts each way, alternating) in ``dtype`` columns, checksums
+    recomputed."""
     machine = Machine(seed=1)
     machine.run_quanta(n_quanta)
     path = tmp_path / f"pingpong-{a}-{b}.npz"
@@ -56,8 +59,8 @@ def _pingpong_archive(tmp_path, a, b, n_quanta=4, per_quantum=512, phase=32):
     payload["cache_times"] = (
         np.arange(n) * (machine.quantum_cycles // per_quantum)
     ).astype(np.int64)
-    payload["cache_replacers"] = np.where(forward, a, b).astype(np.int16)
-    payload["cache_victims"] = np.where(forward, b, a).astype(np.int16)
+    payload["cache_replacers"] = np.where(forward, a, b).astype(dtype)
+    payload["cache_victims"] = np.where(forward, b, a).astype(dtype)
     del payload["checksum_manifest"]
     payload["checksum_manifest"] = np.array(_checksum_manifest(payload))
     np.savez_compressed(path, **payload)
@@ -82,6 +85,13 @@ class TestConflictContextIds:
                 load_traces(path)
             with pytest.raises(TraceCorruptionError, match="3 bits"):
                 load_traces(path, on_corruption="skip")
+
+    def test_float_context_ids_rejected(self, tmp_path):
+        """In-range ids in a float column are refused too: the oscillation
+        analysis packs ids with integer shifts."""
+        path = _pingpong_archive(tmp_path, 0, 2, dtype=np.float64)
+        with pytest.raises(TraceCorruptionError, match="integer context ids"):
+            load_traces(path)
 
 
 class TestOfflineAnalysis:

@@ -14,6 +14,7 @@ from repro.workloads.base import (
     _loop_pattern_accesses,
     workload_process,
 )
+from tests.sim.tap_reference import recorded_times
 
 
 def _loop_pattern_tuples(pattern, machine, ctx_salt, instance, rng):
@@ -164,8 +165,7 @@ class TestWorkloadProcess:
             proc = workload_process(profile, seed_machine, 1, seed=5)
             seed_machine.spawn(proc, ctx=0)
             seed_machine.run_quanta(1)
-            reader = seed_machine.bus_lock_tap.window_reader()
-            return reader.read(0, seed_machine.quantum_cycles).tolist()
+            return recorded_times(seed_machine.bus_lock_tap).tolist()
 
         config = MachineConfig(os_quantum_seconds=0.002)
         assert locks(Machine(config, seed=1)) == locks(Machine(config, seed=1))
