@@ -14,9 +14,8 @@ from conftest import record
 from repro.analysis.figures import run_channel_session
 from repro.core.burst import analyze_histogram
 from repro.core.calibration import assess_delta_t, paper_bus_calibration
-from repro.core.density import build_density_histogram
-from repro.core.event_train import EventTrain
 from repro.util.bitstream import Message
+from repro.util.stats import sample_counts_to_histogram
 
 
 def sweep_delta_t():
@@ -24,13 +23,15 @@ def sweep_delta_t():
         "membus", Message.random(16, 1), bandwidth_bps=10.0, seed=1
     )
     horizon = run.quanta * run.machine.quantum_cycles
-    times = run.machine.bus_lock_tap.window_reader().read(0, horizon)
-    train = EventTrain(times)
+    tap = run.machine.bus_lock_tap
     rows = []
     for dt in (1_000, 10_000, 100_000, 1_000_000, 10_000_000):
-        hist = build_density_histogram(train, dt, 0, horizon).hist
-        analysis = analyze_histogram(hist)
-        regime = assess_delta_t(times, dt, 0, horizon)
+        # Histogrammed without a MonitorSlot: at the small Δt values the
+        # session spans millions of windows, which would saturate the
+        # slot's 16-bit bin 0.
+        counts = tap.window_reader().read_counts(dt, 0, horizon).expand()
+        analysis = analyze_histogram(sample_counts_to_histogram(counts, 128))
+        regime = assess_delta_t(counts)
         rows.append((dt, analysis.likelihood_ratio, analysis.significant,
                      regime))
     return rows

@@ -48,13 +48,10 @@ from repro.core import (
     AuditUnit,
     CCHunter,
     DetectionReport,
-    EventTrain,
     UnitVerdict,
     analyze_autocorrelogram,
     analyze_histogram,
-    analyze_recurrence,
     autocorrelogram,
-    build_density_histogram,
 )
 from repro.errors import ReproError
 from repro.exec import TrialRunner, TrialSpec, run_trials
@@ -91,12 +88,9 @@ __all__ = [
     "CCHunter",
     "DetectionReport",
     "UnitVerdict",
-    "EventTrain",
     "autocorrelogram",
     "analyze_autocorrelogram",
     "analyze_histogram",
-    "analyze_recurrence",
-    "build_density_histogram",
     # hardware
     "BloomFilter",
     "CCAuditor",

@@ -3,9 +3,9 @@
 Two detectors over indicator-event trains:
 
 - **Recurrent burst pattern detection** for combinational hardware
-  (:mod:`density`, :mod:`burst`, :mod:`clustering`): event-density
-  histograms over Δt windows, burst/likelihood-ratio analysis, and k-means
-  recurrence clustering of discretized histograms.
+  (:mod:`density`, :mod:`burst`, :mod:`clustering`): Δt selection,
+  burst/likelihood-ratio analysis of event-density histograms, and
+  k-means recurrence clustering of discretized histograms.
 - **Oscillatory pattern detection** for memory hardware (:mod:`autocorr`,
   :mod:`oscillation`): autocorrelograms of labeled conflict-miss trains and
   periodicity scoring.
@@ -30,13 +30,8 @@ from repro.core.calibration import (
     assess_delta_t,
     calibrate_alpha,
 )
-from repro.core.clustering import RecurrenceAnalysis, analyze_recurrence
-from repro.core.density import (
-    DensityHistogram,
-    build_density_histogram,
-    choose_delta_t,
-)
-from repro.core.event_train import EventTrain
+from repro.core.clustering import RecurrenceAnalysis
+from repro.core.density import choose_delta_t
 from repro.core.oscillation import OscillationAnalysis, analyze_autocorrelogram
 from repro.core.report import DetectionReport, UnitVerdict
 
@@ -55,9 +50,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "EventTrain",
-    "DensityHistogram",
-    "build_density_histogram",
     "choose_delta_t",
     "BurstAnalysis",
     "AlphaCalibration",
@@ -67,7 +59,6 @@ __all__ = [
     "analyze_histogram",
     "find_threshold_bin",
     "RecurrenceAnalysis",
-    "analyze_recurrence",
     "autocorrelation",
     "autocorrelogram",
     "binary_autocorrelogram",

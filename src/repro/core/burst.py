@@ -24,6 +24,10 @@ from repro.config import LIKELIHOOD_RATIO_THRESHOLD
 from repro.errors import DetectionError
 from repro.util.stats import histogram_mean
 
+#: The fallback threshold is the first bin where the smoothed slope
+#: falls to this fraction of its steepest.
+GENTLE_SLOPE_FRACTION = 0.05
+
 
 def _moving_average(values: np.ndarray, width: int = 3) -> np.ndarray:
     if values.size < width:
@@ -32,17 +36,16 @@ def _moving_average(values: np.ndarray, width: int = 3) -> np.ndarray:
     return np.convolve(values.astype(np.float64), kernel, mode="same")
 
 
-def find_threshold_bin(
-    hist: np.ndarray, gentle_fraction: float = 0.05
-) -> Optional[int]:
+def find_threshold_bin(hist: np.ndarray) -> Optional[int]:
     """The paper's threshold-density rule.
 
     Primary rule: the first bin ``i >= 1`` with ``hist[i] < hist[i-1]`` and
     ``hist[i] <= hist[i+1]``. Fallback: the first bin where the absolute
-    slope of the smoothed histogram falls below ``gentle_fraction`` of its
-    maximum (the "slope of the fitted curve becomes gentle" case, which
-    handles monotonically decaying histograms). Returns None for
-    histograms with fewer than three bins of support.
+    slope of the smoothed histogram falls below
+    :data:`GENTLE_SLOPE_FRACTION` of its maximum (the "slope of the
+    fitted curve becomes gentle" case, which handles monotonically
+    decaying histograms). Returns None for histograms with fewer than
+    three bins of support.
     """
     arr = np.asarray(hist, dtype=np.float64)
     if arr.size < 3:
@@ -56,7 +59,7 @@ def find_threshold_bin(
     max_slope = slopes.max()
     if max_slope == 0:
         return None
-    gentle = np.nonzero(slopes[1:] <= gentle_fraction * max_slope)[0]
+    gentle = np.nonzero(slopes[1:] <= GENTLE_SLOPE_FRACTION * max_slope)[0]
     if gentle.size:
         return int(gentle[0]) + 1
     return None
@@ -96,16 +99,15 @@ class BurstAnalysis:
     significant: bool
 
 
-def analyze_histogram(
-    hist: np.ndarray,
-    lr_threshold: float = LIKELIHOOD_RATIO_THRESHOLD,
-) -> BurstAnalysis:
+def analyze_histogram(hist: np.ndarray) -> BurstAnalysis:
     """Run steps 3-4 on a density histogram.
 
     Splits the histogram at the threshold density, computes the likelihood
     ratio of the burst (right) distribution, and checks the paper's
     two-distribution condition: non-burst mean below 1.0, burst mean above
-    1.0 events per Δt.
+    1.0 events per Δt. The burst distribution is significant when its
+    likelihood ratio also reaches
+    :data:`~repro.config.LIKELIHOOD_RATIO_THRESHOLD`.
     """
     arr = np.asarray(hist, dtype=np.int64)
     if arr.size < 3:
@@ -140,5 +142,5 @@ def analyze_histogram(
         nonburst_mean=nonburst_mean,
         burst_mean=burst_mean,
         has_bursts=has_bursts,
-        significant=bool(has_bursts and lr >= lr_threshold),
+        significant=bool(has_bursts and lr >= LIKELIHOOD_RATIO_THRESHOLD),
     )

@@ -16,8 +16,8 @@ The resulting α places Δt between those regimes. With the reproduction's
 channel parameters the calibration recovers the paper's Δt values
 (100 000 cycles for the bus, 500 for the divider) to within their order
 of magnitude, and :func:`assess_delta_t` classifies a candidate Δt into
-the Poisson / usable / normal regimes using the index of dispersion of
-the observed densities.
+the Poisson / usable / normal regimes from the window counts it gives,
+using their index of dispersion.
 """
 
 from __future__ import annotations
@@ -31,6 +31,11 @@ import numpy as np
 from repro.core.density import choose_delta_t
 from repro.errors import DetectionError
 from repro.util.stats import index_of_dispersion, sample_counts_to_histogram
+
+#: :func:`assess_delta_t`'s floors: the 95th percentile of a usable Δt's
+#: non-zero window counts, and the index of dispersion of its histogram.
+MIN_BURST_DENSITY = 3.0
+MIN_DISPERSION = 2.0
 
 
 @dataclass(frozen=True)
@@ -101,35 +106,27 @@ class DeltaTRegime(Enum):
     NORMAL = "too large: densities blur toward a normal distribution"
 
 
-def assess_delta_t(
-    event_times: Sequence[int],
-    dt: int,
-    t0: int,
-    t1: int,
-    burst_mean_threshold: float = 3.0,
-    dispersion_threshold: float = 2.0,
-) -> DeltaTRegime:
-    """Classify a candidate Δt against an observed event train.
+def assess_delta_t(counts: Sequence[int]) -> DeltaTRegime:
+    """Classify a candidate Δt by the event count of each of its windows.
 
-    - typical non-empty windows hold fewer than ``burst_mean_threshold``
+    ``counts`` holds one count per Δt window of an observed train, as a
+    tap's window reader gives them
+    (``read_counts(dt, t0, t1).expand()``).
+
+    - typical non-empty windows hold fewer than :data:`MIN_BURST_DENSITY`
       events (the 95th percentile of non-zero densities) -> POISSON
       (Δt too small to expose bursts as a separate mode);
-    - index of dispersion below ``dispersion_threshold`` -> NORMAL
+    - index of dispersion below :data:`MIN_DISPERSION` -> NORMAL
       (Δt so wide that bursts and dormancy average out into similar
       counts everywhere);
     - otherwise USABLE.
     """
-    if dt <= 0 or t1 <= t0:
-        raise DetectionError("need a positive Δt and a non-empty window")
-    times = np.asarray(event_times, dtype=np.int64)
-    times = times[(times >= t0) & (times < t1)]
-    n_windows = -(-(t1 - t0) // dt)
-    counts = np.bincount((times - t0) // dt, minlength=n_windows)
+    counts = np.asarray(counts, dtype=np.int64)
     nonzero = counts[counts > 0]
-    if nonzero.size == 0 or np.percentile(nonzero, 95) < burst_mean_threshold:
+    if nonzero.size == 0 or np.percentile(nonzero, 95) < MIN_BURST_DENSITY:
         return DeltaTRegime.POISSON
     hist = sample_counts_to_histogram(counts, 128)
-    if index_of_dispersion(hist) < dispersion_threshold:
+    if index_of_dispersion(hist) < MIN_DISPERSION:
         return DeltaTRegime.NORMAL
     return DeltaTRegime.USABLE
 

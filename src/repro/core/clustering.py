@@ -21,11 +21,15 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import CLUSTERING_WINDOW_QUANTA, LIKELIHOOD_RATIO_THRESHOLD
+from repro.config import CLUSTERING_WINDOW_QUANTA
 from repro.core.burst import BurstAnalysis, analyze_histogram
 from repro.errors import DetectionError
-from repro.util.rng import RngLike, make_rng
 from repro.util.strings import discretize_histogram
+
+#: A verdict clusters the live patterns into at most this many clusters.
+MAX_CLUSTERS = 4
+#: A recurrent channel has at least this many windows in burst clusters.
+MIN_BURST_WINDOWS = 2
 
 #: numpy sums at most this many float64 terms with eight interleaved
 #: accumulators, ``r_j = a[j] + a[j + 8] + ...``, and splits longer
@@ -144,33 +148,14 @@ class RecurrenceAnalysis:
     ``cluster_labels``, ``burst_clusters``, the order of
     ``burst_analyses`` and ``burst_window_indices`` — only evidence
     reads, so a result of :meth:`PatternHorizon.analyze` builds them on
-    first read, from what the horizon held when the result was made.
+    first read, from what the horizon held when the result was made:
+    ``number()`` returns the four numbered fields, and
+    ``burst_analyses`` may come in any order.
     """
 
     def __init__(
-        self,
-        n_windows: int,
-        cluster_labels: np.ndarray,
-        burst_clusters: Tuple[int, ...],
-        burst_analyses: Tuple[BurstAnalysis, ...],
-        burst_window_indices: np.ndarray,
-        recurrent: bool,
-    ):
-        numbered = (
-            cluster_labels, burst_clusters, burst_analyses,
-            burst_window_indices,
-        )
-        self._defer(
-            n_windows, recurrent, burst_window_indices.size,
-            burst_analyses, lambda: numbered,
-        )
-
-    def _defer(
         self, n_windows, recurrent, burst_window_count, burst_analyses, number
-    ) -> None:
-        """Set the fields a verdict reads; ``number()`` returns the four
-        numbered ones on first read. ``burst_analyses`` may come in any
-        order."""
+    ):
         self.n_windows = n_windows
         #: Burst patterns recur: enough burst windows, spread over the
         #: horizon. Implies at least two burst windows.
@@ -225,12 +210,11 @@ class PatternHorizon:
     instead of window histograms. Symbols are integers 0-3, so every
     weighted centroid sum is an integer of at most 3 x ``max_windows``,
     exact in float64, and the result is bit-identical to clustering the
-    windows one by one (docs/ALGORITHMS.md, section 5). With exactly
-    ``k`` live patterns (with the default ``k``, any four or fewer) each
-    is its own cluster, so no k-means runs and each cluster's burst
-    analysis is its pattern's, kept until a push or an eviction changes
-    the pattern: a verdict then costs the analyses of the patterns
-    changed since the last one.
+    windows one by one (docs/ALGORITHMS.md, section 5). With at most
+    :data:`MAX_CLUSTERS` live patterns each is its own cluster, so no
+    k-means runs and each cluster's burst analysis is its pattern's,
+    kept until a push or an eviction changes the pattern: a verdict then
+    costs the analyses of the patterns changed since the last one.
 
     A window whose histogram equals the last one pushed for its pattern
     shares that array, so a steady channel's horizon holds a few arrays
@@ -260,9 +244,9 @@ class PatternHorizon:
         self._latest: List[Optional[np.ndarray]] = []
         #: Push index of each of a slot's retained windows, oldest first.
         self._windows: List[Deque[int]] = []
-        #: ``(lr_threshold, analysis)`` of a slot's aggregate, or None
-        #: once a push or an eviction has changed it.
-        self._analyses: List[Optional[Tuple[float, BurstAnalysis]]] = []
+        #: Burst analysis of a slot's aggregate, or None once a push or
+        #: an eviction has changed it.
+        self._analyses: List[Optional[BurstAnalysis]] = []
         self._free: List[int] = []
         self._aggregates = np.zeros((0, 0), dtype=np.int64)
         #: Sum of every retained window's histogram.
@@ -345,73 +329,60 @@ class PatternHorizon:
             self._latest[slot] = None
             self._free.append(slot)
 
-    def _analysis(self, slot: int, lr_threshold: float) -> BurstAnalysis:
+    def _analysis(self, slot: int) -> BurstAnalysis:
         """The burst analysis of one slot's aggregate, kept until the
         slot changes. It analyzes a copy, since the aggregate changes in
         place, and the copy is read-only, since every result until then
         shares it."""
-        cached = self._analyses[slot]
-        if cached is None or cached[0] != lr_threshold:
+        analysis = self._analyses[slot]
+        if analysis is None:
             hist = self._aggregates[slot].copy()
             hist.flags.writeable = False
-            cached = self._analyses[slot] = (
-                lr_threshold, analyze_histogram(hist, lr_threshold=lr_threshold)
-            )
-        return cached[1]
+            analysis = self._analyses[slot] = analyze_histogram(hist)
+        return analysis
 
-    def analyze(
-        self,
-        k: Optional[int] = None,
-        lr_threshold: float = LIKELIHOOD_RATIO_THRESHOLD,
-        min_burst_windows: int = 2,
-        rng: RngLike = 0,
-    ) -> RecurrenceAnalysis:
+    def analyze(self) -> RecurrenceAnalysis:
         """Cluster the retained windows and decide whether bursts recur.
 
-        See :func:`analyze_recurrence` for the rule.
+        The live patterns, weighted by window count, fall into
+        ``min(MAX_CLUSTERS, live patterns)`` clusters by k-means with
+        k-means++ seeding from a fresh ``np.random.default_rng(0)``.
+        Clusters whose aggregate histogram has a significant burst
+        distribution are burst clusters. The channel is recurrent when
+        the windows in burst clusters number at least
+        :data:`MIN_BURST_WINDOWS` and are not all contiguous (a single
+        isolated burst episode does not recur), or fill half the
+        horizon.
         """
         n = len(self.histograms)
         if n == 0:
             raise DetectionError("need at least one window histogram")
         live = sorted(self._slot_of.values())
         keys = [self._keys[slot] for slot in live]
-        k_eff = k if k is not None else max(1, min(4, len(live)))
+        k = min(MAX_CLUSTERS, len(live))
         slots = self._slot_log[self._logged - n:self._logged]
         # With k patterns each is its own cluster (docs/ALGORITHMS.md,
         # section 5), so a cluster's analysis is its pattern's. Labels
         # are then row numbers until the numbered fields are read.
-        own_clusters = k_eff == len(live)
+        own_clusters = k == len(live)
         if own_clusters:
-            row_labels = np.arange(k_eff)
-            cluster_analyses = [
-                self._analysis(slot, lr_threshold) for slot in live
-            ]
+            row_labels = np.arange(k)
+            cluster_analyses = [self._analysis(slot) for slot in live]
         else:
             inverse = _window_rows(live, slots)
-            if k_eff == 1:
-                # One cluster: k-means labels every point 0 regardless
-                # of seeding (argmin over a single column), so skip it
-                # outright — the centroid is never used. Same labels,
-                # bit for bit.
-                row_labels = np.zeros(len(live), dtype=np.int64)
-            else:
-                counts = np.array(
-                    [len(self._windows[slot]) for slot in live],
-                    dtype=np.int64,
-                )
-                row_labels, _centroids = _kmeans_rows(
-                    _rows(keys), counts, inverse, k_eff, make_rng(rng),
-                    max_iters=64,
-                )
+            counts = np.array(
+                [len(self._windows[slot]) for slot in live], dtype=np.int64
+            )
+            row_labels, _centroids = _kmeans_rows(
+                _rows(keys), counts, inverse, k, np.random.default_rng(0),
+                max_iters=64,
+            )
             aggregates = self._aggregates[live]
             cluster_analyses = []
-            for j in range(k_eff):
+            for j in range(k):
                 members = row_labels == j
                 cluster_analyses.append(
-                    analyze_histogram(
-                        aggregates[members].sum(axis=0),
-                        lr_threshold=lr_threshold,
-                    )
+                    analyze_histogram(aggregates[members].sum(axis=0))
                     if members.any() else None
                 )
         burst = {
@@ -426,7 +397,7 @@ class PatternHorizon:
         ]
         size = sum(map(len, burst_windows))
         recurrent = bool(
-            size >= min_burst_windows
+            size >= MIN_BURST_WINDOWS
             and (
                 size > 1
                 and max(w[-1] for w in burst_windows)
@@ -439,12 +410,12 @@ class PatternHorizon:
             window_rows = (
                 _window_rows(live, slots) if own_clusters else inverse
             )
-            order: Sequence[int] = range(k_eff)
-            if own_clusters and k_eff > 1:
+            order: Sequence[int] = range(k)
+            if own_clusters and k > 1:
                 # k-means++ seeds every pattern once, in the order its
                 # draws pick them; that order numbers the clusters.
                 order = _seed(
-                    _rows(keys), window_rows, k_eff, make_rng(rng)
+                    _rows(keys), window_rows, k, np.random.default_rng(0)
                 )
             numbered = [label for label, j in enumerate(order) if j in burst]
             return (
@@ -454,42 +425,6 @@ class PatternHorizon:
                 np.flatnonzero(np.array(burst_rows)[window_rows]),
             )
 
-        result = RecurrenceAnalysis.__new__(RecurrenceAnalysis)
-        result._defer(
+        return RecurrenceAnalysis(
             n, recurrent, size, [cluster_analyses[j] for j in burst], number
         )
-        if own_clusters and isinstance(rng, np.random.Generator):
-            result._numbered  # a shared stream takes its draws now
-        return result
-
-
-def analyze_recurrence(
-    histograms: Sequence[np.ndarray],
-    k: Optional[int] = None,
-    lr_threshold: float = LIKELIHOOD_RATIO_THRESHOLD,
-    min_burst_windows: int = 2,
-    rng: RngLike = 0,
-    max_windows: int = CLUSTERING_WINDOW_QUANTA,
-) -> RecurrenceAnalysis:
-    """Cluster per-window histograms and decide whether bursts recur.
-
-    ``histograms`` is one event-density histogram per observation window
-    (most recent windows are kept if more than ``max_windows`` are given).
-    A channel is recurrent when the windows that land in burst-significant
-    clusters number at least ``min_burst_windows`` and are not all
-    contiguous (a single isolated burst episode does not recur).
-
-    Streaming callers keep a :class:`PatternHorizon` instead, so that a
-    verdict does not re-discretize the whole horizon.
-    """
-    if not histograms:
-        raise DetectionError("need at least one window histogram")
-    horizon = PatternHorizon(max_windows)
-    for hist in histograms[-max_windows:]:
-        horizon.push(hist)
-    return horizon.analyze(
-        k=k,
-        lr_threshold=lr_threshold,
-        min_burst_windows=min_burst_windows,
-        rng=rng,
-    )

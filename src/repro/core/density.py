@@ -1,4 +1,4 @@
-"""Δt selection and event-density histograms (Section IV-B, steps 1-2).
+"""Δt selection (Section IV-B, step 1).
 
 Step 1 picks the observation interval Δt as ``α × (1 / average event
 rate)``: wide enough that benign densities do not degenerate to a Poisson
@@ -8,41 +8,26 @@ memory bus and 500 cycles for the integer divider; those are this module's
 defaults, with the α rule available for other resources.
 
 Step 2 counts events per Δt window and histograms the counts into the
-CC-auditor's 128-entry buffer format. The streaming form of step 2 is
-the auditor's own :class:`~repro.hardware.auditor.MonitorSlot`, which
-folds per-window counts into its saturating histogram buffer.
+CC-auditor's 128-entry buffer format. A tap's window reader
+(``read_counts``) counts, and the auditor's
+:class:`~repro.hardware.auditor.MonitorSlot` folds the counts into its
+saturating histogram buffer; offline sweeps histogram them with
+:func:`~repro.util.stats.sample_counts_to_histogram`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Protocol
-
-import numpy as np
-
 from repro.config import DIVIDER_DELTA_T_CYCLES, MEMBUS_DELTA_T_CYCLES
 from repro.errors import DetectionError
-from repro.util.stats import sample_counts_to_histogram
+
+#: The cycle range :func:`choose_delta_t` clamps Δt into.
+MIN_DELTA_T = 16
+MAX_DELTA_T = 10_000_000
 
 
-class DensitySource(Protocol):
-    """Anything that can report event counts per Δt window.
-
-    Satisfied by :class:`~repro.core.event_train.EventTrain`. The sim's
-    taps report theirs through window readers (``read_counts``), which
-    the streaming path folds into the auditor's monitor slots instead.
-    """
-
-    def density_counts(self, dt: int, t0: int, t1: int) -> np.ndarray: ...
-
-
-def choose_delta_t(
-    mean_rate_per_cycle: float,
-    alpha: float,
-    min_dt: int = 16,
-    max_dt: int = 10_000_000,
-) -> int:
-    """Pick Δt = α / mean event rate, clamped to a sane cycle range.
+def choose_delta_t(mean_rate_per_cycle: float, alpha: float) -> int:
+    """Pick Δt = α / mean event rate, clamped to
+    [:data:`MIN_DELTA_T`, :data:`MAX_DELTA_T`] cycles.
 
     ``alpha`` is the empirical per-resource constant the paper derives from
     the maximum and minimum achievable channel bandwidths on that hardware;
@@ -56,46 +41,7 @@ def choose_delta_t(
     if alpha <= 0:
         raise DetectionError(f"alpha must be positive, got {alpha}")
     dt = int(round(alpha / mean_rate_per_cycle))
-    return max(min_dt, min(dt, max_dt))
-
-
-@dataclass(frozen=True)
-class DensityHistogram:
-    """An event-density histogram over one observation window.
-
-    ``hist[d]`` = number of Δt windows containing ``d`` events (d clamps at
-    the last bin). This is exactly the content of one CC-auditor histogram
-    buffer at an OS-quantum boundary.
-    """
-
-    hist: np.ndarray
-    dt: int
-    window_start: int
-    window_end: int
-
-    @property
-    def n_windows(self) -> int:
-        return int(self.hist.sum())
-
-    @property
-    def total_events_lower_bound(self) -> int:
-        """Events implied by the histogram (clamped bins undercount)."""
-        return int((self.hist * np.arange(self.hist.size)).sum())
-
-
-def build_density_histogram(
-    source: DensitySource,
-    dt: int,
-    t0: int,
-    t1: int,
-    n_bins: int = 128,
-) -> DensityHistogram:
-    """Histogram the event density of ``source`` over ``[t0, t1)``."""
-    if t1 <= t0:
-        raise DetectionError(f"empty observation window [{t0}, {t1})")
-    counts = source.density_counts(dt, t0, t1)
-    hist = sample_counts_to_histogram(counts, n_bins)
-    return DensityHistogram(hist=hist, dt=dt, window_start=t0, window_end=t1)
+    return max(MIN_DELTA_T, min(dt, MAX_DELTA_T))
 
 
 def default_delta_t(unit: str) -> int:

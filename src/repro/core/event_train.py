@@ -1,12 +1,13 @@
 """Event trains: the input representation of both detectors.
 
 An *event train* is a uni-dimensional time series marking when indicator
-events occurred (Figure 4 of the paper). :class:`EventTrain` holds
-explicit cycle timestamps. A cache conflict-miss train also carries the
-(replacer, victim) context pair of each event; :func:`dominant_pair_series`
-maps the dominant pair's two directions onto the 0/1 identifiers the
-oscillation detector autocorrelates (" 'S→T' is assigned 0 and 'T→S' is
-assigned 1 ").
+events occurred (Figure 4 of the paper). The sim's taps record the
+trains, and their window readers (``window_reader()``) serve every read:
+sorted int64 cycle timestamps, or per-Δt window counts. A cache
+conflict-miss train also carries the (replacer, victim) context pair of
+each event; :func:`dominant_pair_series` maps the dominant pair's two
+directions onto the 0/1 identifiers the oscillation detector
+autocorrelates (" 'S→T' is assigned 0 and 'T→S' is assigned 1 ").
 """
 
 from __future__ import annotations
@@ -16,48 +17,6 @@ from typing import Tuple
 import numpy as np
 
 from repro.config import CONTEXT_ID_BITS
-from repro.errors import DetectionError
-
-
-class EventTrain:
-    """Sorted event timestamps with windowing and density helpers."""
-
-    def __init__(self, times: np.ndarray):
-        arr = np.asarray(times, dtype=np.int64)
-        self.times = np.sort(arr)
-
-    @property
-    def count(self) -> int:
-        return int(self.times.size)
-
-    @property
-    def span(self) -> int:
-        """Cycles between first and last event (0 for < 2 events)."""
-        if self.count < 2:
-            return 0
-        return int(self.times[-1] - self.times[0])
-
-    def slice(self, t0: int, t1: int) -> "EventTrain":
-        """Events within the half-open window ``[t0, t1)``."""
-        lo = np.searchsorted(self.times, t0, side="left")
-        hi = np.searchsorted(self.times, t1, side="left")
-        return EventTrain(self.times[lo:hi])
-
-    def density_counts(self, dt: int, t0: int, t1: int) -> np.ndarray:
-        """Event count in each Δt window tiling ``[t0, t1)``."""
-        if dt <= 0:
-            raise DetectionError(f"Δt must be positive, got {dt}")
-        if t1 <= t0:
-            raise DetectionError(f"empty window [{t0}, {t1})")
-        n_windows = -(-(t1 - t0) // dt)
-        sliced = self.slice(t0, t1)
-        if sliced.count == 0:
-            return np.zeros(n_windows, dtype=np.int64)
-        idx = (sliced.times - t0) // dt
-        return np.bincount(idx, minlength=n_windows).astype(np.int64)
-
-    def __repr__(self) -> str:
-        return f"EventTrain(n={self.count}, span={self.span})"
 
 
 def dominant_pair_series(

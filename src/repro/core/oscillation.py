@@ -34,26 +34,35 @@ import numpy as np
 
 from repro.errors import DetectionError
 
-#: Default thresholds. Real cache channels in the paper score peak heights
-#: of ~0.85-0.95; the 0.1 bps channel at a full-quantum window shows
-#: periodicity whose magnitudes "do not show significant strength", which
-#: the height floor rejects until the window is narrowed (Figure 11).
+#: The height floor's default. Real cache channels in the paper score peak
+#: heights of ~0.85-0.95; the 0.1 bps channel at a full-quantum window
+#: shows periodicity whose magnitudes "do not show significant strength",
+#: which the floor rejects until the window is narrowed (Figure 11).
 DEFAULT_MIN_PEAK_HEIGHT = 0.45
-DEFAULT_MIN_PEAKS = 3
-DEFAULT_SPACING_TOLERANCE = 0.25
-DEFAULT_COVERAGE = 0.4
-DEFAULT_DOMINANT_PEAK_HEIGHT = 0.65
-#: A genuine long-wavelength oscillation anti-correlates deeply at the
+#: A peak train: at least this many peaks, spacing std/mean at most
+#: ``SPACING_TOLERANCE``, the last peak at this fraction of the lag range
+#: or beyond.
+MIN_PEAKS = 3
+SPACING_TOLERANCE = 0.25
+MIN_COVERAGE = 0.4
+#: A dominant oscillation: a peak this high after a trough this deep. A
+#: genuine long-wavelength oscillation anti-correlates deeply at the
 #: half-wavelength (a covert square-wave train dips below -0.8); benign
 #: bursty correlation decays without crossing well below zero.
-DEFAULT_DIP_THRESHOLD = -0.3
-DEFAULT_MIN_PROMINENCE = 0.08
+DOMINANT_PEAK_HEIGHT = 0.65
+DIP_THRESHOLD = -0.3
+#: :func:`find_peaks`: how far a peak must rise above the trough before
+#: it, how close two peaks may be (in lags), and the width of the moving
+#: average it smooths the correlogram with.
+MIN_PROMINENCE = 0.08
+MIN_SEPARATION = 8
+SMOOTH_WIDTH = 5
 
 
-def _smooth(values: np.ndarray, width: int = 5) -> np.ndarray:
-    if values.size < width or width < 2:
+def _smooth(values: np.ndarray) -> np.ndarray:
+    if values.size < SMOOTH_WIDTH:
         return values.astype(np.float64)
-    kernel = np.ones(width)
+    kernel = np.ones(SMOOTH_WIDTH)
     summed = np.convolve(values.astype(np.float64), kernel, mode="same")
     # Normalize by the actual window size at each position so the edges are
     # not artificially depressed (which would fabricate early local maxima).
@@ -62,25 +71,21 @@ def _smooth(values: np.ndarray, width: int = 5) -> np.ndarray:
 
 
 def find_peaks(
-    acf: np.ndarray,
-    min_height: float,
-    min_separation: int = 8,
-    min_prominence: float = DEFAULT_MIN_PROMINENCE,
-    smooth_width: int = 5,
+    acf: np.ndarray, min_height: float
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Prominent local maxima of the (lightly smoothed) correlogram.
 
     Lag 0 (always 1.0) is excluded. A candidate must rise at least
-    ``min_prominence`` above the lowest point between it and the previous
-    accepted peak (or lag 0), which filters the small ripples noise etches
-    onto a triangle-wave correlogram. Peaks closer than ``min_separation``
-    keep only the higher one. Returns ``(lags, heights)`` with heights
-    taken from the raw correlogram.
+    :data:`MIN_PROMINENCE` above the lowest point between it and the
+    previous accepted peak (or lag 0), which filters the small ripples
+    noise etches onto a triangle-wave correlogram. Peaks closer than
+    :data:`MIN_SEPARATION` lags keep only the higher one. Returns
+    ``(lags, heights)`` with heights taken from the raw correlogram.
     """
     arr = np.asarray(acf, dtype=np.float64)
     if arr.size < 3:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
-    smooth = _smooth(arr, smooth_width)
+    smooth = _smooth(arr)
     interior = smooth[1:-1]
     is_max = (
         (interior >= smooth[:-2])
@@ -89,7 +94,7 @@ def find_peaks(
     )
     candidates = np.nonzero(is_max)[0] + 1
     # Skip the smoothing-edge artifact right at the start of the range.
-    candidates = candidates[candidates >= max(2, smooth_width)]
+    candidates = candidates[candidates >= max(2, SMOOTH_WIDTH)]
     kept = []
     if candidates.size:
         # The trough before each candidate is the minimum of ``smooth``
@@ -104,9 +109,9 @@ def find_peaks(
         for k in range(candidates.size):
             lag = int(candidates[k])
             run_min = min(run_min, float(seg_min[k]))
-            if smooth[lag] - run_min < min_prominence:
+            if smooth[lag] - run_min < MIN_PROMINENCE:
                 continue
-            if kept and lag - kept[-1] < min_separation:
+            if kept and lag - kept[-1] < MIN_SEPARATION:
                 if arr[lag] > arr[kept[-1]]:
                     kept[-1] = lag
                     run_min = np.inf
@@ -144,23 +149,18 @@ class OscillationAnalysis:
 
 
 def analyze_autocorrelogram(
-    acf: np.ndarray,
-    min_peak_height: float = DEFAULT_MIN_PEAK_HEIGHT,
-    min_peaks: int = DEFAULT_MIN_PEAKS,
-    spacing_tolerance: float = DEFAULT_SPACING_TOLERANCE,
-    min_coverage: float = DEFAULT_COVERAGE,
-    dominant_peak_height: float = DEFAULT_DOMINANT_PEAK_HEIGHT,
-    dip_threshold: float = DEFAULT_DIP_THRESHOLD,
+    acf: np.ndarray, min_peak_height: float = DEFAULT_MIN_PEAK_HEIGHT
 ) -> OscillationAnalysis:
     """Decide whether a correlogram exhibits a significant oscillation.
 
-    Signature 1 (peak train): at least ``min_peaks`` prominent peaks of
-    height >= ``min_peak_height``, regularly spaced (std/mean below
-    ``spacing_tolerance``), covering >= ``min_coverage`` of the lag range.
+    Signature 1 (peak train): at least :data:`MIN_PEAKS` prominent peaks
+    of height >= ``min_peak_height``, regularly spaced (std/mean at most
+    :data:`SPACING_TOLERANCE`), covering >= :data:`MIN_COVERAGE` of the
+    lag range.
 
     Signature 2 (dominant oscillation): a peak of height >=
-    ``dominant_peak_height`` at some lag whose preceding trough dips below
-    ``dip_threshold`` — true alternation, not slow decay.
+    :data:`DOMINANT_PEAK_HEIGHT` at some lag whose preceding trough dips
+    to :data:`DIP_THRESHOLD` or below — true alternation, not slow decay.
     """
     arr = np.asarray(acf, dtype=np.float64)
     if arr.size < 4:
@@ -197,12 +197,12 @@ def analyze_autocorrelogram(
         period = float(lags[0])
 
     peak_train = (
-        lags.size >= min_peaks
-        and irregularity <= spacing_tolerance
-        and coverage >= min_coverage
+        lags.size >= MIN_PEAKS
+        and irregularity <= SPACING_TOLERANCE
+        and coverage >= MIN_COVERAGE
     )
     dominant = bool(
-        (heights >= dominant_peak_height).any() and min_dip <= dip_threshold
+        (heights >= DOMINANT_PEAK_HEIGHT).any() and min_dip <= DIP_THRESHOLD
     )
     return OscillationAnalysis(
         acf=arr,

@@ -132,27 +132,14 @@ class VectorRegisterPair:
         self._drained: List[int] = []
         self.swaps = 0
 
-    def record(self, replacer: int, victim: int) -> None:
-        limit = 1 << CONTEXT_ID_BITS
-        if not (0 <= replacer < limit and 0 <= victim < limit):
-            raise HardwareError(
-                f"context ids must fit in {CONTEXT_ID_BITS} bits"
-            )
-        self._active.append((replacer << CONTEXT_ID_BITS) | victim)
-        if len(self._active) >= self.capacity:
-            self._drained.extend(self._active)
-            self._active = []
-            self.swaps += 1
-
     def record_batch(self, replacers: np.ndarray, victims: np.ndarray) -> None:
         """Record a column of conflict-miss pairs in one shot.
 
         Validation and packing are vectorized; the register fill/drain
-        walk then advances in capacity-sized slices, so the alternation
-        (a swap exactly when the active register reaches capacity) and
-        the final register contents match the per-record path exactly.
-        Unlike :meth:`record`, an out-of-range id rejects the whole
-        batch before anything is recorded.
+        walk then advances in capacity-sized slices, swapping exactly
+        when the active register reaches capacity, as the hardware does
+        record by record. An out-of-range id rejects the whole batch
+        before anything is recorded.
         """
         reps = np.asarray(replacers, dtype=np.int64).ravel()
         vics = np.asarray(victims, dtype=np.int64).ravel()

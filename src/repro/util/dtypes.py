@@ -1,13 +1,13 @@
 """Column dtype contracts for the event hot path.
 
 Every event-timestamp column in the pipeline is ``np.int64`` cycles and
-every window-count column is ``np.int64`` events — the convention
-:class:`~repro.core.event_train.EventTrain` established. The columnar
-hot path hands arrays between layers zero-copy, so a stray ``int32``
-(e.g. from a compact trace archive) or a float column would silently
-change downstream arithmetic instead of failing at the boundary. These
-helpers make mixed-dtype columns fail loudly at the layer seam where
-the column enters.
+every window-count column is ``np.int64`` events, as the taps' window
+readers (``repro.sim.events``) return them. The columnar hot path hands
+arrays between layers zero-copy, so a stray ``int32`` (e.g. from a
+compact trace archive) or a float column would silently change
+downstream arithmetic instead of failing at the boundary. These helpers
+make mixed-dtype columns fail loudly at the layer seam where the column
+enters.
 """
 
 from __future__ import annotations

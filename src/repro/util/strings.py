@@ -15,19 +15,20 @@ import numpy as np
 
 from repro.errors import DetectionError
 
+#: Symbols per bin: 0 for an empty bin, 1-3 for the log-frequency range.
+#: The clustering step's exactness argument (docs/ALGORITHMS.md,
+#: section 5) bounds its weighted sums with this value.
+SYMBOL_LEVELS = 4
 
-def discretize_histogram(
-    hist: Sequence[float], levels: int = 4
-) -> np.ndarray:
-    """Map bin frequencies to integer symbols ``0 .. levels-1``.
+
+def discretize_histogram(hist: Sequence[float]) -> np.ndarray:
+    """Map bin frequencies to integer symbols ``0 .. SYMBOL_LEVELS-1``.
 
     Symbol 0 means the bin is empty; the remaining levels split the
     log-frequency range of the histogram evenly. A histogram with all-equal
     non-zero bins discretizes to all top-level symbols, preserving the
     intuition that only *relative* frequency structure matters.
     """
-    if levels < 2:
-        raise DetectionError(f"need at least 2 symbol levels, got {levels}")
     arr = np.asarray(hist, dtype=np.float64)
     if arr.size == 0:
         raise DetectionError("cannot discretize an empty histogram")
@@ -40,9 +41,12 @@ def discretize_histogram(
     logs = np.log1p(arr[nonzero])
     top = logs.max()
     if top == 0:
-        symbols[nonzero] = levels - 1
+        symbols[nonzero] = SYMBOL_LEVELS - 1
         return symbols
-    # Scale log-frequencies into 1 .. levels-1 (0 is reserved for empty bins).
-    scaled = 1 + np.floor(logs / top * (levels - 1 - 1e-12)).astype(np.int64)
-    symbols[nonzero] = np.minimum(scaled, levels - 1)
+    # Scale log-frequencies into 1 .. SYMBOL_LEVELS-1 (0 is reserved for
+    # empty bins).
+    scaled = 1 + np.floor(
+        logs / top * (SYMBOL_LEVELS - 1 - 1e-12)
+    ).astype(np.int64)
+    symbols[nonzero] = np.minimum(scaled, SYMBOL_LEVELS - 1)
     return symbols

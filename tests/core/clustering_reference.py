@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import CLUSTERING_WINDOW_QUANTA, LIKELIHOOD_RATIO_THRESHOLD
+from repro.config import CLUSTERING_WINDOW_QUANTA
 from repro.core.burst import BurstAnalysis, analyze_histogram
 from repro.core.clustering import RecurrenceAnalysis
 from repro.errors import DetectionError
@@ -166,7 +166,6 @@ def _rows(keys: Sequence[bytes]) -> np.ndarray:
 def analyze_recurrence(
     histograms: Sequence[np.ndarray],
     k: Optional[int] = None,
-    lr_threshold: float = LIKELIHOOD_RATIO_THRESHOLD,
     min_burst_windows: int = 2,
     rng: RngLike = 0,
     max_windows: int = CLUSTERING_WINDOW_QUANTA,
@@ -226,7 +225,7 @@ def analyze_recurrence(
         if member_idx.size == 0:
             continue
         aggregate = np.sum([hists[i] for i in member_idx], axis=0)
-        analysis = analyze_histogram(aggregate, lr_threshold=lr_threshold)
+        analysis = analyze_histogram(aggregate)
         if analysis.significant:
             burst_clusters.append(j)
             analyses.append(analysis)
@@ -244,11 +243,7 @@ def analyze_recurrence(
             or burst_windows.size >= max(2, n // 2)
         )
     )
+    numbered = (labels, tuple(burst_clusters), tuple(analyses), burst_windows)
     return RecurrenceAnalysis(
-        n_windows=n,
-        cluster_labels=labels,
-        burst_clusters=tuple(burst_clusters),
-        burst_analyses=tuple(analyses),
-        burst_window_indices=burst_windows,
-        recurrent=recurrent,
+        n, recurrent, burst_windows.size, analyses, lambda: numbered
     )

@@ -1,10 +1,11 @@
-"""Batch kernels vs per-event adapters vs brute-force references.
+"""Batch kernels vs one-at-a-time use vs brute-force references.
 
-The columnar hot path leans on vectorized kernels; the per-event entry
-points remain as thin adapters. These tests pin the kernels to an
-O(n·lags) reference estimator (autocorrelation) and to repeated
-single-record paths (density, auditor vector registers), so the fast
-and slow paths cannot drift apart.
+The columnar hot path leans on vectorized kernels. These tests pin them
+to an O(n·lags) reference estimator (autocorrelation), to the same
+kernels fed one window or one record at a time (the auditor slot's
+density fold, the auditor vector registers), and to a brute-force
+filter (window reads of an event train), so batching cannot change a
+result.
 """
 
 import numpy as np
@@ -14,9 +15,9 @@ from hypothesis import strategies as st
 
 from repro.config import AuditorConfig
 from repro.core.autocorr import binary_autocorrelogram
-from repro.core.event_train import EventTrain
-from repro.errors import DetectionError
+from repro.errors import DetectionError, SimulationError
 from repro.hardware.auditor import MonitorSlot, VectorRegisterPair
+from repro.sim.events import EventTap
 
 
 def reference_correlogram(x, max_lag):
@@ -107,7 +108,7 @@ class TestVectorRegisterBatch:
         one = VectorRegisterPair(cfg)
         many = VectorRegisterPair(cfg)
         for r, v in pairs:
-            one.record(r, v)
+            one.record_batch(np.array([r]), np.array([v]))
         reps = np.array([p[0] for p in pairs], dtype=np.int64)
         vics = np.array([p[1] for p in pairs], dtype=np.int64)
         many.record_batch(reps, vics)
@@ -130,7 +131,16 @@ class TestVectorRegisterBatch:
         assert pair.pending == 0
 
 
+def _read(times, t0, t1):
+    """``[t0, t1)`` of an event train, through a fresh window reader."""
+    tap = EventTap("t")
+    tap.record_batch(np.array(times, dtype=np.int64))
+    return tap.window_reader().read(t0, t1)
+
+
 class TestEventTrainEdges:
+    """Window reads of an event train, against a brute-force filter."""
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(st.integers(0, 1_000), max_size=120),
@@ -138,25 +148,22 @@ class TestEventTrainEdges:
         st.integers(0, 1_000),
     )
     def test_slice_is_half_open(self, times, t0, t1):
-        train = EventTrain(np.array(sorted(times), dtype=np.int64))
-        window = train.slice(t0, t1)
+        t0, t1 = min(t0, t1), max(t0, t1)
         expect = [t for t in sorted(times) if t0 <= t < t1]
-        assert window.times.tolist() == expect
+        assert _read(times, t0, t1).tolist() == expect
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(0, 100), min_size=1, max_size=60))
     def test_duplicates_preserved(self, times):
-        doubled = sorted(times + times)
-        train = EventTrain(np.array(doubled, dtype=np.int64))
-        assert train.slice(0, 101).count == 2 * len(times)
+        assert _read(times + times, 0, 101).size == 2 * len(times)
 
     def test_endpoint_exactly_on_event(self):
-        train = EventTrain(np.array([10, 20, 30], dtype=np.int64))
-        assert train.slice(10, 30).times.tolist() == [10, 20]
-        assert train.slice(10, 31).times.tolist() == [10, 20, 30]
-        assert train.slice(11, 30).times.tolist() == [20]
+        assert _read([10, 20, 30], 10, 30).tolist() == [10, 20]
+        assert _read([10, 20, 30], 10, 31).tolist() == [10, 20, 30]
+        assert _read([10, 20, 30], 11, 30).tolist() == [20]
 
     def test_empty_slice_and_empty_train(self):
-        train = EventTrain(np.array([5], dtype=np.int64))
-        assert train.slice(3, 3).count == 0
-        assert train.slice(6, 4).count == 0
+        assert _read([5], 3, 3).size == 0
+        assert _read([], 0, 10).size == 0
+        with pytest.raises(SimulationError):
+            _read([5], 6, 4)

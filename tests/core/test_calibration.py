@@ -12,6 +12,7 @@ from repro.core.calibration import (
     paper_divider_calibration,
 )
 from repro.errors import DetectionError
+from repro.sim.events import EventTap
 
 
 class TestCalibrateAlpha:
@@ -44,30 +45,26 @@ class TestCalibrateAlpha:
 
 
 class TestAssessDeltaT:
-    def _bursty_train(self, burst_period=5_000, horizon=50_000_000):
-        # One event per 5k cycles in bursts of 100k, every 1M cycles.
-        times = []
-        for burst_start in range(0, horizon, 1_000_000):
-            times.extend(range(burst_start, burst_start + 100_000, 5_000))
-        return np.array(times)
+    HORIZON = 50_000_000
+
+    def _bursty_counts(self, dt):
+        """Window counts of one event per 5k cycles in bursts of 100k,
+        every 1M cycles, at window width ``dt``."""
+        tap = EventTap("bus")
+        for burst_start in range(0, self.HORIZON, 1_000_000):
+            tap.record_batch(
+                np.arange(burst_start, burst_start + 100_000, 5_000)
+            )
+        return tap.window_reader().read_counts(dt, 0, self.HORIZON).expand()
 
     def test_paper_delta_t_usable(self):
-        times = self._bursty_train()
-        regime = assess_delta_t(times, 100_000, 0, 50_000_000)
+        regime = assess_delta_t(self._bursty_counts(100_000))
         assert regime is DeltaTRegime.USABLE
 
     def test_tiny_delta_t_poisson(self):
-        times = self._bursty_train()
-        regime = assess_delta_t(times, 500, 0, 50_000_000)
+        regime = assess_delta_t(self._bursty_counts(500))
         assert regime is DeltaTRegime.POISSON
 
     def test_huge_delta_t_normal(self):
-        times = self._bursty_train()
-        regime = assess_delta_t(times, 10_000_000, 0, 50_000_000)
+        regime = assess_delta_t(self._bursty_counts(10_000_000))
         assert regime is DeltaTRegime.NORMAL
-
-    def test_bad_window(self):
-        with pytest.raises(DetectionError):
-            assess_delta_t([1, 2], 0, 0, 10)
-        with pytest.raises(DetectionError):
-            assess_delta_t([1, 2], 10, 5, 5)

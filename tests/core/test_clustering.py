@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.config import CLUSTERING_WINDOW_QUANTA
 from repro.core import clustering
-from repro.core.clustering import PatternHorizon, analyze_recurrence
+from repro.core.clustering import MAX_CLUSTERS, PatternHorizon
 from repro.errors import DetectionError
 
 
@@ -24,25 +25,33 @@ def quiet_hist(seed=0):
     return hist
 
 
+def analyze_windows(hists, max_windows=CLUSTERING_WINDOW_QUANTA):
+    """Push ``hists`` into a fresh horizon and analyze it."""
+    horizon = PatternHorizon(max_windows)
+    for hist in hists:
+        horizon.push(hist)
+    return horizon.analyze()
+
+
 class TestRecurrence:
     def test_recurrent_channel_pattern(self):
         """Covert quanta interleaved with quiet quanta recur."""
         hists = []
         for i in range(16):
             hists.append(covert_hist(i) if i % 2 == 0 else quiet_hist(i))
-        result = analyze_recurrence(hists)
+        result = analyze_windows(hists)
         assert result.recurrent
         assert result.burst_clusters
         assert result.burst_window_fraction == pytest.approx(0.5, abs=0.15)
 
     def test_continuous_channel_recurrent(self):
         hists = [covert_hist(i) for i in range(8)]
-        result = analyze_recurrence(hists)
+        result = analyze_windows(hists)
         assert result.recurrent
 
     def test_quiet_windows_not_recurrent(self):
         hists = [quiet_hist(i) for i in range(16)]
-        result = analyze_recurrence(hists)
+        result = analyze_windows(hists)
         assert not result.recurrent
         assert not result.burst_clusters
 
@@ -50,7 +59,7 @@ class TestRecurrence:
         """One isolated bursty quantum among many quiet ones: no recurrence."""
         hists = [quiet_hist(i) for i in range(15)]
         hists.insert(7, covert_hist(0))
-        result = analyze_recurrence(hists)
+        result = analyze_windows(hists)
         assert not result.recurrent
 
     def test_low_lr_bursts_not_flagged(self):
@@ -61,27 +70,31 @@ class TestRecurrence:
         hist[2] = 60
         hist[3] = 30
         hist[6] = 8
-        result = analyze_recurrence([hist.copy() for _ in range(8)])
+        result = analyze_windows([hist.copy() for _ in range(8)])
         assert not result.burst_clusters
         assert not result.recurrent
 
     def test_window_cap_keeps_recent(self):
         hists = [covert_hist(i) for i in range(8)]
-        result = analyze_recurrence(hists, max_windows=4)
+        result = analyze_windows(hists, max_windows=4)
         assert result.n_windows == 4
 
     def test_empty_rejected(self):
         with pytest.raises(DetectionError):
-            analyze_recurrence([])
+            analyze_windows([])
 
     def test_mismatched_bins_rejected(self):
         with pytest.raises(DetectionError):
-            analyze_recurrence([np.zeros(128), np.zeros(64)])
+            analyze_windows([np.zeros(128), np.zeros(64)])
 
-    def test_explicit_k(self):
-        hists = [covert_hist(i) for i in range(6)]
-        result = analyze_recurrence(hists, k=2)
-        assert len(set(result.cluster_labels.tolist())) <= 2
+    def test_clusters_capped_at_max_clusters(self):
+        hists = []
+        for i in range(6):
+            hist = covert_hist(i)
+            hist[40 + i] = 50  # six distinct patterns
+            hists.append(hist)
+        result = analyze_windows(hists)
+        assert len(set(result.cluster_labels.tolist())) <= MAX_CLUSTERS
 
 
 class TestPatternHorizon:
@@ -136,7 +149,7 @@ def _counting(monkeypatch, name):
 
 
 class TestSkippedWork:
-    """With the default k and at most four live patterns, a verdict runs
+    """With at most ``MAX_CLUSTERS`` (four) live patterns, a verdict runs
     no k-means and re-analyzes only the patterns changed since the last
     verdict."""
 
@@ -189,36 +202,40 @@ class TestSkippedWork:
         horizon.push(b)  # pushes b into the freed slot, evicts an a
         horizon.analyze()
         assert len(analyses) == 6
-        horizon.analyze(lr_threshold=0.9)  # another threshold: both again
-        assert len(analyses) == 8
 
     def test_result_unchanged_by_later_pushes(self):
         """Numbered fields read after later pushes and evictions equal
-        those read at once, and no analysis aliases a live aggregate."""
-        horizon = PatternHorizon(max_windows=6)
-        stream = [covert_hist(i) if i % 2 else quiet_hist(i) for i in range(6)]
-        for hist in stream:
-            horizon.push(hist)
-        late = horizon.analyze(k=2)
-        early = horizon.analyze(k=2)
-        expected = (
-            early.cluster_labels.copy(),
-            early.burst_clusters,
-            early.burst_window_indices.copy(),
-            [a.hist.copy() for a in early.burst_analyses],
-        )
-        assert early.burst_analyses
-        for i in range(9):  # evicts every window and frees a slot
-            horizon.push(covert_hist(100 + i))
-        for result in (late, early):
-            assert result.cluster_labels.tolist() == expected[0].tolist()
-            assert result.burst_clusters == expected[1]
-            assert (
-                result.burst_window_indices.tolist() == expected[2].tolist()
+        those read at once, and no analysis aliases a live aggregate:
+        with two patterns, and with six, where k-means runs."""
+        few = [covert_hist(i) if i % 2 else quiet_hist(i) for i in range(6)]
+        many = [hist.copy() for hist in few]
+        for i, hist in enumerate(many):
+            hist[40 + i] = 50  # six distinct patterns
+        for stream in (few, many):
+            horizon = PatternHorizon(max_windows=6)
+            for hist in stream:
+                horizon.push(hist)
+            late = horizon.analyze()
+            early = horizon.analyze()
+            expected = (
+                early.cluster_labels.copy(),
+                early.burst_clusters,
+                early.burst_window_indices.copy(),
+                [a.hist.copy() for a in early.burst_analyses],
             )
-            assert [a.hist.tolist() for a in result.burst_analyses] == [
-                h.tolist() for h in expected[3]
-            ]
+            assert early.burst_analyses
+            for i in range(9):  # evicts every window and frees a slot
+                horizon.push(covert_hist(100 + i))
+            for result in (late, early):
+                assert result.cluster_labels.tolist() == expected[0].tolist()
+                assert result.burst_clusters == expected[1]
+                assert (
+                    result.burst_window_indices.tolist()
+                    == expected[2].tolist()
+                )
+                assert [a.hist.tolist() for a in result.burst_analyses] == [
+                    h.tolist() for h in expected[3]
+                ]
 
 
 class TestSummationGrouping:

@@ -19,12 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.clustering import (
-    PatternHorizon,
-    _kmeans_rows,
-    analyze_recurrence,
-)
+from repro.core import clustering
+from repro.core.clustering import PatternHorizon, _kmeans_rows
 from repro.errors import DetectionError
+from repro.util.strings import discretize_histogram
 from tests.core import clustering_reference as ref
 
 pytestmark = pytest.mark.parity
@@ -114,12 +112,13 @@ def _stream(gen, n_windows, n_templates, bins, noise):
     st.integers(1, 5),
     st.sampled_from((3, 8, 16)),
     st.sampled_from((0.0, 0.2, 0.6)),
-    st.one_of(st.none(), st.integers(1, 5)),
     st.integers(0, 2**32 - 1),
 )
 def test_horizon_matches_reference_after_every_push(
-    max_windows, n_windows, n_templates, bins, noise, k, seed
+    max_windows, n_windows, n_templates, bins, noise, seed
 ):
+    """Noisy streams go past four live patterns, so verdicts run k-means
+    as well as the path without it."""
     gen = np.random.default_rng(seed)
     windows = _stream(gen, n_windows, n_templates, bins, noise)
     horizon = PatternHorizon(max_windows)
@@ -128,53 +127,46 @@ def test_horizon_matches_reference_after_every_push(
         retained = windows[max(0, i + 1 - max_windows):i + 1]
         assert len(horizon) == len(retained)
         assert _same_bits(horizon.total, np.sum(retained, axis=0))
-        try:
-            expected = ref.analyze_recurrence(
-                retained, k=k, rng=seed, max_windows=max_windows
-            )
-        except DetectionError as exc:
-            with pytest.raises(DetectionError, match=re.escape(str(exc))):
-                horizon.analyze(k=k, rng=seed)
-            continue
-        _assert_analysis_equal(horizon.analyze(k=k, rng=seed), expected)
+        _assert_analysis_equal(
+            horizon.analyze(),
+            ref.analyze_recurrence(retained, max_windows=max_windows),
+        )
 
 
 @pytest.mark.parametrize("k", [None, 2, 3, 5])
 def test_all_identical_windows(k):
-    """One pattern: k-means++ meets a zero total, and every extra cluster
-    is empty and re-seeded."""
+    """One pattern. With ``k`` None the horizon, at its constants,
+    matches the reference. A ``k`` above the one live pattern, which
+    ``analyze`` never uses, runs on the kernel against the reference
+    ``kmeans`` on the expanded points: k-means++ meets a zero total, and
+    every extra cluster is empty and re-seeded."""
     hist = np.zeros(16, dtype=np.int64)
     hist[0], hist[9] = 500, 40
     windows = [hist.copy() for _ in range(24)]
-    horizon = PatternHorizon(16)
-    for window in windows:
-        horizon.push(window)
-    assert horizon.n_patterns == 1
-    _assert_analysis_equal(
-        horizon.analyze(k=k),
-        ref.analyze_recurrence(windows, k=k, max_windows=16),
-    )
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(1, 40),
-    st.integers(1, 4),
-    st.one_of(st.none(), st.integers(1, 5)),
-    st.integers(0, 2**32 - 1),
-)
-def test_analyze_recurrence_matches_reference(n_windows, n_templates, k, seed):
-    gen = np.random.default_rng(seed)
-    windows = _stream(gen, n_windows, n_templates, 16, 0.3)
-    try:
-        expected = ref.analyze_recurrence(windows, k=k, rng=seed, max_windows=8)
-    except DetectionError as exc:
-        with pytest.raises(DetectionError, match=re.escape(str(exc))):
-            analyze_recurrence(windows, k=k, rng=seed, max_windows=8)
+    if k is None:
+        horizon = PatternHorizon(16)
+        for window in windows:
+            horizon.push(window)
+        assert horizon.n_patterns == 1
+        _assert_analysis_equal(
+            horizon.analyze(), ref.analyze_recurrence(windows, max_windows=16)
+        )
         return
-    _assert_analysis_equal(
-        analyze_recurrence(windows, k=k, rng=seed, max_windows=8), expected
+    rows = discretize_histogram(hist)[None].astype(np.float64)
+    inverse = np.zeros(16, dtype=np.intp)
+    gen_ref, gen_row = (np.random.default_rng(0) for _ in range(2))
+    assert ref._seed(rows, inverse, k, gen_ref) == clustering._seed(
+        rows, inverse, k, gen_row
+    ) == [0] * k
+    assert gen_ref.bit_generator.state == gen_row.bit_generator.state
+    gen_ref, gen_row = (np.random.default_rng(0) for _ in range(2))
+    labels, centroids, _inertia = ref.kmeans(rows[inverse], k, rng=gen_ref)
+    row_labels, row_centroids = _kmeans_rows(
+        rows, np.bincount(inverse), inverse, k, gen_row, 64
     )
+    assert _same_bits(row_labels[inverse], labels)
+    assert _same_bits(row_centroids, centroids)
+    assert gen_ref.bit_generator.state == gen_row.bit_generator.state
 
 
 @pytest.mark.parametrize("seed", [3, 11])
@@ -203,7 +195,6 @@ def test_few_patterns_past_the_default_horizon(seed):
             continue
         retained = windows[max(0, i + 1 - horizon.max_windows):i + 1]
         _assert_analysis_equal(
-            horizon.analyze(rng=seed),
-            ref.analyze_recurrence(retained, rng=seed),
+            horizon.analyze(), ref.analyze_recurrence(retained)
         )
     assert max(live) == 4 and len(horizon) == horizon.max_windows

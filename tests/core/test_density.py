@@ -1,14 +1,13 @@
-"""Tests for Δt selection and density-histogram construction."""
+"""Tests for Δt selection."""
 
-import numpy as np
 import pytest
 
 from repro.core.density import (
-    build_density_histogram,
+    MAX_DELTA_T,
+    MIN_DELTA_T,
     choose_delta_t,
     default_delta_t,
 )
-from repro.core.event_train import EventTrain
 from repro.errors import DetectionError
 
 
@@ -18,10 +17,10 @@ class TestChooseDeltaT:
         assert choose_delta_t(1 / 5000, alpha=20) == 100_000
 
     def test_clamped_low(self):
-        assert choose_delta_t(1.0, alpha=1, min_dt=16) == 16
+        assert choose_delta_t(1.0, alpha=1) == MIN_DELTA_T == 16
 
     def test_clamped_high(self):
-        assert choose_delta_t(1e-9, alpha=10, max_dt=10_000_000) == 10_000_000
+        assert choose_delta_t(1e-9, alpha=10) == MAX_DELTA_T == 10_000_000
 
     def test_bad_rate(self):
         with pytest.raises(DetectionError):
@@ -41,21 +40,3 @@ class TestDefaults:
         with pytest.raises(DetectionError):
             default_delta_t("gpu")
 
-
-class TestBuildHistogram:
-    def test_basic(self):
-        train = EventTrain(np.array([5, 6, 7, 105]))
-        dh = build_density_histogram(train, dt=100, t0=0, t1=200)
-        assert dh.hist[3] == 1  # one window with 3 events
-        assert dh.hist[1] == 1  # one window with 1 event
-        assert dh.n_windows == 2
-
-    def test_empty_window_raises(self):
-        train = EventTrain(np.array([1]))
-        with pytest.raises(DetectionError):
-            build_density_histogram(train, dt=10, t0=5, t1=5)
-
-    def test_total_events_lower_bound(self):
-        train = EventTrain(np.arange(50))
-        dh = build_density_histogram(train, dt=10, t0=0, t1=50, n_bins=128)
-        assert dh.total_events_lower_bound == 50

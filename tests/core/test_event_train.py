@@ -1,30 +1,8 @@
-"""Tests for event trains and dominant-pair extraction."""
+"""Tests for dominant-pair extraction from conflict-miss trains."""
 
 import numpy as np
 
-from repro.core.event_train import EventTrain, dominant_pair_series
-
-
-class TestEventTrain:
-    def test_sorted_on_construction(self):
-        train = EventTrain(np.array([30, 10, 20]))
-        assert train.times.tolist() == [10, 20, 30]
-
-    def test_count_and_span(self):
-        train = EventTrain(np.array([100, 500]))
-        assert train.count == 2
-        assert train.span == 400
-
-    def test_span_of_singleton(self):
-        assert EventTrain(np.array([5])).span == 0
-
-    def test_slice(self):
-        train = EventTrain(np.arange(0, 100, 10))
-        assert train.slice(25, 55).times.tolist() == [30, 40, 50]
-
-    def test_density_counts(self):
-        train = EventTrain(np.array([1, 2, 15, 16, 17]))
-        assert train.density_counts(10, 0, 20).tolist() == [2, 3]
+from repro.core.event_train import dominant_pair_series
 
 
 class TestDominantPairSeries:

@@ -5,13 +5,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.autocorr import autocorrelogram, binary_autocorrelogram
-from repro.core.clustering import analyze_recurrence
+from repro.core.clustering import PatternHorizon
 from repro.config import AuditorConfig
-from repro.core.density import build_density_histogram
-from repro.core.event_train import EventTrain, dominant_pair_series
+from repro.core.event_train import dominant_pair_series
 from repro.core.oscillation import analyze_autocorrelogram
 from repro.hardware.auditor import MonitorSlot
+from repro.sim.events import EventTap
 from repro.util.stats import sample_counts_to_histogram
+
+
+def _density_histogram(times, dt, t1, n_bins):
+    """The density histogram of ``times`` over ``[0, t1)``, through a
+    fresh window reader."""
+    tap = EventTap("t")
+    tap.record_batch(np.array(times, dtype=np.int64))
+    counts = tap.window_reader().read_counts(dt, 0, t1).expand()
+    return sample_counts_to_histogram(counts, n_bins)
 
 
 class TestDensityInvariants:
@@ -21,17 +30,15 @@ class TestDensityInvariants:
         st.integers(16, 5_000),
     )
     def test_histogram_counts_every_window(self, times, dt):
-        train = EventTrain(np.array(times, dtype=np.int64))
-        dh = build_density_histogram(train, dt, 0, 100_001)
-        assert dh.n_windows == -(-100_001 // dt)
+        hist = _density_histogram(times, dt, 100_001, 128)
+        assert hist.sum() == -(-100_001 // dt)
 
     @settings(max_examples=30)
     @given(st.lists(st.integers(0, 9_999), min_size=1, max_size=300))
     def test_no_events_lost_below_clamp(self, times):
-        train = EventTrain(np.array(times, dtype=np.int64))
-        dh = build_density_histogram(train, 10_000, 0, 10_000, n_bins=1024)
+        hist = _density_histogram(times, 10_000, 10_000, 1024)
         # A single window wide enough for everything: exact count.
-        assert dh.total_events_lower_bound == len(times)
+        assert (hist * np.arange(hist.size)).sum() == len(times)
 
 
 class TestPairSeriesInvariants:
@@ -75,7 +82,10 @@ class TestAnalysisRobustness:
             rng.integers(0, 50, 128).astype(np.int64)
             for _ in range(n_windows)
         ]
-        result = analyze_recurrence(hists, rng=seed)
+        horizon = PatternHorizon()
+        for hist in hists:
+            horizon.push(hist)
+        result = horizon.analyze()
         assert result.n_windows == n_windows
         assert result.cluster_labels.size == n_windows
         assert 0.0 <= result.burst_window_fraction <= 1.0

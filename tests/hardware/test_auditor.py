@@ -49,15 +49,15 @@ class TestMonitorSlot:
 class TestVectorRegisters:
     def test_record_and_drain(self):
         vectors = VectorRegisterPair(AuditorConfig())
-        vectors.record(1, 2)
-        vectors.record(2, 1)
+        vectors.record_batch(np.array([1]), np.array([2]))
+        vectors.record_batch(np.array([2]), np.array([1]))
         reps, vics = vectors.drain()
         assert reps.tolist() == [1, 2]
         assert vics.tolist() == [2, 1]
 
     def test_drain_clears(self):
         vectors = VectorRegisterPair(AuditorConfig())
-        vectors.record(1, 2)
+        vectors.record_batch(np.array([1]), np.array([2]))
         vectors.drain()
         reps, _ = vectors.drain()
         assert reps.size == 0
@@ -66,7 +66,7 @@ class TestVectorRegisters:
         config = AuditorConfig(vector_register_bytes=4)
         vectors = VectorRegisterPair(config)
         for _ in range(9):
-            vectors.record(1, 2)
+            vectors.record_batch(np.array([1]), np.array([2]))
         assert vectors.swaps == 2
         reps, _ = vectors.drain()
         assert reps.size == 9  # lossless across swaps
@@ -74,7 +74,7 @@ class TestVectorRegisters:
     def test_context_id_bounds(self):
         vectors = VectorRegisterPair(AuditorConfig())
         with pytest.raises(HardwareError):
-            vectors.record(8, 0)
+            vectors.record_batch(np.array([8]), np.array([0]))
 
     def test_batch_context_id_bounds(self):
         vectors = VectorRegisterPair(AuditorConfig())

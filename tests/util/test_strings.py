@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import DetectionError
-from repro.util.strings import discretize_histogram
+from repro.util.strings import SYMBOL_LEVELS, discretize_histogram
 
 
 class TestDiscretize:
@@ -15,23 +15,19 @@ class TestDiscretize:
         assert symbols[2] == 0
 
     def test_max_bin_gets_top_level(self):
-        symbols = discretize_histogram([0, 1, 1000], levels=4)
+        symbols = discretize_histogram([0, 1, 1000])
         assert symbols[2] == 3
 
     def test_log_scale_separates_magnitudes(self):
-        symbols = discretize_histogram([0, 2, 40, 4000], levels=4)
+        symbols = discretize_histogram([0, 2, 40, 4000])
         assert symbols[1] < symbols[2] < symbols[3]
 
     def test_uniform_nonzero_maps_to_top(self):
-        symbols = discretize_histogram([5, 5, 5], levels=3)
-        assert symbols.tolist() == [2, 2, 2]
+        symbols = discretize_histogram([5, 5, 5])
+        assert symbols.tolist() == [3, 3, 3]
 
     def test_all_zero(self):
         assert discretize_histogram([0, 0, 0]).tolist() == [0, 0, 0]
-
-    def test_needs_two_levels(self):
-        with pytest.raises(DetectionError):
-            discretize_histogram([1], levels=1)
 
     def test_negative_raises(self):
         with pytest.raises(DetectionError):
@@ -41,14 +37,11 @@ class TestDiscretize:
         with pytest.raises(DetectionError):
             discretize_histogram([])
 
-    @given(
-        st.lists(st.integers(0, 10**6), min_size=1, max_size=128),
-        st.integers(2, 8),
-    )
-    def test_symbols_in_range(self, hist, levels):
-        symbols = discretize_histogram(hist, levels=levels)
+    @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=128))
+    def test_symbols_in_range(self, hist):
+        symbols = discretize_histogram(hist)
         assert symbols.min() >= 0
-        assert symbols.max() <= levels - 1
+        assert symbols.max() <= SYMBOL_LEVELS - 1 == 3
         # Zero bins always map to symbol 0; non-zero bins never do.
         for value, symbol in zip(hist, symbols):
             assert (symbol == 0) == (value == 0)
