@@ -13,17 +13,18 @@ accesses that reach L2 (covert-channel and noise working sets are sized to
 defeat the 32 KB L1s, as in the paper's attack implementations).
 
 Batched hot path: ``access_series`` and ``random_traffic`` are the
-simulator's dominant cost, and its only way into the cache. Block keys,
-latency jitter and per-access times are computed in numpy over the
-whole series, and only the LRU walk remains a Python loop; it returns
+simulator's dominant cost, and its only way into the cache. Latency
+jitter and per-access times are computed in numpy over the whole series,
+and only the LRU walk over plain dicts remains a Python loop; it returns
 the misses at once, because latencies feed back into the processes.
-Conflict classification is deferred: the walk logs each series' block
-keys and evictions, and :meth:`SharedCache.settle` hands the log to the
-tracker's ``settle`` in one call, which answers every logged conflict
-check as of its position. The per-access path that calls a tracker per
-access lives with the tests (``tests/sim/cache_reference.py``), as the
-reference the parity suite proves the walk and settle bit-identical to
-(events, latencies, counters, RNG/jitter stepping).
+Conflict classification is deferred: the log keeps each series' columns
+and the evictions the walk records, and :meth:`SharedCache.settle` packs
+block keys once and hands the log to the tracker's ``settle`` in one
+call, which answers every logged conflict check as of its position. The
+per-access path that calls a tracker per access lives with the tests
+(``tests/sim/cache_reference.py``), as the reference the parity suite
+proves the walk and settle bit-identical to (events, latencies,
+counters, RNG/jitter stepping).
 
 Mitigations (:mod:`repro.mitigation`) act through two declared hooks:
 ``partition`` picks the victim of a miss, and ``fuzzer`` transforms the
@@ -32,8 +33,7 @@ latency column ``access_series`` returns.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,15 +43,15 @@ from repro.hardware.conflict_tracker import ConflictMissTracker
 from repro.obs.tracing import trace_span
 from repro.sim.events import LabeledEventTap
 
-#: Block keys pack (set index, tag) into one integer for dict/bloom speed.
+#: Block keys pack (set index, tag) into one int64 for the tracker's
+#: sorts and bloom hashes, so tags stay below ``_MAX_TAG``.
 _TAG_SHIFT = 20
 _MAX_SET = 1 << _TAG_SHIFT
+_MAX_TAG = 1 << (63 - _TAG_SHIFT)
 
 #: Logged accesses at which a series call settles the log itself, which
 #: bounds the log's memory between the engine's settles.
 SETTLE_ACCESSES = 8192
-
-_EMPTY = np.zeros(0, dtype=np.int64)
 
 
 def block_key(set_index, tag):
@@ -99,10 +99,9 @@ class SharedCache:
         else:
             self._jitter_pool_np = np.zeros(1, dtype=np.int64)
         self._jitter_idx = 0
-        # Per-set LRU order: OrderedDict maps tag -> owner ctx, MRU at end.
-        self._sets: List["OrderedDict[int, int]"] = [
-            OrderedDict() for _ in range(config.n_sets)
-        ]
+        #: Per-set LRU order: each dict maps tag -> owner ctx, LRU first.
+        #: A hit re-inserts its tag, which moves it to the MRU end.
+        self._sets: List[Dict[int, int]] = [{} for _ in range(config.n_sets)]
         self.hits = 0
         self.misses = 0
         self.conflict_misses = 0
@@ -116,12 +115,15 @@ class SharedCache:
 
         Touches only the sets and the ``partition`` hook; the tracker's
         work is logged for :meth:`settle`. Returns ``(miss positions,
-        eviction positions, victim tags, victim owners)``, an owner of -1
-        marking an eviction the partition withholds from attribution.
+        eviction positions, victim tags, victim owners)``: evictions at
+        log-wide positions, and an owner of -1 marking an eviction the
+        partition withholds from attribution. The caller logs them, so a
+        hook that raises leaves the log as it was.
         """
         sets_ = self._sets
         assoc = self.config.associativity
         partition = self.partition
+        base = self._logged
         miss_pos: List[int] = []
         ev_pos: List[int] = []
         ev_tags: List[int] = []
@@ -129,86 +131,88 @@ class SharedCache:
         miss_append = miss_pos.append
         for i, s, tag in zip(range(len(sets_list)), sets_list, tags_list):
             cache_set = sets_[s]
-            owner = cache_set.get(tag)
-            if owner is not None:
-                cache_set.move_to_end(tag)
-                if owner != ctx:
-                    cache_set[tag] = ctx
+            if cache_set.pop(tag, None) is not None:
+                cache_set[tag] = ctx
                 continue
             miss_append(i)
             if partition is None:
                 if len(cache_set) >= assoc:
-                    victim_tag, victim_owner = cache_set.popitem(False)
-                    ev_pos.append(i)
-                    ev_tags.append(victim_tag)
-                    ev_owners.append(victim_owner)
+                    for victim in cache_set:
+                        break
+                    ev_pos.append(base + i)
+                    ev_tags.append(victim)
+                    ev_owners.append(cache_set.pop(victim))
             else:
-                victim_tag, victim_owner = partition.victim(ctx, cache_set)
-                if victim_tag is not None:
-                    del cache_set[victim_tag]
-                    ev_pos.append(i)
-                    ev_tags.append(victim_tag)
-                    ev_owners.append(-1 if victim_owner is None else victim_owner)
+                victim, owner = partition.victim(ctx, cache_set)
+                if victim is not None:
+                    del cache_set[victim]
+                    ev_pos.append(base + i)
+                    ev_tags.append(victim)
+                    ev_owners.append(-1 if owner is None else owner)
             cache_set[tag] = ctx
         return miss_pos, ev_pos, ev_tags, ev_owners
 
     def _log(self, ctx, sets, tags, times, ev_pos, ev_tags, ev_owners) -> None:
         """Append one walked series to the settle log.
 
-        ``sets``, ``tags`` and ``times`` are the series' columns; the log
-        keeps its block keys, and per eviction the victim's block key,
-        its owner and the time a conflict there would be recorded at.
+        ``sets``, ``tags`` and ``times`` are the series' columns, logged
+        as they are with its context; the walk's evictions extend the
+        log's eviction lists.
         """
-        base = self._logged
-        keys = block_key(sets, tags)
-        self._log_keys.append(keys)
-        if ev_pos:
-            pos = np.asarray(ev_pos, dtype=np.int64)
-            self._log_ev_pos.append(pos + base)
-            self._log_ev_keys.append(
-                block_key(sets[pos], np.asarray(ev_tags, dtype=np.int64))
-            )
-            self._log_owners.append(np.asarray(ev_owners, dtype=np.int64))
-            self._log_times.append(times[pos])
-            self._log_ctxs.append(np.full(pos.size, ctx, dtype=np.int64))
-        self._logged = base + keys.size
+        self._log_sets.append(sets)
+        self._log_tags.append(tags)
+        self._log_times.append(times)
+        self._log_ctxs.append(ctx)
+        self._log_ev_pos.extend(ev_pos)
+        self._log_ev_tags.extend(ev_tags)
+        self._log_ev_owners.extend(ev_owners)
+        self._logged += sets.size
         if self._logged >= SETTLE_ACCESSES:
             self.settle()
 
     def settle(self) -> None:
         """Classify the logged accesses' conflict misses.
 
-        The tracker settles the whole log in one call; the conflicts it
-        confirms reach the tap in one ``record_batch``, in log order, and
-        are counted in ``conflict_misses``.
+        Block keys are packed once over the whole log, and each
+        eviction's victim key, time and context are gathered by its
+        log-wide position. The tracker settles the log in one call; the
+        conflicts it confirms reach the tap in one ``record_batch``, in
+        log order, and are counted in ``conflict_misses``.
         """
         if not self._logged:
             return
         with trace_span("cache.settle"):
-            keys = np.concatenate(self._log_keys)
-            if self._log_ev_pos:
-                ev_pos = np.concatenate(self._log_ev_pos)
-                ev_keys = np.concatenate(self._log_ev_keys)
-                owners = np.concatenate(self._log_owners)
-                times = np.concatenate(self._log_times)
-                ctxs = np.concatenate(self._log_ctxs)
-            else:
-                ev_pos = ev_keys = owners = times = ctxs = _EMPTY
+            sets = np.concatenate(self._log_sets)
+            keys = block_key(sets, np.concatenate(self._log_tags))
+            ev_pos, ev_tags, owners = (
+                np.fromiter(column, np.int64, len(column))
+                for column in (
+                    self._log_ev_pos, self._log_ev_tags, self._log_ev_owners
+                )
+            )
+            ev_keys = block_key(sets[ev_pos], ev_tags)
+            log_times, log_ctxs = self._log_times, self._log_ctxs
             self._reset_log()
             cand = np.flatnonzero(owners >= 0)
             verdict = self.tracker.settle(keys, ev_pos, ev_keys, ev_pos[cand])
             hit = cand[verdict]
             if hit.size:
+                at = ev_pos[hit]
+                lengths = [times.size for times in log_times]
+                ctxs = np.repeat(np.array(log_ctxs, dtype=np.int64), lengths)
                 self.conflict_misses += int(hit.size)
-                self.miss_tap.record_batch(times[hit], ctxs[hit], owners[hit])
+                self.miss_tap.record_batch(
+                    np.concatenate(log_times)[at], ctxs[at], owners[hit]
+                )
 
     def _reset_log(self) -> None:
-        self._log_keys: List[np.ndarray] = []
-        self._log_ev_pos: List[np.ndarray] = []
-        self._log_ev_keys: List[np.ndarray] = []
-        self._log_owners: List[np.ndarray] = []
+        self._log_sets: List[np.ndarray] = []
+        self._log_tags: List[np.ndarray] = []
         self._log_times: List[np.ndarray] = []
-        self._log_ctxs: List[np.ndarray] = []
+        self._log_ctxs: List[int] = []
+        self._log_ev_pos: List[int] = []
+        self._log_ev_tags: List[int] = []
+        self._log_ev_owners: List[int] = []
         self._logged = 0
 
     def _consume_jitter(self, n: int) -> np.ndarray:
@@ -218,11 +222,9 @@ class SharedCache:
         one past the current index and the index ends ``n`` steps on.
         """
         pool = self._jitter_pool_np
-        size = pool.size
         idx = self._jitter_idx
-        positions = (idx + 1 + np.arange(n, dtype=np.int64)) % size
-        self._jitter_idx = (idx + n) % size
-        return pool[positions]
+        self._jitter_idx = (idx + n) % pool.size
+        return pool.take(np.arange(idx + 1, idx + 1 + n), mode="wrap")
 
     def access_series(
         self,
@@ -233,8 +235,11 @@ class SharedCache:
     ) -> Tuple[int, np.ndarray]:
         """Issue accesses back-to-back; returns ``(end_time, latencies)``.
 
-        An installed clock fuzzer transforms the returned latencies, the
-        empty column included, but not the end time.
+        ``accesses`` holds ``(set, tag)`` integer pairs, with each set
+        below ``n_sets`` and each tag in ``[0, 2**43)``; anything else
+        raises :class:`SimulationError` before any access. An installed
+        clock fuzzer transforms the returned latencies, the empty column
+        included, but not the end time.
         """
         n = len(accesses)
         if n == 0:
@@ -242,7 +247,17 @@ class SharedCache:
             if self.fuzzer is not None:
                 latencies = self.fuzzer.fuzz(latencies)
             return int(start), latencies
-        pairs = np.asarray(accesses, dtype=np.int64)
+        pairs = np.asarray(accesses)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise SimulationError(
+                f"accesses must be (set, tag) pairs; got shape {pairs.shape}"
+            )
+        if pairs.dtype.kind not in "iu":
+            raise SimulationError(
+                f"set indices and tags must be integers; got {pairs.dtype}"
+            )
+        # A copy: the log holds the columns until the next settle.
+        pairs = pairs.astype(np.int64)
         sets_arr = pairs[:, 0]
         tags_arr = pairs[:, 1]
         lo, hi = int(sets_arr.min()), int(sets_arr.max())
@@ -251,6 +266,10 @@ class SharedCache:
             raise SimulationError(
                 f"set index {bad} outside 0..{self.config.n_sets - 1}"
             )
+        lo, hi = int(tags_arr.min()), int(tags_arr.max())
+        if lo < 0 or hi >= _MAX_TAG:
+            bad = lo if lo < 0 else hi
+            raise SimulationError(f"tag {bad} outside 0..{_MAX_TAG - 1}")
         miss_pos, ev_pos, ev_tags, ev_owners = self._walk(
             ctx, sets_arr.tolist(), tags_arr.tolist()
         )
@@ -259,9 +278,7 @@ class SharedCache:
         self.misses += n_miss
         latencies = np.full(n, self.config.hit_latency, dtype=np.int64)
         if n_miss:
-            latencies[np.asarray(miss_pos, dtype=np.int64)] = (
-                self.config.miss_latency
-            )
+            latencies[miss_pos] = self.config.miss_latency
         if self.latency_jitter:
             latencies += self._consume_jitter(n)
         steps = latencies + gap
@@ -294,10 +311,16 @@ class SharedCache:
         hi = self.config.n_sets if set_hi is None else set_hi
         if not 0 <= set_lo < hi <= self.config.n_sets:
             raise SimulationError(f"bad noise set range [{set_lo}, {hi})")
+        # Tag namespace disjoint per context so noise cannot alias covert tags.
+        tag_base = (ctx + 1) * 1_000_000
+        if tag_space <= 0 or not 0 <= tag_base <= _MAX_TAG - tag_space:
+            raise SimulationError(
+                f"noise tags [{tag_base}, {tag_base} + {tag_space}) of "
+                f"context {ctx} do not fit in 0..{_MAX_TAG - 1}"
+            )
         times = np.sort(self._rng.integers(0, duration, size=count)) + start
         sets = self._rng.integers(set_lo, hi, size=count)
-        # Tag namespace disjoint per context so noise cannot alias covert tags.
-        tags = self._rng.integers(0, tag_space, size=count) + (ctx + 1) * 1_000_000
+        tags = self._rng.integers(0, tag_space, size=count) + tag_base
         miss_pos, ev_pos, ev_tags, ev_owners = self._walk(
             ctx, sets.tolist(), tags.tolist()
         )

@@ -14,6 +14,7 @@ argument, or run whole sessions through them with
 :func:`per_access_reference`.
 """
 
+from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Optional, Tuple
 
@@ -37,10 +38,16 @@ TRACKER_PAIRS = (
 
 
 class PerAccessCache(SharedCache):
-    """The shared cache with its per-access ``access`` and ``_make_room``."""
+    """The shared cache with its per-access ``access`` and ``_make_room``.
+
+    Its sets are ``OrderedDict``s, MRU at the end, as ``access`` and
+    ``_make_room`` were written for, so the parity suites check the
+    batch cache's plain-dict walk against the ``OrderedDict`` one.
+    """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        self._sets = [OrderedDict() for _ in range(self.config.n_sets)]
         # ``access`` steps a list copy of the jitter pool.
         self._jitter_pool = self._jitter_pool_np.tolist()
 

@@ -280,7 +280,8 @@ def _state_fingerprint(cache, tap):
         "jitter_idx": cache._jitter_idx,
         "occupancy": cache.occupancy,
         "train": (times.tolist(), replacers.tolist(), victims.tolist()),
-        "sets": [dict(s) for s in cache._sets],
+        # Each set's item order is its LRU order.
+        "sets": [list(s.items()) for s in cache._sets],
     }
     fp["tracker"] = tracker_observables(cache)
     if not isinstance(cache.tracker, IdealLRUConflictTracker):
