@@ -380,7 +380,7 @@ def _windows(log, cuts):
         yield from _split(log[lo:hi], ()) if hi > lo else [(_EMPTY,) * 4]
 
 
-def _column_state(tracker):
+def column_state(tracker):
     """Everything a settle leaves behind, for either generation tracker."""
     return (
         last_touch(tracker),
@@ -421,7 +421,7 @@ class TestColumnsMatchDict:
                 reference.clear()
             verdict = columns.settle(*window)
             assert verdict.tolist() == reference.settle(*window).tolist()
-            assert _column_state(columns) == _column_state(reference)
+            assert column_state(columns) == column_state(reference)
             assert columns._keys.dtype == columns._epochs.dtype == np.int64
             assert np.all(np.diff(columns._keys) > 0)
 
@@ -447,4 +447,4 @@ class TestColumnsMatchDict:
         assert verdict.tolist() == reference.settle(*window).tolist() == [
             False, True
         ]
-        assert _column_state(columns) == _column_state(reference)
+        assert column_state(columns) == column_state(reference)
