@@ -3,35 +3,21 @@
 The oscillation detector's main knob is the peak-height floor. This
 ablation runs covert cache sessions (positive class) and webserver pairs
 — the hardest benign case, with genuine brief periodicity — (negative
-class) across seeds, re-scoring the recorded correlograms at several
-floors. The default 0.45 sits on the operating plateau: full detection,
-zero false alarms, with margin on both sides.
+class) across seeds, re-scoring the correlograms the cache analyzer
+computed for each window at several floors. The default 0.45 sits on
+the operating plateau: full detection, zero false alarms, with margin
+on both sides.
 """
 
-import numpy as np
 from conftest import record
 
 from repro.analysis.figures import run_channel_session
-from repro.core.autocorr import autocorrelogram
-from repro.core.event_train import dominant_pair_series
+from repro.core.detector import AuditUnit, CCHunter
 from repro.core.oscillation import analyze_autocorrelogram
 from repro.sim.machine import Machine
 from repro.util.bitstream import Message
 from repro.workloads.base import workload_process
 from repro.workloads.filebench import webserver
-
-
-def _window_series(machine, quanta):
-    horizon = quanta * machine.quantum_cycles
-    times, reps, vics = machine.cache_miss_tap.window_reader().read(0, horizon)
-    out = []
-    for q in range(quanta):
-        t0, t1 = q * machine.quantum_cycles, (q + 1) * machine.quantum_cycles
-        lo, hi = np.searchsorted(times, t0), np.searchsorted(times, t1)
-        labels, _idx, _pair = dominant_pair_series(reps[lo:hi], vics[lo:hi])
-        if labels.size >= 64 and 4 <= labels.sum() <= labels.size - 4:
-            out.append(autocorrelogram(labels, 1000))
-    return out
 
 
 def collect_correlograms():
@@ -41,10 +27,12 @@ def collect_correlograms():
             "cache", Message.random(10, seed), bandwidth_bps=100.0,
             seed=seed, n_sets_total=128,
         )
-        positives.extend(_window_series(run.machine, run.quanta))
+        positives.extend(a.acf for a in run.hunter.cache_analyses())
     negatives = []
     for seed in (11, 12, 13):
         machine = Machine(seed=seed)
+        hunter = CCHunter(machine)
+        hunter.audit(AuditUnit.CACHE)
         machine.spawn(
             workload_process(webserver, machine, 4, seed=seed, instance=0),
             ctx=0,
@@ -55,7 +43,7 @@ def collect_correlograms():
             ctx=1,
         )
         machine.run_quanta(4)
-        negatives.extend(_window_series(machine, 4))
+        negatives.extend(a.acf for a in hunter.cache_analyses())
     return positives, negatives
 
 

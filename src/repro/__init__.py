@@ -51,7 +51,6 @@ from repro.core import (
     UnitVerdict,
     analyze_autocorrelogram,
     analyze_histogram,
-    autocorrelogram,
 )
 from repro.errors import ReproError
 from repro.exec import TrialRunner, TrialSpec, run_trials
@@ -88,7 +87,6 @@ __all__ = [
     "CCHunter",
     "DetectionReport",
     "UnitVerdict",
-    "autocorrelogram",
     "analyze_autocorrelogram",
     "analyze_histogram",
     # hardware

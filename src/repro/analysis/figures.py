@@ -30,13 +30,16 @@ from repro.channels.base import ChannelConfig
 from repro.channels.cache import CacheCovertChannel
 from repro.channels.divider import DividerCovertChannel, MultiplierCovertChannel
 from repro.channels.membus import MemoryBusCovertChannel
-from repro.core.autocorr import autocorrelogram
+from repro.core.autocorr import binary_autocorrelogram
 from repro.core.burst import BurstAnalysis, analyze_histogram
 from repro.core.detector import AuditUnit, CCHunter
 from repro.core.event_train import dominant_pair_series
 from repro.core.oscillation import OscillationAnalysis, analyze_autocorrelogram
 from repro.errors import ReproError
 from repro.exec import TrialRunner, TrialSpec
+from repro.obs.metrics import MetricsRegistry
+from repro.pipeline.analyzers import MAX_LAG, OscillationAnalyzer
+from repro.pipeline.source import ConflictRecords, QuantumObservation
 from repro.sim.machine import Machine
 from repro.util.bitstream import Message
 from repro.util.stats import poisson_pmf, sample_counts_to_histogram
@@ -409,7 +412,6 @@ def fig8_cache_autocorrelogram(
     n_bits: int = 24,
     bandwidth_bps: float = 200.0,
     n_sets: int = 512,
-    max_lag: int = 1000,
 ) -> CacheAutocorrResult:
     """Figure 8: the conflict-miss train oscillates at the set-count lag.
 
@@ -430,12 +432,10 @@ def fig8_cache_autocorrelogram(
     # pair still land in the series (they perturb it, shifting the peak
     # slightly off the set count, as the paper observes).
     labels, idx, _pair = dominant_pair_series(reps, vics)
-    times = times[idx]
-    ids = labels
-    acf = autocorrelogram(labels, max_lag)
+    acf = binary_autocorrelogram(labels, MAX_LAG)
     return CacheAutocorrResult(
-        times=times,
-        identifiers=ids,
+        times=times[idx],
+        identifiers=labels,
         acf=acf,
         analysis=analyze_autocorrelogram(acf),
         n_sets=n_sets,
@@ -572,39 +572,26 @@ def _fig11_fraction(
     reps: np.ndarray,
     vics: np.ndarray,
     quantum: int,
-    horizon: int,
-    max_lag: int,
-    min_train_events: int,
+    n_quanta: int,
 ) -> WindowScalingPoint:
-    """Re-analyze one session's conflict records at one window size."""
-    width = max(1, int(round(quantum * fraction)))
-    best = 0.0
-    significant = 0
-    analyzed = 0
-    start = 0
-    while start < horizon:
-        end = min(start + width, horizon)
-        lo = np.searchsorted(times, start, side="left")
-        hi = np.searchsorted(times, end, side="left")
-        analyzed += 1
-        labels, _idx, _pair = dominant_pair_series(
-            reps[lo:hi], vics[lo:hi]
-        )
-        if (
-            labels.size >= min_train_events
-            and 4 <= int(labels.sum()) <= labels.size - 4
-        ):
-            analysis = analyze_autocorrelogram(
-                autocorrelogram(labels, max_lag)
-            )
-            best = max(best, analysis.max_peak)
-            significant += int(analysis.significant)
-        start = end
+    """Replay one session's conflict records through a cache analyzer
+    whose windows are ``fraction`` of a quantum."""
+    analyzer = OscillationAnalyzer(
+        window_fraction=fraction, metrics=MetricsRegistry()
+    )
+    bounds = np.searchsorted(times, np.arange(n_quanta + 1) * quantum)
+    for q in range(n_quanta):
+        lo, hi = bounds[q], bounds[q + 1]
+        analyzer.push(QuantumObservation(
+            quantum=q, t0=q * quantum, t1=(q + 1) * quantum,
+            conflicts=ConflictRecords(times[lo:hi], reps[lo:hi], vics[lo:hi]),
+        ))
+    verdict = analyzer.verdict()
     return WindowScalingPoint(
         fraction=fraction,
-        best_peak=best,
-        significant_windows=significant,
-        windows_analyzed=analyzed,
+        best_peak=verdict.max_peak,
+        significant_windows=verdict.oscillating_windows,
+        windows_analyzed=verdict.quanta_analyzed,
     )
 
 
@@ -614,8 +601,6 @@ def fig11_window_scaling(
     bandwidth_bps: float = 0.1,
     n_bits: int = 3,
     cache_sets: int = 256,
-    max_lag: int = 1000,
-    min_train_events: int = 64,
     jobs: int = 1,
     progress=None,
     timeout_s: Optional[float] = None,
@@ -625,10 +610,10 @@ def fig11_window_scaling(
     At 0.1 bps the covert conflict clusters occupy slivers of each
     quantum, so full-window trains are noise-diluted; fractional windows
     isolate the clusters and the repetitive peaks emerge. One session is
-    simulated and its conflict records re-analyzed at every window size
-    (exactly what the software daemon would do at a finer cadence) —
-    the session runs once in-process, the per-fraction re-analyses fan
-    out.
+    simulated in-process; each window size is a trial that replays its
+    conflict records, quantum by quantum, through the detector's own
+    :class:`~repro.pipeline.analyzers.OscillationAnalyzer`, so a point is
+    the cache verdict a live session at that fraction reports.
     """
     message = _message_with_ones(n_bits, seed)
     run = run_channel_session(
@@ -645,9 +630,7 @@ def fig11_window_scaling(
             "reps": reps,
             "vics": vics,
             "quantum": run.machine.quantum_cycles,
-            "horizon": horizon,
-            "max_lag": max_lag,
-            "min_train_events": min_train_events,
+            "n_quanta": run.quanta,
         },
         key="fig11",
         timeout_s=timeout_s,

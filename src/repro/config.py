@@ -2,8 +2,9 @@
 
 Defaults mirror the paper's evaluation platform: a quad-core 2.5 GHz
 processor with two hyperthreads per core (MARSSx86 booted with Ubuntu
-11.04), private 32 KB L1s, a shared 256 KB L2, an OS time quantum of
-0.1 s, and the CC-auditor sized as in Section V.
+11.04), a shared 256 KB L2, an OS time quantum of 0.1 s, and the
+CC-auditor sized as in Section V. The paper's private 32 KB L1s are not
+simulated: conflict misses are audited in the shared cache.
 """
 
 from __future__ import annotations
@@ -121,11 +122,6 @@ class MachineConfig:
     threads_per_core: int = 2
     frequency_hz: float = 2.5e9
     os_quantum_seconds: float = 0.1
-    l1: CacheConfig = field(
-        default_factory=lambda: CacheConfig(
-            size_bytes=32 * 1024, associativity=8, hit_latency=4, miss_latency=20
-        )
-    )
     l2: CacheConfig = field(default_factory=CacheConfig)
     bus: BusConfig = field(default_factory=BusConfig)
     divider: FunctionalUnitConfig = field(default_factory=FunctionalUnitConfig)
@@ -170,7 +166,6 @@ class AuditorConfig:
     countdown_bits: int = 32
     vector_register_bytes: int = 128
     generations: int = 4
-    bloom_hashes: int = 3
 
     def __post_init__(self) -> None:
         if self.n_monitors <= 0:

@@ -14,11 +14,7 @@ Two detectors over indicator-event trains:
 attaches both to a simulated machine.
 """
 
-from repro.core.autocorr import (
-    autocorrelation,
-    autocorrelogram,
-    binary_autocorrelogram,
-)
+from repro.core.autocorr import binary_autocorrelogram
 from repro.core.burst import (
     BurstAnalysis,
     analyze_histogram,
@@ -59,8 +55,6 @@ __all__ = [
     "analyze_histogram",
     "find_threshold_bin",
     "RecurrenceAnalysis",
-    "autocorrelation",
-    "autocorrelogram",
     "binary_autocorrelogram",
     "OscillationAnalysis",
     "analyze_autocorrelogram",

@@ -11,10 +11,9 @@ identifier sequence repeats with a wavelength near the number of cache
 sets used for transmission, producing high peaks at that lag and its
 multiples.
 
-The full correlogram is computed with an FFT-based convolution, which is
-exactly the paper's estimator (the same sums, evaluated in O(n log n)).
-:func:`binary_autocorrelogram` is the detector's kernel for 0/1
-identifier trains: exact integer lagged sums over the needed lags only.
+:func:`binary_autocorrelogram` is the one kernel, shared by the
+detector and the figures: the detector's identifier trains are 0/1, and
+their lagged sums are exact integers over the needed lags only.
 """
 
 from __future__ import annotations
@@ -22,51 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import DetectionError
-
-
-def autocorrelation(x: np.ndarray, lag: int) -> float:
-    """The paper's r_p at a single lag. O(n); use autocorrelogram for sweeps."""
-    arr = np.asarray(x, dtype=np.float64)
-    n = arr.size
-    if n < 2:
-        raise DetectionError("autocorrelation needs at least 2 samples")
-    if not 0 <= lag < n:
-        raise DetectionError(f"lag {lag} outside 0..{n - 1}")
-    centered = arr - arr.mean()
-    denom = float(np.dot(centered, centered))
-    if denom == 0.0:
-        # A constant series: perfectly self-similar at every lag.
-        return 1.0
-    if lag == 0:
-        return 1.0
-    num = float(np.dot(centered[: n - lag], centered[lag:]))
-    return num / denom
-
-
-def autocorrelogram(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """r_p for p = 0 .. max_lag (inclusive), as a float array.
-
-    ``max_lag`` is clipped to ``len(x) - 1``. For a constant series the
-    correlogram is all ones (see :func:`autocorrelation`).
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    n = arr.size
-    if n < 2:
-        raise DetectionError("autocorrelogram needs at least 2 samples")
-    if max_lag < 0:
-        raise DetectionError(f"max_lag must be non-negative, got {max_lag}")
-    max_lag = min(max_lag, n - 1)
-    centered = arr - arr.mean()
-    denom = float(np.dot(centered, centered))
-    if denom == 0.0:
-        return np.ones(max_lag + 1, dtype=np.float64)
-    # FFT-based autocovariance: pad to avoid circular wrap-around.
-    size = 1
-    while size < 2 * n:
-        size <<= 1
-    spectrum = np.fft.rfft(centered, size)
-    acov = np.fft.irfft(spectrum * np.conjugate(spectrum), size)[: max_lag + 1]
-    return acov / denom
 
 
 #: Below this many samples a 0/1 train's lagged products run in float32:
@@ -85,9 +39,8 @@ def binary_autocorrelogram(labels: np.ndarray, max_lag: int) -> np.ndarray:
     ``Σ (x_i − x̄)(x_{i+p} − x̄)`` gives
     ``C_p − x̄·(2Σx − head_p − tail_p) + (n−p)·x̄²`` over
     ``C_0 − n·x̄²``, where ``head_p`` / ``tail_p`` are the sums of the
-    first / last ``p`` labels. A constant train's correlogram is all
-    ones, as in :func:`autocorrelogram`, which this matches to the FFT's
-    round-off.
+    first / last ``p`` labels. A constant train is perfectly
+    self-similar: its correlogram is all ones.
     """
     x = np.asarray(labels).ravel()
     if x.dtype.kind not in "biu":

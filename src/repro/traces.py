@@ -3,7 +3,7 @@
 In a real deployment the CC-Hunter daemon records the auditor's buffers
 online and the (cheap) analyses run in the background; for forensics and
 tuning, operators also want to *persist* a session's indicator events and
-re-run detection offline with different parameters. This module
+re-run detection offline, at the Δt each unit was recorded with. This module
 round-trips a machine's taps through a single ``.npz`` archive and
 replays the stored trains through the same streaming pipeline the live
 detector uses (:class:`ArchiveEventSource`) — no simulator required on
@@ -43,13 +43,20 @@ from repro.util.dtypes import ensure_int64
 from repro.util.runs import WindowCounts
 
 #: Version 2 adds the per-record CRC32 ``checksum_manifest``; version 1
-#: archives (no manifest) still load, with integrity checks skipped.
+#: archives (no manifest) still load, with checksum checks skipped.
 _FORMAT_VERSION = 2
 _SUPPORTED_VERSIONS = (1, 2)
 
 #: Scalar metadata keys: corruption here is never skippable.
 _META_KEYS = ("format_version", "quantum_cycles", "n_quanta",
               "divider_dt", "multiplier_dt")
+#: Event-time columns: sorted cycle stamps inside the recorded horizon.
+_TIME_KEYS = ("bus_lock_times", "cache_times")
+#: The parallel conflict-record columns, blanked together.
+_CACHE_KEYS = ("cache_times", "cache_replacers", "cache_victims")
+#: Dense per-Δt count records: key prefix and the metadata key of its Δt.
+_DENSE_KEYS = (("divider_wait_counts_", "divider_dt"),
+               ("multiplier_wait_counts_", "multiplier_dt"))
 
 _log = get_logger("traces")
 
@@ -85,6 +92,53 @@ def _gap_channel(key: str) -> str:
     return key
 
 
+def _names_core(key: str) -> bool:
+    """Whether a dense count record's key ends in a core index."""
+    core = key.rsplit("_", 1)[1]
+    return core.isascii() and core.isdigit()
+
+
+def _dense_windows(key: str, meta: Dict[str, int]) -> Optional[int]:
+    """Window count of a dense count record, None for any other key."""
+    for prefix, dt_key in _DENSE_KEYS:
+        if key.startswith(prefix):
+            horizon = meta["quantum_cycles"] * meta["n_quanta"]
+            return -(-horizon // meta[dt_key])
+    return None
+
+
+def _malformed_records(
+    payload: Dict[str, np.ndarray], meta: Dict[str, int]
+) -> Dict[str, str]:
+    """Data records that replay cannot slice, each with what is wrong."""
+    horizon = meta["quantum_cycles"] * meta["n_quanta"]
+    bad: Dict[str, str] = {}
+    for key in _TIME_KEYS:
+        times = payload[key]
+        if times.ndim != 1 or times.dtype.kind not in "iu":
+            bad[key] = f"{times.dtype} {times.shape} is not an integer column"
+        elif times.size and (
+            times[0] < 0 or times[-1] >= horizon
+            or bool(np.any(times[1:] < times[:-1]))
+        ):
+            bad[key] = f"times not sorted inside [0, {horizon})"
+    if len({payload[key].shape for key in _CACHE_KEYS}) > 1:
+        for key in _CACHE_KEYS:
+            bad.setdefault(key, "cache columns differ in length")
+    for key, counts in payload.items():
+        windows = _dense_windows(key, meta)
+        if windows is None:
+            continue
+        if not _names_core(key):
+            bad[key] = "key does not end in a core index"
+        elif counts.dtype.kind not in "iu" or counts.shape != (windows,):
+            bad[key] = (
+                f"{counts.dtype} {counts.shape} is not {windows} integer "
+                "window counts"
+            )
+    return bad
+
+
 @dataclass
 class TraceArchive:
     """A recorded monitoring session: indicator events plus metadata.
@@ -117,13 +171,9 @@ class TraceArchive:
         return self.quantum_cycles * self.n_quanta
 
 
-def export_traces(
-    machine: Machine,
-    path: Union[str, Path],
-    n_quanta: Optional[int] = None,
-) -> TraceArchive:
+def export_traces(machine: Machine, path: Union[str, Path]) -> TraceArchive:
     """Persist a machine's recorded indicator events to ``path`` (.npz)."""
-    quanta = n_quanta if n_quanta is not None else machine.quanta_completed
+    quanta = machine.quanta_completed
     if quanta <= 0:
         raise DetectionError("nothing recorded: run at least one quantum")
     horizon = quanta * machine.quantum_cycles
@@ -191,21 +241,26 @@ def _read_archive_payload(path: Path) -> Dict[str, np.ndarray]:
 
 def load_traces(
     path: Union[str, Path],
-    verify: bool = True,
     on_corruption: str = "raise",
 ) -> TraceArchive:
     """Load a trace archive written by :func:`export_traces`.
 
-    When the archive carries a checksum manifest (format >= 2) and
-    ``verify`` is on, every record's CRC32/dtype/shape is re-checked.
-    ``on_corruption`` decides what a mismatch does:
+    When the archive carries a checksum manifest (format >= 2), every
+    record's CRC32/dtype/shape is re-checked. Every archive's data
+    records must also be ones replay can slice: event times sorted
+    inside ``[0, horizon)``, the three conflict columns of one length,
+    and each dense count record keyed by a core index and holding the
+    ``⌈horizon / Δt⌉`` integer window counts export writes.
+    ``on_corruption`` decides what a failing record does:
 
     - ``"raise"`` (default): :class:`TraceCorruptionError` naming every
-      damaged record — nothing half-loaded escapes;
-    - ``"skip"``: damaged *data* records are blanked (sparse events
-      emptied, dense counts zeroed), the affected unit is listed in
-      ``TraceArchive.gaps``, and loading continues. Damaged metadata
-      always raises — there is no safe way to guess the geometry.
+      failing record — nothing half-loaded escapes;
+    - ``"skip"``: failing *data* records are blanked (sparse events
+      emptied, the conflict columns together; dense counts zeroed at
+      their window count, or dropped when their key names no core), the
+      affected unit is listed in ``TraceArchive.gaps``, and loading
+      continues. Damaged metadata always raises — there is no safe way
+      to guess the geometry.
     """
     if on_corruption not in ("raise", "skip"):
         raise DetectionError(
@@ -213,10 +268,13 @@ def load_traces(
         )
     src = Path(path)
     payload = _read_archive_payload(src)
-    missing = [k for k in _META_KEYS if k not in payload]
+    missing = [
+        k for k in _META_KEYS + _CACHE_KEYS + ("bus_lock_times",)
+        if k not in payload
+    ]
     if missing:
         raise TraceCorruptionError(
-            f"{src}: truncated archive, missing metadata {missing}"
+            f"{src}: truncated archive, missing records {missing}"
         )
     version = int(payload["format_version"][0])
     if version not in _SUPPORTED_VERSIONS:
@@ -224,8 +282,8 @@ def load_traces(
             f"{src}: trace archive format {version} not supported "
             f"(expected one of {_SUPPORTED_VERSIONS})"
         )
-    corrupt: List[str] = []
-    if verify and "checksum_manifest" in payload:
+    problems: Dict[str, str] = {}
+    if "checksum_manifest" in payload:
         manifest: Dict[str, Any] = json.loads(
             str(payload["checksum_manifest"][()])
         )
@@ -241,39 +299,50 @@ def load_traces(
                 or list(value.shape) != expected["shape"]
                 or _crc(value) != expected["crc32"]
             ):
-                corrupt.append(key)
-    bad_meta = [k for k in corrupt if k in _META_KEYS]
+                problems[key] = "checksum manifest mismatch"
+    bad_meta = [k for k in problems if k in _META_KEYS]
     if bad_meta:
         raise TraceCorruptionError(
             f"{src}: archive metadata failed integrity checks: {bad_meta}"
         )
+    meta = {key: int(payload[key][0]) for key in _META_KEYS}
+    if min(meta.values()) <= 0:
+        raise TraceCorruptionError(
+            f"{src}: archive metadata must be positive, got {meta}"
+        )
+    for key, why in _malformed_records(payload, meta).items():
+        problems.setdefault(key, why)
     gaps: List[str] = []
-    if corrupt:
+    if problems:
         if on_corruption == "raise":
+            listed = "; ".join(
+                f"{key} ({why})" for key, why in sorted(problems.items())
+            )
             raise TraceCorruptionError(
-                f"{src}: records failed integrity checks: {sorted(corrupt)} "
+                f"{src}: records failed integrity checks: {listed} "
                 "(re-record the trace, or load with on_corruption='skip')"
             )
-        # Skip-and-continue: blank each damaged record and carry a gap.
+        # Skip-and-continue: blank each failing record and carry a gap.
         # The parallel cache_* arrays are blanked together — a partial
         # conflict log would silently mislabel records.
-        if any(k.startswith("cache_") for k in corrupt):
-            corrupt = sorted(set(corrupt) | {
-                k for k in payload if k.startswith("cache_")
-            })
-        for key in corrupt:
-            arr = payload[key]
-            # Dense per-Δt counts keep their length (zeroed); sparse
-            # event/record arrays are emptied.
-            payload[key] = (
-                np.zeros_like(arr) if "wait_counts" in key else arr[:0]
-            )
+        if any(key in _CACHE_KEYS for key in problems):
+            for key in _CACHE_KEYS:
+                problems.setdefault(key, "blanked with the cache columns")
+        for key in sorted(problems):
+            windows = _dense_windows(key, meta)
+            if windows is None:
+                payload[key] = np.zeros(0, dtype=np.int64)
+            elif _names_core(key):
+                payload[key] = np.zeros(windows, dtype=np.int64)
+            else:
+                del payload[key]
             channel = _gap_channel(key)
             if channel not in gaps:
                 gaps.append(channel)
             _log.warning(
-                "%s: record %r failed integrity check; blanked "
-                "(unit %r will replay degraded)", src, key, channel,
+                "%s: record %r failed integrity check (%s); blanked "
+                "(unit %r will replay degraded)",
+                src, key, problems[key], channel,
             )
     for key in ("cache_replacers", "cache_victims"):
         if payload[key].dtype.kind not in "iu":
@@ -294,17 +363,17 @@ def load_traces(
         elif key.startswith("multiplier_wait_counts_"):
             multiplier_counts[int(key.rsplit("_", 1)[1])] = payload[key]
     return TraceArchive(
-        quantum_cycles=int(payload["quantum_cycles"][0]),
-        n_quanta=int(payload["n_quanta"][0]),
+        quantum_cycles=meta["quantum_cycles"],
+        n_quanta=meta["n_quanta"],
         # Event timestamps re-enter the columnar pipeline here: widen
         # narrow integers, reject float columns loudly (see
         # repro.util.dtypes).
         bus_lock_times=ensure_int64(
             payload["bus_lock_times"], "bus lock times"
         ),
-        divider_dt=int(payload["divider_dt"][0]),
+        divider_dt=meta["divider_dt"],
         divider_wait_counts=divider_counts,
-        multiplier_dt=int(payload["multiplier_dt"][0]),
+        multiplier_dt=meta["multiplier_dt"],
         multiplier_wait_counts=multiplier_counts,
         cache_times=ensure_int64(payload["cache_times"], "cache times"),
         cache_replacers=payload["cache_replacers"],
@@ -316,44 +385,26 @@ def load_traces(
 # ----------------------------------------------------------------- replay
 
 
-def _rebin_counts(counts: np.ndarray, base_dt: int, dt: int) -> np.ndarray:
-    """Sum adjacent per-Δt windows to a coarser Δt (integer multiple)."""
-    if dt % base_dt != 0:
-        raise DetectionError(
-            f"offline Δt {dt} must be a multiple of the recorded "
-            f"base Δt {base_dt}"
-        )
-    factor = dt // base_dt
-    if factor == 1:
-        return counts
-    trim = (counts.size // factor) * factor
-    return counts[:trim].reshape(-1, factor).sum(axis=1)
-
-
 class ArchiveEventSource:
     """EventSource replaying a :class:`TraceArchive` quantum by quantum.
 
     The second implementation of the pipeline's source contract (the
     simulator's :class:`~repro.pipeline.source.MachineEventSource` is the
-    first): each recorded unit becomes a burst channel at its stored (or
-    rebinned) Δt, plus the conflict channel, so archives flow through the
-    *same* analyzers as live sessions. Unlike the online auditor (limited
-    to two monitor slots), replay offers every recorded unit — the
+    first): each recorded unit becomes a burst channel at the Δt it was
+    recorded with (the membus default for the exact bus-lock times),
+    plus the conflict channel, so archives flow through the *same*
+    analyzers as live sessions. Unlike the online auditor (limited to two
+    monitor slots), replay offers every recorded unit — the
     "super-secure" configuration the paper mentions, affordable offline
-    because the data is already captured.
-
-    ``include_idle`` keeps functional-unit channels that recorded no
-    events at all (by default they are skipped, matching the report
-    layout of live two-slot sessions).
+    because the data is already captured. Functional-unit channels that
+    recorded no events at all are skipped, matching the report layout of
+    live two-slot sessions, unless a skip-and-continue load blanked them:
+    those replay their zeroed counts, degraded.
     """
 
     def __init__(
         self,
         archive: TraceArchive,
-        bus_dt: Optional[int] = None,
-        divider_dt: Optional[int] = None,
-        multiplier_dt: Optional[int] = None,
-        include_idle: bool = False,
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.archive = archive
@@ -368,35 +419,28 @@ class ArchiveEventSource:
             f"corrupt:{unit}" for unit in archive.gaps
         )
 
-        self._bus_dt = bus_dt or default_delta_t("membus")
+        self._bus_dt = default_delta_t("membus")
         self._specs.append(
             ChannelSpec("membus", ChannelKind.BURST, self._bus_dt)
         )
-        for core, counts in sorted(archive.divider_wait_counts.items()):
-            if counts.sum() or include_idle:
-                dt = divider_dt or archive.divider_dt
-                self._add_dense(
-                    f"divider(core {core})",
-                    _rebin_counts(counts, archive.divider_dt, dt),
-                    dt,
-                )
-        for core, counts in sorted(archive.multiplier_wait_counts.items()):
-            if counts.sum() or include_idle:
-                dt = multiplier_dt or archive.multiplier_dt
-                self._add_dense(
-                    f"multiplier(core {core})",
-                    _rebin_counts(counts, archive.multiplier_dt, dt),
-                    dt,
+        for kind, dt, per_core in (
+            ("divider", archive.divider_dt, archive.divider_wait_counts),
+            ("multiplier", archive.multiplier_dt,
+             archive.multiplier_wait_counts),
+        ):
+            for core, counts in sorted(per_core.items()):
+                name = f"{kind}(core {core})"
+                if not counts.sum() and name not in archive.gaps:
+                    continue
+                self._specs.append(ChannelSpec(name, ChannelKind.BURST, dt))
+                # Archives store dense counts as int32 for compactness;
+                # the pipeline's columnar contract is int64 everywhere,
+                # so widen at the rehydration boundary (floats fail
+                # loudly).
+                self._dense[name] = (
+                    dt, ensure_int64(counts, f"{name} counts")
                 )
         self._specs.append(ChannelSpec("cache", ChannelKind.CONFLICT))
-
-    def _add_dense(self, name: str, counts: np.ndarray, dt: int) -> None:
-        self._specs.append(ChannelSpec(name, ChannelKind.BURST, dt))
-        # Archives store dense counts as int32 for compactness; the
-        # pipeline's columnar contract is int64 everywhere, so widen at
-        # the rehydration boundary (floats fail loudly — an archive with
-        # fractional counts is corrupt, not rescalable).
-        self._dense[name] = (dt, ensure_int64(counts, f"{name} counts"))
 
     @property
     def quantum_cycles(self) -> int:
@@ -473,9 +517,6 @@ class ArchiveEventSource:
 
 def analyze_traces(
     archive: TraceArchive,
-    bus_dt: Optional[int] = None,
-    divider_dt: Optional[int] = None,
-    multiplier_dt: Optional[int] = None,
     window_fraction: float = 1.0,
     sinks: Iterable[VerdictSink] = (),
     track_detection_latency: bool = False,
@@ -484,7 +525,8 @@ def analyze_traces(
 ) -> DetectionReport:
     """Run the full CC-Hunter analysis offline over a trace archive.
 
-    Builds an :class:`ArchiveEventSource` and replays it through a
+    Builds an :class:`ArchiveEventSource` and replays it, at the Δt each
+    unit was recorded with, through a
     :func:`~repro.pipeline.session.build_session_from_specs` session — the
     identical analyzer code path live sessions use, so offline verdicts
     cannot drift from online ones. ``sinks`` (e.g. a
@@ -497,12 +539,7 @@ def analyze_traces(
     reaches the analyzers — replaying one recorded session under many
     deterministic fault scenarios.
     """
-    source = ArchiveEventSource(
-        archive,
-        bus_dt=bus_dt,
-        divider_dt=divider_dt,
-        multiplier_dt=multiplier_dt,
-    )
+    source = ArchiveEventSource(archive)
     feed = source
     injectors = list(injectors)
     if injectors:

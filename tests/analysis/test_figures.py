@@ -71,7 +71,7 @@ class TestCacheFigures:
 
     def test_fig8_peak_at_set_count(self):
         result = F.fig8_cache_autocorrelogram(
-            n_bits=8, bandwidth_bps=500.0, n_sets=64, max_lag=400
+            n_bits=8, bandwidth_bps=500.0, n_sets=64
         )
         assert result.analysis.significant
         assert 60 <= result.peak_lag <= 80
@@ -137,6 +137,30 @@ class TestWindowFractionPlumbing:
         # Four analysis windows per quantum.
         assert verdict.quanta_analyzed == run.quanta * 4
         assert verdict.detected
+
+    def test_fig11_points_are_live_cache_verdicts(self):
+        """Figure 11 replays one session through the detector's analyzer:
+        each point is the cache verdict of a live session at that window
+        fraction."""
+        points = F.fig11_window_scaling(
+            bandwidth_bps=2.0, n_bits=2, cache_sets=64
+        )
+        assert [p.fraction for p in points] == [1.0, 0.75, 0.5, 0.25]
+        for point in points:
+            run = F.run_channel_session(
+                "cache", F._message_with_ones(2, 1), bandwidth_bps=2.0,
+                seed=1, window_fraction=point.fraction, n_sets_total=64,
+            )
+            verdict = run.hunter.report().verdict_for("cache")
+            assert (
+                point.best_peak,
+                point.significant_windows,
+                point.windows_analyzed,
+            ) == (
+                verdict.max_peak,
+                verdict.oscillating_windows,
+                verdict.quanta_analyzed,
+            ), point.fraction
 
     def test_aggregate_histogram_sums_quanta(self):
         run = F.run_channel_session(

@@ -1,4 +1,10 @@
-"""Pre-window references for the oscillation analyzer's correlograms.
+"""References for the oscillation analyzer's correlograms.
+
+:func:`autocorrelogram` is the FFT estimator of the paper's r_p over a
+lag range, for any real series. The figures and the ablation ran it
+beside the analyzer's :func:`repro.core.autocorr.binary_autocorrelogram`
+until that exact 0/1 kernel became the only one in ``src/``; the tests
+keep it as the reference for general series.
 
 Until each observation window autocorrelated only its dominant pair,
 ``OscillationAnalyzer`` gave every cross-context pair of a window its
@@ -17,6 +23,32 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.errors import DetectionError
+
+
+def autocorrelogram(x: np.ndarray, max_lag: int) -> np.ndarray:
+    """r_p for p = 0 .. max_lag (inclusive), as a float array.
+
+    ``max_lag`` is clipped to ``len(x) - 1``. For a constant series the
+    correlogram is all ones: it is perfectly self-similar at every lag.
+    """
+    arr = np.asarray(x, dtype=np.float64)
+    n = arr.size
+    if n < 2:
+        raise DetectionError("autocorrelogram needs at least 2 samples")
+    if max_lag < 0:
+        raise DetectionError(f"max_lag must be non-negative, got {max_lag}")
+    max_lag = min(max_lag, n - 1)
+    centered = arr - arr.mean()
+    denom = float(np.dot(centered, centered))
+    if denom == 0.0:
+        return np.ones(max_lag + 1, dtype=np.float64)
+    # FFT-based autocovariance: pad to avoid circular wrap-around.
+    size = 1
+    while size < 2 * n:
+        size <<= 1
+    spectrum = np.fft.rfft(centered, size)
+    acov = np.fft.irfft(spectrum * np.conjugate(spectrum), size)[: max_lag + 1]
+    return acov / denom
 
 
 class RunningAutocorrelogram:

@@ -1,11 +1,16 @@
-"""Tests for oscillation (periodicity) detection on correlograms."""
+"""Tests for oscillation (periodicity) detection on correlograms.
+
+0/1 trains go through the detector's kernel; the general series (noise
+labels outside 0/1, a random walk) through the FFT reference.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.autocorr import autocorrelogram
+from repro.core.autocorr import binary_autocorrelogram
 from repro.core.oscillation import analyze_autocorrelogram, find_peaks
 from repro.errors import DetectionError
+from tests.core.autocorr_reference import autocorrelogram
 
 
 def square_train(half_period, repeats, noise_rate=0.0, seed=0):
@@ -15,7 +20,7 @@ def square_train(half_period, repeats, noise_rate=0.0, seed=0):
     for _ in range(repeats):
         series.extend([1] * half_period)
         series.extend([0] * half_period)
-    series = np.array(series, dtype=float)
+    series = np.array(series, dtype=np.int64)
     if noise_rate > 0:
         n_noise = int(series.size * noise_rate)
         positions = rng.integers(0, series.size, n_noise)
@@ -25,13 +30,13 @@ def square_train(half_period, repeats, noise_rate=0.0, seed=0):
 
 class TestFindPeaks:
     def test_finds_periodic_peaks(self):
-        acf = autocorrelogram(square_train(64, 20), 700)
+        acf = binary_autocorrelogram(square_train(64, 20), 700)
         lags, heights = find_peaks(acf, min_height=0.4)
         assert lags.tolist() == [128, 256, 384, 512, 640]
         assert (heights > 0.7).all()
 
     def test_height_floor(self):
-        acf = autocorrelogram(square_train(64, 20), 700)
+        acf = binary_autocorrelogram(square_train(64, 20), 700)
         lags, _ = find_peaks(acf, min_height=1.01)
         assert lags.size == 0
 
@@ -51,7 +56,7 @@ class TestFindPeaks:
 
 class TestAnalyze:
     def test_clean_channel_train_significant(self):
-        acf = autocorrelogram(square_train(128, 12), 1000)
+        acf = binary_autocorrelogram(square_train(128, 12), 1000)
         analysis = analyze_autocorrelogram(acf)
         assert analysis.significant
         assert analysis.dominant_period == pytest.approx(256, rel=0.05)
@@ -69,14 +74,14 @@ class TestAnalyze:
     def test_long_wavelength_single_peak_significant(self):
         """One wavelength fitting the lag range once: the dominant-peak
         signature (strong peak + deep dip) still fires."""
-        acf = autocorrelogram(square_train(256, 8), 600)
+        acf = binary_autocorrelogram(square_train(256, 8), 600)
         analysis = analyze_autocorrelogram(acf)
         assert analysis.significant
         assert analysis.min_dip < -0.5
 
     def test_white_noise_not_significant(self):
         rng = np.random.default_rng(0)
-        acf = autocorrelogram(rng.integers(0, 2, 4000).astype(float), 1000)
+        acf = binary_autocorrelogram(rng.integers(0, 2, 4000), 1000)
         assert not analyze_autocorrelogram(acf).significant
 
     def test_slow_decay_not_significant(self):
@@ -97,9 +102,9 @@ class TestAnalyze:
         # A few short periodic episodes inside a long random train.
         parts = []
         for _ in range(6):
-            parts.append(rng.integers(0, 2, 400).astype(float))
-            parts.append(np.array(([1.0] * 10 + [0.0] * 10) * 4))
-        acf = autocorrelogram(np.concatenate(parts), 1000)
+            parts.append(rng.integers(0, 2, 400))
+            parts.append(np.array(([1] * 10 + [0] * 10) * 4))
+        acf = binary_autocorrelogram(np.concatenate(parts), 1000)
         analysis = analyze_autocorrelogram(acf)
         assert not analysis.significant
 
@@ -116,6 +121,6 @@ class TestAnalyze:
             analyze_autocorrelogram(np.array([1.0, 0.5]))
 
     def test_coverage_computed(self):
-        acf = autocorrelogram(square_train(64, 20), 700)
+        acf = binary_autocorrelogram(square_train(64, 20), 700)
         analysis = analyze_autocorrelogram(acf)
         assert analysis.coverage == pytest.approx(640 / 700, rel=0.05)

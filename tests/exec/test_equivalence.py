@@ -45,7 +45,7 @@ class TestFig11Equivalence:
     def test_window_scaling_identical(self):
         kwargs = dict(
             fractions=(1.0, 0.25), n_bits=2, bandwidth_bps=2.0,
-            cache_sets=64, max_lag=400,
+            cache_sets=64,
         )
         serial = F.fig11_window_scaling(**kwargs)
         pooled = F.fig11_window_scaling(jobs=JOBS, **kwargs)

@@ -270,7 +270,7 @@ class TestOscillationAnalyzerIncremental:
     def test_matches_batch_detector_path(self, small_machine):
         """The incremental cache analyzer must agree with a replayed batch
         computation of the same windows."""
-        from repro.core.autocorr import autocorrelogram
+        from repro.core.autocorr import binary_autocorrelogram
         from repro.core.event_train import dominant_pair_series
         from repro.core.oscillation import analyze_autocorrelogram
 
@@ -288,7 +288,7 @@ class TestOscillationAnalyzerIncremental:
         )
         labels, _idx, _pair = dominant_pair_series(reps, vics)
         batch = analyze_autocorrelogram(
-            autocorrelogram(labels, 1000), min_peak_height=0.45
+            binary_autocorrelogram(labels, 1000), min_peak_height=0.45
         )
         assert incremental[0].significant == batch.significant
         assert incremental[0].max_peak == pytest.approx(

@@ -18,10 +18,6 @@ class TestCacheConfig:
         assert l2.n_blocks == 4096
         assert l2.n_sets == 512
 
-    def test_paper_l1_geometry(self):
-        l1 = MachineConfig().l1
-        assert l1.size_bytes == 32 * 1024
-
     def test_non_integral_sets_rejected(self):
         with pytest.raises(ConfigError):
             CacheConfig(size_bytes=1000, line_bytes=64, associativity=8)
