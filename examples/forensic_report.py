@@ -61,9 +61,9 @@ def main() -> None:
     )
     channel.deploy(trojan_ctx=0, spy_ctx=2)
 
-    sampler = MetricsSampler(registry=reg, every_quanta=1, source="example")
+    sampler = MetricsSampler(registry=reg, source="example")
     machine.on_quantum_end(
-        lambda quantum, t0, t1: sampler.maybe_sample(quantum=quantum)
+        lambda quantum, t0, t1: sampler.sample(quantum=quantum)
     )
 
     quanta = channel.quanta_needed()

@@ -53,7 +53,7 @@ from repro.core import (
     analyze_histogram,
 )
 from repro.errors import ReproError
-from repro.exec import TrialRunner, TrialSpec, run_trials
+from repro.exec import TrialRunner, TrialSpec
 from repro.hardware import (
     BloomFilter,
     CCAuditor,
@@ -112,7 +112,6 @@ __all__ = [
     # parallel execution
     "TrialRunner",
     "TrialSpec",
-    "run_trials",
     # utilities
     "Message",
     "bit_error_rate",

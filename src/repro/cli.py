@@ -224,7 +224,7 @@ def _cmd_detect(args) -> int:
     if args.timeseries_out:
         from repro.obs import MetricsSampler
 
-        sampler = MetricsSampler(every_quanta=1, source="detect")
+        sampler = MetricsSampler(source="detect")
         sinks.append(TimeseriesSink(sampler))
     wants_evidence = bool(args.evidence_out or args.report_out)
     recorder = enable_tracing() if args.trace_out else None
@@ -460,7 +460,7 @@ def _cmd_analyze(args) -> int:
         from repro.obs import MetricsSampler
         from repro.pipeline import TimeseriesSink
 
-        sampler = MetricsSampler(every_quanta=1, source="analyze")
+        sampler = MetricsSampler(source="analyze")
         sinks.append(TimeseriesSink(sampler))
     profiler = None
     if args.profile_out:

@@ -11,7 +11,6 @@ from repro.exec.runner import (
     TrialSpec,
     default_chunk_size,
     resolve_jobs,
-    run_trials,
     trial_seed,
 )
 
@@ -22,6 +21,5 @@ __all__ = [
     "TrialSpec",
     "default_chunk_size",
     "resolve_jobs",
-    "run_trials",
     "trial_seed",
 ]

@@ -27,25 +27,23 @@ The determinism contract rests on three invariants:
    happened to finish last.
 
 ``jobs=1`` (the default) runs everything in-process with no pickling —
-the exact same code path the workers execute — so ``run_trials(spec, n,
-jobs=1)`` and ``jobs=N`` return equal results; the equivalence tests in
-``tests/exec/test_equivalence.py`` hold every rewired figure sweep to
-that.
+the exact same code path the workers execute — so
+``TrialRunner(jobs=1).run_trials(spec, n)`` and ``jobs=N`` return equal
+results; the equivalence tests in ``tests/exec/test_equivalence.py``
+hold every rewired figure sweep to that.
 
-Mechanics (see docs/PERFORMANCE.md for the knobs):
+Mechanics (see docs/PERFORMANCE.md):
 
 - trials are submitted in **chunks** sized to amortize process spawn and
-  pickle costs (``chunk_size``, default ≈ 4 chunks per worker);
+  pickle costs (:func:`default_chunk_size`, ≈ 4 chunks per worker);
 - a **crashed worker** (e.g. OOM-killed) breaks the pool; the runner
   rebuilds it and resubmits the unfinished chunks, bounded by
-  ``max_chunk_retries`` per chunk, then raises :class:`ExecError`;
+  :data:`MAX_CHUNK_RETRIES` per chunk, then raises :class:`ExecError`;
 - per-worker metrics snapshots are **merged back into the parent
   registry** (:meth:`MetricsRegistry.merge`) in canonical chunk order
   after the sweep (invariant 3), and the runner records per-trial wall
   times in a ``cchunter_trial_seconds`` histogram plus chunk/retry
-  counters; an optional :class:`~repro.obs.timeseries.MetricsSampler`
-  passed as ``sampler=`` takes one labeled sample after each canonical
-  merge, yielding a deterministic per-chunk metrics time series;
+  counters;
 - an optional ``progress(done, total)`` callback fires in the parent as
   chunks complete (completion order — only the *results* are ordered).
 
@@ -94,6 +92,11 @@ from repro.util.rng import derive_rng, spawn_seed
 class ExecError(ReproError):
     """Trial execution failed (bad spec, or a chunk exhausted its retries)."""
 
+
+#: Times one chunk may be resubmitted after crashing its worker alone
+#: before :class:`ExecError` is raised (or, under a timeout, its trials
+#: are recorded as ``crashed``).
+MAX_CHUNK_RETRIES = 2
 
 #: Histogram buckets for per-trial wall time: 1 ms .. 60 s.
 TRIAL_SECONDS_BUCKETS: Tuple[float, ...] = (
@@ -177,10 +180,10 @@ class TrialSpec:
     ``fn`` must be an importable module-level callable (workers unpickle
     it by qualified name); it receives ``common`` merged with the
     per-trial kwargs and returns a picklable result. If ``seed`` is not
-    ``None``, every trial additionally receives ``seed_arg=``
+    ``None``, every trial additionally receives ``seed=``
     :func:`trial_seed` ``(seed, key, index)`` unless its own kwargs
-    already bind that argument — sweeps that need a bespoke seed formula
-    just put it in the per-trial kwargs.
+    already bind ``seed`` — sweeps that need a bespoke seed formula just
+    put it in the per-trial kwargs.
 
     ``timeout_s`` gives each trial a wall-clock budget **and** switches
     the runner into failure-recording mode: trials that time out, raise,
@@ -192,14 +195,13 @@ class TrialSpec:
     common: Mapping[str, Any] = field(default_factory=dict)
     key: str = ""
     seed: Optional[int] = None
-    seed_arg: str = "seed"
     timeout_s: Optional[float] = None
 
     def kwargs_for(self, index: int, overrides: Mapping[str, Any]) -> Dict[str, Any]:
         """The full kwargs of trial ``index`` (canonical, order-free)."""
         kwargs = dict(self.common)
-        if self.seed is not None and self.seed_arg not in overrides:
-            kwargs[self.seed_arg] = trial_seed(self.seed, self.key, index)
+        if self.seed is not None and "seed" not in overrides:
+            kwargs["seed"] = trial_seed(self.seed, self.key, index)
         kwargs.update(overrides)
         return kwargs
 
@@ -320,12 +322,8 @@ class TrialRunner:
     ----------
     jobs:
         Worker processes. ``1`` (default) runs in-process; ``0`` uses
-        every CPU (:func:`resolve_jobs`).
-    chunk_size:
-        Trials per submitted task; default :func:`default_chunk_size`.
-    max_chunk_retries:
-        How many times one chunk may be resubmitted after a worker
-        crash before :class:`ExecError` is raised.
+        every CPU (:func:`resolve_jobs`). Trials go out in chunks of
+        :func:`default_chunk_size` ``(n, jobs)``.
     metrics:
         Parent registry that receives merged worker snapshots and the
         runner's own trial-timing histogram (default: the process-wide
@@ -333,35 +331,17 @@ class TrialRunner:
     progress:
         Optional ``progress(done_trials, total_trials)`` callback,
         invoked in the parent whenever a chunk completes.
-    sampler:
-        Optional :class:`~repro.obs.timeseries.MetricsSampler` sampled
-        once after each chunk's snapshot merges into the parent
-        registry. Merges happen in canonical chunk order after the
-        sweep, so the resulting series is identical for every ``jobs``
-        value.
     """
 
     def __init__(
         self,
         jobs: int = 1,
-        chunk_size: Optional[int] = None,
-        max_chunk_retries: int = 2,
         metrics: Optional[MetricsRegistry] = None,
         progress: Optional[Callable[[int, int], None]] = None,
-        sampler=None,
     ):
         self.jobs = resolve_jobs(jobs)
-        if chunk_size is not None and chunk_size < 1:
-            raise ExecError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.chunk_size = chunk_size
-        if max_chunk_retries < 0:
-            raise ExecError(
-                f"max_chunk_retries must be >= 0, got {max_chunk_retries}"
-            )
-        self.max_chunk_retries = max_chunk_retries
         self._metrics = metrics
         self.progress = progress
-        self.sampler = sampler
 
     # ------------------------------------------------------------------ API
 
@@ -391,7 +371,7 @@ class TrialRunner:
             (i, spec.kwargs_for(i, overrides))
             for i, overrides in enumerate(params)
         ]
-        chunk_size = self.chunk_size or default_chunk_size(total, self.jobs)
+        chunk_size = default_chunk_size(total, self.jobs)
         chunks = [
             items[lo : lo + chunk_size] for lo in range(0, total, chunk_size)
         ]
@@ -434,10 +414,6 @@ class TrialRunner:
                 and chunk_result.profile_snapshot is not None
             ):
                 parent_profiler.merge_dict(chunk_result.profile_snapshot)
-            if self.sampler is not None:
-                self.sampler.sample(
-                    label=f"chunk:{chunk_result.indices[0]}"
-                )
         results: List[Any] = [None] * total
         for chunk_result in chunk_results:
             for index, result in zip(chunk_result.indices, chunk_result.results):
@@ -589,7 +565,7 @@ class TrialRunner:
                             # Crashed alone: this chunk is the crasher.
                             retries[ci] += 1
                             retry_counter.inc()
-                            if retries[ci] > self.max_chunk_retries:
+                            if retries[ci] > MAX_CHUNK_RETRIES:
                                 if spec.timeout_s is not None:
                                     _failed_chunk(
                                         ci, "crashed",
@@ -635,16 +611,3 @@ class TrialRunner:
                                 f"({backstop:g}s)",
                             )
         return finished
-
-
-def run_trials(
-    spec: TrialSpec,
-    n: Optional[int] = None,
-    params: Optional[Sequence[Mapping[str, Any]]] = None,
-    jobs: int = 1,
-    **runner_kwargs: Any,
-) -> List[Any]:
-    """One-shot convenience: ``TrialRunner(jobs, ...).run_trials(...)``."""
-    return TrialRunner(jobs=jobs, **runner_kwargs).run_trials(
-        spec, n=n, params=params
-    )

@@ -17,8 +17,8 @@ emphasis on low-overhead online monitoring:
 - ``repro.obs.log`` — per-component structured loggers under the
   ``repro`` tree, with plain-text or JSON-lines output.
 - ``repro.obs.timeseries`` — a :class:`MetricsSampler` that snapshots a
-  registry into bounded JSONL time series (wall-clock and sim-quantum
-  clocks, ring retention, merge-aware for parallel sweeps).
+  registry into a bounded JSONL time series, one sample per call (a
+  session's ``TimeseriesSink`` samples once per quantum and at close).
 - ``repro.obs.evidence`` — per-unit :class:`EvidenceBundle` forensic
   records behind every verdict (LR trajectories, histogram and
   correlogram snapshots, fault/health/verdict timelines) with exact
@@ -71,7 +71,6 @@ from repro.obs.timeseries import (
     TimeseriesError,
     flatten_snapshot,
     load_jsonl,
-    merge_records,
     series_keys,
     series_values,
 )
@@ -82,10 +81,8 @@ from repro.obs.profile import (
     StageStats,
     disable_profiling,
     enable_profiling,
-    get_profiler,
     load_profile,
     merge_profiles,
-    profiling_enabled,
     render_collapsed,
     render_top,
     to_speedscope,
@@ -105,12 +102,12 @@ from repro.obs.tracing import (
     TraceContext,
     disable_tracing,
     enable_tracing,
+    get_profiler,
     get_recorder,
     merge_remote_trace,
     new_span_id,
     new_trace_id,
     trace_span,
-    tracing_enabled,
 )
 
 __all__ = [
@@ -125,7 +122,6 @@ __all__ = [
     "TimeseriesError",
     "flatten_snapshot",
     "load_jsonl",
-    "merge_records",
     "series_keys",
     "series_values",
     "Counter",
@@ -148,8 +144,8 @@ __all__ = [
     "trace_span",
     "enable_tracing",
     "disable_tracing",
-    "tracing_enabled",
     "get_recorder",
+    "get_profiler",
     "merge_remote_trace",
     "new_span_id",
     "new_trace_id",
@@ -168,8 +164,6 @@ __all__ = [
     "StageStats",
     "enable_profiling",
     "disable_profiling",
-    "profiling_enabled",
-    "get_profiler",
     "load_profile",
     "merge_profiles",
     "render_collapsed",

@@ -41,13 +41,17 @@ from __future__ import annotations
 import json
 from collections import OrderedDict
 from time import perf_counter, process_time
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Tuple
 
 from repro.errors import ReproError
 from repro.obs import tracing as _tracing
 
 #: Format tag of the profile JSON document.
 PROFILE_FORMAT = "repro.obs.profile/v1"
+
+#: Per-quantum rows kept; the oldest quantum's row is dropped (and
+#: counted) past this bound.
+MAX_QUANTA = 4096
 
 
 class ProfileError(ReproError):
@@ -107,16 +111,7 @@ class StageProfiler:
     per span edge — the wall clock reads are the span's own.
     """
 
-    def __init__(
-        self,
-        max_quanta: int = 4096,
-        cpu_clock: Callable[[], float] = process_time,
-    ):
-        if max_quanta <= 0:
-            raise ProfileError(
-                f"max_quanta must be positive, got {max_quanta}"
-            )
-        self.max_quanta = max_quanta
+    def __init__(self, cpu_clock: Callable[[], float] = process_time):
         self._cpu_clock = cpu_clock
         self._stats: Dict[Tuple[str, ...], StageStats] = {}
         self._stack: List[_Frame] = []
@@ -178,7 +173,7 @@ class StageProfiler:
     ) -> None:
         row = self._quanta.get(quantum)
         if row is None:
-            if len(self._quanta) >= self.max_quanta:
+            if len(self._quanta) >= MAX_QUANTA:
                 self._quanta.popitem(last=False)
                 self.quanta_dropped += 1
             row = self._quanta[quantum] = {}
@@ -290,17 +285,14 @@ class StageProfiler:
 # ------------------------------------------------------------- global hook
 
 
-def enable_profiling(
-    profiler: Optional[StageProfiler] = None,
-) -> StageProfiler:
-    """Install ``profiler`` (or a fresh one) as the active span profiler.
+def enable_profiling() -> StageProfiler:
+    """Install a fresh :class:`StageProfiler` as the active span profiler.
 
     Every subsequent ``trace_span`` block feeds it, alongside the span
     recorder when tracing is also enabled — same clock reads, no double
-    timing.
+    timing. :func:`repro.obs.tracing.get_profiler` returns it.
     """
-    if profiler is None:
-        profiler = StageProfiler()
+    profiler = StageProfiler()
     _tracing.set_profiler(profiler)
     return profiler
 
@@ -308,15 +300,6 @@ def enable_profiling(
 def disable_profiling() -> None:
     """Stop profiling; ``trace_span`` reverts to recorder-only/no-op."""
     _tracing.set_profiler(None)
-
-
-def profiling_enabled() -> bool:
-    return _tracing.get_profiler() is not None
-
-
-def get_profiler() -> Optional[StageProfiler]:
-    """The active profiler, or None when profiling is disabled."""
-    return _tracing.get_profiler()
 
 
 # ------------------------------------------------------------ doc helpers

@@ -6,23 +6,18 @@ trajectory — when did the first-detection gauge move, how fast did the
 event counters climb, when did fault counters start ticking. A
 :class:`MetricsSampler` turns a registry into that trajectory:
 
-- **two clocks** — sample every N sim quanta (``every_quanta``, exact
-  and deterministic) and/or every S wall-clock seconds
-  (``every_seconds``, for long real-time runs); :meth:`sample` always
-  takes one unconditionally;
-- **bounded retention** — samples live in a ring buffer (``capacity``),
-  newest kept, evictions counted, so a sampler can run forever;
+- **one sample per call** — :meth:`MetricsSampler.sample` snapshots the
+  registry; :class:`~repro.pipeline.sinks.TimeseriesSink` calls it once
+  per quantum and once at close, so a session's series is exact and
+  deterministic in its quanta;
+- **bounded retention** — samples live in a ring buffer of
+  :data:`CAPACITY`, newest kept, evictions counted, so a sampler can
+  run forever;
 - **flat records** — each sample flattens the registry into
   ``{series_key: value}`` where ``series_key`` is the Prometheus-style
   ``name{label="value",...}`` string; histograms contribute
   ``name_sum`` / ``name_count`` series. Consumers never re-parse the
-  nested snapshot schema;
-- **merge-aware** — ``repro.exec.TrialRunner`` folds worker registry
-  snapshots into the parent in canonical chunk order and can take one
-  sample after each fold (its ``sampler=`` hook), yielding a
-  deterministic "merge progress" series for parallel sweeps;
-  :func:`merge_records` interleaves series from several workers into
-  one deterministic timeline.
+  nested snapshot schema.
 
 The JSONL file (:data:`TIMESERIES_FORMAT`) starts with a header line
 and holds one sample per line — append-friendly, tail-friendly, and
@@ -43,9 +38,9 @@ from repro.obs.metrics import MetricsRegistry, get_default
 #: Format tag on a time-series JSONL header line.
 TIMESERIES_FORMAT = "repro.obs.timeseries/v1"
 
-#: Default ring capacity: at one sample per quantum this covers well
-#: past the clustering horizon; on wall clocks, hours of 1 Hz sampling.
-DEFAULT_CAPACITY = 4096
+#: Ring capacity: at one sample per quantum this covers well past the
+#: clustering horizon.
+CAPACITY = 4096
 
 
 class TimeseriesError(ReproError):
@@ -87,39 +82,21 @@ def flatten_snapshot(snapshot: Dict[str, Any]) -> Dict[str, float]:
 
 
 class MetricsSampler:
-    """Periodically snapshots a registry into a bounded sample ring."""
+    """Snapshots a registry into a bounded sample ring, once per call."""
 
     def __init__(
         self,
         registry: Optional[MetricsRegistry] = None,
-        every_quanta: Optional[int] = None,
-        every_seconds: Optional[float] = None,
-        capacity: int = DEFAULT_CAPACITY,
         source: str = "main",
         clock: Callable[[], float] = time.monotonic,
     ):
-        if every_quanta is not None and every_quanta < 1:
-            raise TimeseriesError(
-                f"every_quanta must be >= 1, got {every_quanta}"
-            )
-        if every_seconds is not None and every_seconds <= 0:
-            raise TimeseriesError(
-                f"every_seconds must be > 0, got {every_seconds}"
-            )
-        if capacity < 1:
-            raise TimeseriesError(f"capacity must be >= 1, got {capacity}")
         self._registry = registry
-        self.every_quanta = every_quanta
-        self.every_seconds = every_seconds
-        self.capacity = int(capacity)
         self.source = source
         self._clock = clock
-        self._samples: Deque[Dict[str, Any]] = deque(maxlen=self.capacity)
+        self._samples: Deque[Dict[str, Any]] = deque(maxlen=CAPACITY)
         self.samples_taken = 0
         self.samples_dropped = 0
         self._t0: Optional[float] = None
-        self._last_wall: Optional[float] = None
-        self._last_quantum: Optional[int] = None
         m = self.registry
         labels = {"source": source}
         self._m_samples = m.counter(
@@ -142,7 +119,7 @@ class MetricsSampler:
     def sample(
         self, quantum: Optional[int] = None, label: Optional[str] = None
     ) -> Dict[str, Any]:
-        """Take one sample unconditionally and return the record."""
+        """Take one sample and return the record."""
         now = self._clock()
         if self._t0 is None:
             self._t0 = now
@@ -161,37 +138,7 @@ class MetricsSampler:
             self._m_dropped.inc()
         self._samples.append(record)
         self.samples_taken += 1
-        self._last_wall = now
-        if quantum is not None:
-            self._last_quantum = quantum
         return record
-
-    def maybe_sample(
-        self, quantum: Optional[int] = None
-    ) -> Optional[Dict[str, Any]]:
-        """Take a sample iff a configured clock says it is due.
-
-        With ``every_quanta`` set and a ``quantum`` given, the quantum
-        clock decides (deterministic: fires when at least that many
-        quanta passed since the last sample). Otherwise the wall clock
-        decides, when ``every_seconds`` is set. With neither configured
-        this never samples — call :meth:`sample` directly instead.
-        """
-        if self.every_quanta is not None and quantum is not None:
-            if (
-                self._last_quantum is None
-                or quantum - self._last_quantum >= self.every_quanta
-            ):
-                return self.sample(quantum=quantum)
-            return None
-        if self.every_seconds is not None:
-            now = self._clock()
-            if (
-                self._last_wall is None
-                or now - self._last_wall >= self.every_seconds
-            ):
-                return self.sample(quantum=quantum)
-        return None
 
     # ---------------------------------------------------------------- access
 
@@ -208,7 +155,7 @@ class MetricsSampler:
         return {
             "format": TIMESERIES_FORMAT,
             "source": self.source,
-            "capacity": self.capacity,
+            "capacity": CAPACITY,
             "samples_taken": self.samples_taken,
             "samples_dropped": self.samples_dropped,
         }
@@ -250,33 +197,6 @@ def load_jsonl(path: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
     if header is None:
         raise TimeseriesError(f"{path} is empty")
     return header, records
-
-
-def merge_records(
-    series: Iterable[List[Dict[str, Any]]],
-) -> List[Dict[str, Any]]:
-    """Interleave several workers' records into one deterministic list.
-
-    Records that carry a quantum sort by ``(quantum, source, seq)``;
-    pure wall-clock records keep their per-source order and sort by
-    ``(source, seq)`` after the quantum-stamped ones. Wall-clock times
-    from different processes are never compared — they share no epoch.
-    The result depends only on the records, not on arrival order.
-    """
-    merged: List[Dict[str, Any]] = []
-    for records in series:
-        merged.extend(records)
-
-    def key(record: Dict[str, Any]):
-        quantum = record.get("quantum")
-        return (
-            0 if quantum is not None else 1,
-            quantum if quantum is not None else 0,
-            str(record.get("source", "")),
-            int(record.get("seq", 0)),
-        )
-
-    return sorted(merged, key=key)
 
 
 def series_values(

@@ -264,10 +264,6 @@ def disable_tracing() -> None:
     _recorder = None
 
 
-def tracing_enabled() -> bool:
-    return _recorder is not None
-
-
 def get_recorder() -> Optional[SpanRecorder]:
     """The active recorder, or None when tracing is disabled."""
     return _recorder

@@ -7,7 +7,9 @@ the session itself) therefore carries a :class:`Health` value with a
 one-way state machine::
 
     OK ──(flagged input fault | recovered push error)──▶ DEGRADED
-    DEGRADED ──(``fail_after`` consecutive push errors)──▶ FAILED
+    DEGRADED ──(FAIL_AFTER consecutive push errors)──▶ FAILED
+
+``FAIL_AFTER`` (8) is a constant of :mod:`repro.pipeline.session`.
 
 - **OK** — every observation was folded cleanly; the verdict carries
   full evidentiary weight.

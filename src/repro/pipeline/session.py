@@ -11,16 +11,18 @@ The session degrades instead of dying (docs/ROBUSTNESS.md):
 
 - **Analyzer quarantine** — an analyzer that raises during ``push`` or
   ``verdict`` no longer kills the session. Its first error moves it to
-  ``DEGRADED`` health; ``fail_after`` *consecutive* push errors move it
-  to ``FAILED`` and stop feeding it. Verdicts carry the combined health
+  ``DEGRADED`` health; :data:`FAIL_AFTER` *consecutive* push errors move
+  it to ``FAILED`` and stop feeding it. Verdicts carry the combined health
   (:class:`~repro.pipeline.health.Health`) of the analyzer's own state
   and the session's quarantine overlay.
 - **Sink isolation** — each sink's ``on_quantum``/``on_close`` runs in
-  its own error boundary with bounded retry and exponential backoff, so
-  one bad sink can neither starve the other sinks nor abort the
-  session; a sink that keeps failing is quarantined from per-quantum
-  dispatch but still gets its ``on_close``, which is guaranteed to be
-  attempted for every sink exactly once per close.
+  its own error boundary with :data:`SINK_MAX_RETRIES` retries and
+  exponential backoff from :data:`SINK_BACKOFF_BASE` seconds, so one bad
+  sink can neither starve the other sinks nor abort the session; a sink
+  whose dispatch is exhausted :data:`SINK_FAIL_LIMIT` times is
+  quarantined from per-quantum dispatch but still gets its ``on_close``,
+  which is guaranteed to be attempted for every sink exactly once per
+  close.
 
 Every session builds its analyzers through one factory,
 :func:`analyzer_for`, with the paper's detection parameters:
@@ -49,6 +51,15 @@ from repro.pipeline.sinks import VerdictSink
 from repro.pipeline.source import ChannelKind, ChannelSpec, QuantumObservation
 
 _log = get_logger("pipeline.session")
+
+#: Consecutive push errors before an analyzer is FAILED.
+FAIL_AFTER = 8
+#: Redelivery attempts per sink dispatch after the first one raised.
+SINK_MAX_RETRIES = 2
+#: First retry delay (seconds); each further retry doubles it.
+SINK_BACKOFF_BASE = 0.05
+#: Exhausted dispatches before a sink stops getting ``on_quantum``.
+SINK_FAIL_LIMIT = 3
 
 
 class _UnitState:
@@ -89,10 +100,6 @@ class DetectionSession:
         sinks: Iterable[VerdictSink] = (),
         track_detection_latency: bool = False,
         metrics: Optional[MetricsRegistry] = None,
-        fail_after: int = 8,
-        sink_max_retries: int = 2,
-        sink_backoff_base: float = 0.05,
-        sink_fail_limit: int = 3,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self._analyzers: Dict[str, Analyzer] = {}
@@ -103,14 +110,6 @@ class DetectionSession:
         #: Quanta whose verdicts were evaluated eagerly (== quanta_pushed
         #: iff the session has been eager for its whole life so far).
         self._quanta_evaluated = 0
-        #: Consecutive push errors before an analyzer is FAILED.
-        self.fail_after = max(1, int(fail_after))
-        #: Redelivery attempts per sink dispatch, with exponential
-        #: backoff starting at ``sink_backoff_base`` seconds.
-        self.sink_max_retries = max(0, int(sink_max_retries))
-        self.sink_backoff_base = float(sink_backoff_base)
-        #: Exhausted dispatches before a sink stops getting on_quantum.
-        self.sink_fail_limit = max(1, int(sink_fail_limit))
         self._sleep = sleep
         self._unit_states: Dict[str, _UnitState] = {}
         self._sink_states: Dict[int, _SinkState] = {}
@@ -207,7 +206,7 @@ class DetectionSession:
             bundle.record_fault(
                 self.quanta_pushed, f"error:{type(exc).__name__}"
             )
-        if state.consecutive >= self.fail_after:
+        if state.consecutive >= FAIL_AFTER:
             if state.health is not Health.FAILED:
                 _log.error(
                     "analyzer %r FAILED after %d consecutive errors "
@@ -388,9 +387,9 @@ class DetectionSession:
     def _dispatch_sinks(self, method: str, *args) -> None:
         """Deliver one event to every sink, each in its own boundary.
 
-        Each sink gets up to ``1 + sink_max_retries`` attempts with
+        Each sink gets up to ``1 + SINK_MAX_RETRIES`` attempts with
         exponential backoff; a sink whose dispatch is exhausted
-        ``sink_fail_limit`` times is quarantined from further
+        ``SINK_FAIL_LIMIT`` times is quarantined from further
         ``on_quantum`` deliveries (``on_close`` is always attempted).
         One failing sink never blocks delivery to the others.
         """
@@ -398,14 +397,14 @@ class DetectionSession:
             state = self._sink_state(sink)
             if state.quarantined and method == "on_quantum":
                 continue
-            delay = self.sink_backoff_base
-            for attempt in range(1 + self.sink_max_retries):
+            delay = SINK_BACKOFF_BASE
+            for attempt in range(1 + SINK_MAX_RETRIES):
                 try:
                     getattr(sink, method)(*args)
                     break
                 except Exception as exc:
                     self._m_sink_errors.inc()
-                    if attempt < self.sink_max_retries:
+                    if attempt < SINK_MAX_RETRIES:
                         self._m_sink_retries.inc()
                         _log.warning(
                             "sink %r raised in %s (%s); retrying in %.3fs",
@@ -420,7 +419,7 @@ class DetectionSession:
                             type(sink).__name__, method, attempt + 1, exc,
                         )
                         if (
-                            state.failures >= self.sink_fail_limit
+                            state.failures >= SINK_FAIL_LIMIT
                             and not state.quarantined
                         ):
                             state.quarantined = True

@@ -132,8 +132,8 @@ class TimeseriesSink:
 
     Attach to any session (or pass to ``analyze_traces``) to get a
     quantum-aligned metrics time series without touching the source:
-    every per-quantum report triggers the sampler's quantum clock, and
-    the close event takes one final sample so the series always ends
+    every per-quantum report takes one sample stamped with its quantum,
+    and the close event takes one final sample so the series always ends
     with the run's terminal state.
     """
 
@@ -141,7 +141,7 @@ class TimeseriesSink:
         self.sampler = sampler
 
     def on_quantum(self, quantum: int, report: DetectionReport) -> None:
-        self.sampler.maybe_sample(quantum=quantum)
+        self.sampler.sample(quantum=quantum)
 
     def on_close(self, report: DetectionReport) -> None:
         self.sampler.sample(label="close")

@@ -2,9 +2,9 @@
 
 :class:`WatchSink` is a verdict sink (see :mod:`repro.pipeline.sinks`)
 that keeps a small status block — one line per audited unit plus a
-header — refreshed in place on a TTY using ANSI cursor movement. On a
-non-TTY stream (file, pipe, CI log) it degrades to appending a full
-block every ``refresh_every`` quanta, so redirected output stays a
+header — redrawn every quantum, in place on a TTY using ANSI cursor
+movement. On a non-TTY stream (file, pipe, CI log) it degrades to
+appending a full block per quantum, so redirected output stays a
 readable log instead of a soup of escape codes.
 
 Wired up as ``repro detect --watch``.
@@ -78,16 +78,11 @@ class WatchSink:
     def __init__(
         self,
         stream: Optional[TextIO] = None,
-        refresh_every: int = 1,
         sticky: Optional[bool] = None,
     ):
-        if refresh_every < 1:
-            raise ValueError("refresh_every must be >= 1")
         #: Redraw in place (ANSI) vs append blocks. Defaults to whether
         #: the stream is an interactive terminal (see LiveBlock).
         self._block = LiveBlock(stream, sticky=sticky)
-        self.refresh_every = refresh_every
-        self._quanta_seen = 0
 
     @property
     def stream(self) -> TextIO:
@@ -121,9 +116,6 @@ class WatchSink:
     # ------------------------------------------------------------- sink API
 
     def on_quantum(self, quantum: int, report: DetectionReport) -> None:
-        self._quanta_seen += 1
-        if self._quanta_seen % self.refresh_every:
-            return
         self._draw(
             self._render(f"CC-Hunter watch — quantum {quantum}", report)
         )

@@ -7,13 +7,13 @@ the paper's burst-pattern detector gives unambiguous answers fast:
   bimodal on/off density signature of a bus-locking covert sender.
   The likelihood ratio saturates at 1.0 and recurrence clusters within
   ~16 quanta (validated empirically against the in-process pipeline).
-- **benign**: always-on background traffic, ``2 + Poisson(rate)``
+- **benign**: always-on background traffic, ``2 + Poisson(BENIGN_RATE)``
   events per window. The floor matters: the paper's two-distribution
   burst test needs a non-burst mode below 1 event per Δt, so traffic
   that never idles can never satisfy it — benign stays clear for
   every seed, not just the lucky ones.
 
-Each quantum spans ``windows`` Δt slots of width ``dt`` cycles. The
+Each quantum spans :data:`WINDOWS` Δt slots of :data:`DT` cycles. The
 generators are pure functions of their seed, so a serve client, an
 in-process session, and a replay all see bit-identical observations.
 """
@@ -33,6 +33,9 @@ from repro.util.runs import WindowCounts
 DT = 1000
 #: Δt windows per quantum (quantum spans ``WINDOWS * DT`` cycles).
 WINDOWS = 50
+#: Poisson mean of the benign profile's events per window, above its
+#: floor of 2.
+BENIGN_RATE = 2.0
 
 #: The channel list a serve-traffic tenant declares in its hello frame.
 CHANNELS: Tuple[ChannelSpec, ...] = (
@@ -41,13 +44,13 @@ CHANNELS: Tuple[ChannelSpec, ...] = (
 
 
 def covert_observations(
-    n_quanta: int, seed: int = 0, windows: int = WINDOWS, dt: int = DT
+    n_quanta: int, seed: int = 0
 ) -> Iterator[QuantumObservation]:
     """On/off alternating burst traffic: detected within ~16 quanta."""
     rng = derive_rng(seed, "serve", "covert")
-    span = windows * dt
+    span = WINDOWS * DT
     for q in range(n_quanta):
-        counts = np.zeros(windows, dtype=np.int64)
+        counts = np.zeros(WINDOWS, dtype=np.int64)
         counts[::2] = 40 + rng.integers(0, 3, size=counts[::2].size)
         yield QuantumObservation(
             quantum=q,
@@ -58,11 +61,7 @@ def covert_observations(
 
 
 def benign_observations(
-    n_quanta: int,
-    seed: int = 0,
-    rate: float = 2.0,
-    windows: int = WINDOWS,
-    dt: int = DT,
+    n_quanta: int, seed: int = 0
 ) -> Iterator[QuantumObservation]:
     """Always-on Poisson background traffic: stays clear.
 
@@ -71,9 +70,9 @@ def benign_observations(
     clear verdicts are guaranteed by construction, for any seed.
     """
     rng = derive_rng(seed, "serve", "benign")
-    span = windows * dt
+    span = WINDOWS * DT
     for q in range(n_quanta):
-        counts = 2 + rng.poisson(rate, size=windows).astype(np.int64)
+        counts = 2 + rng.poisson(BENIGN_RATE, size=WINDOWS).astype(np.int64)
         yield QuantumObservation(
             quantum=q,
             t0=q * span,

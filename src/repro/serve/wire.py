@@ -426,13 +426,13 @@ def parse_frame(payload: Any) -> Frame:
 # --------------------------------------------------------------- framing
 
 
-def encode_frame(frame: Frame, max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
+def encode_frame(frame: Frame) -> bytes:
     """Length-prefixed wire bytes for one frame."""
     body = json.dumps(frame.to_payload(), sort_keys=True).encode("utf-8")
-    if len(body) > max_frame_bytes:
+    if len(body) > MAX_FRAME_BYTES:
         raise WireError(
             f"{frame.type} frame body is {len(body)} bytes "
-            f"(cap {max_frame_bytes})"
+            f"(cap {MAX_FRAME_BYTES})"
         )
     return _HEADER.pack(len(body)) + body
 
@@ -446,10 +446,7 @@ def decode_payload(body: bytes) -> Frame:
     return parse_frame(payload)
 
 
-async def read_frame(
-    reader: asyncio.StreamReader,
-    max_frame_bytes: int = MAX_FRAME_BYTES,
-) -> Optional[Frame]:
+async def read_frame(reader: asyncio.StreamReader) -> Optional[Frame]:
     """Read one frame; ``None`` on clean EOF at a frame boundary.
 
     Raises :class:`FrameDecodeError` for a malformed *body* (stream
@@ -466,9 +463,9 @@ async def read_frame(
             f"connection closed mid-header ({len(exc.partial)}/4 bytes)"
         ) from None
     (length,) = _HEADER.unpack(header)
-    if length == 0 or length > max_frame_bytes:
+    if length == 0 or length > MAX_FRAME_BYTES:
         raise WireError(
-            f"frame length {length} outside (0, {max_frame_bytes}]"
+            f"frame length {length} outside (0, {MAX_FRAME_BYTES}]"
         )
     try:
         body = await reader.readexactly(length)

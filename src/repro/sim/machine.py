@@ -169,18 +169,9 @@ class Machine:
         here once). It holds the machine weakly, so the engine's queue
         keeps no finished machine alive.
         """
-        gen = process.run()
+        send = process.run().send
         machine_ref = weakref.ref(self)
         priority = process.priority
-        send = getattr(gen, "send", None)
-        if send is None:
-            # A plain iterable body (no generator protocol): results of
-            # executed operations are simply dropped, as before.
-            it = iter(gen)
-
-            def send(_value):
-                return next(it)
-
         box = [None]
 
         def resume() -> None:
@@ -212,12 +203,7 @@ class Machine:
             raise SimulationError(f"{process.name!r} has no hardware context")
         handler = _OP_HANDLERS.get(type(op))
         if handler is None:
-            for op_type, candidate in _OP_HANDLERS.items():
-                if isinstance(op, op_type):
-                    handler = candidate
-                    break
-            else:
-                raise SimulationError(f"unknown operation type: {op!r}")
+            raise SimulationError(f"unknown operation type: {op!r}")
         return handler(self, process, op, now, ctx)
 
     def _op_compute(self, process, op, now, ctx):
@@ -362,8 +348,7 @@ class Machine:
 
 
 #: Exact-type operation dispatch: one dict probe instead of a cascade of
-#: isinstance checks on the per-event hot path (subclasses of the op
-#: types fall back to the isinstance scan). Handlers take the machine
+#: isinstance checks on the per-event hot path. Handlers take the machine
 #: first; a table of bound methods would keep every machine in a cycle.
 _OP_HANDLERS = {
     Compute: Machine._op_compute,

@@ -257,9 +257,10 @@ def load_traces(
       failing record — nothing half-loaded escapes;
     - ``"skip"``: failing *data* records are blanked (sparse events
       emptied, the conflict columns together; dense counts zeroed at
-      their window count, or dropped when their key names no core), the
-      affected unit is listed in ``TraceArchive.gaps``, and loading
-      continues. Damaged metadata always raises — there is no safe way
+      their window count), the affected unit is listed in
+      ``TraceArchive.gaps``, and loading continues. A dense record whose
+      key names no core belongs to no unit: it is dropped with a
+      warning and adds no gap. Damaged metadata always raises — there is no safe way
       to guess the geometry.
     """
     if on_corruption not in ("raise", "skip"):
@@ -330,12 +331,17 @@ def load_traces(
                 problems.setdefault(key, "blanked with the cache columns")
         for key in sorted(problems):
             windows = _dense_windows(key, meta)
-            if windows is None:
-                payload[key] = np.zeros(0, dtype=np.int64)
-            elif _names_core(key):
-                payload[key] = np.zeros(windows, dtype=np.int64)
-            else:
+            if windows is not None and not _names_core(key):
+                # No core to replay it on: no unit, so no gap.
                 del payload[key]
+                _log.warning(
+                    "%s: record %r failed integrity check (%s); dropped",
+                    src, key, problems[key],
+                )
+                continue
+            payload[key] = np.zeros(
+                0 if windows is None else windows, dtype=np.int64
+            )
             channel = _gap_channel(key)
             if channel not in gaps:
                 gaps.append(channel)

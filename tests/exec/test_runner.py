@@ -14,9 +14,9 @@ from repro.exec import (
     TrialSpec,
     default_chunk_size,
     resolve_jobs,
-    run_trials,
     trial_seed,
 )
+from repro.exec.runner import MAX_CHUNK_RETRIES
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, get_default
 
 
@@ -96,49 +96,58 @@ class TestTrialSpec:
 class TestRunTrialsSerial:
     def test_results_in_canonical_order(self):
         spec = TrialSpec(fn=tenfold)
-        results = run_trials(spec, params=[{"index": i} for i in range(7)])
+        results = TrialRunner().run_trials(
+            spec, params=[{"index": i} for i in range(7)]
+        )
         assert results == [0, 10, 20, 30, 40, 50, 60]
 
     def test_n_generates_empty_param_dicts(self):
         spec = TrialSpec(fn=draw, seed=3, key="n")
-        assert run_trials(spec, n=4) == [
+        assert TrialRunner().run_trials(spec, n=4) == [
             draw(trial_seed(3, "n", i)) for i in range(4)
         ]
 
     def test_n_params_mismatch_rejected(self):
         with pytest.raises(ExecError):
-            run_trials(TrialSpec(fn=tenfold), n=2, params=[{"index": 0}])
+            TrialRunner().run_trials(
+                TrialSpec(fn=tenfold), n=2, params=[{"index": 0}]
+            )
 
     def test_neither_n_nor_params_rejected(self):
         with pytest.raises(ExecError):
-            run_trials(TrialSpec(fn=tenfold))
+            TrialRunner().run_trials(TrialSpec(fn=tenfold))
 
     def test_empty_sweep(self):
-        assert run_trials(TrialSpec(fn=tenfold), n=0) == []
+        assert TrialRunner().run_trials(TrialSpec(fn=tenfold), n=0) == []
 
     def test_exception_propagates(self):
         spec = TrialSpec(fn=failing)
         with pytest.raises(ValueError, match="trial 2"):
-            run_trials(spec, params=[{"index": i} for i in range(4)])
+            TrialRunner().run_trials(
+                spec, params=[{"index": i} for i in range(4)]
+            )
 
 
 class TestJobsEquivalence:
     def test_serial_equals_pooled(self):
         spec = TrialSpec(fn=draw, seed=11, key="eq")
-        serial = run_trials(spec, n=9)
-        pooled = run_trials(spec, n=9, jobs=2, chunk_size=2)
+        serial = TrialRunner().run_trials(spec, n=9)  # chunks of 3
+        pooled = TrialRunner(jobs=2).run_trials(spec, n=9)  # chunks of 2
         assert serial == pooled
 
     def test_chunk_size_does_not_change_results(self):
         spec = TrialSpec(fn=draw, seed=11, key="eq")
-        assert run_trials(spec, n=9) == run_trials(spec, n=9, chunk_size=4)
+        # Chunks of 3 for 9 trials, of 10 for 40: a trial's result does
+        # not depend on the chunk it ran in.
+        assert default_chunk_size(9, 1) != default_chunk_size(40, 1)
+        runner = TrialRunner()
+        assert runner.run_trials(spec, n=9) == runner.run_trials(spec, n=40)[:9]
 
     def test_pooled_exception_propagates(self):
         spec = TrialSpec(fn=failing)
         with pytest.raises(ValueError):
-            run_trials(
-                spec, params=[{"index": i} for i in range(4)],
-                jobs=2, chunk_size=1,
+            TrialRunner(jobs=2).run_trials(
+                spec, params=[{"index": i} for i in range(4)]
             )
 
 
@@ -156,21 +165,14 @@ class TestChunking:
         with pytest.raises(ExecError):
             resolve_jobs(-1)
 
-    def test_bad_runner_knobs_rejected(self):
-        with pytest.raises(ExecError):
-            TrialRunner(chunk_size=0)
-        with pytest.raises(ExecError):
-            TrialRunner(max_chunk_retries=-1)
-
 
 class TestProgressAndMetrics:
     def test_progress_reaches_total(self):
         calls = []
-        runner = TrialRunner(
-            jobs=1, chunk_size=2, progress=lambda d, t: calls.append((d, t))
-        )
+        runner = TrialRunner(progress=lambda d, t: calls.append((d, t)))
         runner.run_trials(TrialSpec(fn=tenfold),
                           params=[{"index": i} for i in range(5)])
+        # 5 trials in-process go out in chunks of 2.
         assert calls == [(2, 5), (4, 5), (5, 5)]
 
     def test_trial_metrics_recorded_in_parent(self):
@@ -189,7 +191,7 @@ class TestProgressAndMetrics:
     def test_worker_registry_snapshots_merged(self):
         for jobs in (1, 2):
             registry = MetricsRegistry()
-            runner = TrialRunner(jobs=jobs, chunk_size=2, metrics=registry)
+            runner = TrialRunner(jobs=jobs, metrics=registry)
             runner.run_trials(
                 TrialSpec(fn=instrumented, key="inst"),
                 params=[{"index": i} for i in range(5)],
@@ -214,9 +216,7 @@ class TestCrashRetry:
         spec = TrialSpec(fn=crash_until_flagged,
                          common={"flag_dir": str(tmp_path)})
         registry = MetricsRegistry()
-        runner = TrialRunner(
-            jobs=2, chunk_size=1, max_chunk_retries=2, metrics=registry
-        )
+        runner = TrialRunner(jobs=2, metrics=registry)
         results = runner.run_trials(
             spec, params=[{"index": i} for i in range(3)]
         )
@@ -228,12 +228,10 @@ class TestCrashRetry:
         assert retries >= 1
 
     def test_only_the_crashing_chunk_is_charged(self):
-        # With no retries to spare, charging neighbours for a crash would
-        # report healthy chunks that shared the broken pool as crashed.
+        # Charging neighbours for a crash would count retries for healthy
+        # chunks that shared the broken pool with the crasher.
         registry = MetricsRegistry()
-        runner = TrialRunner(
-            jobs=2, chunk_size=1, max_chunk_retries=0, metrics=registry
-        )
+        runner = TrialRunner(jobs=2, metrics=registry)
         results = runner.run_trials(
             TrialSpec(fn=crash_at, common={"crasher": 1}, timeout_s=30.0),
             params=[{"index": i} for i in range(5)],
@@ -245,10 +243,10 @@ class TestCrashRetry:
             "cchunter_exec_chunk_retries_total",
             labels={"spec": "crash_at"},
         ).value
-        assert retries == 1
+        assert retries == MAX_CHUNK_RETRIES + 1
 
     def test_persistent_crash_exhausts_retries(self):
-        runner = TrialRunner(jobs=2, chunk_size=1, max_chunk_retries=1)
+        runner = TrialRunner(jobs=2)
         with pytest.raises(ExecError, match="crashed"):
             runner.run_trials(
                 TrialSpec(fn=crash_always),
@@ -283,8 +281,7 @@ class TestProfileMerge:
 
         profiler = enable_profiling()
         try:
-            runner = TrialRunner(jobs=jobs, chunk_size=2,
-                                 metrics=NULL_REGISTRY)
+            runner = TrialRunner(jobs=jobs, metrics=NULL_REGISTRY)
             results = runner.run_trials(
                 TrialSpec(fn=spanning, key="prof"),
                 params=[{"index": i} for i in range(6)],
@@ -309,7 +306,7 @@ class TestProfileMerge:
             )
 
     def test_no_parent_profiler_means_no_snapshots(self):
-        runner = TrialRunner(jobs=2, chunk_size=2, metrics=NULL_REGISTRY)
+        runner = TrialRunner(jobs=2, metrics=NULL_REGISTRY)
         results = runner.run_trials(
             TrialSpec(fn=spanning, key="prof"),
             params=[{"index": i} for i in range(4)],

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.exec import TrialFailure, TrialRunner, TrialSpec, run_trials
+from repro.exec import TrialFailure, TrialRunner, TrialSpec
 
 pytestmark = pytest.mark.resilience
 
@@ -33,7 +33,7 @@ def _mixed(index=0, **_kw):
 class TestWorkerTimeout:
     def test_timed_out_trial_recorded_in_slot(self):
         spec = TrialSpec(fn=_sleepy, key="t", timeout_s=0.2)
-        results = run_trials(spec, params=[
+        results = TrialRunner().run_trials(spec, params=[
             {"duration": 0.0, "value": 10},
             {"duration": 5.0, "value": 11},
             {"duration": 0.0, "value": 12},
@@ -47,7 +47,7 @@ class TestWorkerTimeout:
 
     def test_raised_trial_recorded_not_propagated(self):
         spec = TrialSpec(fn=_angry, key="t", timeout_s=5.0)
-        results = run_trials(spec, n=2)
+        results = TrialRunner().run_trials(spec, n=2)
         for failure in results:
             assert isinstance(failure, TrialFailure)
             assert failure.kind == "raised"
@@ -55,27 +55,32 @@ class TestWorkerTimeout:
 
     def test_canonical_order_holds_with_failures(self):
         spec = TrialSpec(fn=_mixed, key="t", timeout_s=0.2)
-        results = run_trials(spec, params=[{"index": i} for i in range(4)])
+        results = TrialRunner().run_trials(
+            spec, params=[{"index": i} for i in range(4)]
+        )
         assert results[0] == 0 and results[3] == 3
         assert results[1].kind == "raised"
         assert results[2].kind == "timeout"
 
     def test_failures_are_falsy(self):
         spec = TrialSpec(fn=_mixed, key="t", timeout_s=0.2)
-        results = run_trials(spec, params=[{"index": i} for i in range(4)])
+        results = TrialRunner().run_trials(
+            spec, params=[{"index": i} for i in range(4)]
+        )
         assert [r for r in results if r is not None and not isinstance(
             r, TrialFailure)] == [0, 3]
         assert not TrialFailure(0, "timeout", "", 0.0)
 
     def test_without_timeout_exceptions_propagate(self):
         with pytest.raises(ValueError, match="bad trial"):
-            run_trials(TrialSpec(fn=_angry, key="t"), n=1)
+            TrialRunner().run_trials(TrialSpec(fn=_angry, key="t"), n=1)
 
     def test_pooled_failures_match_serial(self):
         spec = TrialSpec(fn=_mixed, key="t", timeout_s=0.3)
         params = [{"index": i} for i in range(4)]
-        serial = run_trials(spec, params=params, jobs=1)
-        pooled = run_trials(spec, params=params, jobs=2, chunk_size=1)
+        serial = TrialRunner(jobs=1).run_trials(spec, params=params)
+        # 4 trials over 2 workers go out in chunks of 1.
+        pooled = TrialRunner(jobs=2).run_trials(spec, params=params)
         assert [type(r) for r in serial] == [type(r) for r in pooled]
         assert [
             r.kind if isinstance(r, TrialFailure) else r for r in serial

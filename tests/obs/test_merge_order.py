@@ -13,7 +13,6 @@ import time
 
 from repro.exec import TrialRunner, TrialSpec
 from repro.obs.metrics import MetricsRegistry, get_default
-from repro.obs.timeseries import MetricsSampler
 
 
 def gauged(index):
@@ -29,11 +28,9 @@ N_TRIALS = 3
 
 
 class TestCanonicalMergeOrder:
-    def _run(self, jobs, sampler=None):
+    def _run(self, jobs):
         registry = MetricsRegistry()
-        runner = TrialRunner(
-            jobs=jobs, chunk_size=1, metrics=registry, sampler=sampler
-        )
+        runner = TrialRunner(jobs=jobs, metrics=registry)
         results = runner.run_trials(
             TrialSpec(fn=gauged),
             params=[{"index": i} for i in range(N_TRIALS)],
@@ -46,8 +43,9 @@ class TestCanonicalMergeOrder:
         assert registry.gauge("test_merge_last_index").value == N_TRIALS - 1
 
     def test_gauge_is_canonical_last_writer_parallel(self):
-        # chunk_size=1 + the sleep in trial 0 force chunk 0 to finish
-        # last; with completion-order merging the gauge would end at 0.
+        # Chunks of 1 (3 trials over 2 workers) + the sleep in trial 0
+        # force chunk 0 to finish last; with completion-order merging
+        # the gauge would end at 0.
         registry = self._run(jobs=2)
         assert registry.gauge("test_merge_last_index").value == N_TRIALS - 1
 
@@ -56,23 +54,3 @@ class TestCanonicalMergeOrder:
         assert (
             registry.counter("test_merge_trials_total").value == N_TRIALS
         )
-
-    def test_sampler_records_one_labeled_sample_per_chunk(self):
-        registry = MetricsRegistry()
-        sampler = MetricsSampler(registry=registry, source="exec")
-        runner = TrialRunner(
-            jobs=2, chunk_size=1, metrics=registry, sampler=sampler
-        )
-        runner.run_trials(
-            TrialSpec(fn=gauged),
-            params=[{"index": i} for i in range(N_TRIALS)],
-        )
-        records = sampler.records()
-        assert [r["label"] for r in records] == [
-            f"chunk:{i}" for i in range(N_TRIALS)
-        ]
-        # The merge-progress series shows the gauge advancing in
-        # canonical order regardless of completion order.
-        assert [
-            r["values"]["test_merge_last_index"] for r in records
-        ] == [0.0, 1.0, 2.0]

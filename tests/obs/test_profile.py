@@ -5,15 +5,14 @@ import json
 import pytest
 
 from repro.obs.profile import (
+    MAX_QUANTA,
     PROFILE_FORMAT,
     ProfileError,
     StageProfiler,
     disable_profiling,
     enable_profiling,
-    get_profiler,
     load_profile,
     merge_profiles,
-    profiling_enabled,
     render_collapsed,
     render_top,
     to_speedscope,
@@ -21,6 +20,7 @@ from repro.obs.profile import (
 from repro.obs.tracing import (
     disable_tracing,
     enable_tracing,
+    get_profiler,
     trace_span,
 )
 
@@ -93,18 +93,16 @@ class TestStageAccounting:
 
 class TestPerQuantumRing:
     def test_rows_bounded_oldest_evicted(self):
-        prof = StageProfiler(max_quanta=3)
+        prof = StageProfiler()
         _drive(prof, [
             ("sim.quantum", {"quantum": q}, float(q), float(q) + 0.5)
-            for q in range(5)
+            for q in range(MAX_QUANTA + 2)
         ])
         doc = prof.to_dict()
-        assert [r["quantum"] for r in doc["quanta"]["rows"]] == [2, 3, 4]
+        assert [r["quantum"] for r in doc["quanta"]["rows"]] == list(
+            range(2, MAX_QUANTA + 2)
+        )
         assert doc["quanta"]["dropped"] == 2
-
-    def test_invalid_max_quanta_rejected(self):
-        with pytest.raises(ProfileError):
-            StageProfiler(max_quanta=0)
 
     def test_row_accumulates_self_time_per_label(self):
         prof = StageProfiler()
@@ -215,13 +213,12 @@ class TestRenderers:
 class TestGlobalHook:
     def test_enable_feeds_trace_spans(self):
         prof = enable_profiling()
-        assert profiling_enabled()
         assert get_profiler() is prof
         with trace_span("sim.quantum", quantum=1):
             with trace_span("analyzer.push", unit="membus", quantum=1):
                 pass
         disable_profiling()
-        assert not profiling_enabled()
+        assert get_profiler() is None
         paths = set(prof.stats())
         assert ("sim.quantum",) in paths
         assert ("sim.quantum", "analyzer.push[membus]") in paths

@@ -6,23 +6,15 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import (
+    CAPACITY,
     TIMESERIES_FORMAT,
     MetricsSampler,
     TimeseriesError,
     flatten_snapshot,
     load_jsonl,
-    merge_records,
     series_keys,
     series_values,
 )
-
-
-class FakeClock:
-    def __init__(self):
-        self.t = 0.0
-
-    def __call__(self):
-        return self.t
 
 
 @pytest.fixture
@@ -53,33 +45,15 @@ class TestFlatten:
 
 
 class TestMetricsSampler:
-    def test_every_quanta_cadence(self, registry):
-        gauge = registry.gauge("v", "h")
-        sampler = MetricsSampler(registry=registry, every_quanta=2)
-        for quantum in range(6):
-            gauge.set(quantum)
-            sampler.maybe_sample(quantum=quantum)
-        quanta = [r["quantum"] for r in sampler.records()]
-        assert quanta == [0, 2, 4]
-        assert [r["values"]["v"] for r in sampler.records()] == [0, 2, 4]
-
-    def test_wall_clock_cadence(self, registry):
-        clock = FakeClock()
-        sampler = MetricsSampler(
-            registry=registry, every_seconds=1.0, clock=clock
-        )
-        for step in range(5):
-            clock.t = step * 0.6  # 0.0 0.6 1.2 1.8 2.4
-            sampler.maybe_sample()
-        assert [r["t_s"] for r in sampler.records()] == [0.0, 1.2, 2.4]
-
     def test_ring_retention_counts_drops(self, registry):
-        sampler = MetricsSampler(registry=registry, capacity=3)
-        for i in range(5):
+        sampler = MetricsSampler(registry=registry)
+        for i in range(CAPACITY + 2):
             sampler.sample(quantum=i)
-        assert len(sampler) == 3
-        assert [r["quantum"] for r in sampler.records()] == [2, 3, 4]
-        assert sampler.samples_taken == 5
+        assert len(sampler) == CAPACITY
+        assert [r["quantum"] for r in sampler.records()] == list(
+            range(2, CAPACITY + 2)
+        )
+        assert sampler.samples_taken == CAPACITY + 2
         assert sampler.samples_dropped == 2
 
     def test_label_and_seq_monotonic(self, registry):
@@ -92,16 +66,14 @@ class TestMetricsSampler:
         assert second["seq"] == first["seq"] + 1
 
     def test_self_metrics(self, registry):
-        sampler = MetricsSampler(registry=registry, capacity=1, source="t")
-        sampler.sample()
-        sampler.sample()
+        sampler = MetricsSampler(registry=registry, source="t")
+        for _ in range(CAPACITY + 1):
+            sampler.sample()
         flat = flatten_snapshot(registry.to_dict())
-        assert flat['cchunter_sampler_samples_total{source="t"}'] == 2.0
+        assert flat['cchunter_sampler_samples_total{source="t"}'] == (
+            CAPACITY + 1.0
+        )
         assert flat['cchunter_sampler_dropped_total{source="t"}'] == 1.0
-
-    def test_invalid_capacity_rejected(self, registry):
-        with pytest.raises(TimeseriesError):
-            MetricsSampler(registry=registry, capacity=0)
 
 
 class TestJsonlRoundTrip:
@@ -150,13 +122,3 @@ class TestSeriesHelpers:
         sampler.sample(quantum=3)
         keys = series_keys(records + sampler.records())
         assert "v" in keys and "late_total" in keys
-
-    def test_merge_records_orders_by_quantum(self, registry):
-        a = MetricsSampler(registry=registry, source="a")
-        b = MetricsSampler(registry=registry, source="b")
-        a.sample(quantum=0)
-        b.sample(quantum=1)
-        a.sample(quantum=2)
-        merged = merge_records([b.records(), a.records()])
-        assert [r["quantum"] for r in merged] == [0, 1, 2]
-        assert [r["source"] for r in merged] == ["a", "b", "a"]

@@ -10,7 +10,6 @@ from repro.obs.tracing import (
     enable_tracing,
     get_recorder,
     trace_span,
-    tracing_enabled,
 )
 
 
@@ -24,7 +23,6 @@ def _tracing_off():
 
 class TestTraceSpan:
     def test_disabled_returns_shared_noop(self):
-        assert not tracing_enabled()
         assert get_recorder() is None
         span_a = trace_span("analyzer.push", unit="membus")
         span_b = trace_span("sim.quantum")
@@ -34,7 +32,6 @@ class TestTraceSpan:
 
     def test_enabled_records_name_duration_attrs(self):
         recorder = enable_tracing()
-        assert tracing_enabled()
         assert get_recorder() is recorder
         with trace_span("analyzer.push", unit="membus", quantum=3):
             pass

@@ -21,6 +21,7 @@ from repro.pipeline import (
     WindowCounts,
     worst,
 )
+from repro.pipeline.session import FAIL_AFTER
 
 pytestmark = pytest.mark.resilience
 
@@ -96,12 +97,12 @@ def _obs(quantum, faults=()):
 
 class TestOneWayLadder:
     @settings(max_examples=60, deadline=None)
-    @given(EVENTS, st.integers(1, 6))
-    def test_health_rank_never_decreases(self, events, fail_after):
+    @given(EVENTS)
+    def test_health_rank_never_decreases(self, events):
         """Under ANY interleaving of clean/faulted/erroring quanta the
         combined unit health climbs the OK→DEGRADED→FAILED ladder one
         way, and FAILED appears only via the consecutive-error rule."""
-        session = DetectionSession(fail_after=fail_after)
+        session = DetectionSession()
         session.add_analyzer(_ScriptedAnalyzer(script=events))
         ranks = []
         consecutive = 0
@@ -120,10 +121,10 @@ class TestOneWayLadder:
             assert final.rank >= Health.DEGRADED.rank
         else:
             assert final is Health.OK
-        if max_consecutive >= fail_after:
+        if max_consecutive >= FAIL_AFTER:
             assert final is Health.FAILED
         if final is Health.FAILED:
-            assert max_consecutive >= fail_after
+            assert max_consecutive >= FAIL_AFTER
         # The verdict reports the same combined health.
         verdict = session.close().verdict_for("membus")
         assert verdict.health == final.value

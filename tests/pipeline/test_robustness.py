@@ -22,6 +22,12 @@ from repro.pipeline import (
     WindowCounts,
     worst,
 )
+from repro.pipeline.session import (
+    FAIL_AFTER,
+    SINK_BACKOFF_BASE,
+    SINK_FAIL_LIMIT,
+    SINK_MAX_RETRIES,
+)
 from repro.pipeline.source import ConflictRecords
 
 pytestmark = pytest.mark.resilience
@@ -89,19 +95,20 @@ class TestHealthStateMachine:
         assert worst((Health.DEGRADED, Health.FAILED)) is Health.FAILED
 
     def test_analyzer_error_degrades_then_fails(self):
-        session = DetectionSession(fail_after=3)
+        session = DetectionSession()
         analyzer = session.add_analyzer(_ExplodingAnalyzer(detonate_at=1))
         counts = {"membus": np.zeros(4, dtype=np.int64)}
         session.push_quantum(_obs(0, counts))
         assert session.unit_health("membus") is Health.OK
-        session.push_quantum(_obs(1, counts))
-        assert session.unit_health("membus") is Health.DEGRADED
-        session.push_quantum(_obs(2, counts))
-        session.push_quantum(_obs(3, counts))
+        # Quanta 1 .. FAIL_AFTER - 1 raise: degraded, still fed.
+        for quantum in range(1, FAIL_AFTER):
+            session.push_quantum(_obs(quantum, counts))
+            assert session.unit_health("membus") is Health.DEGRADED
+        session.push_quantum(_obs(FAIL_AFTER, counts))
         assert session.unit_health("membus") is Health.FAILED
         # Quarantined: the analyzer stops being fed, the session lives.
-        session.push_quantum(_obs(4, counts))
-        assert analyzer.pushes == 4
+        session.push_quantum(_obs(FAIL_AFTER + 1, counts))
+        assert analyzer.pushes == FAIL_AFTER + 1
         verdict = session.current_verdicts().verdict_for("membus")
         assert verdict.health == "failed"
         assert any("quarantined" in note for note in verdict.notes)
@@ -114,12 +121,12 @@ class TestHealthStateMachine:
                     raise RuntimeError("intermittent")
                 BurstAnalyzer.push(self, obs)
 
-        session = DetectionSession(fail_after=3)
+        session = DetectionSession()
         session.add_analyzer(Sometimes())
         counts = {"membus": np.zeros(4, dtype=np.int64)}
-        for quantum in range(10):
+        for quantum in range(4 * FAIL_AFTER):
             session.push_quantum(_obs(quantum, counts))
-        # Never three consecutive failures, so never FAILED.
+        # Never two consecutive failures, so never FAILED.
         assert session.unit_health("membus") is Health.DEGRADED
 
     def test_verdict_error_yields_synthetic_verdict(self):
@@ -155,40 +162,40 @@ class TestSinkIsolation:
     def test_failing_sink_does_not_starve_others(self):
         bad = _FlakySink(fail_first=10_000)
         good = CollectingSink()
-        session = self._session(bad, good, sink_max_retries=0)
-        for quantum in range(3):
+        session = self._session(bad, good)
+        for quantum in range(SINK_FAIL_LIMIT + 2):
             session.push_quantum(
                 _obs(quantum, {"membus": np.zeros(4, dtype=np.int64)})
             )
-        assert [q for q, _r in good.reports] == [0, 1, 2]
+        assert [q for q, _r in good.reports] == list(
+            range(SINK_FAIL_LIMIT + 2)
+        )
 
     def test_transient_failure_recovers_via_retry(self):
-        sink = _FlakySink(fail_first=1)
-        session = self._session(sink, sink_max_retries=2)
+        sink = _FlakySink(fail_first=SINK_MAX_RETRIES)
+        session = self._session(sink)
         session.push_quantum(_obs(0, {"membus": np.zeros(4, dtype=np.int64)}))
-        assert sink.quanta == [0]  # first attempt failed, retry landed
+        assert sink.quanta == [0]  # the last retry landed
 
     def test_backoff_is_exponential(self):
         delays = []
         sink = _FlakySink(fail_first=10_000)
-        session = self._session(
-            sink, sink_max_retries=3, sink_backoff_base=0.05,
-            sleep=delays.append,
-        )
+        session = self._session(sink, sleep=delays.append)
         session.push_quantum(_obs(0, {"membus": np.zeros(4, dtype=np.int64)}))
-        assert delays == [0.05, 0.1, 0.2]
+        assert delays == [
+            SINK_BACKOFF_BASE * 2**retry for retry in range(SINK_MAX_RETRIES)
+        ]
 
     def test_quarantine_after_fail_limit(self):
         sink = _FlakySink(fail_first=10_000)
-        session = self._session(
-            sink, sink_max_retries=0, sink_fail_limit=2
-        )
-        for quantum in range(5):
+        session = self._session(sink)
+        for quantum in range(SINK_FAIL_LIMIT + 2):
             session.push_quantum(
                 _obs(quantum, {"membus": np.zeros(4, dtype=np.int64)})
             )
-        # Two exhausted dispatches quarantine the sink; no further attempts.
-        assert sink.attempts == 2
+        # SINK_FAIL_LIMIT exhausted dispatches quarantine the sink; no
+        # further attempts.
+        assert sink.attempts == SINK_FAIL_LIMIT * (1 + SINK_MAX_RETRIES)
 
     def test_on_close_guaranteed_for_every_sink(self):
         """Regression: a quarantined or mid-list-failing sink still gets
@@ -196,11 +203,11 @@ class TestSinkIsolation:
         quarantined = _FlakySink(fail_first=10_000)
         close_fails = _FlakySink(fail_close=True)
         last = _FlakySink()
-        session = self._session(
-            quarantined, close_fails, last,
-            sink_max_retries=0, sink_fail_limit=1,
-        )
-        session.push_quantum(_obs(0, {"membus": np.zeros(4, dtype=np.int64)}))
+        session = self._session(quarantined, close_fails, last)
+        for quantum in range(SINK_FAIL_LIMIT):
+            session.push_quantum(
+                _obs(quantum, {"membus": np.zeros(4, dtype=np.int64)})
+            )
         report = session.close()
         assert report is not None
         assert quarantined.closed == 1
@@ -209,7 +216,7 @@ class TestSinkIsolation:
     def test_sink_errors_counted(self):
         metrics = MetricsRegistry()
         sink = _FlakySink(fail_first=1)
-        session = self._session(sink, sink_max_retries=1, metrics=metrics)
+        session = self._session(sink, metrics=metrics)
         session.push_quantum(_obs(0, {"membus": np.zeros(4, dtype=np.int64)}))
         snapshot = metrics.to_dict()["metrics"]
         assert snapshot["cchunter_sink_errors_total"]["series"][0]["value"] == 1

@@ -18,6 +18,7 @@ from repro.pipeline import (
     WindowCounts,
     build_session_from_specs,
 )
+from repro.pipeline.session import SINK_FAIL_LIMIT, SINK_MAX_RETRIES
 
 
 def _obs(quantum=0, counts=(1, 0, 2)):
@@ -99,18 +100,13 @@ class TestQuarantinedSinkClose:
     def test_quarantined_sink_still_gets_on_close(self):
         bad = _FailingQuantumSink()
         good = _CountingSink()
-        session = DetectionSession(
-            sinks=[bad, good],
-            sink_max_retries=0,
-            sink_fail_limit=2,
-            sleep=lambda _s: None,
-        )
-        for q in range(4):
+        session = DetectionSession(sinks=[bad, good], sleep=lambda _s: None)
+        for q in range(SINK_FAIL_LIMIT + 2):
             session.push_quantum(_obs(q))
-        # bad exhausted fail_limit dispatches -> quarantined from
+        # bad exhausted SINK_FAIL_LIMIT dispatches -> quarantined from
         # on_quantum; good kept receiving everything.
-        assert bad.quanta == 2
-        assert good.quanta == 4
+        assert bad.quanta == SINK_FAIL_LIMIT * (1 + SINK_MAX_RETRIES)
+        assert good.quanta == SINK_FAIL_LIMIT + 2
         session.close()
         assert bad.closes == 1
         assert good.closes == 1
@@ -123,11 +119,10 @@ class TestQuarantinedSinkClose:
 
         bad = _FailingCloseSink()
         good = _CountingSink()
-        session = DetectionSession(
-            sinks=[bad, good], sink_max_retries=0, sleep=lambda _s: None
-        )
+        session = DetectionSession(sinks=[bad, good], sleep=lambda _s: None)
         report = session.close()
-        assert bad.closes == 1
+        # One dispatch: the first attempt and its retries.
+        assert bad.closes == 1 + SINK_MAX_RETRIES
         assert good.closes == 1
         # The caller still gets the sealed report despite the bad sink.
         assert session.close() is report

@@ -2,8 +2,6 @@
 
 import io
 
-import pytest
-
 from repro.core.report import DetectionReport, UnitVerdict
 from repro.report import WatchSink
 
@@ -51,13 +49,6 @@ class TestWatchSink:
         assert text.count("\x1b[F") == 2
         assert "quantum 1" in text
 
-    def test_refresh_every_skips_quanta(self):
-        stream = io.StringIO()
-        sink = WatchSink(stream=stream, refresh_every=3)
-        for quantum in range(6):
-            sink.on_quantum(quantum, _report())
-        assert stream.getvalue().count("CC-Hunter watch") == 2
-
     def test_close_renders_final_verdict(self):
         stream = io.StringIO()
         sink = WatchSink(stream=stream)
@@ -77,7 +68,3 @@ class TestWatchSink:
         stream = io.StringIO()
         WatchSink(stream=stream).on_quantum(0, DetectionReport(verdicts=()))
         assert "no audited units" in stream.getvalue()
-
-    def test_invalid_refresh_rejected(self):
-        with pytest.raises(ValueError):
-            WatchSink(refresh_every=0)

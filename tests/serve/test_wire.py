@@ -163,9 +163,9 @@ class TestStrictness:
             parse_frame(payload)
 
     def test_oversized_encode_rejected(self):
-        big = ErrorFrame(code="x", message="y" * 64, fatal=False)
+        big = ErrorFrame(code="x", message="y" * MAX_FRAME_BYTES, fatal=False)
         with pytest.raises(WireError, match="cap"):
-            encode_frame(big, max_frame_bytes=32)
+            encode_frame(big)
 
 
 def _reader_with(data: bytes) -> asyncio.StreamReader:

@@ -72,8 +72,11 @@ class TestProcessLifecycle:
         assert machine.scheduler.occupant(3) is None
 
     def test_cannot_double_book_context(self, machine):
-        p1 = Process("a", body=lambda p: iter(()))
-        p2 = Process("b", body=lambda p: iter(()))
+        def idle(proc):
+            yield from ()
+
+        p1 = Process("a", body=idle)
+        p2 = Process("b", body=idle)
         machine.spawn(p1, ctx=0)
         with pytest.raises(SchedulingError):
             machine.spawn(p2, ctx=0)

@@ -13,8 +13,12 @@ def sched():
     return Scheduler(MachineConfig())
 
 
+def _idle(process):
+    yield from ()
+
+
 def proc(name="p"):
-    return Process(name, body=lambda p: iter(()))
+    return Process(name, body=_idle)
 
 
 class TestPlacement:

@@ -186,6 +186,43 @@ class TestRobustness:
         payload = json.loads(captured.out)
         assert payload["health"] == "degraded"
 
+    def test_skip_corrupt_warns_only_of_units_in_report(
+        self, tmp_path, capsys
+    ):
+        """Every unit a --skip-corrupt warning calls degraded is in the
+        report, degraded. A dense record whose key names no core belongs
+        to no unit: it is dropped, and no warning promises its verdict."""
+        import re
+
+        import numpy as np
+
+        from repro.faults import corrupt_archive
+        from repro.traces import _checksum_manifest
+
+        archive_path = self._record(tmp_path, capsys)
+        with np.load(archive_path) as data:
+            payload = {key: data[key] for key in data.files}
+        del payload["checksum_manifest"]
+        payload["divider_wait_counts_x"] = payload["divider_wait_counts_0"]
+        payload["checksum_manifest"] = np.array(_checksum_manifest(payload))
+        np.savez_compressed(archive_path, **payload)
+        corrupt_archive(archive_path, keys=["bus_lock_times"], seed=3)
+        code = main(["analyze", archive_path, "--skip-corrupt", "--json"])
+        assert code in (0, 3)
+        captured = capsys.readouterr()
+        warned = re.findall(
+            r"corrupt records skipped for unit '([^']+)'", captured.err
+        )
+        assert warned == ["membus"]
+        health = {
+            verdict["unit"]: verdict["health"]
+            for verdict in json.loads(captured.out)["verdicts"]
+        }
+        for unit in warned:
+            assert health.get(unit) == "degraded", unit
+        assert "'divider_wait_counts_x'" in captured.err
+        assert "dropped" in captured.err
+
     def test_analyze_with_injection(self, tmp_path, capsys):
         archive_path = self._record(tmp_path, capsys)
         code = main([
@@ -361,17 +398,49 @@ class TestForensics:
         assert "<svg" in html
         assert "membus" in html
 
+    @staticmethod
+    def _one_record_per_quantum(path, source, n_quanta):
+        """The series holds quanta 0..n-1 in order, then one ``close``
+        record without a quantum, under a header that dropped nothing."""
+        from repro.obs.timeseries import load_jsonl
+
+        header, records = load_jsonl(path)
+        assert header["source"] == source
+        assert header["capacity"] == 4096
+        assert header["samples_dropped"] == 0
+        assert header["samples_taken"] == n_quanta + 1
+        assert [r["quantum"] for r in records] == list(range(n_quanta)) + [
+            None
+        ]
+        assert [r.get("label") for r in records] == [None] * n_quanta + [
+            "close"
+        ]
+        return records
+
     def test_detect_timeseries_out(self, tmp_path, capsys):
-        from repro.obs.timeseries import load_jsonl, series_keys
+        from repro.obs.timeseries import series_keys
 
         path = str(tmp_path / "ts.jsonl")
-        assert main(self.DETECT + ["--timeseries-out", path]) == 0
+        assert main([
+            "detect", "--channel", "membus", "--bandwidth", "100",
+            "--bits", "16", "--no-noise", "--timeseries-out", path,
+        ]) == 0
         assert "metrics time series" in capsys.readouterr().err
-        header, records = load_jsonl(path)
-        assert header["source"] == "detect"
-        assert records
-        assert records[-1]["label"] == "close"
+        records = self._one_record_per_quantum(path, "detect", 2)
         assert "cchunter_sim_quanta_total" in series_keys(records)
+
+    def test_analyze_timeseries_out(self, tmp_path, capsys):
+        archive = str(tmp_path / "trace.npz")
+        assert main([
+            "record", archive, "--channel", "membus",
+            "--bandwidth", "100", "--bits", "16",
+        ]) == 0
+        path = str(tmp_path / "ts.jsonl")
+        assert main(
+            ["analyze", archive, "--timeseries-out", path]
+        ) in (0, 3)
+        assert "metrics time series" in capsys.readouterr().err
+        self._one_record_per_quantum(path, "analyze", 2)
 
     def test_detect_watch_plain_stream(self, capsys):
         assert main(self.DETECT + ["--watch"]) == 0
