@@ -260,8 +260,8 @@ def load_traces(
       their window count), the affected unit is listed in
       ``TraceArchive.gaps``, and loading continues. A dense record whose
       key names no core belongs to no unit: it is dropped with a
-      warning and adds no gap. Damaged metadata always raises — there is no safe way
-      to guess the geometry.
+      warning and adds no gap. Damaged metadata always raises — there
+      is no safe way to guess the geometry.
     """
     if on_corruption not in ("raise", "skip"):
         raise DetectionError(
