@@ -54,12 +54,17 @@ def collect_correlograms():
     return positives, negatives
 
 
-def wilson(hits, n, z=1.96):
+# The normal quantile of a two-sided 95% interval.
+Z95 = 1.96
+
+
+def wilson(hits, n):
     """The 95% Wilson score interval of ``hits`` successes in ``n``."""
     p = hits / n
-    denom = 1 + z * z / n
-    centre = (p + z * z / (2 * n)) / denom
-    half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
+    z2 = Z95 * Z95
+    denom = 1 + z2 / n
+    centre = (p + z2 / (2 * n)) / denom
+    half = Z95 * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n)) / denom
     return max(0.0, centre - half), min(1.0, centre + half)
 
 

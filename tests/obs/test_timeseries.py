@@ -57,13 +57,16 @@ class TestMetricsSampler:
         assert sampler.samples_dropped == 2
 
     def test_label_and_seq_monotonic(self, registry):
-        sampler = MetricsSampler(registry=registry)
+        ticks = iter([5.0, 5.5])
+        sampler = MetricsSampler(registry=registry, clock=lambda: next(ticks))
         sampler.sample(quantum=0)
         sampler.sample(label="close")
         first, second = sampler.records()
         assert "label" not in first
         assert second["label"] == "close"
         assert second["seq"] == first["seq"] + 1
+        # t_s counts seconds from the first sample.
+        assert (first["t_s"], second["t_s"]) == (0.0, 0.5)
 
     def test_self_metrics(self, registry):
         sampler = MetricsSampler(registry=registry, source="t")

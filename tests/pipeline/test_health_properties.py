@@ -10,7 +10,7 @@ in the verdict's notes (shedding is never silent).
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.pipeline import (
@@ -76,11 +76,17 @@ class _ScriptedAnalyzer(BurstAnalyzer):
 
 # One event per quantum: a clean push, a push carrying a shed/lost
 # fault tag, or an analyzer error.
-EVENTS = st.lists(
-    st.sampled_from(["clean", "shed", "lost", "error"]),
+EVENT = st.sampled_from(["clean", "shed", "lost", "error"])
+EVENTS = st.lists(EVENT, min_size=1, max_size=60)
+
+# The same events drawn as runs of up to FAIL_AFTER + 2 quanta, so a run
+# of FAIL_AFTER consecutive errors, the only way to FAILED, comes up
+# next to clean and faulted quanta in most draws.
+EVENT_RUNS = st.lists(
+    st.tuples(EVENT, st.integers(1, FAIL_AFTER + 2)),
     min_size=1,
-    max_size=60,
-)
+    max_size=12,
+).map(lambda runs: [event for event, n in runs for _ in range(n)])
 
 
 def _obs(quantum, faults=()):
@@ -97,7 +103,14 @@ def _obs(quantum, faults=()):
 
 class TestOneWayLadder:
     @settings(max_examples=60, deadline=None)
-    @given(EVENTS)
+    @given(EVENT_RUNS)
+    @example(
+        ["shed", "clean"] + ["error"] * FAIL_AFTER + ["lost", "error"]
+    )
+    @example(
+        ["error"] * (FAIL_AFTER - 1) + ["lost"]
+        + ["error"] * (FAIL_AFTER - 1) + ["shed"]
+    )
     def test_health_rank_never_decreases(self, events):
         """Under ANY interleaving of clean/faulted/erroring quanta the
         combined unit health climbs the OK→DEGRADED→FAILED ladder one
